@@ -131,12 +131,13 @@ void RleEncode(const std::string& in, std::string* out) {
   }
 }
 
-Status RleDecode(const Slice& in_slice, std::string* out) {
+// Fails with Corruption rather than produce more than `max_size` bytes.
+Status RleDecode(const Slice& in_slice, size_t max_size, std::string* out) {
   Slice in = in_slice;
   out->clear();
   while (!in.empty()) {
     const char b = in[0];
-    size_t run = 1;
+    uint64_t run = 1;
     in.RemovePrefix(1);
     while (run < 4 && !in.empty() && in[0] == b) {
       ++run;
@@ -147,15 +148,26 @@ Status RleDecode(const Slice& in_slice, std::string* out) {
       if (!GetVarint64(&in, &extra)) {
         return Status::Corruption("bzip2-like: truncated RLE run");
       }
-      run += static_cast<size_t>(extra);
+      if (extra > max_size) {  // also keeps run + extra from wrapping
+        return Status::Corruption("bzip2-like: RLE run exceeds block");
+      }
+      run += extra;
     }
-    out->append(run, b);
+    if (run > max_size - out->size()) {
+      return Status::Corruption("bzip2-like: RLE run exceeds block");
+    }
+    out->append(static_cast<size_t>(run), b);
   }
   return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
 // Canonical Huffman over bytes.
+
+// Longest code length the decoder accepts. Code lengths grow with the log of
+// a block's symbol count, so a 64 KiB block's codes are far shorter; below 32
+// bits the canonical code arithmetic in uint32_t cannot overflow a shift.
+constexpr int kMaxCodeLength = 31;
 
 struct HuffCode {
   uint32_t bits = 0;
@@ -325,7 +337,7 @@ Status HuffmanDecode(Slice* in, std::string* out) {
   for (uint32_t i = 0; i < n_syms; ++i) {
     const unsigned char sym = static_cast<unsigned char>((*in)[2 * i]);
     const unsigned char len = static_cast<unsigned char>((*in)[2 * i + 1]);
-    if (len == 0 || len > 63) {
+    if (len == 0 || len > kMaxCodeLength) {
       return Status::Corruption("bzip2-like: bad code length");
     }
     lengths[sym] = len;
@@ -335,11 +347,15 @@ Status HuffmanDecode(Slice* in, std::string* out) {
   if (!GetVarint64(in, &n_coded)) {
     return Status::Corruption("bzip2-like: missing coded count");
   }
+  // Every coded symbol takes at least one bit.
+  if (n_coded > uint64_t{in->size()} * 8) {
+    return Status::Corruption("bzip2-like: coded count exceeds payload");
+  }
   std::array<HuffCode, 256> codes{};
   AssignCanonical(lengths, &codes);
 
   // Canonical decode tables indexed by code length.
-  constexpr int kMaxLen = 64;
+  constexpr int kMaxLen = kMaxCodeLength + 1;
   std::array<uint32_t, kMaxLen> first_code{};
   std::array<uint32_t, kMaxLen> first_index{};
   std::array<uint32_t, kMaxLen> count{};
@@ -427,20 +443,27 @@ class Bzip2LikeCodec : public Codec {
     if (!GetVarint64(&in, &raw_size)) {
       return Status::Corruption("bzip2-like: missing size");
     }
+    // Every block takes at least 3 header bytes and yields at most
+    // kBlockSize bytes, so a larger header is corrupt.
+    if (raw_size > in.size() / 3 * kBlockSize) {
+      return Status::Corruption("bzip2-like: size header exceeds stream");
+    }
     output->clear();
     output->reserve(static_cast<size_t>(raw_size));
     while (output->size() < raw_size) {
       uint64_t block_len, payload_len;
       uint32_t primary;
       if (!GetVarint64(&in, &block_len) || !GetVarint32(&in, &primary) ||
-          !GetVarint64(&in, &payload_len) || in.size() < payload_len) {
+          !GetVarint64(&in, &payload_len) || in.size() < payload_len ||
+          block_len > kBlockSize) {
         return Status::Corruption("bzip2-like: bad block header");
       }
       Slice payload(in.data(), static_cast<size_t>(payload_len));
       in.RemovePrefix(static_cast<size_t>(payload_len));
       std::string rle, mtf, last_column, block;
       ANTIMR_RETURN_NOT_OK(HuffmanDecode(&payload, &rle));
-      ANTIMR_RETURN_NOT_OK(RleDecode(rle, &mtf));
+      ANTIMR_RETURN_NOT_OK(
+          RleDecode(rle, static_cast<size_t>(block_len), &mtf));
       MtfDecode(mtf, &last_column);
       if (last_column.size() != block_len ||
           primary >= last_column.size()) {

@@ -2,6 +2,7 @@
 
 #include "codec/codec.h"
 #include "codec/crc32.h"
+#include "codec/lz_internal.h"
 #include "common/coding.h"
 
 namespace antimr {
@@ -23,10 +24,7 @@ class GzipCodec : public Codec {
     // Header: magic, method, flags, mtime(4), xfl, os — all fixed.
     static const char kHeader[10] = {'\x1f', '\x8b', 8, 0, 0, 0, 0, 0, 0, 3};
     output->append(kHeader, sizeof(kHeader));
-    std::string payload;
-    ANTIMR_RETURN_NOT_OK(
-        GetDeflateLikeCodec()->Compress(input, &payload));
-    output->append(payload);
+    lz::DeflateCompress(input, output);
     PutFixed32(output, Crc32(0, input));
     PutFixed32(output, static_cast<uint32_t>(input.size()));
     return Status::OK();

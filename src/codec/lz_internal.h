@@ -8,6 +8,7 @@
 #ifndef ANTIMR_CODEC_LZ_INTERNAL_H_
 #define ANTIMR_CODEC_LZ_INTERNAL_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -43,16 +44,36 @@ inline uint32_t Load32(const char* p) {
   return v;
 }
 
-/// Length of the common prefix of [a, a_end) and [b, a_end)-bounded range,
-/// capped at kMaxMatch.
+inline uint64_t Load64(const char* p) {
+  uint64_t v;
+  __builtin_memcpy(&v, p, 8);
+  return v;
+}
+
+/// Length of the common prefix of a and b, where a < b and b's range ends at
+/// `end`; capped at kMaxMatch. Compares eight bytes per step: the first set
+/// bit of the XOR of two words locates their first differing byte.
 inline size_t MatchLength(const char* a, const char* b, const char* end) {
   size_t n = 0;
   const size_t limit =
       static_cast<size_t>(end - b) < kMaxMatch ? static_cast<size_t>(end - b)
                                                : kMaxMatch;
+  while (n + 8 <= limit) {
+    const uint64_t diff = Load64(a + n) ^ Load64(b + n);
+    if (diff != 0) {
+      const int bit = std::endian::native == std::endian::little
+                          ? __builtin_ctzll(diff)
+                          : __builtin_clzll(diff);
+      return n + static_cast<size_t>(bit >> 3);
+    }
+    n += 8;
+  }
   while (n < limit && a[n] == b[n]) ++n;
   return n;
 }
+
+/// Appends the DeflateLikeCodec stream for `input` to *output.
+void DeflateCompress(const Slice& input, std::string* output);
 
 /// Shared decoder for the token stream.
 Status LzDecompress(const Slice& input, std::string* output);

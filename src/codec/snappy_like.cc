@@ -14,6 +14,11 @@ Status LzDecompress(const Slice& input, std::string* output) {
   if (!GetVarint64(&in, &raw_size)) {
     return Status::Corruption("lz: missing size header");
   }
+  // Every op takes at least 2 input bytes and yields at most kMaxMatch bytes,
+  // so a larger header is corrupt; checked before it sizes an allocation.
+  if (raw_size > in.size() / 2 * kMaxMatch) {
+    return Status::Corruption("lz: size header exceeds stream");
+  }
   output->clear();
   output->reserve(static_cast<size_t>(raw_size));
   while (output->size() < raw_size) {

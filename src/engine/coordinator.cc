@@ -375,6 +375,15 @@ Status Coordinator::Call(uint32_t worker_id, net::TaskAssignMsg assign,
 
   std::string payload;
   net::EncodeTaskAssign(assign, &payload);
+  if (obs::kTraceCompiled && obs::TraceEnabled()) {
+    // Flow arrow out of this rpc span into the worker's task span; the
+    // rpc_id doubles as the flow id and rides in the assignment the worker
+    // already decodes, which records the matching FlowEnd. Recorded before
+    // the write: once the frame is out, the worker can record its FlowEnd
+    // before this thread runs again.
+    obs::Tracer::Global().FlowStart("dispatch", "task_dispatch",
+                                    assign.rpc_id);
+  }
   Status write_status;
   {
     std::lock_guard<std::mutex> lock(worker->write_mu);
@@ -382,13 +391,6 @@ Status Coordinator::Call(uint32_t worker_id, net::TaskAssignMsg assign,
                                    payload);
   }
   tasks_assigned_counter_->Inc();
-  if (write_status.ok() && obs::kTraceCompiled && obs::TraceEnabled()) {
-    // Flow arrow out of this rpc span into the worker's task span; the
-    // rpc_id doubles as the flow id and rides in the assignment the worker
-    // already decodes, which records the matching FlowEnd.
-    obs::Tracer::Global().FlowStart("dispatch", "task_dispatch",
-                                    assign.rpc_id);
-  }
 
   if (!write_status.ok()) {
     // The receiver (or we, below) will notice the dead conn; unregister our

@@ -4,67 +4,14 @@
 #include <gtest/gtest.h>
 
 #include "codec/codec.h"
-#include "common/random.h"
+#include "codec_inputs.h"
 
 namespace antimr {
 namespace {
 
-enum class Profile { kRandom, kText, kRuns, kNearlyConstant, kStructured };
-
-const char* ProfileName(Profile p) {
-  switch (p) {
-    case Profile::kRandom:
-      return "random";
-    case Profile::kText:
-      return "text";
-    case Profile::kRuns:
-      return "runs";
-    case Profile::kNearlyConstant:
-      return "nearlyconstant";
-    case Profile::kStructured:
-      return "structured";
-  }
-  return "?";
-}
-
-std::string MakeInput(Profile profile, size_t size, uint64_t seed) {
-  Random rng(seed);
-  std::string s;
-  s.reserve(size + 32);
-  switch (profile) {
-    case Profile::kRandom:
-      while (s.size() < size) s.push_back(static_cast<char>(rng.Next()));
-      break;
-    case Profile::kText: {
-      static const char* words[] = {"alpha", "beta", "gamma", "delta",
-                                    "epsilon", "zeta", "eta", "theta"};
-      while (s.size() < size) {
-        s += words[rng.Uniform(8)];
-        s.push_back(' ');
-      }
-      break;
-    }
-    case Profile::kRuns:
-      while (s.size() < size) {
-        s.append(1 + rng.Uniform(300), static_cast<char>('a' + rng.Uniform(4)));
-      }
-      break;
-    case Profile::kNearlyConstant:
-      s.assign(size, 'x');
-      for (size_t i = 0; i < size / 1000 + 1 && !s.empty(); ++i) {
-        s[rng.Uniform(s.size())] = static_cast<char>(rng.Next());
-      }
-      break;
-    case Profile::kStructured:
-      while (s.size() < size) {
-        s += "id=" + std::to_string(rng.Uniform(10000)) +
-             ",ts=17000" + std::to_string(rng.Uniform(100000)) + ";";
-      }
-      break;
-  }
-  s.resize(size);
-  return s;
-}
+using testing_codec::MakeInput;
+using testing_codec::Profile;
+using testing_codec::ProfileName;
 
 struct SweepParam {
   CodecType codec;
@@ -94,9 +41,7 @@ std::vector<SweepParam> Grid() {
   std::vector<SweepParam> grid;
   for (CodecType codec : {CodecType::kSnappyLike, CodecType::kDeflateLike,
                           CodecType::kGzip, CodecType::kBzip2Like}) {
-    for (Profile profile :
-         {Profile::kRandom, Profile::kText, Profile::kRuns,
-          Profile::kNearlyConstant, Profile::kStructured}) {
+    for (Profile profile : testing_codec::kAllProfiles) {
       grid.push_back({codec, profile});
     }
   }

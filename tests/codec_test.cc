@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "common/random.h"
 
 namespace antimr {
@@ -159,6 +160,86 @@ TEST(Codec, Bzip2RejectsGarbage) {
   EXPECT_FALSE(GetCodec(CodecType::kBzip2Like)
                    ->Decompress(Slice("not a valid stream at all"), &restored)
                    .ok());
+}
+
+// A size header claiming 1 TiB must come back as Corruption, not as an
+// allocation of the claimed size.
+constexpr uint64_t kOneTiB = uint64_t{1} << 40;
+
+std::string LzHugeHeader() {
+  std::string s;
+  PutVarint64(&s, kOneTiB);
+  s += std::string("\x02" "abc", 4);  // one 3-byte literal run
+  return s;
+}
+
+TEST(Codec, SnappyHugeSizeHeaderIsCorruption) {
+  std::string restored;
+  EXPECT_TRUE(GetCodec(CodecType::kSnappyLike)
+                  ->Decompress(LzHugeHeader(), &restored)
+                  .IsCorruption());
+}
+
+TEST(Codec, DeflateHugeSizeHeaderIsCorruption) {
+  std::string restored;
+  EXPECT_TRUE(GetCodec(CodecType::kDeflateLike)
+                  ->Decompress(LzHugeHeader(), &restored)
+                  .IsCorruption());
+}
+
+TEST(Codec, GzipHugeSizeHeaderIsCorruption) {
+  std::string s("\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\x03", 10);
+  s += LzHugeHeader();
+  PutFixed32(&s, 0);  // crc
+  PutFixed32(&s, 0);  // size
+  std::string restored;
+  EXPECT_TRUE(
+      GetCodec(CodecType::kGzip)->Decompress(s, &restored).IsCorruption());
+}
+
+TEST(Codec, Bzip2HugeSizeHeaderIsCorruption) {
+  std::string s;
+  PutVarint64(&s, kOneTiB);
+  s += "garb";
+  std::string restored;
+  EXPECT_TRUE(
+      GetCodec(CodecType::kBzip2Like)->Decompress(s, &restored).IsCorruption());
+}
+
+// One bzip2-like block of 100 bytes around a hand-built Huffman payload.
+std::string Bzip2Block(const std::string& payload) {
+  std::string s;
+  PutVarint64(&s, 100);  // raw size
+  PutVarint64(&s, 100);  // block length
+  PutVarint32(&s, 0);    // primary index
+  PutVarint64(&s, payload.size());
+  return s + payload;
+}
+
+TEST(Codec, Bzip2HugeCodedCountIsCorruption) {
+  std::string payload;
+  PutVarint32(&payload, 1);  // one symbol: 'a' with a 1-bit code
+  payload += "a\x01";
+  PutVarint64(&payload, kOneTiB);  // coded symbols claimed
+  payload.push_back('\0');
+  std::string restored;
+  EXPECT_TRUE(GetCodec(CodecType::kBzip2Like)
+                  ->Decompress(Bzip2Block(payload), &restored)
+                  .IsCorruption());
+}
+
+TEST(Codec, Bzip2HugeRunLengthIsCorruption) {
+  // Decodes to "aaaa" + varint(2^40): a run-length layer run of 1 TiB + 4.
+  // Canonical codes: 'a' = 0, 0x20 = 10, 0x80 = 11.
+  std::string payload;
+  PutVarint32(&payload, 3);
+  payload += std::string("a\x01\x20\x02\x80\x02", 6);
+  PutVarint64(&payload, 10);                    // a a a a 80 80 80 80 80 20
+  payload += std::string("\x0f\xfe", 2);        // 0000 1111111111 10
+  std::string restored;
+  EXPECT_TRUE(GetCodec(CodecType::kBzip2Like)
+                  ->Decompress(Bzip2Block(payload), &restored)
+                  .IsCorruption());
 }
 
 TEST(Codec, NameLookup) {
