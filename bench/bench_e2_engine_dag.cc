@@ -11,8 +11,8 @@
 // With fewer workers than reduce partitions, stage 1's reduces run in
 // waves; in the dag the sort maps over early partitions execute alongside
 // stage 1's later waves, which the executor reports as stage overlap. A
-// PageRank 4-iteration DAG vs the legacy per-iteration loop is measured the
-// same way. Results (including the overlap) land in BENCH_e2.json.
+// PageRank 4-iteration DAG is measured the same way. Results (including the
+// overlap) land in BENCH_e2.json.
 #include <cinttypes>
 #include <cstdio>
 
@@ -114,21 +114,7 @@ PipelineMeasurement RunDag(const std::vector<InputSplit>& lines) {
   return m;
 }
 
-PipelineMeasurement RunPageRankLoop(const std::vector<KV>& graph) {
-  workloads::PageRankConfig cfg;
-  cfg.num_nodes = kPageRankNodes;
-  cfg.num_reduce_tasks = kReduceTasks;
-  RunOptions run;
-  run.num_workers = kWorkers;
-  workloads::PageRankRunResult result;
-  ANTIMR_CHECK_OK(workloads::RunPageRank(cfg, graph, kPageRankIterations,
-                                         nullptr, kMapSplits, &result, run));
-  PipelineMeasurement m;
-  m.total = result.total;
-  return m;
-}
-
-PipelineMeasurement RunPageRankAsDag(const std::vector<KV>& graph) {
+PipelineMeasurement RunPageRankPlan(const std::vector<KV>& graph) {
   workloads::PageRankConfig cfg;
   cfg.num_nodes = kPageRankNodes;
   cfg.num_reduce_tasks = kReduceTasks;
@@ -137,12 +123,11 @@ PipelineMeasurement RunPageRankAsDag(const std::vector<KV>& graph) {
   engine::Executor executor(options);
   workloads::PageRankRunResult result;
   engine::PlanResult plan_result;
-  ANTIMR_CHECK_OK(workloads::RunPageRankDag(cfg, graph, kPageRankIterations,
-                                            nullptr, kMapSplits, &executor,
-                                            &result, &plan_result));
+  ANTIMR_CHECK_OK(workloads::RunPageRank(cfg, graph, kPageRankIterations,
+                                         nullptr, kMapSplits, &result,
+                                         &executor, &plan_result));
   PipelineMeasurement m;
   m.total = result.total;
-  m.total.wall_nanos = plan_result.metrics.wall_nanos;
   m.stage_overlap_nanos = plan_result.stage_overlap_nanos;
   return m;
 }
@@ -157,7 +142,6 @@ void PrintRow(const char* name, const PipelineMeasurement& m) {
 
 void WriteReport(const PipelineMeasurement& wc_seq,
                  const PipelineMeasurement& wc_dag,
-                 const PipelineMeasurement& pr_loop,
                  const PipelineMeasurement& pr_dag) {
   // The per-run stage overlap rides next to each metrics object via the
   // JsonRow extra member; the shared helper stamps the envelope.
@@ -167,7 +151,6 @@ void WriteReport(const PipelineMeasurement& wc_seq,
   };
   const Row rows[] = {{"wordcount_sort_seq", &wc_seq},
                       {"wordcount_sort_dag", &wc_dag},
-                      {"pagerank_loop", &pr_loop},
                       {"pagerank_dag", &pr_dag}};
   std::vector<JsonRow> report;
   for (const Row& row : rows) {
@@ -212,15 +195,11 @@ void Run() {
 
   std::printf("pagerank, %d nodes, %d iterations\n", kPageRankNodes,
               kPageRankIterations);
-  const PipelineMeasurement pr_loop = RunPageRankLoop(graph);
-  const PipelineMeasurement pr_dag = RunPageRankAsDag(graph);
-  PrintRow("loop (driver)", pr_loop);
+  const PipelineMeasurement pr_dag = RunPageRankPlan(graph);
   PrintRow("dag (1 plan)", pr_dag);
-  std::printf("dag wall vs loop: %s\n\n",
-              Percent(pr_loop.total.wall_nanos, pr_dag.total.wall_nanos)
-                  .c_str());
+  std::printf("\n");
 
-  WriteReport(wc_seq, wc_dag, pr_loop, pr_dag);
+  WriteReport(wc_seq, wc_dag, pr_dag);
 }
 
 }  // namespace

@@ -24,14 +24,17 @@ int main() {
   cfg.num_reduce_tasks = 8;
   const int kIterations = 5;
 
-  RunOptions run;
-  run.hardware = PaperHardware();
+  engine::ExecutorOptions exec_options;
+  exec_options.hardware = PaperHardware();
+  engine::Executor executor(exec_options);
   workloads::PageRankRunResult orig, anti;
   ANTIMR_CHECK_OK(workloads::RunPageRank(cfg, graph, kIterations, nullptr,
-                                         /*num_map_tasks=*/8, &orig, run));
+                                         /*num_map_tasks=*/8, &orig,
+                                         &executor));
   anticombine::AntiCombineOptions options;
   ANTIMR_CHECK_OK(workloads::RunPageRank(cfg, graph, kIterations, &options,
-                                         /*num_map_tasks=*/8, &anti, run));
+                                         /*num_map_tasks=*/8, &anti,
+                                         &executor));
 
   std::printf("%-24s %14s %14s %10s\n", "metric (5-iter totals)", "Original",
               "AdaptiveSH", "factor");

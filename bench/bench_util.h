@@ -54,20 +54,12 @@ inline SimulatedHardware PaperHardware() {
   return hw;
 }
 
-/// Execution knobs a bench can vary on top of the strategy choice.
-struct ClusterConfig {
-  ShuffleMode shuffle_mode = ShuffleMode::kPipelined;
-  int num_workers = 0;    ///< 0 = hardware concurrency
-  int fetch_threads = 0;  ///< 0 = num_workers (pipelined mode only)
-};
-
 /// Run `spec` under a strategy (kOriginal = untransformed).
 inline JobMetrics RunStrategy(const JobSpec& spec, Strategy strategy,
                               const std::vector<InputSplit>& splits,
                               anticombine::AntiCombineOptions options =
                                   anticombine::AntiCombineOptions(),
-                              SimulatedHardware hardware = {},
-                              ClusterConfig cluster = {}) {
+                              SimulatedHardware hardware = {}) {
   JobSpec to_run = spec;
   if (strategy != Strategy::kOriginal) {
     anticombine::AntiCombineOptions o = StrategyOptions(strategy);
@@ -86,9 +78,6 @@ inline JobMetrics RunStrategy(const JobSpec& spec, Strategy strategy,
   RunOptions run;
   run.collect_output = false;
   run.hardware = hardware;
-  run.shuffle_mode = cluster.shuffle_mode;
-  run.num_workers = cluster.num_workers;
-  run.fetch_threads = cluster.fetch_threads;
   JobResult result;
   ANTIMR_CHECK_OK(RunJob(to_run, splits, run, &result));
   return result.metrics;

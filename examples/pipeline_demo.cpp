@@ -6,10 +6,10 @@
 //
 // Each stage carries its own knobs: the aggregation stage uses EagerSH
 // (heavy value sharing across a word's occurrences) while the re-sort stage
-// uses LazySH, and both stages shuffle pipelined. Because the sort stage's
-// map tasks consume the wordcount stage's reduce *partitions*, sorting of
-// partition p starts the instant counting of partition p finishes — the
-// executor reports that cross-stage overlap.
+// uses LazySH. Because the sort stage's map tasks consume the wordcount
+// stage's reduce *partitions*, sorting of partition p starts the instant
+// counting of partition p finishes — the executor reports that cross-stage
+// overlap.
 #include <cstdio>
 #include <memory>
 
@@ -39,7 +39,6 @@ int main() {
   count_stage.spec = workloads::MakeWordCountJob(wc);
   count_stage.inputs = {"lines"};
   count_stage.output = "counts";
-  count_stage.options.shuffle_mode = ShuffleMode::kPipelined;
   count_stage.options.anti_combine = true;
   count_stage.options.anti_combine_options.lazy_threshold_nanos = 0;  // eager
   plan.AddStage(std::move(count_stage));
@@ -52,7 +51,6 @@ int main() {
   sort_stage.spec = workloads::MakeSortJob(sort);
   sort_stage.inputs = {"counts"};
   sort_stage.output = "sorted";
-  sort_stage.options.shuffle_mode = ShuffleMode::kPipelined;
   sort_stage.options.anti_combine = true;
   sort_stage.options.anti_combine_options.force_lazy = true;  // lazy
   plan.AddStage(std::move(sort_stage));

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "net/frame.h"
@@ -12,32 +13,6 @@
 
 namespace antimr {
 namespace engine {
-
-namespace {
-
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
-
-}  // namespace
 
 Coordinator::Coordinator(net::Transport* transport,
                          const CoordinatorOptions& options)
@@ -590,9 +565,9 @@ std::string Coordinator::StatusJson() const {
       out.append(first ? "\n" : ",\n");
       first = false;
       out.append("    {\"id\": ").append(std::to_string(id));
-      out.append(", \"name\": \"");
-      AppendJsonEscaped(&out, worker->name);
-      out.append("\", \"alive\": ").append(worker->alive ? "true" : "false");
+      out.append(", \"name\": ");
+      AppendJsonString(&out, worker->name);
+      out.append(", \"alive\": ").append(worker->alive ? "true" : "false");
       out.append(", \"slots\": ").append(std::to_string(worker->slots));
       out.append(", \"inflight\": ").append(std::to_string(worker->inflight));
       const uint64_t idle_nanos = now > worker->last_activity_nanos
@@ -600,20 +575,20 @@ std::string Coordinator::StatusJson() const {
                                       : 0;
       out.append(", \"last_activity_ms\": ")
           .append(std::to_string(idle_nanos / 1000000));
-      out.append(", \"shuffle_addr\": \"");
-      AppendJsonEscaped(&out, worker->shuffle_addr);
-      out.append("\"}");
+      out.append(", \"shuffle_addr\": ");
+      AppendJsonString(&out, worker->shuffle_addr);
+      out.append("}");
     }
     out.append(first ? "]" : "\n  ]");
   }
   const JobStatusSnapshot job = job_status();
-  out.append(",\n  \"job\": {\"job_id\": \"");
-  AppendJsonEscaped(&out, job.job_id);
-  out.append("\", \"name\": \"");
-  AppendJsonEscaped(&out, job.job_name);
-  out.append("\", \"state\": \"");
-  AppendJsonEscaped(&out, job.state);
-  out.append("\", \"maps_total\": ").append(std::to_string(job.maps_total));
+  out.append(",\n  \"job\": {\"job_id\": ");
+  AppendJsonString(&out, job.job_id);
+  out.append(", \"name\": ");
+  AppendJsonString(&out, job.job_name);
+  out.append(", \"state\": ");
+  AppendJsonString(&out, job.state);
+  out.append(", \"maps_total\": ").append(std::to_string(job.maps_total));
   out.append(", \"maps_done\": ").append(std::to_string(job.maps_done));
   out.append(", \"reduces_total\": ")
       .append(std::to_string(job.reduces_total));

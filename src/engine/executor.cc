@@ -74,9 +74,8 @@ Status Executor::Run(const JobPlan& plan, PlanResult* result) {
   // side) and every reduce-side fetch pulls them through a ShuffleClient
   // over the transport — loopback by default, or whatever the caller
   // injected (e.g. TCP for single-process wire benchmarks). The network
-  // throttle is paid per fetched chunk in the client, replacing the old
-  // reader-side ThrottledEnv simulation. Declared before the TaskGraph so
-  // they outlive every task.
+  // throttle is paid per fetched chunk in the client. Declared before the
+  // TaskGraph so they outlive every task.
   std::unique_ptr<net::Transport> owned_transport;
   net::Transport* transport = options_.transport;
   if (transport == nullptr) {
@@ -88,14 +87,7 @@ Status Executor::Run(const JobPlan& plan, PlanResult* result) {
   net::ShuffleClient shuffle_client(transport,
                                     options_.hardware.network_mb_per_s);
 
-  bool any_pipelined = false;
-  for (const Stage& stage : plan.stages()) {
-    if (stage.options.shuffle_mode == ShuffleMode::kPipelined) {
-      any_pipelined = true;
-      break;
-    }
-  }
-  if (any_pipelined && fetch_pool_ == nullptr) {
+  if (fetch_pool_ == nullptr) {
     fetch_pool_ = std::make_unique<TaskPool>(options_.fetch_threads > 0
                                                  ? options_.fetch_threads
                                                  : pool_.num_workers(),
@@ -120,7 +112,6 @@ Status Executor::Run(const JobPlan& plan, PlanResult* result) {
   ctx.readahead_blocks = options_.readahead_blocks > 0
                              ? options_.readahead_blocks
                              : kShuffleReadaheadBlocks;
-  ctx.network_mb_per_s = options_.hardware.network_mb_per_s;
   ctx.collect_outputs = options_.collect_outputs;
   ctx.cleanup_intermediates = options_.cleanup_intermediates;
   ctx.run_id = options_.run_id.empty() ? UniquePlanId(plan.name)

@@ -26,7 +26,7 @@ namespace engine {
 struct ExecutorOptions {
   /// Worker threads for map/reduce tasks; 0 = hardware concurrency.
   int num_workers = 0;
-  /// Dedicated threads for pipelined shuffle fetches; 0 = num_workers.
+  /// Dedicated threads for shuffle fetches; 0 = num_workers.
   int fetch_threads = 0;
   /// Per-segment streaming readahead window in blocks; 0 = default.
   size_t readahead_blocks = 0;
@@ -114,7 +114,7 @@ class Executor {
  private:
   ExecutorOptions options_;
   TaskPool pool_;
-  std::unique_ptr<TaskPool> fetch_pool_;  ///< created on first pipelined use
+  std::unique_ptr<TaskPool> fetch_pool_;  ///< created on first Run
 };
 
 }  // namespace engine

@@ -1,10 +1,10 @@
 // The logical layer of the execution engine: a JobPlan is a DAG of stages,
 // each a complete MapReduce JobSpec wired to named input/output datasets.
-// Per-stage knobs — the shuffle scheduling model and the Anti-Combining
-// options — live here because real pipelines tune them per stage: an
-// aggregation stage with heavy value sharing wants EagerSH while a re-sort
-// stage downstream wants LazySH or none at all (the per-job knobs of the
-// paper's Section 6 become per-stage knobs of a pipeline).
+// Per-stage knobs — the Anti-Combining options — live here because real
+// pipelines tune them per stage: an aggregation stage with heavy value
+// sharing wants EagerSH while a re-sort stage downstream wants LazySH or none
+// at all (the per-job knobs of the paper's Section 6 become per-stage knobs
+// of a pipeline).
 //
 // A JobPlan is purely declarative. The planner (engine/planner.h) lowers it
 // into one dependency-aware TaskGraph, and the Executor (engine/executor.h)
@@ -18,15 +18,12 @@
 
 #include "anticombine/options.h"
 #include "mr/job_spec.h"
-#include "mr/shuffle.h"
 
 namespace antimr {
 namespace engine {
 
 /// Per-stage execution knobs.
 struct StageOptions {
-  /// How this stage's reduce-side shuffle is scheduled (mr/shuffle.h).
-  ShuffleMode shuffle_mode = ShuffleMode::kPipelined;
   /// Apply the Anti-Combining transform to this stage's JobSpec.
   bool anti_combine = false;
   /// Options for the transform when anti_combine is set.

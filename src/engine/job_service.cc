@@ -17,6 +17,7 @@
 #include <utility>
 
 #include "common/hash.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "engine/job_registry.h"
@@ -557,26 +558,6 @@ Status ExecuteDistJob(Coordinator* coord, const DistJobOptions& options,
   return Status::OK();
 }
 
-void AppendJsonEscaped(const std::string& s, std::string* out) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 // --- JobService ----------------------------------------------------------
@@ -1026,15 +1007,15 @@ std::string JobService::JobsJson() const {
   for (const net::JobStatusWire& row : rows) {
     if (!first) out += ",";
     first = false;
-    out += "{\"job_id\":\"";
-    AppendJsonEscaped(row.job_id, &out);
-    out += "\",\"pool\":\"";
-    AppendJsonEscaped(row.pool, &out);
-    out += "\",\"job_name\":\"";
-    AppendJsonEscaped(row.job_name, &out);
-    out += "\",\"state\":\"";
-    AppendJsonEscaped(row.state, &out);
-    out += "\",\"queue_position\":" + std::to_string(row.queue_position);
+    out += "{\"job_id\":";
+    AppendJsonString(&out, row.job_id);
+    out += ",\"pool\":";
+    AppendJsonString(&out, row.pool);
+    out += ",\"job_name\":";
+    AppendJsonString(&out, row.job_name);
+    out += ",\"state\":";
+    AppendJsonString(&out, row.state);
+    out += ",\"queue_position\":" + std::to_string(row.queue_position);
     out += ",\"cpu_slots\":" + std::to_string(row.cpu_slots);
     out += ",\"maps_total\":" + std::to_string(row.maps_total);
     out += ",\"maps_done\":" + std::to_string(row.maps_done);
@@ -1042,9 +1023,9 @@ std::string JobService::JobsJson() const {
     out += ",\"reduces_done\":" + std::to_string(row.reduces_done);
     out += ",\"map_reruns\":" + std::to_string(row.map_reruns);
     out += ",\"status_code\":" + std::to_string(row.status_code);
-    out += ",\"status_msg\":\"";
-    AppendJsonEscaped(row.status_msg, &out);
-    out += "\",\"output_hash\":\"" + std::to_string(row.output_hash);
+    out += ",\"status_msg\":";
+    AppendJsonString(&out, row.status_msg);
+    out += ",\"output_hash\":\"" + std::to_string(row.output_hash);
     out += "\",\"output_records\":" + std::to_string(row.output_records);
     out += ",\"submit_nanos\":" + std::to_string(row.submit_nanos);
     out += ",\"start_nanos\":" + std::to_string(row.start_nanos);

@@ -36,9 +36,8 @@ struct MapInput {
   const std::string* dataset = nullptr;
 };
 
-/// Shared tail of both shuffle models' reduce tasks: run the reduce, bill
-/// CPU (plus any fetch CPU in pipelined mode), publish the partition to the
-/// catalog, and stamp the stage's activity span.
+/// Run reduce partition `p`, bill its CPU plus its fetches' CPU, publish the
+/// partition to the catalog, and stamp the stage's activity span.
 Status RunStageReduce(const PlannerContext& ctx, StageExec* st, int p,
                       ReduceTaskInputs& inputs) {
   StampMin(&st->first_start, NowNanos());
@@ -46,12 +45,9 @@ Status RunStageReduce(const PlannerContext& ctx, StageExec* st, int p,
   Status status =
       RunReduceTask(st->run_spec, p, inputs, ctx.task_env, st->collect_output,
                     &st->reduce_results[static_cast<size_t>(p)]);
-  uint64_t cpu = ThreadCpuNanos() - cpu_start;
-  if (!st->fetch_cpu.empty()) {
-    cpu += st->fetch_cpu[static_cast<size_t>(p)].load(
-        std::memory_order_relaxed);
-  }
-  st->reduce_cpu[static_cast<size_t>(p)] = cpu;
+  st->reduce_cpu[static_cast<size_t>(p)] =
+      ThreadCpuNanos() - cpu_start +
+      st->fetch_cpu[static_cast<size_t>(p)].load(std::memory_order_relaxed);
   if (status.ok() && st->publish_output) {
     ctx.catalog->Publish(
         st->output_dataset, p,
@@ -203,109 +199,69 @@ Status LowerPlan(const PlannerContext& ctx, TaskGraph* graph,
           deps, TaskGraph::TaskOptions{});
     }
 
+    // Concurrent fetches overlap the map wave: fetch(p, m) runs the moment
+    // map m finishes; only the merge+reduce waits for all of p's inputs.
     st->reduce_task_ids.assign(num_reduce, -1);
-    if (stage.options.shuffle_mode == ShuffleMode::kBarrier) {
-      // Classic two-wave model inside the stage: every reduce waits for
-      // the whole map wave and streams its segments inline.
-      for (size_t p = 0; p < num_reduce; ++p) {
-        st->reduce_task_ids[p] = graph->AddTask(
-            [&ctx, st, p](int attempt) {
-              if (attempt > 0) st->reduce_results[p] = ReduceTaskResult();
-              ReduceTaskInputs inputs;
-              inputs.readahead_blocks = ctx.readahead_blocks;
-              // Segments travel through the shuffle service even in the
-              // two-wave model, so barrier and pipelined runs count the
-              // same transport-boundary bytes. The direct-Env path stays
-              // for contexts lowered without a shuffle client.
-              if (ctx.shuffle != nullptr) {
-                inputs.shuffle = ctx.shuffle;
-                for (const MapTaskResult& mr : st->map_results) {
-                  const std::string& fname = mr.segment_files[p];
-                  if (!fname.empty()) {
-                    inputs.remote.push_back({ctx.shuffle_addr, fname});
-                  }
-                }
-              } else {
-                inputs.network_mb_per_s = ctx.network_mb_per_s;
-                for (const MapTaskResult& mr : st->map_results) {
-                  const std::string& fname = mr.segment_files[p];
-                  if (!fname.empty()) inputs.segment_files.push_back(fname);
-                }
-              }
-              return RunStageReduce(ctx, st, static_cast<int>(p), inputs);
-            },
-            map_ids, TaskGraph::TaskOptions{});
-      }
-    } else {
-      // Pipelined model: concurrent fetches overlap the map wave.
-      st->fetched.resize(num_reduce);
-      for (auto& per_map : st->fetched) per_map.resize(num_maps);
-      st->fetch_cpu = std::vector<std::atomic<uint64_t>>(num_reduce);
+    st->fetched.resize(num_reduce);
+    for (auto& per_map : st->fetched) per_map.resize(num_maps);
+    st->fetch_cpu = std::vector<std::atomic<uint64_t>>(num_reduce);
 
-      for (size_t p = 0; p < num_reduce; ++p) {
-        std::vector<int> fetch_ids;
-        fetch_ids.reserve(num_maps);
-        for (size_t m = 0; m < num_maps; ++m) {
-          TaskGraph::TaskOptions fetch_options;
-          fetch_options.pool = ctx.fetch_pool;
-          fetch_ids.push_back(graph->AddTask(
-              [&ctx, st, p, m](int attempt) {
-                const std::string& fname =
-                    st->map_results[m].segment_files[p];
-                if (fname.empty()) return Status::OK();
-                ANTIMR_TRACE_SPAN_DYN(
-                    "task", "fetch:" + st->trace_label + " p" +
-                                std::to_string(p) + " m" + std::to_string(m));
-                // A retried fetch starts over from an empty segment so a
-                // partially-filled buffer from the failed attempt cannot
-                // leak into the merge.
-                if (attempt > 0) st->fetched[p][m] = FetchedSegment();
-                if (st->maps_remaining.load(std::memory_order_relaxed) > 0) {
-                  st->overlapped_fetches.fetch_add(
-                      1, std::memory_order_relaxed);
-                }
-                const uint64_t cpu_start = ThreadCpuNanos();
-                // Over the shuffle service when the executor provides one
-                // (so the copy crosses the counted transport boundary),
-                // otherwise straight from the Env as before.
-                Status status =
-                    ctx.shuffle != nullptr
-                        ? ctx.shuffle->Fetch(ctx.shuffle_addr, fname,
-                                             &st->fetched[p][m])
-                        : FetchSegmentFrames(ctx.task_env, fname,
-                                             ctx.network_mb_per_s,
-                                             &st->fetched[p][m]);
-                st->fetch_cpu[p].fetch_add(ThreadCpuNanos() - cpu_start,
-                                           std::memory_order_relaxed);
-                return status;
-              },
-              {map_ids[m]}, fetch_options));
-        }
-        st->reduce_task_ids[p] = graph->AddTask(
-            [&ctx, st, p](int attempt) {
-              if (attempt > 0) st->reduce_results[p] = ReduceTaskResult();
-              ReduceTaskInputs inputs;
-              inputs.readahead_blocks = ctx.readahead_blocks;
-              // Borrow the fetched segments — the StageExec keeps owning
-              // them so a transiently-failed reduce retries against the
-              // same bytes instead of finding moved-out empties.
-              for (const FetchedSegment& fs : st->fetched[p]) {
-                if (!fs.file.empty()) inputs.fetched.push_back(&fs);
+    for (size_t p = 0; p < num_reduce; ++p) {
+      std::vector<int> fetch_ids;
+      fetch_ids.reserve(num_maps);
+      for (size_t m = 0; m < num_maps; ++m) {
+        TaskGraph::TaskOptions fetch_options;
+        fetch_options.pool = ctx.fetch_pool;
+        fetch_ids.push_back(graph->AddTask(
+            [&ctx, st, p, m](int attempt) {
+              const std::string& fname = st->map_results[m].segment_files[p];
+              if (fname.empty()) return Status::OK();
+              ANTIMR_TRACE_SPAN_DYN(
+                  "task", "fetch:" + st->trace_label + " p" +
+                              std::to_string(p) + " m" + std::to_string(m));
+              // A retried fetch starts over from an empty segment so a
+              // partially-filled buffer from the failed attempt cannot
+              // leak into the merge.
+              if (attempt > 0) st->fetched[p][m] = FetchedSegment();
+              if (st->maps_remaining.load(std::memory_order_relaxed) > 0) {
+                st->overlapped_fetches.fetch_add(1,
+                                                 std::memory_order_relaxed);
               }
-              Status status =
-                  RunStageReduce(ctx, st, static_cast<int>(p), inputs);
-              if (status.ok()) {
-                // Success is terminal: drop the fetched frames now (not at
-                // stage teardown) to keep shuffle memory bounded per live
-                // reduce, as before retries existed.
-                for (FetchedSegment& fs : st->fetched[p]) {
-                  std::string().swap(fs.frames);
-                }
-              }
+              const uint64_t cpu_start = ThreadCpuNanos();
+              // Over the shuffle service, so the copy crosses the counted
+              // transport boundary.
+              Status status = ctx.shuffle->Fetch(ctx.shuffle_addr, fname,
+                                                 &st->fetched[p][m]);
+              st->fetch_cpu[p].fetch_add(ThreadCpuNanos() - cpu_start,
+                                         std::memory_order_relaxed);
               return status;
             },
-            fetch_ids, TaskGraph::TaskOptions{});
+            {map_ids[m]}, fetch_options));
       }
+      st->reduce_task_ids[p] = graph->AddTask(
+          [&ctx, st, p](int attempt) {
+            if (attempt > 0) st->reduce_results[p] = ReduceTaskResult();
+            ReduceTaskInputs inputs;
+            inputs.readahead_blocks = ctx.readahead_blocks;
+            // Borrow the fetched segments — the StageExec keeps owning
+            // them so a transiently-failed reduce retries against the
+            // same bytes instead of finding moved-out empties.
+            for (const FetchedSegment& fs : st->fetched[p]) {
+              if (!fs.file.empty()) inputs.fetched.push_back(&fs);
+            }
+            Status status =
+                RunStageReduce(ctx, st, static_cast<int>(p), inputs);
+            if (status.ok()) {
+              // Success is terminal: drop the fetched frames now (not at
+              // stage teardown) to keep shuffle memory bounded per live
+              // reduce.
+              for (FetchedSegment& fs : st->fetched[p]) {
+                std::string().swap(fs.frames);
+              }
+            }
+            return status;
+          },
+          fetch_ids, TaskGraph::TaskOptions{});
     }
 
     if (ctx.cleanup_intermediates) {

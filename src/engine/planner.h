@@ -1,8 +1,7 @@
 // The planner lowers a logical JobPlan into one dependency-aware TaskGraph.
-// Every stage contributes map tasks, (pipelined-mode) fetch tasks, reduce
-// tasks, and a segment-cleanup task; cross-stage edges connect a producer
-// stage's reduce task for partition p to the consumer stage's map task over
-// that partition. There is no barrier between stages: a downstream map runs
+// Every stage contributes map tasks, fetch tasks, reduce tasks, and a
+// segment-cleanup task; cross-stage edges connect a producer stage's reduce
+// task for partition p to the consumer stage's map task over that partition. There is no barrier between stages: a downstream map runs
 // the instant the single partition it reads is published, so stage N+1
 // overlaps the tail of stage N (cross-stage pipelining), exactly as fetch
 // tasks overlap the map wave inside one stage.
@@ -32,16 +31,14 @@ struct PlannerContext {
   DatasetCatalog* catalog = nullptr;
   Env* task_env = nullptr;     ///< storage as tasks see it (maybe throttled)
   Env* cleanup_env = nullptr;  ///< unthrottled storage for file deletion
-  TaskPool* fetch_pool = nullptr;  ///< dedicated pool for pipelined fetches
-  /// Shuffle data plane: segments are pulled from `shuffle_addr` (the
-  /// Executor's SegmentServer over task_env) through this client, so every
-  /// shuffled byte crosses the transport framing layer — loopback in
-  /// single-process runs, TCP in distributed ones. Null falls back to the
-  /// pre-transport direct-Env path (unit tests lowering plans by hand).
+  TaskPool* fetch_pool = nullptr;  ///< dedicated pool for shuffle fetches
+  /// Shuffle data plane (required): segments are pulled from
+  /// `shuffle_addr` (the Executor's SegmentServer over task_env) through
+  /// this client, so every shuffled byte crosses the transport framing
+  /// layer, and the client charges the simulated network bandwidth.
   net::ShuffleClient* shuffle = nullptr;
   std::string shuffle_addr;
   size_t readahead_blocks = 0;
-  double network_mb_per_s = 0;
   bool collect_outputs = true;        ///< retain sink datasets in the catalog
   bool cleanup_intermediates = true;  ///< delete segment files per stage
   std::string run_id;
@@ -72,7 +69,7 @@ struct StageExec {
   std::vector<uint64_t> map_cpu;
   std::vector<ReduceTaskResult> reduce_results;
   std::vector<uint64_t> reduce_cpu;
-  /// fetched[p][i]: map i's segment for partition p (pipelined mode).
+  /// fetched[p][i]: map i's segment for partition p.
   std::vector<std::vector<FetchedSegment>> fetched;
   std::vector<std::atomic<uint64_t>> fetch_cpu;  ///< per reduce partition
 

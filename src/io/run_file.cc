@@ -5,7 +5,6 @@
 #include "codec/crc32.h"
 #include "common/coding.h"
 #include "common/stopwatch.h"
-#include "io/throttled_env.h"
 
 namespace antimr {
 
@@ -242,7 +241,6 @@ Status BlockRunReader::FillReadahead() {
     }
     const uint64_t frame_bytes = reader_.bytes_consumed() - before;
     stats_.bytes_read += frame_bytes;
-    SleepForBytes(frame_bytes, opts_.throttle_mb_per_s);
     readahead_bytes_ += frame.payload.size();
     readahead_.push_back(std::move(frame));
     NotePeak();

@@ -264,8 +264,6 @@ class BlockRunReader : public SegmentStream {
  public:
   struct Options {
     size_t readahead_blocks = kDefaultReadaheadBlocks;
-    /// Simulated transfer bandwidth paid per frame read; 0 = unthrottled.
-    double throttle_mb_per_s = 0;
     /// Name used in error messages ("segment <name> block <n>: ...").
     std::string name;
   };

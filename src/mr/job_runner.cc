@@ -27,7 +27,6 @@ Status RunJob(const JobSpec& spec, const std::vector<InputSplit>& splits,
   stage.spec = spec;
   stage.inputs = {"in"};
   stage.output = "out";
-  stage.options.shuffle_mode = options.shuffle_mode;
   plan.AddStage(std::move(stage));
 
   engine::ExecutorOptions exec_options;

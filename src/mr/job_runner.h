@@ -4,12 +4,9 @@
 // work (job chains, DAGs, cross-stage pipelining) should build a JobPlan
 // directly; see engine/job_plan.h and engine/executor.h.
 //
-// Two shuffle models are supported. The default pipelined model schedules a
-// dependency graph: each reduce task's fetch of map task i's segment becomes
-// runnable the moment map i finishes, so the shuffle overlaps the remaining
-// map wave (Hadoop's parallel-copy shuffle phase). The barrier model —
-// classic two-wave execution where no reduce-side work starts until every
-// map task is done — is kept for A/B comparison.
+// The shuffle is a dependency graph: each reduce task's fetch of map task
+// i's segment becomes runnable the moment map i finishes, so the shuffle
+// overlaps the remaining map wave (Hadoop's parallel-copy shuffle phase).
 #ifndef ANTIMR_MR_JOB_RUNNER_H_
 #define ANTIMR_MR_JOB_RUNNER_H_
 
@@ -39,13 +36,10 @@ struct JobResult {
 struct RunOptions {
   /// Worker threads for map/reduce tasks; 0 = hardware concurrency.
   int num_workers = 0;
-  /// Dedicated threads for pipelined shuffle fetches; 0 = num_workers.
-  /// Ignored under ShuffleMode::kBarrier.
+  /// Dedicated threads for shuffle fetches; 0 = num_workers.
   int fetch_threads = 0;
   /// Per-segment streaming readahead window in blocks; 0 = default.
   size_t readahead_blocks = 0;
-  /// Shuffle scheduling model.
-  ShuffleMode shuffle_mode = ShuffleMode::kPipelined;
   /// Storage for intermediate data. When null the runner creates a private
   /// in-memory Env whose I/O counters become the job's disk metrics.
   Env* env = nullptr;

@@ -70,8 +70,8 @@ namespace antimr {
 //                                  (RunGroups minus the user Reduce fn)
 //   shuffle_blocks                 segment blocks decoded by reduce tasks
 //   shuffle_overlapped_fetches     fetch tasks started while the map wave
-//                                  was still running (pipelined scheduler's
-//                                  map/shuffle overlap; 0 under barrier)
+//                                  was still running (the scheduler's
+//                                  map/shuffle overlap)
 //   reduce_input_records/groups    reduce-side volume
 //   output_records/bytes           job output
 // --- Anti-Combining ---

@@ -223,27 +223,16 @@ Status RunReduceTask(const JobSpec& spec, int partition,
   const Codec* codec = GetCodec(spec.map_output_codec);
 
   // Open every map task's segment for this partition as a streaming block
-  // reader: pre-fetched segments decode out of reducer memory, the rest
-  // stream from storage and pay simulated network transfer per block.
+  // reader decoding out of reducer memory.
   std::vector<std::unique_ptr<KVStream>> segments;
   std::vector<std::unique_ptr<SegmentStream>> empty_readers;
   // Raw stats pointers stay valid while `merged` / `empty_readers` own the
-  // readers; stats are harvested after the merge completes. The flag marks
-  // readers over in-memory fetched frames, whose transfer bytes were already
-  // counted by the fetcher.
-  std::vector<std::pair<const BlockReadStats*, bool>> reader_stats;
-  auto adopt = [&](std::unique_ptr<SegmentStream> reader, bool from_memory) {
-    reader_stats.emplace_back(&reader->stats(), from_memory);
-    if (reader->Valid()) {
-      segments.push_back(std::move(reader));
-    } else {
-      empty_readers.push_back(std::move(reader));
-    }
-  };
+  // readers; stats are harvested after the merge completes.
+  std::vector<const BlockReadStats*> reader_stats;
   // Remote segments are pulled through the transport now, before any reader
   // opens: their bytes (FetchedSegment::fetched_bytes = stored segment
   // size as it crossed the wire) are the task's shuffle transfer volume,
-  // measured at the same boundary the pipelined fetchers use.
+  // measured at the same boundary the engine's fetch tasks use.
   std::vector<FetchedSegment> remote_storage;
   if (!inputs.remote.empty()) {
     if (inputs.shuffle == nullptr) {
@@ -275,7 +264,12 @@ Status RunReduceTask(const JobSpec& spec, int partition,
     std::unique_ptr<SegmentStream> reader;
     ANTIMR_RETURN_NOT_OK(
         OpenFetchedSegment(fs, codec, inputs.readahead_blocks, &reader));
-    adopt(std::move(reader), /*from_memory=*/true);
+    reader_stats.push_back(&reader->stats());
+    if (reader->Valid()) {
+      segments.push_back(std::move(reader));
+    } else {
+      empty_readers.push_back(std::move(reader));
+    }
     return Status::OK();
   };
   for (const FetchedSegment& fs : remote_storage) {
@@ -283,14 +277,6 @@ Status RunReduceTask(const JobSpec& spec, int partition,
   }
   for (const FetchedSegment* fs : inputs.fetched) {
     ANTIMR_RETURN_NOT_OK(adopt_fetched(*fs));
-  }
-  for (const std::string& fname : inputs.segment_files) {
-    SegmentReadOptions ropts;
-    ropts.readahead_blocks = inputs.readahead_blocks;
-    ropts.network_mb_per_s = inputs.network_mb_per_s;
-    std::unique_ptr<SegmentStream> reader;
-    ANTIMR_RETURN_NOT_OK(OpenSegmentReader(env, fname, codec, ropts, &reader));
-    adopt(std::move(reader), /*from_memory=*/false);
   }
 
   MergingStream merged(std::move(segments), spec.key_cmp);
@@ -332,13 +318,12 @@ Status RunReduceTask(const JobSpec& spec, int partition,
   m.shuffle_merge_nanos +=
       merge_wall > fn_in_merge ? merge_wall - fn_in_merge : 0;
   uint64_t task_peak_buffered = 0;
-  for (const auto& [rstats, from_memory] : reader_stats) {
+  for (const BlockReadStats* rstats : reader_stats) {
     m.shuffle_decode_nanos += rstats->decode_nanos;
     m.cpu.decompress += rstats->decode_nanos;
     m.shuffle_blocks += rstats->blocks;
     m.shuffle_fetch_wait_nanos += rstats->read_nanos;
     task_peak_buffered += rstats->peak_buffered_bytes;
-    if (!from_memory) m.shuffle_bytes += rstats->bytes_read;
   }
   if (task_peak_buffered > m.shuffle_peak_buffered_bytes) {
     m.shuffle_peak_buffered_bytes = task_peak_buffered;

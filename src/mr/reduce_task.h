@@ -96,30 +96,23 @@ Status ApplyCombiner(const JobSpec& spec, const TaskInfo& info,
                      GroupRunStats* stats);
 
 /// Inputs to one reduce task: the segments produced for its partition by
-/// every map task, either as file names to stream from the map side
-/// (barrier model) or as segments already copied to the reduce side by the
-/// pipelined scheduler's concurrent fetchers.
+/// every map task, either already copied to the reduce side by the local
+/// engine's concurrent fetchers, or pulled by the task itself (distributed
+/// runs). Either way the bytes crossed a ShuffleClient.
 struct ReduceTaskInputs {
-  /// Segments to fetch inline, streamed from storage during the merge.
-  /// Legacy direct-storage path: the engine now ships segments through
-  /// `remote` instead so every byte crosses the transport boundary.
-  std::vector<std::string> segment_files;
   /// Segments pre-fetched by the concurrent shuffle phase, borrowed from
   /// the scheduler (which keeps ownership so a transiently-failed reduce
   /// can be retried against the same fetched bytes). Decompression is
   /// still block-at-a-time during the merge.
   std::vector<const FetchedSegment*> fetched;
-  /// Segments this task pulls through `shuffle` at task start (barrier
-  /// shuffle and distributed reduce tasks), in map-index order — merge
-  /// order is part of the output contract. Their transfer volume is
-  /// counted from FetchedSegment::fetched_bytes, the same boundary the
-  /// pipelined fetchers use, so both shuffle modes account identically.
+  /// Segments this task pulls through `shuffle` at task start (distributed
+  /// reduce tasks), in map-index order — merge order is part of the output
+  /// contract. Their transfer volume is counted from
+  /// FetchedSegment::fetched_bytes, the same boundary the local fetchers
+  /// use, so both inputs account identically.
   std::vector<net::SegmentRef> remote;
   /// Fetcher for `remote`; required when `remote` is non-empty.
   net::ShuffleClient* shuffle = nullptr;
-  /// Simulated shuffle bandwidth; 0 = unthrottled. Applies to inline
-  /// fetches only (pre-fetched segments paid it at fetch time).
-  double network_mb_per_s = 0;
   /// Per-segment streaming readahead window, in blocks.
   size_t readahead_blocks = kShuffleReadaheadBlocks;
   /// Optional cancellation/progress hook (mr/task_control.h), polled between

@@ -5,9 +5,7 @@
 #include <utility>
 
 #include "common/coding.h"
-#include "common/stopwatch.h"
 #include "io/buffered_io.h"
-#include "io/throttled_env.h"
 #include "table/chunk_reader.h"
 #include "table/chunk_writer.h"
 
@@ -166,12 +164,9 @@ Status OpenSegmentReader(Env* env, const std::string& fname,
   const bool columnar = IsChunkMagic(magic);
   auto replay = std::make_unique<PrefixedSequentialFile>(std::move(magic),
                                                          std::move(file));
-  // Throttling note: the magic peek above went through the (possibly
-  // throttled) Env read path already; readers re-consume it from memory.
   if (columnar) {
     ChunkReader::Options ropts;
     ropts.readahead_blocks = options.readahead_blocks;
-    ropts.throttle_mb_per_s = options.network_mb_per_s;
     ropts.name = fname;
     ropts.prune = options.prune;
     ropts.prune_cmp = options.prune_cmp;
@@ -183,33 +178,11 @@ Status OpenSegmentReader(Env* env, const std::string& fname,
   }
   BlockRunReader::Options ropts;
   ropts.readahead_blocks = options.readahead_blocks;
-  ropts.throttle_mb_per_s = options.network_mb_per_s;
   ropts.name = fname;
   auto r = std::make_unique<BlockRunReader>(std::move(replay), codec,
                                             std::move(ropts));
   ANTIMR_RETURN_NOT_OK(r->Open());
   *reader = std::move(r);
-  return Status::OK();
-}
-
-Status FetchSegmentFrames(Env* env, const std::string& fname,
-                          double network_mb_per_s, FetchedSegment* out) {
-  ScopedTimer t(&out->fetch_nanos);
-  out->file = fname;
-  std::unique_ptr<SequentialFile> file;
-  ANTIMR_RETURN_NOT_OK(env->NewSequentialFile(fname, &file));
-  out->frames.clear();
-  uint64_t size = 0;
-  if (env->GetFileSize(fname, &size).ok()) out->frames.reserve(size);
-  char scratch[64 * 1024];
-  while (true) {
-    Slice chunk;
-    ANTIMR_RETURN_NOT_OK(file->Read(sizeof(scratch), &chunk, scratch));
-    if (chunk.empty()) break;
-    out->frames.append(chunk.data(), chunk.size());
-    SleepForBytes(chunk.size(), network_mb_per_s);
-  }
-  out->fetched_bytes = out->frames.size();
   return Status::OK();
 }
 

@@ -3,12 +3,11 @@
 // ~64 KiB blocks, and independently compressed + CRC-framed per block (see
 // io/run_file.h). Spill files and final map outputs share the format.
 //
-// Reducers consume segments through streaming readers: either directly from
-// the map side's storage (barrier model), or from an in-memory FetchedSegment
-// that a concurrent fetcher copied while the map wave was still running
-// (pipelined model, mirroring Hadoop's parallel-copy shuffle phase). Either
-// way decompression is block-at-a-time with bounded readahead, so a reduce
-// task's buffered bytes are O(blocks x readahead), not O(segment).
+// Reducers consume segments from in-memory FetchedSegments that a concurrent
+// fetcher copied through the shuffle service while the map wave was still
+// running (mirroring Hadoop's parallel-copy shuffle phase). Decompression is
+// block-at-a-time with bounded readahead, so a reduce task's decode buffers
+// are O(blocks x readahead), not O(segment).
 #ifndef ANTIMR_MR_SHUFFLE_H_
 #define ANTIMR_MR_SHUFFLE_H_
 
@@ -26,16 +25,6 @@ namespace antimr {
 constexpr size_t kShuffleBlockBytes = kDefaultBlockBytes;
 /// Default per-segment readahead window (in blocks).
 constexpr size_t kShuffleReadaheadBlocks = kDefaultReadaheadBlocks;
-
-/// How reduce-side shuffle work is scheduled relative to the map wave.
-enum class ShuffleMode {
-  /// Concurrent fetchers copy each map output as soon as it is published;
-  /// only the merge+reduce waits for all of a partition's inputs.
-  kPipelined,
-  /// Classic two-wave model: all maps finish, then reducers stream their
-  /// segments inline. Kept for A/B benchmarking of the pipeline.
-  kBarrier,
-};
 
 /// File name for map task `map_task`'s final output segment for `partition`.
 std::string SegmentFileName(const std::string& job_id, int map_task,
@@ -86,12 +75,9 @@ Status WriteSegment(Env* env, const std::string& fname, KVStream* stream,
 
 struct SegmentReadOptions {
   size_t readahead_blocks = kShuffleReadaheadBlocks;
-  /// Simulated mapper->reducer bandwidth paid per block read; 0 = none.
-  /// Used when the reducer streams straight from the map side's storage.
-  double network_mb_per_s = 0;
   /// Optional key-range prune (columnar segments only; borrowed, must
   /// outlive the reader). Blocks whose min/max stats miss the range are
-  /// skipped without reading — their bytes pay no disk or network cost.
+  /// skipped without reading — their bytes pay no disk cost.
   const KeyRange* prune = nullptr;
   /// Comparator the segment was sorted with; required when prune is set.
   KeyComparator prune_cmp;
@@ -118,11 +104,6 @@ struct FetchedSegment {
   uint64_t fetch_nanos = 0;    ///< wall time of the copy, incl. simulated
                                ///< disk and network transfer time
 };
-
-/// Copy segment `fname` into memory, paying simulated network transfer time
-/// chunk by chunk. The Env read pays simulated disk time as usual.
-Status FetchSegmentFrames(Env* env, const std::string& fname,
-                          double network_mb_per_s, FetchedSegment* out);
 
 /// Open a previously fetched segment as a streaming reader, detecting the
 /// format from the frames' magic like OpenSegmentReader. `segment` must

@@ -1,6 +1,6 @@
 // Message framing over a Conn, and THE single place wire traffic is
 // counted. Every RPC and every shuffled segment byte — loopback or TCP,
-// pipelined or barrier shuffle — moves through WriteFrame/ReadFrame, so the
+// local or distributed run — moves through WriteFrame/ReadFrame, so the
 // global antimr_net_* counters (and every shuffle_bytes figure derived from
 // frame payloads) measure the same thing at the same boundary in all modes.
 //

@@ -208,8 +208,7 @@ Status ShuffleClient::FetchOnce(Conn* conn, const std::string& file,
     switch (type) {
       case kFetchChunk:
         out->frames.append(payload);
-        // Simulated shuffle bandwidth, paid per chunk as it arrives — the
-        // same cadence the pre-transport FetchSegmentFrames used.
+        // Simulated shuffle bandwidth, paid per chunk as it arrives.
         SleepForBytes(payload.size(), network_mb_per_s_);
         break;
       case kFetchEnd:

@@ -3,7 +3,7 @@
 // reduce-side fetchers pull whole stored segments through a ShuffleClient.
 // Bytes move as FetchChunk frames, so the frame layer's counters — and the
 // FetchedSegment::fetched_bytes each fetch reports — measure the identical
-// transport boundary in pipelined and barrier mode, loopback and TCP.
+// transport boundary in local and distributed runs, loopback and TCP.
 #ifndef ANTIMR_NET_SHUFFLE_SERVICE_H_
 #define ANTIMR_NET_SHUFFLE_SERVICE_H_
 
@@ -76,8 +76,8 @@ class SegmentServer {
 class ShuffleClient {
  public:
   /// `network_mb_per_s` simulates shuffle bandwidth: each received chunk
-  /// sleeps Bytes/rate, exactly where the pre-transport code throttled its
-  /// in-process copies. 0 = unthrottled.
+  /// sleeps Bytes/rate. This is the only place simulated network time is
+  /// charged. 0 = unthrottled.
   explicit ShuffleClient(Transport* transport, double network_mb_per_s = 0);
   ~ShuffleClient();
 

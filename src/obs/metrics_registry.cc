@@ -4,19 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/json.h"
+
 namespace antimr {
 namespace obs {
-
-namespace {
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-}
-
-}  // namespace
 
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* r = new MetricsRegistry();
@@ -146,9 +137,9 @@ std::string MetricsRegistry::ToJson() const {
   for (const auto& [name, e] : metrics_) {
     if (!first) out.append(",\n");
     first = false;
-    out.append("  \"");
-    AppendEscaped(&out, name);
-    out.append("\": ");
+    out.append("  ");
+    AppendJsonString(&out, name);
+    out.append(": ");
     switch (e.kind) {
       case Kind::kCounter: {
         std::snprintf(buf, sizeof(buf),

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/coding.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
 
@@ -14,44 +15,6 @@ namespace obs {
 namespace internal {
 std::atomic<bool> g_trace_enabled{false};
 }  // namespace internal
-
-namespace {
-
-// Minimal JSON string escaping; span/instant names are ASCII identifiers but
-// CLI-provided strings (paths in args) can carry anything.
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
 
 TraceArgs& TraceArgs::Add(const char* key, uint64_t value) {
   if (!body_.empty()) body_.append(", ");

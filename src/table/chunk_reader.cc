@@ -8,7 +8,6 @@
 #include "codec/crc32.h"
 #include "common/coding.h"
 #include "common/stopwatch.h"
-#include "io/throttled_env.h"
 
 namespace antimr {
 
@@ -174,7 +173,6 @@ Status ChunkReader::FillReadahead() {
       stats_.bytes_read += frame_read_bytes;
       stats_.blocks_pruned += 1;
       stats_.pruned_bytes += payload_len;
-      SleepForBytes(frame_read_bytes, opts_.throttle_mb_per_s);
       continue;
     }
 
@@ -185,7 +183,6 @@ Status ChunkReader::FillReadahead() {
     }
     frame_read_bytes += payload_len;
     stats_.bytes_read += frame_read_bytes;
-    SleepForBytes(frame_read_bytes, opts_.throttle_mb_per_s);
     readahead_bytes_ += frame.payload.size();
     readahead_.push_back(std::move(frame));
     NotePeak();

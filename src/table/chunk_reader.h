@@ -31,9 +31,6 @@ class ChunkReader : public SegmentStream {
  public:
   struct Options {
     size_t readahead_blocks = kDefaultReadaheadBlocks;
-    /// Simulated transfer bandwidth paid per block actually read (pruned
-    /// blocks pay nothing); 0 = unthrottled.
-    double throttle_mb_per_s = 0;
     /// Name used in error messages ("chunk <name> block <n>: ...").
     std::string name;
     /// Optional pruning range (borrowed; must outlive the reader). Blocks

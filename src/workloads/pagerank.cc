@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "anticombine/transform.h"
-
 namespace antimr {
 namespace workloads {
 
@@ -134,36 +132,9 @@ JobSpec MakePageRankJob(const PageRankConfig& config) {
   return spec;
 }
 
-Status RunPageRank(const PageRankConfig& config,
-                   const std::vector<KV>& graph, int iterations,
-                   const anticombine::AntiCombineOptions* anti_combine,
-                   int num_map_tasks, PageRankRunResult* result,
-                   const RunOptions& run_options) {
-  JobSpec spec = MakePageRankJob(config);
-  if (anti_combine != nullptr) {
-    spec = anticombine::EnableAntiCombining(spec, *anti_combine);
-  }
-  result->total = JobMetrics();
-  std::vector<KV> current = graph;
-  uint64_t wall = 0;
-  for (int it = 0; it < iterations; ++it) {
-    JobResult job;
-    ANTIMR_RETURN_NOT_OK(RunJob(
-        spec, MakeSplits(std::move(current), num_map_tasks), run_options,
-        &job));
-    current = job.FlatOutput();
-    wall += job.metrics.wall_nanos;
-    result->total.Add(job.metrics);
-  }
-  result->total.wall_nanos = wall;
-  result->final_ranks = std::move(current);
-  return Status::OK();
-}
-
 engine::JobPlan MakePageRankPlan(
     const PageRankConfig& config, std::vector<InputSplit> initial_splits,
-    int iterations, const anticombine::AntiCombineOptions* anti_combine,
-    ShuffleMode shuffle_mode) {
+    int iterations, const anticombine::AntiCombineOptions* anti_combine) {
   engine::JobPlan plan;
   plan.name = "pagerank";
   // Cannot fail: the dataset name is non-empty and added exactly once.
@@ -176,7 +147,6 @@ engine::JobPlan MakePageRankPlan(
     stage.spec = spec;
     stage.inputs = {"ranks_" + std::to_string(it)};
     stage.output = "ranks_" + std::to_string(it + 1);
-    stage.options.shuffle_mode = shuffle_mode;
     if (anti_combine != nullptr) {
       stage.options.anti_combine = true;
       stage.options.anti_combine_options = *anti_combine;
@@ -186,16 +156,14 @@ engine::JobPlan MakePageRankPlan(
   return plan;
 }
 
-Status RunPageRankDag(const PageRankConfig& config,
-                      const std::vector<KV>& graph, int iterations,
-                      const anticombine::AntiCombineOptions* anti_combine,
-                      int num_map_tasks, engine::Executor* executor,
-                      PageRankRunResult* result,
-                      engine::PlanResult* plan_result,
-                      ShuffleMode shuffle_mode) {
-  engine::JobPlan plan =
-      MakePageRankPlan(config, MakeSplits(graph, num_map_tasks), iterations,
-                       anti_combine, shuffle_mode);
+Status RunPageRank(const PageRankConfig& config,
+                   const std::vector<KV>& graph, int iterations,
+                   const anticombine::AntiCombineOptions* anti_combine,
+                   int num_map_tasks, PageRankRunResult* result,
+                   engine::Executor* executor,
+                   engine::PlanResult* plan_result) {
+  engine::JobPlan plan = MakePageRankPlan(
+      config, MakeSplits(graph, num_map_tasks), iterations, anti_combine);
   std::unique_ptr<engine::Executor> owned;
   if (executor == nullptr) {
     owned = std::make_unique<engine::Executor>();

@@ -11,7 +11,6 @@
 #include "anticombine/options.h"
 #include "engine/executor.h"
 #include "engine/job_plan.h"
-#include "mr/job_runner.h"
 #include "mr/job_spec.h"
 
 namespace antimr {
@@ -29,44 +28,37 @@ struct PageRankConfig {
 /// the GraphGenerator format: key = node id, value = "<rank> <nbr>...".
 JobSpec MakePageRankJob(const PageRankConfig& config);
 
-/// Aggregate metrics across `iterations` runs, feeding each iteration's
-/// output into the next. When `anti_combine` is non-null every iteration is
-/// run through the Anti-Combining transform with those options.
+/// Metrics and ranks of an `iterations`-long run.
 struct PageRankRunResult {
-  JobMetrics total;              ///< summed over iterations
+  JobMetrics total;              ///< whole-plan roll-up over all iterations
   std::vector<KV> final_ranks;   ///< output of the last iteration
 };
 
-Status RunPageRank(const PageRankConfig& config,
-                   const std::vector<KV>& graph, int iterations,
-                   const anticombine::AntiCombineOptions* anti_combine,
-                   int num_map_tasks, PageRankRunResult* result,
-                   const RunOptions& run_options = RunOptions());
-
-/// The same N-iteration computation as ONE JobPlan: stage i maps dataset
+/// The N-iteration computation as ONE JobPlan: stage i maps dataset
 /// "ranks_<i>" to "ranks_<i+1>", with "ranks_0" the external graph input and
 /// "ranks_<iterations>" the plan's sink. Each stage's map tasks consume the
 /// previous stage's reduce partitions directly, so iteration i+1 starts on
 /// partition p the moment iteration i's reduce task p publishes — no
-/// per-iteration driver barrier (cross-stage pipelining).
+/// per-iteration driver barrier (cross-stage pipelining). When
+/// `anti_combine` is non-null every stage runs through the Anti-Combining
+/// transform with those options.
 engine::JobPlan MakePageRankPlan(
     const PageRankConfig& config, std::vector<InputSplit> initial_splits,
-    int iterations, const anticombine::AntiCombineOptions* anti_combine,
-    ShuffleMode shuffle_mode = ShuffleMode::kPipelined);
+    int iterations, const anticombine::AntiCombineOptions* anti_combine);
 
-/// Run the DAG form on `executor` (a default local Executor when null).
-/// Produces byte-identical final_ranks to RunPageRank: both paths feed each
-/// reduce the same per-key value order (contiguous chunks of the same
-/// flattened sequence through stable sorts and merges), so the float
-/// summation order — and thus the formatted ranks — match exactly.
+/// Run MakePageRankPlan over `graph` split into `num_map_tasks` on
+/// `executor` (a default local Executor when null). The final ranks are
+/// byte-identical to chaining one RunJob(MakePageRankJob) per iteration:
+/// both feed each reduce the same per-key value order (contiguous chunks of
+/// the same flattened sequence through stable sorts and merges), so the
+/// float summation order — and thus the formatted ranks — match exactly.
 /// `plan_result`, when non-null, receives the full per-stage breakdown.
-Status RunPageRankDag(const PageRankConfig& config,
-                      const std::vector<KV>& graph, int iterations,
-                      const anticombine::AntiCombineOptions* anti_combine,
-                      int num_map_tasks, engine::Executor* executor,
-                      PageRankRunResult* result,
-                      engine::PlanResult* plan_result = nullptr,
-                      ShuffleMode shuffle_mode = ShuffleMode::kPipelined);
+Status RunPageRank(const PageRankConfig& config,
+                   const std::vector<KV>& graph, int iterations,
+                   const anticombine::AntiCombineOptions* anti_combine,
+                   int num_map_tasks, PageRankRunResult* result,
+                   engine::Executor* executor = nullptr,
+                   engine::PlanResult* plan_result = nullptr);
 
 }  // namespace workloads
 }  // namespace antimr

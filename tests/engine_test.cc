@@ -1,6 +1,6 @@
 // Engine layering tests: JobPlan validation, DAG-shaped execution (diamond
 // dependencies, dataset GC, cross-stage pipelining), and equivalence of the
-// DAG paths with the legacy single-job / driver-loop paths.
+// DAG paths with chains of single jobs.
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -374,7 +374,7 @@ TEST(Engine, CrossStagePipelining) {
 
 // ---- PageRank equivalence --------------------------------------------------
 
-// The DAG plan and the legacy per-iteration driver loop must produce
+// The DAG plan and a per-iteration loop of RunJob calls must produce
 // byte-identical ranks: same per-key value order into every reduce, hence
 // the same float summation order, hence the same formatted output.
 TEST(Engine, PageRankDagMatchesLegacyLoopExactly) {
@@ -393,27 +393,31 @@ TEST(Engine, PageRankDagMatchesLegacyLoopExactly) {
     anticombine::AntiCombineOptions options;
     const anticombine::AntiCombineOptions* anti_ptr = anti ? &options : nullptr;
 
-    workloads::PageRankRunResult legacy;
-    ASSERT_TRUE(workloads::RunPageRank(cfg, graph, iterations, anti_ptr,
-                                       /*num_map_tasks=*/3, &legacy)
-                    .ok());
+    // Reference: one job per iteration, each iteration's output re-split
+    // into the next one's input.
+    JobSpec spec = workloads::MakePageRankJob(cfg);
+    if (anti) spec = anticombine::EnableAntiCombining(spec, options);
+    std::vector<KV> legacy = graph;
+    for (int it = 0; it < iterations; ++it) {
+      JobResult job;
+      ASSERT_TRUE(RunJob(spec, MakeSplits(std::move(legacy), 3), &job).ok());
+      legacy = job.FlatOutput();
+    }
 
     workloads::PageRankRunResult dag;
     PlanResult plan_result;
-    ASSERT_TRUE(workloads::RunPageRankDag(cfg, graph, iterations, anti_ptr,
-                                          /*num_map_tasks=*/3,
-                                          /*executor=*/nullptr, &dag,
-                                          &plan_result)
+    ASSERT_TRUE(workloads::RunPageRank(cfg, graph, iterations, anti_ptr,
+                                       /*num_map_tasks=*/3, &dag,
+                                       /*executor=*/nullptr, &plan_result)
                     .ok());
     EXPECT_EQ(plan_result.stages.size(), static_cast<size_t>(iterations));
 
     // Byte-identical: same keys, same formatted rank strings, same order.
-    ASSERT_EQ(legacy.final_ranks.size(), dag.final_ranks.size());
-    for (size_t i = 0; i < legacy.final_ranks.size(); ++i) {
-      ASSERT_EQ(legacy.final_ranks[i].key, dag.final_ranks[i].key)
-          << "at record " << i;
-      ASSERT_EQ(legacy.final_ranks[i].value, dag.final_ranks[i].value)
-          << "at record " << i << " node=" << legacy.final_ranks[i].key;
+    ASSERT_EQ(legacy.size(), dag.final_ranks.size());
+    for (size_t i = 0; i < legacy.size(); ++i) {
+      ASSERT_EQ(legacy[i].key, dag.final_ranks[i].key) << "at record " << i;
+      ASSERT_EQ(legacy[i].value, dag.final_ranks[i].value)
+          << "at record " << i << " node=" << legacy[i].key;
     }
   }
 }

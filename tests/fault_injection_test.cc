@@ -1,7 +1,5 @@
 // Failure injection: storage faults at controlled points must surface as
 // Status errors from RunJob — never crashes, hangs, or silent data loss.
-// Every scenario runs under both shuffle models: the pipelined scheduler's
-// concurrent fetch graph and the classic two-wave barrier.
 #include <atomic>
 #include <memory>
 #include <string>
@@ -134,12 +132,11 @@ std::vector<KV> TestInput() {
   return input;
 }
 
-class FaultInjection : public ::testing::TestWithParam<ShuffleMode> {
+class FaultInjection : public ::testing::Test {
  protected:
   RunOptions MakeOptions(Env* env) const {
     RunOptions options;
     options.env = env;
-    options.shuffle_mode = GetParam();
     return options;
   }
 
@@ -152,8 +149,7 @@ class FaultInjection : public ::testing::TestWithParam<ShuffleMode> {
     return env.operations_seen();
   }
 
-  /// Two-stage chain in -> first -> mid -> second -> out, both stages under
-  /// the parameterized shuffle mode.
+  /// Two-stage chain in -> first -> mid -> second -> out.
   engine::JobPlan MakeTwoStagePlan() const {
     engine::JobPlan plan;
     plan.name = "fault_chain";
@@ -163,25 +159,23 @@ class FaultInjection : public ::testing::TestWithParam<ShuffleMode> {
     first.spec = TestJob();
     first.inputs = {"in"};
     first.output = "mid";
-    first.options.shuffle_mode = GetParam();
     plan.AddStage(std::move(first));
     engine::Stage second;
     second.name = "second";
     second.spec = TestJob();
     second.inputs = {"mid"};
     second.output = "out";
-    second.options.shuffle_mode = GetParam();
     plan.AddStage(std::move(second));
     return plan;
   }
 };
 
-TEST_P(FaultInjection, CleanRunEstablishesBaseline) {
+TEST_F(FaultInjection, CleanRunEstablishesBaseline) {
   // The job exercises enough I/O that fault sweeps below are meaningful.
   EXPECT_GT(CountEnvOps(), 20);
 }
 
-TEST_P(FaultInjection, EveryFaultPointSurfacesAsStatus) {
+TEST_F(FaultInjection, EveryFaultPointSurfacesAsStatus) {
   const int total_ops = CountEnvOps();
   // Inject a fault at every I/O operation index in turn; RunJob must fail
   // cleanly (no crash, no hang, no OK-with-missing-data). fail_at = N allows
@@ -196,7 +190,7 @@ TEST_P(FaultInjection, EveryFaultPointSurfacesAsStatus) {
   }
 }
 
-TEST_P(FaultInjection, JobSucceedsWhenFaultBudgetNotReached) {
+TEST_F(FaultInjection, JobSucceedsWhenFaultBudgetNotReached) {
   const int total_ops = CountEnvOps();
   FaultyEnv env(NewMemEnv(), total_ops + 100);
   JobResult result;
@@ -209,7 +203,7 @@ TEST_P(FaultInjection, JobSucceedsWhenFaultBudgetNotReached) {
 // A fault anywhere in a two-stage plan must fail the whole plan cleanly:
 // the TaskGraph skips transitive dependents (including the downstream
 // stage's tasks reading the dead partition) instead of hanging on them.
-TEST_P(FaultInjection, MultiStagePlanFailsCleanly) {
+TEST_F(FaultInjection, MultiStagePlanFailsCleanly) {
   int total_ops = 0;
   {
     FaultyEnv env(NewMemEnv(), FaultyEnv::kForever);
@@ -222,7 +216,7 @@ TEST_P(FaultInjection, MultiStagePlanFailsCleanly) {
   }
   ASSERT_GT(total_ops, 20);
   // Sample fault points across the whole plan (every op would be slow here:
-  // the plan doubles the single-job op count and runs under two modes).
+  // the plan doubles the single-job op count).
   for (int fail_at = 0; fail_at < total_ops; fail_at += 7) {
     FaultyEnv env(NewMemEnv(), fail_at);
     engine::ExecutorOptions exec_options;
@@ -248,7 +242,7 @@ TEST_P(FaultInjection, MultiStagePlanFailsCleanly) {
 // plan completes and its output is byte-identical to a clean run (the
 // LazySH determinism argument: re-executed tasks reproduce their output
 // exactly, so retries change file names and timing, never data).
-TEST_P(FaultInjection, TransientFaultsRecoverWithRetries) {
+TEST_F(FaultInjection, TransientFaultsRecoverWithRetries) {
   int total_ops = 0;
   std::vector<KV> clean_output;
   {
@@ -291,7 +285,7 @@ TEST_P(FaultInjection, TransientFaultsRecoverWithRetries) {
 // retries: a columnar-format run (compressed chunks, small blocks) must
 // produce byte-identical output to the row-format clean run, both on a
 // clean pass and across a transient-fault sweep with retries.
-TEST_P(FaultInjection, ColumnarOutputMatchesRowUnderTransientFaults) {
+TEST_F(FaultInjection, ColumnarOutputMatchesRowUnderTransientFaults) {
   std::vector<KV> row_output;
   {
     auto env = NewMemEnv();
@@ -339,7 +333,7 @@ TEST_P(FaultInjection, ColumnarOutputMatchesRowUnderTransientFaults) {
 // Permanent faults must NOT be retried: a Corruption error fails the plan
 // on the first attempt even with a retry budget left. Retrying corruption
 // would just re-read the same bad bytes and mask the bug.
-TEST_P(FaultInjection, PermanentFaultsAreNotRetried) {
+TEST_F(FaultInjection, PermanentFaultsAreNotRetried) {
   obs::Counter* const retries = obs::MetricsRegistry::Global().GetCounter(
       "antimr_task_retries_total",
       "Transient task failures answered with a re-execution");
@@ -359,7 +353,7 @@ TEST_P(FaultInjection, PermanentFaultsAreNotRetried) {
 
 // A hard outage (faults from fail_at onward, forever) exhausts the retry
 // budget and surfaces the transient error instead of looping.
-TEST_P(FaultInjection, HardOutageExhaustsRetryBudget) {
+TEST_F(FaultInjection, HardOutageExhaustsRetryBudget) {
   FaultyEnv env(NewMemEnv(), /*fail_at=*/5);
   engine::ExecutorOptions exec_options;
   exec_options.env = &env;
@@ -374,15 +368,6 @@ TEST_P(FaultInjection, HardOutageExhaustsRetryBudget) {
   // at minimum (dependent tasks may add their own).
   EXPECT_GE(env.faults_injected(), 3);
 }
-
-INSTANTIATE_TEST_SUITE_P(ShuffleModes, FaultInjection,
-                         ::testing::Values(ShuffleMode::kPipelined,
-                                           ShuffleMode::kBarrier),
-                         [](const ::testing::TestParamInfo<ShuffleMode>& info) {
-                           return info.param == ShuffleMode::kPipelined
-                                      ? "Pipelined"
-                                      : "Barrier";
-                         });
 
 // A worker whose local storage flakes transiently mid-job: the fault fails
 // the task on that worker, the failure crosses the wire as the task's own

@@ -126,6 +126,18 @@ TEST(MetricsRegistry, JsonFormat) {
       std::string::npos);
 }
 
+TEST(MetricsRegistry, JsonEscapesNames) {
+  MetricsRegistry reg;
+  reg.GetCounter("a\"b\\c\nd\te\x01", "")->Inc(1);
+  const std::string json = reg.ToJson();
+  EXPECT_NE(json.find("\"a\\\"b\\\\c\\nd\\te\\u0001\": {\"type\": "
+                      "\"counter\", \"value\": 1}"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find('\t'), std::string::npos);
+  EXPECT_EQ(json.find('\x01'), std::string::npos);
+}
+
 TEST(MetricsRegistry, GlobalRegistryExposesPoolGauges) {
   // The TaskPool instrumentation registers its gauges in the global
   // registry at construction; any job run in this process (other tests, or

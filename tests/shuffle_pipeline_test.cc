@@ -1,7 +1,8 @@
 // Tests for the streaming shuffle pipeline: block-framed segments, CRC
-// verification on read, bounded reader memory, and the pipelined (fetch
-// overlaps map wave) vs barrier execution models.
+// verification on read, bounded reader memory, and fetches that overlap the
+// map wave.
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -121,13 +122,13 @@ TEST(BlockSegment, ReduceTaskFailsCleanlyOnCorruptSegment) {
   ASSERT_TRUE(
       WriteTestSegment(env.get(), "seg", records, codec, 1024, &wr).ok());
 
-  std::string data;
-  ASSERT_TRUE(ReadFileToString(env.get(), "seg", &data).ok());
-  data[data.size() - 2] ^= 0x40;
-  std::unique_ptr<WritableFile> f;
-  ASSERT_TRUE(env->NewWritableFile("seg", &f).ok());
-  ASSERT_TRUE(f->Append(data).ok());
-  ASSERT_TRUE(f->Close().ok());
+  // The corrupt bytes reach the reduce the way every shuffled segment does:
+  // as a fetched copy of the map side's stored frames.
+  FetchedSegment fetched;
+  fetched.file = "seg";
+  ASSERT_TRUE(ReadFileToString(env.get(), "seg", &fetched.frames).ok());
+  fetched.frames[fetched.frames.size() - 2] ^= 0x40;
+  fetched.fetched_bytes = fetched.frames.size();
 
   JobSpec spec;
   spec.reducer_factory = []() {
@@ -142,7 +143,7 @@ TEST(BlockSegment, ReduceTaskFailsCleanlyOnCorruptSegment) {
   };
   spec.num_reduce_tasks = 1;
   ReduceTaskInputs inputs;
-  inputs.segment_files = {"seg"};
+  inputs.fetched = {&fetched};
   ReduceTaskResult result;
   Status st = RunReduceTask(spec, 0, inputs, env.get(),
                             /*collect_output=*/true, &result);
@@ -182,7 +183,7 @@ TEST(BlockSegment, ReaderMemoryBoundedByReadahead) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined vs barrier job execution
+// Pipelined job execution
 // ---------------------------------------------------------------------------
 
 class EchoMapper : public Mapper {
@@ -215,7 +216,7 @@ JobSpec EchoConcatJob(int reduce_tasks) {
   return spec;
 }
 
-TEST(PipelinedShuffle, MatchesBarrierOutput) {
+TEST(PipelinedShuffle, MatchesExpectedOutput) {
   std::vector<KV> input;
   for (int i = 0; i < 3000; ++i) {
     input.push_back({"k" + std::to_string(i % 131), "v" + std::to_string(i)});
@@ -223,28 +224,26 @@ TEST(PipelinedShuffle, MatchesBarrierOutput) {
   JobSpec spec = EchoConcatJob(5);
   spec.shuffle_block_bytes = 2048;  // force multi-block segments
 
-  RunOptions barrier;
-  barrier.shuffle_mode = ShuffleMode::kBarrier;
-  JobResult barrier_result;
-  ASSERT_TRUE(
-      RunJob(spec, MakeSplits(input, 7), barrier, &barrier_result).ok());
+  // Each key's values arrive in input order: splits are contiguous chunks,
+  // map sorts are stable and the merge breaks key ties by map index.
+  std::map<std::string, std::string> joined;
+  for (const KV& kv : input) {
+    std::string& values = joined[kv.key];
+    if (!values.empty()) values.push_back('|');
+    values += kv.value;
+  }
+  std::vector<KV> expected;
+  for (const auto& [key, values] : joined) expected.push_back({key, values});
 
-  RunOptions pipelined;
-  pipelined.shuffle_mode = ShuffleMode::kPipelined;
-  JobResult pipelined_result;
-  ASSERT_TRUE(
-      RunJob(spec, MakeSplits(input, 7), pipelined, &pipelined_result).ok());
+  JobResult result;
+  ASSERT_TRUE(RunJob(spec, MakeSplits(input, 7), RunOptions(), &result).ok());
 
-  EXPECT_EQ(Canonicalize(barrier_result.FlatOutput()),
-            Canonicalize(pipelined_result.FlatOutput()));
-  EXPECT_EQ(barrier_result.metrics.reduce_input_records,
-            pipelined_result.metrics.reduce_input_records);
-  // Both modes moved the same shuffle volume and decoded real blocks.
-  EXPECT_EQ(barrier_result.metrics.shuffle_bytes,
-            pipelined_result.metrics.shuffle_bytes);
-  EXPECT_GT(pipelined_result.metrics.shuffle_blocks, 0u);
-  EXPECT_GT(pipelined_result.metrics.shuffle_peak_buffered_bytes, 0u);
-  EXPECT_EQ(barrier_result.metrics.shuffle_overlapped_fetches, 0u);
+  EXPECT_EQ(Canonicalize(result.FlatOutput()), expected);
+  EXPECT_EQ(result.metrics.reduce_input_records, input.size());
+  // Every segment crossed the shuffle and was decoded block by block.
+  EXPECT_GT(result.metrics.shuffle_bytes, 0u);
+  EXPECT_GT(result.metrics.shuffle_blocks, 0u);
+  EXPECT_GT(result.metrics.shuffle_peak_buffered_bytes, 0u);
 }
 
 TEST(PipelinedShuffle, FetchesOverlapTheMapWave) {
@@ -274,7 +273,6 @@ TEST(PipelinedShuffle, FetchesOverlapTheMapWave) {
   RunOptions options;
   options.num_workers = 1;
   options.fetch_threads = 2;
-  options.shuffle_mode = ShuffleMode::kPipelined;
   JobResult result;
   ASSERT_TRUE(RunJob(spec, splits, options, &result).ok());
   EXPECT_GT(result.metrics.shuffle_overlapped_fetches, 0u)

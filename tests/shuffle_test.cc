@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "mr/reduce_task.h"
+#include "net/shuffle_service.h"
+#include "net/transport.h"
 
 namespace antimr {
 namespace {
@@ -59,8 +61,12 @@ TEST_P(ShuffleTest, FetchedSegmentRoundTrip) {
   ASSERT_TRUE(
       WriteSegment(env_.get(), "seg", &in, codec, &nanos, &write_result).ok());
 
+  std::unique_ptr<net::Transport> transport = net::NewLoopbackTransport();
+  net::SegmentServer server(transport.get(), env_.get());
+  ASSERT_TRUE(server.Start("").ok());
+  net::ShuffleClient client(transport.get());
   FetchedSegment fetched;
-  ASSERT_TRUE(FetchSegmentFrames(env_.get(), "seg", 0, &fetched).ok());
+  ASSERT_TRUE(client.Fetch(server.addr(), "seg", &fetched).ok());
   EXPECT_EQ(fetched.fetched_bytes, write_result.stored_bytes);
   EXPECT_EQ(fetched.file, "seg");
 

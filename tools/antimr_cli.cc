@@ -11,8 +11,7 @@
 //       [--disk-mbps=N --net-mbps=N]   (simulated hardware)
 //       [--partitioner=hash|prefix1|prefix5]   (qsuggest only)
 //   antimr_cli pipeline --records=50000 [--stage1-strategy=eager]
-//       [--stage2-strategy=lazy] [--stage1-shuffle=pipelined|barrier]
-//       [--stage2-shuffle=pipelined|barrier]   (wordcount -> sort DAG)
+//       [--stage2-strategy=lazy]   (wordcount -> sort DAG)
 //   antimr_cli codecs [--size=BYTES]
 //   antimr_cli help
 #include <sys/stat.h>
@@ -77,13 +76,9 @@ int Usage() {
       "  antimr_cli abort --connect=HOST:PORT --job=ID\n"
       "options:\n"
       "  --strategy=original|eager|lazy|adaptive   (default adaptive)\n"
-      "  --engine=dag|loop     pagerank driver: one multi-stage plan (dag)\n"
-      "                        or one job per iteration (loop, default dag)\n"
       "pipeline options:\n"
       "  --stage1-strategy=original|eager|lazy|adaptive  (default eager)\n"
       "  --stage2-strategy=original|eager|lazy|adaptive  (default lazy)\n"
-      "  --stage1-shuffle=pipelined|barrier              (default pipelined)\n"
-      "  --stage2-shuffle=pipelined|barrier              (default pipelined)\n"
       "  --threshold-us=N      lazy cost threshold T in microseconds\n"
       "  --window=N            cross-call sharing window (default 1)\n"
       "  --c-flag=0|1          map-phase combiner flag C (default 1)\n"
@@ -401,8 +396,7 @@ int RunCommand(const Flags& flags) {
     }
   }
 
-  // PageRank is iterative: either one multi-stage plan (dag, the default)
-  // or the legacy one-job-per-iteration driver loop.
+  // PageRank is iterative: one multi-stage plan, a stage per iteration.
   if (workload == "pagerank") {
     GraphConfig gc;
     gc.num_nodes = records;
@@ -413,39 +407,25 @@ int RunCommand(const Flags& flags) {
     const int iterations = static_cast<int>(flags.GetUint("iterations", 5));
     const anticombine::AntiCombineOptions* anti =
         strategy == "original" ? nullptr : &options;
-    const std::string engine_kind = flags.GetString("engine", "dag");
+    engine::ExecutorOptions exec_options;
+    exec_options.num_workers = run.num_workers;
+    exec_options.hardware = run.hardware;
+    exec_options.max_task_attempts = run.max_task_attempts;
+    exec_options.record_format = run.record_format;
+    exec_options.chunk_block_bytes = run.chunk_block_bytes;
+    exec_options.chunk_codec = run.chunk_codec;
+    engine::Executor executor(exec_options);
     workloads::PageRankRunResult result;
-    Status st;
-    if (engine_kind == "loop") {
-      run.collect_output = true;  // iterations chain through outputs
-      st = workloads::RunPageRank(cfg, GraphGenerator(gc).Generate(),
-                                  iterations, anti, maps, &result, run);
-    } else if (engine_kind == "dag") {
-      engine::ExecutorOptions exec_options;
-      exec_options.num_workers = run.num_workers;
-      exec_options.hardware = run.hardware;
-      exec_options.max_task_attempts = run.max_task_attempts;
-      exec_options.record_format = run.record_format;
-      exec_options.chunk_block_bytes = run.chunk_block_bytes;
-      exec_options.chunk_codec = run.chunk_codec;
-      engine::Executor executor(exec_options);
-      engine::PlanResult plan_result;
-      st = workloads::RunPageRankDag(cfg, GraphGenerator(gc).Generate(),
-                                     iterations, anti, maps, &executor,
-                                     &result, &plan_result);
-      if (st.ok()) {
-        std::printf("engine=dag stages=%zu stage_overlap=%s\n",
-                    plan_result.stages.size(),
-                    FormatNanos(plan_result.stage_overlap_nanos).c_str());
-      }
-    } else {
-      std::fprintf(stderr, "error: unknown engine %s\n", engine_kind.c_str());
-      return Usage();
-    }
+    engine::PlanResult plan_result;
+    const Status st = workloads::RunPageRank(
+        cfg, GraphGenerator(gc).Generate(), iterations, anti, maps, &result,
+        &executor, &plan_result);
     if (!st.ok()) {
       std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
       return 1;
     }
+    std::printf("stages=%zu stage_overlap=%s\n", plan_result.stages.size(),
+                FormatNanos(plan_result.stage_overlap_nanos).c_str());
     std::printf("%s", result.total.ToString().c_str());
     return 0;
   }
@@ -508,8 +488,8 @@ int RunCommand(const Flags& flags) {
   return 0;
 }
 
-/// Per-stage knobs for the pipeline command: "--stageN-strategy" picks the
-/// Anti-Combining mode, "--stageN-shuffle" the shuffle scheduling model.
+/// Per-stage knob for the pipeline command: "--stageN-strategy" picks the
+/// Anti-Combining mode.
 Status ParseStageOptions(const Flags& flags, const std::string& prefix,
                          const std::string& default_strategy,
                          engine::StageOptions* out) {
@@ -525,15 +505,6 @@ Status ParseStageOptions(const Flags& flags, const std::string& prefix,
     out->anti_combine = true;
   } else if (strategy != "original") {
     return Status::InvalidArgument("unknown strategy " + strategy);
-  }
-  const std::string shuffle =
-      flags.GetString(prefix + "-shuffle", "pipelined");
-  if (shuffle == "barrier") {
-    out->shuffle_mode = ShuffleMode::kBarrier;
-  } else if (shuffle == "pipelined") {
-    out->shuffle_mode = ShuffleMode::kPipelined;
-  } else {
-    return Status::InvalidArgument("unknown shuffle mode " + shuffle);
   }
   return Status::OK();
 }
@@ -1185,7 +1156,9 @@ void PrintJobRow(const net::JobStatusWire& row) {
   } else if (!row.status_msg.empty()) {
     std::printf(" error=%s", row.status_msg.c_str());
   }
-  std::printf("\n");
+  std::printf(" start_ns=%llu finish_ns=%llu\n",
+              static_cast<unsigned long long>(row.start_nanos),
+              static_cast<unsigned long long>(row.finish_nanos));
 }
 
 /// `antimr_cli submit`: build a workload's splits locally, ship them to a

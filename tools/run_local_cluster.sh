@@ -138,19 +138,6 @@ if [ "$WORKLOAD" = "serve" ]; then
     i=$((i + 1))
   done
 
-  # All 8 must be admitted concurrently (max-concurrent-jobs=8, quotas
-  # 6x1 + 2x1 slots within the 8-slot pool quotas).
-  PEAK=0
-  i=0
-  while [ "$i" -lt 100 ]; do
-    RUNNING=$("$CLI" jobs --connect="$JOBS_ADDR" 2>/dev/null \
-              | grep -c "state=running" || true)
-    [ "$RUNNING" -gt "$PEAK" ] && PEAK=$RUNNING
-    [ "$PEAK" -ge 8 ] && break
-    sleep 0.05
-    i=$((i + 1))
-  done
-
   SUB_FAIL=0
   for pid in $SUB_PIDS; do wait "$pid" || SUB_FAIL=1; done
   if [ "$SUB_FAIL" -ne 0 ]; then
@@ -158,9 +145,27 @@ if [ "$WORKLOAD" = "serve" ]; then
     cat "$WORK_DIR"/sub_*.out >&2
     exit 1
   fi
+
+  # All 8 must have run concurrently (max-concurrent-jobs=8, quotas
+  # 6x1 + 2x1 slots within the 8-slot pool quotas). The peak is the largest
+  # overlap of the jobs' [start, finish) intervals in the final job table:
+  # a sweep over start (+1) and finish (-1) events, finishes first on ties.
+  "$CLI" jobs --connect="$JOBS_ADDR" > "$WORK_DIR/jobs.out"
+  PEAK=$(awk '{
+      s = ""; f = ""
+      for (i = 1; i <= NF; i++) {
+        if ($i ~ /^start_ns=/) s = substr($i, 10)
+        if ($i ~ /^finish_ns=/) f = substr($i, 11)
+      }
+      if (s != "" && s != "0" && f != "" && f != "0") {
+        print s, 1
+        print f, -1
+      }
+    }' "$WORK_DIR/jobs.out" | sort -k1,1n -k2,2n \
+    | awk '{ cur += $2; if (cur > peak) peak = cur } END { print peak + 0 }')
   if [ "$PEAK" -lt 8 ]; then
     echo "run_local_cluster: never saw 8 concurrent jobs (peak $PEAK)" >&2
-    "$CLI" jobs --connect="$JOBS_ADDR" >&2 || true
+    cat "$WORK_DIR/jobs.out" >&2
     exit 1
   fi
 
