@@ -57,7 +57,7 @@ void RunAddPop(benchmark::State& state, size_t memory_limit, bool combine) {
       ++records;
     }
     std::string key;
-    std::vector<std::string> values;
+    std::vector<Slice> values;
     while (shared.PopMinKeyValues(&key, &values)) values.clear();
   }
   state.SetItemsProcessed(static_cast<int64_t>(records));

@@ -64,14 +64,12 @@ void AntiReducer::Setup(const TaskInfo& info, ReduceContext* ctx) {
 void AntiReducer::DrainShared(const Slice& key, bool to_end,
                               ReduceContext* ctx) {
   Slice alt_key;  // zero-copy peek; only inspected before the pop
-  std::vector<std::string> values;
   while (shared_->PeekMinKey(&alt_key)) {
     if (!to_end && info_.grouping_cmp(alt_key, key) >= 0) break;
-    values.clear();
-    std::string group_key;
-    if (!shared_->PopMinKeyValues(&group_key, &values)) break;
-    VectorValueIterator it(&values);
-    o_reducer_->Reduce(group_key, &it, ctx);
+    group_values_.clear();
+    if (!shared_->PopMinKeyValues(&group_key_, &group_values_)) break;
+    SliceVectorIterator it(&group_values_);
+    o_reducer_->Reduce(group_key_, &it, ctx);
   }
 }
 
@@ -81,14 +79,20 @@ void AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
   Slice rest;
   ANTIMR_CHECK_OK(GetEncoding(payload, &encoding, &rest));
 
+  // Each phase ends with one clock read that also starts the next, and the
+  // record's Adds are charged to cpu.shared as one span.
   if (encoding == Encoding::kEager) {
     const uint64_t t0 = NowNanos();
     decode_keys_.clear();
     Slice value;
     ANTIMR_CHECK_OK(DecodeEagerPayload(rest, &decode_keys_, &value));
-    if (m != nullptr) m->cpu.decode += NowNanos() - t0;
+    const uint64_t t1 = NowNanos();
     shared_->Add(rep_key, value);
     for (const Slice& key : decode_keys_) shared_->Add(key, value);
+    if (m != nullptr) {
+      m->cpu.decode += t1 - t0;
+      m->cpu.shared += NowNanos() - t1;
+    }
     return;
   }
 
@@ -109,18 +113,20 @@ void AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
                                             info_.num_reduce_tasks) ==
                info_.shuffle_partition;
   }
-  if (m != nullptr) {
-    m->cpu.remap += NowNanos() - t0;
-    m->remap_calls += 1;
-  }
   // One Inc per Lazy record is dwarfed by the Map re-execution it tallies.
   static obs::Counter* const remap_counter =
       obs::MetricsRegistry::Global().GetCounter(
           "antimr_remap_calls_total",
           "LazySH decodes that re-executed the original Map");
   remap_counter->Inc();
+  const uint64_t t1 = NowNanos();
   for (size_t i = 0; i < remap_capture_.size(); ++i) {
     if (mine_[i]) shared_->Add(remap_capture_.key(i), remap_capture_.value(i));
+  }
+  if (m != nullptr) {
+    m->cpu.remap += t1 - t0;
+    m->remap_calls += 1;
+    m->cpu.shared += NowNanos() - t1;
   }
 }
 
@@ -143,9 +149,11 @@ void AntiReducer::Reduce(const Slice& key, ValueIterator* values,
   local_arena_.Clear();
   bool use_shared = false;
   auto flush_locals = [&]() {
+    const uint64_t t0 = NowNanos();
     for (const RecordRef& rec : local_group_) {
       shared_->Add(rec.key, rec.value);
     }
+    if (info_.metrics != nullptr) info_.metrics->cpu.shared += NowNanos() - t0;
     local_group_.clear();
     local_arena_.Clear();
   };
@@ -187,11 +195,10 @@ void AntiReducer::Reduce(const Slice& key, ValueIterator* values,
   // records for this group (regular input and Shared are merged inside
   // PopMinKeyValues, in key order).
   if (use_shared) {
-    std::string popped;
     group_values_.clear();
-    if (shared_->PopMinKeyValues(&popped, &group_values_)) {
-      VectorValueIterator it(&group_values_);
-      o_reducer_->Reduce(popped, &it, ctx);
+    if (shared_->PopMinKeyValues(&group_key_, &group_values_)) {
+      SliceVectorIterator it(&group_values_);
+      o_reducer_->Reduce(group_key_, &it, ctx);
     }
     return;
   }

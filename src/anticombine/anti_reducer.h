@@ -67,7 +67,8 @@ class AntiReducer : public Reducer {
   std::vector<RecordRef> local_group_;
   std::vector<Slice> local_values_;
   std::vector<Slice> decode_keys_;
-  std::vector<std::string> group_values_;
+  std::string group_key_;
+  std::vector<Slice> group_values_;  // views into Shared's latest pop
   std::vector<bool> mine_;
 };
 

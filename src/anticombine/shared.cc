@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/coding.h"
 #include "common/stopwatch.h"
 #include "io/run_file.h"
 #include "mr/reduce_task.h"
@@ -36,6 +37,75 @@ class GroupBoundedStream : public KVStream {
   const KeyComparator* grouping_cmp_;
 };
 
+// Walks a ValueList's packed buffer (varint32 length + bytes per value).
+class PackedValueIterator : public ValueIterator {
+ public:
+  PackedValueIterator() = default;
+  explicit PackedValueIterator(const std::string& packed)
+      : p_(packed.data()), end_(packed.data() + packed.size()) {}
+
+  bool Next(Slice* value) override {
+    if (p_ == end_) return false;
+    uint32_t n = 0;
+    p_ = GetVarint32Ptr(p_, end_, &n);
+    assert(p_ != nullptr && n <= static_cast<size_t>(end_ - p_));
+    *value = Slice(p_, n);
+    p_ += n;
+    return true;
+  }
+
+ private:
+  const char* p_ = nullptr;
+  const char* end_ = nullptr;
+};
+
+void AppendPacked(const Slice& value, std::string* packed) {
+  char len[5];
+  packed->append(len, EncodeVarint32(len, static_cast<uint32_t>(value.size())));
+  packed->append(value.data(), value.size());
+}
+
+void AppendViews(const std::string& packed, std::vector<Slice>* values) {
+  PackedValueIterator it(packed);
+  Slice value;
+  while (it.Next(&value)) values->push_back(value);
+}
+
+// The popped in-memory keys of one group, in key order, each paired with its
+// packed values: the memory side of the merge with the spill streams.
+class PackedGroupStream : public KVStream {
+ public:
+  PackedGroupStream(const std::vector<Slice>* keys,
+                    const std::vector<std::string>* buffers)
+      : keys_(keys), buffers_(buffers) {
+    if (!keys_->empty()) it_ = PackedValueIterator(buffers_->front());
+    Advance();
+  }
+
+  bool Valid() const override { return pos_ < keys_->size(); }
+  Slice key() const override { return (*keys_)[pos_]; }
+  Slice value() const override { return value_; }
+  Status Next() override {
+    Advance();
+    return Status::OK();
+  }
+
+ private:
+  // Step to the next value, moving past keys whose values ran out.
+  void Advance() {
+    while (!it_.Next(&value_)) {
+      if (++pos_ >= keys_->size()) return;
+      it_ = PackedValueIterator((*buffers_)[pos_]);
+    }
+  }
+
+  const std::vector<Slice>* keys_;
+  const std::vector<std::string>* buffers_;
+  PackedValueIterator it_;
+  Slice value_;
+  size_t pos_ = 0;
+};
+
 // Fetched here (not only at the spill site) so the histogram shows up in a
 // metrics scrape even for runs that never spilled.
 obs::Histogram* SpillBytesHistogram() {
@@ -63,17 +133,13 @@ Shared::~Shared() {
 }
 
 void Shared::Add(const Slice& key, const Slice& value) {
-  uint64_t* shared_nanos =
-      options_.metrics ? &options_.metrics->cpu.shared : nullptr;
-  uint64_t local = 0;
-  {
-    ScopedTimer t(shared_nanos ? shared_nanos : &local);
-    AddInternal(key, value, /*allow_combine=*/true);
-    if (options_.metrics) options_.metrics->shared_insertions += 1;
-    if (memory_bytes_ > options_.memory_limit_bytes) {
-      SpillToDisk();
-      MaybeMergeSpills();
-    }
+  // Untimed: callers charge cpu.shared once per batch of Adds, so the clock
+  // is not read twice per decoded value.
+  AddInternal(key, value, /*allow_combine=*/true);
+  if (options_.metrics) options_.metrics->shared_insertions += 1;
+  if (memory_bytes_ > options_.memory_limit_bytes) {
+    SpillToDisk();
+    MaybeMergeSpills();
   }
 }
 
@@ -84,41 +150,48 @@ void Shared::AddInternal(const Slice& key, const Slice& value,
     // First sighting of this key in memory: intern its bytes once, then
     // register that single copy in the min-heap (the paper's "inserting the
     // key into the min-heap requires logarithmic time") and the table.
-    const Slice interned = key_arena_.Intern(key);
+    const Slice interned = key_arena_->Intern(key);
     heap_.push(interned);
     it = table_.emplace(interned, ValueList()).first;
     memory_bytes_ += key.size();
+    key_bytes_ += key.size();
   }
-  it->second.values.emplace_back(value.view());
+  ValueList& list = it->second;
+  AppendPacked(value, &list.packed);
+  list.count += 1;
+  list.value_bytes += value.size();
   memory_bytes_ += value.size();
   if (allow_combine && options_.combiner != nullptr &&
-      it->second.values.size() >= it->second.next_combine) {
-    CombineKey(it->first, &it->second.values);
-    it->second.next_combine =
-        std::max<size_t>(2, 2 * it->second.values.size());
+      list.count >= list.next_combine) {
+    CombineKey(it->first, &list);
+    list.next_combine = std::max<size_t>(2, 2 * list.count);
   }
 }
 
-void Shared::CombineKey(const Slice& key, std::vector<std::string>* values) {
+void Shared::CombineKey(const Slice& key, ValueList* list) {
   uint64_t combine_nanos = 0;
   std::vector<KV> combined;
   {
     ScopedTimer t(&combine_nanos);
-    VectorValueIterator it(values);
+    PackedValueIterator it(list->packed);
     CollectingContext ctx(&combined);
     options_.combiner->Reduce(key, &it, &ctx);
   }
   if (options_.metrics) {
     options_.metrics->cpu.combine += combine_nanos;
-    options_.metrics->combine_input_records += values->size();
+    options_.metrics->combine_input_records += list->count;
     options_.metrics->combine_output_records += combined.size();
   }
-  for (const std::string& v : *values) memory_bytes_ -= v.size();
-  values->clear();
+  memory_bytes_ -= list->value_bytes;
+  list->packed.clear();
+  list->count = 0;
+  list->value_bytes = 0;
   for (KV& kv : combined) {
     if (Slice(kv.key) == key) {
+      AppendPacked(kv.value, &list->packed);
+      list->count += 1;
+      list->value_bytes += kv.value.size();
       memory_bytes_ += kv.value.size();
-      values->push_back(std::move(kv.value));
     } else {
       // A combiner emitting a different key is unusual but legal; store it
       // without re-combining to guarantee termination.
@@ -143,13 +216,14 @@ void Shared::SpillToDisk() {
     heap_.pop();
     auto it = table_.find(key);
     if (it == table_.end()) continue;  // stale heap entry
-    for (const std::string& value : it->second.values) {
-      ANTIMR_CHECK_OK(writer.Add(key, value));
-    }
+    PackedValueIterator values(it->second.packed);
+    Slice value;
+    while (values.Next(&value)) ANTIMR_CHECK_OK(writer.Add(key, value));
     table_.erase(it);
   }
   ANTIMR_CHECK_OK(writer.Close());
   memory_bytes_ = 0;
+  key_bytes_ = 0;
   MaybeReclaimKeys();
 
   SpillRun run;
@@ -226,7 +300,29 @@ bool Shared::FindMinKey(Slice* out) {
 }
 
 void Shared::MaybeReclaimKeys() {
-  if (table_.empty() && heap_.empty()) key_arena_.Clear();
+  if (table_.empty() && heap_.empty()) {
+    key_arena_->Clear();
+  } else if (key_arena_->bytes_used() >
+             2 * key_bytes_ + Arena::kDefaultChunkBytes) {
+    CompactKeys();
+  }
+}
+
+void Shared::CompactKeys() {
+  auto fresh = std::make_unique<Arena>();
+  std::vector<decltype(table_)::node_type> nodes;
+  nodes.reserve(table_.size());
+  while (!table_.empty()) nodes.push_back(table_.extract(table_.begin()));
+  std::vector<Slice> keys;
+  keys.reserve(nodes.size());
+  for (auto& node : nodes) {
+    node.key() = fresh->Intern(node.key());
+    keys.push_back(node.key());
+    table_.insert(std::move(node));
+  }
+  // Every resident key is in the table; heap entries without one were stale.
+  heap_ = decltype(heap_)(HeapCmp{&options_.key_cmp}, std::move(keys));
+  key_arena_ = std::move(fresh);
 }
 
 bool Shared::Empty() {
@@ -244,7 +340,7 @@ bool Shared::PeekMinKey(std::string* key) {
 }
 
 bool Shared::PopMinKeyValues(std::string* group_key,
-                             std::vector<std::string>* values) {
+                             std::vector<Slice>* values) {
   uint64_t* shared_nanos =
       options_.metrics ? &options_.metrics->cpu.shared : nullptr;
   uint64_t local = 0;
@@ -256,9 +352,27 @@ bool Shared::PopMinKeyValues(std::string* group_key,
   // which would invalidate a stream-head view mid-drain.
   group_key->assign(min_key.data(), min_key.size());
 
-  // Fast path: no spill stream is positioned on this group, so it lives
-  // entirely in the table — heap pops already ascend in key order, and each
-  // key's values move straight into *values without an intermediate copy.
+  // Move the group's in-memory buffers (heap pops ascend in key order) into
+  // pop storage. Views are taken only once every buffer has moved: moving a
+  // short string relocates its inline bytes.
+  pop_buffers_.clear();
+  pop_keys_.clear();
+  pop_merged_.clear();
+  size_t count = 0;
+  while (!heap_.empty() &&
+         options_.grouping_cmp(heap_.top(), Slice(*group_key)) == 0) {
+    const Slice key = heap_.top();  // interned view; survives the pop
+    heap_.pop();
+    auto it = table_.find(key);
+    if (it == table_.end()) continue;  // stale
+    count += it->second.count;
+    memory_bytes_ -= key.size() + it->second.value_bytes;
+    key_bytes_ -= key.size();
+    pop_keys_.push_back(key);
+    pop_buffers_.push_back(std::move(it->second.packed));
+    table_.erase(it);
+  }
+
   bool spilled_group = false;
   for (SpillRun& run : spills_) {
     if (run.stream->Valid() &&
@@ -268,56 +382,30 @@ bool Shared::PopMinKeyValues(std::string* group_key,
     }
   }
   if (!spilled_group) {
-    while (!heap_.empty() &&
-           options_.grouping_cmp(heap_.top(), Slice(*group_key)) == 0) {
-      const Slice key = heap_.top();  // interned view; survives the pop
-      heap_.pop();
-      auto it = table_.find(key);
-      if (it == table_.end()) continue;  // stale
-      std::vector<std::string>& group = it->second.values;
-      values->reserve(values->size() + group.size());
-      for (std::string& value : group) {
-        memory_bytes_ -= value.size();
-        values->push_back(std::move(value));
-      }
-      memory_bytes_ -= key.size();
-      table_.erase(it);
-    }
+    // Fast path: the group lives entirely in memory, already in key order.
+    values->reserve(values->size() + count);
+    for (const std::string& packed : pop_buffers_) AppendViews(packed, values);
     MaybeReclaimKeys();
     return true;
   }
 
-  // Collect the group's in-memory records in key order (heap pops ascend).
-  std::vector<KV> mem_records;
-  while (!heap_.empty() &&
-         options_.grouping_cmp(heap_.top(), Slice(*group_key)) == 0) {
-    const Slice key = heap_.top();  // interned view; survives the pop
-    heap_.pop();
-    auto it = table_.find(key);
-    if (it == table_.end()) continue;  // stale
-    mem_records.reserve(mem_records.size() + it->second.values.size());
-    for (std::string& value : it->second.values) {
-      memory_bytes_ -= value.size();
-      mem_records.emplace_back(key.ToString(), std::move(value));
-    }
-    memory_bytes_ -= key.size();
-    table_.erase(it);
-  }
-  MaybeReclaimKeys();
-
-  // Merge memory records with the group prefix of each spill stream.
-  values->reserve(values->size() + mem_records.size());
+  // Merge the memory records with the group prefix of each spill stream,
+  // repacking the values (spill stream views die as the streams advance).
   std::vector<std::unique_ptr<KVStream>> inputs;
-  inputs.push_back(std::make_unique<KVVectorStream>(&mem_records));
+  inputs.push_back(
+      std::make_unique<PackedGroupStream>(&pop_keys_, &pop_buffers_));
   for (SpillRun& run : spills_) {
     inputs.push_back(std::make_unique<GroupBoundedStream>(
         run.stream.get(), group_key, &options_.grouping_cmp));
   }
   MergingStream merged(std::move(inputs), options_.key_cmp);
   while (merged.Valid()) {
-    values->emplace_back(merged.value().view());
+    AppendPacked(merged.value(), &pop_merged_);
     ANTIMR_CHECK_OK(merged.Next());
   }
+  // The merge read the popped keys' interned bytes; reclaim only now.
+  MaybeReclaimKeys();
+  AppendViews(pop_merged_, values);
   return true;
 }
 

@@ -5,6 +5,14 @@
 // spill merging past a threshold, buffered sequential reads of spilled
 // groups, and optional reduce-phase Combining that collapses each key's
 // values as they arrive.
+//
+// Ownership: each distinct key is interned once into a key arena; each key's
+// values are packed into one buffer (varint length + bytes per value, in
+// insertion order), so an Add allocates only when a key first appears or its
+// buffer grows. A pop moves the group's buffers into pop storage and hands
+// out views into them, valid until the next PopMinKeyValues. The key arena
+// is compacted once popped keys dominate it, so a key parked far ahead of
+// the drain cursor cannot pin the bytes of every key popped since.
 #ifndef ANTIMR_ANTICOMBINE_SHARED_H_
 #define ANTIMR_ANTICOMBINE_SHARED_H_
 
@@ -62,12 +70,16 @@ class Shared {
   bool PeekMinKey(Slice* key);
 
   /// Remove the minimal group (all keys grouping-equal to the minimal key,
-  /// from memory and spills) and append its values, in key order, to
-  /// *values. *group_key gets the minimal key. Returns false when empty.
-  bool PopMinKeyValues(std::string* group_key,
-                       std::vector<std::string>* values);
+  /// from memory and spills) and append views of its values, in key order,
+  /// to *values. *group_key gets the minimal key. The views stay valid until
+  /// the next PopMinKeyValues call (or destruction); Add and PeekMinKey leave
+  /// them intact. Returns false when empty.
+  bool PopMinKeyValues(std::string* group_key, std::vector<Slice>* values);
 
   size_t memory_usage() const { return memory_bytes_; }
+
+  /// Chunk capacity held by the key arena (the retained key footprint).
+  size_t key_arena_bytes() const { return key_arena_->bytes_allocated(); }
 
  private:
   struct HeapCmp {
@@ -77,33 +89,39 @@ class Shared {
     }
   };
 
+  /// A key's pending values, packed into one buffer, plus the count at
+  /// which the next combine fires. The doubling threshold keeps combining
+  /// amortized-linear even when the combiner cannot shrink a key's values
+  /// below 2 (e.g. top-k style aggregates over many distinct sub-values).
+  struct ValueList {
+    std::string packed;  ///< varint32 length + bytes per value
+    size_t count = 0;
+    size_t value_bytes = 0;  ///< sum of value sizes (memory accounting)
+    size_t next_combine = 2;
+  };
+
   void AddInternal(const Slice& key, const Slice& value, bool allow_combine);
-  void CombineKey(const Slice& key, std::vector<std::string>* values);
+  void CombineKey(const Slice& key, ValueList* list);
   void SpillToDisk();
   void MaybeMergeSpills();
   /// Minimal key across the in-memory heap and spill stream heads; false
   /// when everything is empty. *out is a view (interned key or spill stream
   /// head) valid until the next mutation.
   bool FindMinKey(Slice* out);
-  /// Clear the key arena once nothing references it (table and heap empty).
+  /// Clear the key arena once nothing references it (table and heap empty),
+  /// or compact it once popped keys dominate its bytes.
   void MaybeReclaimKeys();
-
-  /// A key's pending values plus the size at which the next combine fires.
-  /// The doubling threshold keeps combining amortized-linear even when the
-  /// combiner cannot shrink a key's values below 2 (e.g. top-k style
-  /// aggregates over many distinct sub-values).
-  struct ValueList {
-    std::vector<std::string> values;
-    size_t next_combine = 2;
-  };
+  /// Re-intern the resident keys into a fresh arena, re-key the table nodes
+  /// and rebuild the heap; the old arena's chunks are freed.
+  void CompactKeys();
 
   Options options_;
   /// Each distinct key's bytes are interned once into key_arena_; the table
   /// key and the heap entry are both views of that single copy. The arena is
-  /// reclaimed when table and heap drain (spill, or the last group popped) —
-  /// the old std::string design copied every key on insert and re-copied it
-  /// at each heap_.top() touch during spills and pops.
-  Arena key_arena_;
+  /// cleared when table and heap drain (spill, or the last group popped) and
+  /// compacted when its bytes exceed twice the resident keys plus a chunk.
+  std::unique_ptr<Arena> key_arena_ = std::make_unique<Arena>();
+  size_t key_bytes_ = 0;  ///< bytes of the keys resident in table_
   std::unordered_map<Slice, ValueList, SliceHash> table_;
   std::priority_queue<Slice, std::vector<Slice>, HeapCmp> heap_;
   struct SpillRun {
@@ -113,23 +131,13 @@ class Shared {
   std::vector<SpillRun> spills_;
   size_t memory_bytes_ = 0;
   int spill_counter_ = 0;
-};
 
-/// \brief ValueIterator over a vector of strings (a popped group).
-class VectorValueIterator : public ValueIterator {
- public:
-  explicit VectorValueIterator(const std::vector<std::string>* values)
-      : values_(values) {}
-
-  bool Next(Slice* value) override {
-    if (pos_ >= values_->size()) return false;
-    *value = (*values_)[pos_++];
-    return true;
-  }
-
- private:
-  const std::vector<std::string>* values_;
-  size_t pos_ = 0;
+  /// Storage behind the latest pop's views: the popped keys' packed
+  /// buffers, and (when the group also lived in spills) the merged values
+  /// repacked in merge order. Cleared at the start of the next pop.
+  std::vector<std::string> pop_buffers_;
+  std::vector<Slice> pop_keys_;  ///< popped keys, for the spill merge
+  std::string pop_merged_;
 };
 
 }  // namespace anticombine

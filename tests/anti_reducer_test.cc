@@ -256,6 +256,24 @@ TEST_F(AntiReducerTest, SharedSpillsDoNotChangeResults) {
   }
 }
 
+// Shared::Add is untimed; AntiReducer charges each decoded record's Adds to
+// cpu.shared in one span next to its decode and remap spans. Pin that every
+// phase still gets time and every decoded record reaches Shared.
+TEST_F(AntiReducerTest, PhaseCountersCoverDecodeRemapAndShared) {
+  auto reducer = MakeReducer();
+  Call(reducer.get(), {{"1a", EagerValue({"1b", "1c"}, "eager")},
+                       {"1a", LazyValue("ik", "1a:x 2b:y 1d:z")}});
+  reducer->Cleanup(&ctx_);
+  EXPECT_GT(metrics_.cpu.decode, 0u);
+  EXPECT_GT(metrics_.cpu.remap, 0u);
+  EXPECT_GT(metrics_.cpu.shared, 0u);
+  // EagerSH: 1a, 1b, 1c. LazySH, this partition only: 1a, 1d.
+  EXPECT_EQ(metrics_.shared_insertions, 5u);
+  EXPECT_EQ(metrics_.remap_calls, 1u);
+  ASSERT_EQ(log_.size(), 4u);
+  EXPECT_EQ(log_[0].values, (std::vector<std::string>{"eager", "x"}));
+}
+
 TEST_F(AntiReducerTest, EmptyTaskCleanupIsSafe) {
   auto reducer = MakeReducer();
   reducer->Cleanup(&ctx_);

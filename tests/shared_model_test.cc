@@ -24,6 +24,12 @@ struct ModelParam {
 
 class SharedModelTest : public ::testing::TestWithParam<ModelParam> {};
 
+std::multiset<std::string> AsMultiset(const std::vector<Slice>& values) {
+  std::multiset<std::string> out;
+  for (const Slice& v : values) out.insert(v.ToString());
+  return out;
+}
+
 TEST_P(SharedModelTest, MatchesReferenceModel) {
   const ModelParam& p = GetParam();
   auto env = NewMemEnv();
@@ -60,7 +66,7 @@ TEST_P(SharedModelTest, MatchesReferenceModel) {
     } else {
       // Pop: the minimal group, as a multiset of values.
       std::string group_key;
-      std::vector<std::string> values;
+      std::vector<Slice> values;
       const bool popped = shared.PopMinKeyValues(&group_key, &values);
       EXPECT_EQ(popped, !model.empty());
       if (!popped) continue;
@@ -72,9 +78,7 @@ TEST_P(SharedModelTest, MatchesReferenceModel) {
         expected.insert(it->second);
       }
       model.erase(expected_key);
-      EXPECT_EQ(std::multiset<std::string>(values.begin(), values.end()),
-                expected)
-          << "group " << group_key;
+      EXPECT_EQ(AsMultiset(values), expected) << "group " << group_key;
     }
   }
 
@@ -82,7 +86,7 @@ TEST_P(SharedModelTest, MatchesReferenceModel) {
   std::string last_key;
   bool first = true;
   std::string group_key;
-  std::vector<std::string> values;
+  std::vector<Slice> values;
   while (shared.PopMinKeyValues(&group_key, &values)) {
     if (!first) EXPECT_GT(group_key, last_key);
     first = false;
@@ -92,8 +96,7 @@ TEST_P(SharedModelTest, MatchesReferenceModel) {
     for (auto it = range.first; it != range.second; ++it) {
       expected.insert(it->second);
     }
-    EXPECT_EQ(std::multiset<std::string>(values.begin(), values.end()),
-              expected);
+    EXPECT_EQ(AsMultiset(values), expected);
     model.erase(group_key);
     values.clear();
   }
