@@ -100,20 +100,6 @@ std::string RowExtra(const std::string& transport, int workers,
   return buf;
 }
 
-/// Chunk records like MakeSplits so every cluster size maps the same ranges.
-std::vector<std::vector<KV>> Chunk(const std::vector<KV>& records,
-                                   int num_splits) {
-  std::vector<std::vector<KV>> chunks;
-  const size_t per =
-      (records.size() + num_splits - 1) / static_cast<size_t>(num_splits);
-  for (size_t start = 0; start < records.size(); start += per) {
-    const size_t end = std::min(records.size(), start + per);
-    chunks.emplace_back(records.begin() + static_cast<long>(start),
-                        records.begin() + static_cast<long>(end));
-  }
-  return chunks;
-}
-
 }  // namespace
 
 int main() {
@@ -156,7 +142,7 @@ int main() {
   std::printf("%-12s %-9s %8s %12s %14s %14s\n", "workload", "transport",
               "workers", "wall", "wire sent", "wire recv");
   for (const Workload& w : workloads) {
-    const auto splits = Chunk(*w.input, 8);
+    const auto splits = SplitRecords(*w.input, 8);
     net::JobParams params = w.base_params;
     params.emplace_back("anti_combine", "adaptive");
     for (const std::string transport : {"loopback", "tcp"}) {
@@ -183,7 +169,7 @@ int main() {
   std::printf("%-12s %-11s %12s %14s %14s\n", "workload", "strategy", "wall",
               "shuffle", "wire sent");
   for (const Workload& w : workloads) {
-    const auto splits = Chunk(*w.input, 8);
+    const auto splits = SplitRecords(*w.input, 8);
     for (const std::string strategy :
          {"original", "eager", "lazy", "adaptive"}) {
       net::JobParams params = w.base_params;

@@ -11,7 +11,6 @@
 // actually pays for a --cluster-trace run). Wall time is best-of-N to damp
 // scheduler noise. Results land in BENCH_e6.json with the transport,
 // worker-count, and tracing labels stamped into every row.
-#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -41,19 +40,6 @@ struct ObsMeasurement {
 };
 
 constexpr int kRepeats = 3;
-
-std::vector<std::vector<KV>> Chunk(const std::vector<KV>& records,
-                                   int num_splits) {
-  std::vector<std::vector<KV>> chunks;
-  const size_t per =
-      (records.size() + num_splits - 1) / static_cast<size_t>(num_splits);
-  for (size_t start = 0; start < records.size(); start += per) {
-    const size_t end = std::min(records.size(), start + per);
-    chunks.emplace_back(records.begin() + static_cast<long>(start),
-                        records.begin() + static_cast<long>(end));
-  }
-  return chunks;
-}
 
 /// One cluster lifetime: start coordinator + 2 workers, run wordcount,
 /// stop. With `tracing`, the run is captured end to end and merged into the
@@ -159,7 +145,7 @@ int main(int argc, char** argv) {
   RandomTextConfig rc;
   rc.num_lines = 20000;
   rc.seed = 42;
-  const auto splits = Chunk(RandomTextGenerator(rc).Generate(), 8);
+  const auto splits = SplitRecords(RandomTextGenerator(rc).Generate(), 8);
 
   if (!obs::kTraceCompiled) {
     std::printf("note: built with ANTIMR_TRACE=OFF — traced rows run "

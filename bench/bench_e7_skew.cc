@@ -26,11 +26,11 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/hash.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "engine/coordinator.h"
 #include "engine/job_registry.h"
+#include "engine/job_service.h"
 #include "engine/skew_runner.h"
 #include "engine/worker.h"
 #include "net/transport.h"
@@ -64,29 +64,6 @@ std::vector<KV> ZipfLines(int lines, size_t vocab, double s,
     records.push_back({"", std::move(line)});
   }
   return records;
-}
-
-std::vector<std::vector<KV>> Chunk(const std::vector<KV>& records,
-                                   int num_splits) {
-  std::vector<std::vector<KV>> chunks;
-  const size_t per =
-      (records.size() + num_splits - 1) / static_cast<size_t>(num_splits);
-  for (size_t start = 0; start < records.size(); start += per) {
-    const size_t end = std::min(records.size(), start + per);
-    chunks.emplace_back(records.begin() + static_cast<long>(start),
-                        records.begin() + static_cast<long>(end));
-  }
-  return chunks;
-}
-
-/// Order-insensitive output fingerprint (same construction as the CLI's
-/// --output-hash): equal across partitioner modes and process layouts.
-uint64_t OutputHash(const std::vector<KV>& records) {
-  uint64_t h = 0;
-  for (const KV& kv : records) {
-    h += Hash64(Slice(kv.value), Hash64(Slice(kv.key)));
-  }
-  return h;
 }
 
 struct Spread {
@@ -172,7 +149,7 @@ SkewRun RunOne(const std::string& transport_kind, const std::string& mode,
     run.hot_keys = skew.model.hot_keys.size();
   }
   run.wall_nanos = NowNanos() - t0;
-  run.output_hash = OutputHash(run.result.FlatOutput());
+  run.output_hash = engine::OutputMultisetHash(run.result.FlatOutput());
 
   coord.Stop();
   for (auto& worker : fleet) worker->Stop();
@@ -202,7 +179,7 @@ int main(int argc, char** argv) {
   const std::vector<KV> text =
       quick ? ZipfLines(1200, 500, 1.5, 6, 0x5eed)
             : ZipfLines(6000, 2000, 1.5, 6, 0x5eed);
-  const auto splits = Chunk(text, kMaps);
+  const auto splits = SplitRecords(text, kMaps);
 
   std::vector<std::string> transports;
   if (transport_arg == "both") {

@@ -53,20 +53,6 @@ struct JobDesc {
   uint64_t solo_hash = 0;
 };
 
-std::vector<std::vector<KV>> Chunk(const std::vector<KV>& records,
-                                   int num_splits) {
-  std::vector<std::vector<KV>> chunks;
-  const size_t per =
-      (records.size() + num_splits - 1) / static_cast<size_t>(num_splits);
-  for (size_t start = 0; start < records.size(); start += per) {
-    const size_t end = std::min(records.size(), start + per);
-    chunks.emplace_back(records.begin() + static_cast<long>(start),
-                        records.begin() + static_cast<long>(end));
-  }
-  if (chunks.empty()) chunks.emplace_back();
-  return chunks;
-}
-
 uint64_t SoloHash(const JobDesc& job) {
   JobSpec spec;
   ANTIMR_CHECK_OK(engine::BuildRegisteredJob(job.job_name, job.params, &spec));
@@ -163,7 +149,7 @@ FleetRun RunFleet(const std::string& transport_kind,
     sub.pool = job.pool;
     sub.job_name = job.job_name;
     sub.params = job.params;
-    sub.splits = Chunk(job.records, job.maps);
+    sub.splits = SplitRecords(job.records, job.maps);
     sub.job_id = job.id;
     sub.cpu_slots = job.cpu_slots;
     std::string id;

@@ -7,6 +7,7 @@
 #ifndef ANTIMR_BENCH_BENCH_UTIL_H_
 #define ANTIMR_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -152,6 +153,23 @@ inline void WriteJsonReport(const std::string& path, const std::string& bench,
                            json.substr(1));
   }
   WriteJsonSections(path, bench, {std::move(section)});
+}
+
+/// Cut `records` into `num_splits` contiguous map inputs the way MakeSplits
+/// does, so every cluster size and process layout maps the same ranges.
+/// Empty input gives one empty split.
+inline std::vector<std::vector<KV>> SplitRecords(
+    const std::vector<KV>& records, int num_splits) {
+  std::vector<std::vector<KV>> splits;
+  const size_t per =
+      (records.size() + num_splits - 1) / static_cast<size_t>(num_splits);
+  for (size_t start = 0; start < records.size(); start += per) {
+    const size_t end = std::min(records.size(), start + per);
+    splits.emplace_back(records.begin() + static_cast<long>(start),
+                        records.begin() + static_cast<long>(end));
+  }
+  if (splits.empty()) splits.emplace_back();
+  return splits;
 }
 
 inline std::string Ratio(uint64_t base, uint64_t other) {

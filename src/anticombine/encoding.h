@@ -18,13 +18,8 @@
 //             this reduce task; the reducer re-executes Map + Partition to
 //             regenerate them.
 //
-//   EagerSH/dict: [flag=2] varint(n) {varint(dict_id)}*n shared_value...
-//             A storage-level rewrite of an EagerSH payload inside a
-//             columnar chunk block (table/chunk_writer.h): each other_key is
-//             replaced by its id in the block's key dictionary. Chunk
-//             readers rematerialize the standard [flag=0] bytes before the
-//             record leaves the block, so the AntiReducer never sees this
-//             flag and reduce input stays byte-identical to the row format.
+// Any other flag byte is Corruption: payloads arrive from shuffled segment
+// bytes, so the decoders treat them as untrusted.
 #ifndef ANTIMR_ANTICOMBINE_ENCODING_H_
 #define ANTIMR_ANTICOMBINE_ENCODING_H_
 
@@ -32,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/coding.h"
 #include "common/slice.h"
 #include "common/status.h"
@@ -41,9 +35,8 @@ namespace antimr {
 namespace anticombine {
 
 enum class Encoding : uint8_t {
-  kEager = 0,      ///< EagerSH (n = 0 degenerates to flagged-plain)
-  kLazy = 1,       ///< LazySH
-  kEagerDict = 2,  ///< EagerSH with other_keys as block-dictionary ids
+  kEager = 0,  ///< EagerSH (n = 0 degenerates to flagged-plain)
+  kLazy = 1,   ///< LazySH
 };
 
 /// Build an EagerSH payload. `other_keys` excludes the representative.
@@ -54,13 +47,6 @@ void EncodeEagerPayload(const std::vector<Slice>& other_keys,
 size_t EagerPayloadSize(const std::vector<Slice>& other_keys,
                         const Slice& value);
 
-/// Serialize an EagerSH payload straight into `dst` (which must hold at
-/// least EagerPayloadSize bytes); returns one past the last byte written.
-/// Lets the chunk reader rematerialize into arena storage without an
-/// intermediate string.
-char* EncodeEagerPayloadTo(char* dst, const std::vector<Slice>& other_keys,
-                           const Slice& value);
-
 /// Build a LazySH payload from the original Map *input* record.
 void EncodeLazyPayload(const Slice& input_key, const Slice& input_value,
                        std::string* out);
@@ -68,7 +54,8 @@ void EncodeLazyPayload(const Slice& input_key, const Slice& input_value,
 /// Bytes EncodeLazyPayload would produce.
 size_t LazyPayloadSize(const Slice& input_key, const Slice& input_value);
 
-/// Read the flag byte; *rest gets the flag-stripped payload.
+/// Read the flag byte; *rest gets the flag-stripped payload. Any flag other
+/// than kEager or kLazy is Corruption.
 Status GetEncoding(const Slice& payload, Encoding* encoding, Slice* rest);
 
 /// Parse a flag-stripped EagerSH payload. Slices view into `rest`.
@@ -78,39 +65,6 @@ Status DecodeEagerPayload(const Slice& rest, std::vector<Slice>* other_keys,
 /// Parse a flag-stripped LazySH payload. Slices view into `rest`.
 Status DecodeLazyPayload(const Slice& rest, Slice* input_key,
                          Slice* input_value);
-
-/// Build an EagerSH/dict payload: other_keys as block-dictionary ids.
-void EncodeEagerDictPayload(const std::vector<uint32_t>& dict_ids,
-                            const Slice& value, std::string* out);
-
-/// Bytes EncodeEagerDictPayload would produce, without building it.
-size_t EagerDictPayloadSize(const std::vector<uint32_t>& dict_ids,
-                            const Slice& value);
-
-/// Serialize an EagerSH/dict payload straight into `dst` (at least
-/// EagerDictPayloadSize bytes); returns one past the last byte written.
-char* EncodeEagerDictPayloadTo(char* dst,
-                               const std::vector<uint32_t>& dict_ids,
-                               const Slice& value);
-
-/// Parse a flag-stripped EagerSH/dict payload, resolving ids through
-/// `dictionary`. Key slices view into the dictionary's backing storage;
-/// *value views into `rest`. An id outside the dictionary is Corruption.
-Status DecodeEagerDictPayload(const Slice& rest,
-                              const std::vector<Slice>& dictionary,
-                              std::vector<Slice>* other_keys, Slice* value);
-
-/// Rematerialize a flag-stripped EagerSH/dict payload back into the
-/// standard kEager byte form, encoded straight into `arena`.
-/// `dict_wire[id]` must hold the dictionary entry in key-wire form —
-/// varint(len) || bytes, the exact bytes an EagerSH payload carries per
-/// key — so each id resolves to one verbatim copy with no per-key
-/// re-encoding (chunk blocks store their dictionary in this form already).
-/// Byte-identical to DecodeEagerDictPayload + EncodeEagerPayloadTo, and
-/// allocation-free beyond the arena bump.
-Status RematerializeEagerDictPayload(const Slice& rest,
-                                     const std::vector<Slice>& dict_wire,
-                                     Arena* arena, Slice* out);
 
 }  // namespace anticombine
 }  // namespace antimr

@@ -116,9 +116,6 @@ Status Executor::Run(const JobPlan& plan, PlanResult* result) {
   ctx.cleanup_intermediates = options_.cleanup_intermediates;
   ctx.run_id = options_.run_id.empty() ? UniquePlanId(plan.name)
                                        : options_.run_id;
-  ctx.record_format = options_.record_format;
-  ctx.chunk_block_bytes = options_.chunk_block_bytes;
-  ctx.chunk_codec = options_.chunk_codec;
 
   const Status lowered = LowerPlan(ctx, &graph, &stages);
   // Tasks added before a lowering error may already be running; always

@@ -8,7 +8,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,7 +17,6 @@
 #include "mr/metrics.h"
 #include "mr/shuffle.h"
 #include "net/transport.h"
-#include "table/format.h"
 
 namespace antimr {
 namespace engine {
@@ -50,13 +48,6 @@ struct ExecutorOptions {
   int max_task_attempts = 1;
   /// Backoff before a task's first retry; doubles per attempt (capped).
   uint64_t retry_backoff_nanos = 1000 * 1000;
-  /// When set, override every stage spec's record_format (storage layout of
-  /// spills and shuffle segments — JobSpec::record_format).
-  std::optional<RecordFormat> record_format;
-  /// When set, override every stage spec's chunk_block_bytes.
-  std::optional<size_t> chunk_block_bytes;
-  /// When set, override every stage spec's chunk_codec.
-  std::optional<CodecType> chunk_codec;
   /// Transport for the shuffle data plane. Every shuffled byte crosses this
   /// boundary (a per-run SegmentServer serves map segments; reduce-side
   /// fetchers pull them through a ShuffleClient), so loopback and TCP runs

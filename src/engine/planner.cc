@@ -113,11 +113,6 @@ Status LowerPlan(const PlannerContext& ctx, TaskGraph* graph,
                        ? anticombine::EnableAntiCombining(
                              stage.spec, stage.options.anti_combine_options)
                        : stage.spec;
-    if (ctx.record_format) st->run_spec.record_format = *ctx.record_format;
-    if (ctx.chunk_block_bytes) {
-      st->run_spec.chunk_block_bytes = *ctx.chunk_block_bytes;
-    }
-    if (ctx.chunk_codec) st->run_spec.chunk_codec = *ctx.chunk_codec;
     st->job_id = ctx.run_id + "_s" + std::to_string(stage_index) + "_" +
                  stage.spec.name;
     st->trace_label = stage.name.empty() ? stage.spec.name : stage.name;

@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <deque>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,12 +41,6 @@ struct PlannerContext {
   bool collect_outputs = true;        ///< retain sink datasets in the catalog
   bool cleanup_intermediates = true;  ///< delete segment files per stage
   std::string run_id;
-  /// Per-run overrides of each stage spec's storage-format knobs (from
-  /// ExecutorOptions); applied to run_spec after the Anti-Combining
-  /// transform, so they never change what the transform saw.
-  std::optional<RecordFormat> record_format;
-  std::optional<size_t> chunk_block_bytes;
-  std::optional<CodecType> chunk_codec;
 };
 
 /// \brief Physical execution state of one stage, populated by its tasks.

@@ -185,11 +185,13 @@ BlockRunReader::BlockRunReader(std::unique_ptr<SequentialFile> file,
                                const Codec* codec, Options options)
     : reader_(std::move(file)), codec_(codec), opts_(std::move(options)) {}
 
+std::string BlockRunReader::Where(uint64_t block) const {
+  return "segment " + (opts_.name.empty() ? "<unnamed>" : opts_.name) +
+         " block " + std::to_string(block) + ": ";
+}
+
 Status BlockRunReader::CorruptionAt(const std::string& detail) const {
-  return Status::Corruption("segment " +
-                            (opts_.name.empty() ? "<unnamed>" : opts_.name) +
-                            " block " + std::to_string(block_index_) + ": " +
-                            detail);
+  return Status::Corruption(Where(block_index_) + detail);
 }
 
 void BlockRunReader::NotePeak() {
@@ -225,19 +227,19 @@ Status BlockRunReader::FillReadahead() {
   while (!source_eof_ && readahead_.size() < std::max<size_t>(1, opts_.readahead_blocks)) {
     const uint64_t before = reader_.bytes_consumed();
     Frame frame;
-    uint32_t stored_len = 0;
+    Status st;
     {
       ScopedTimer t(&stats_.read_nanos);
       if (reader_.AtEof()) {
         source_eof_ = true;
         break;
       }
-      ANTIMR_RETURN_NOT_OK(reader_.ReadVarint32(&frame.raw_len));
-      ANTIMR_RETURN_NOT_OK(reader_.ReadVarint32(&stored_len));
-      std::string crc_bytes;
-      ANTIMR_RETURN_NOT_OK(reader_.ReadExact(4, &crc_bytes));
-      frame.crc = DecodeFixed32(crc_bytes.data());
-      ANTIMR_RETURN_NOT_OK(reader_.ReadExact(stored_len, &frame.payload));
+      st = ReadFrame(&frame);
+    }
+    if (!st.ok()) {
+      // The frame being read sits just past the queued window.
+      return Status(st.code(),
+                    Where(block_index_ + readahead_.size() + 1) + st.message());
     }
     const uint64_t frame_bytes = reader_.bytes_consumed() - before;
     stats_.bytes_read += frame_bytes;
@@ -246,6 +248,16 @@ Status BlockRunReader::FillReadahead() {
     NotePeak();
   }
   return Status::OK();
+}
+
+Status BlockRunReader::ReadFrame(Frame* frame) {
+  uint32_t stored_len = 0;
+  ANTIMR_RETURN_NOT_OK(reader_.ReadVarint32(&frame->raw_len));
+  ANTIMR_RETURN_NOT_OK(reader_.ReadVarint32(&stored_len));
+  std::string crc_bytes;
+  ANTIMR_RETURN_NOT_OK(reader_.ReadExact(4, &crc_bytes));
+  frame->crc = DecodeFixed32(crc_bytes.data());
+  return reader_.ReadExact(stored_len, &frame->payload);
 }
 
 Status BlockRunReader::DecodeNextBlock() {

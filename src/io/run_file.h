@@ -232,21 +232,6 @@ struct BlockReadStats {
   /// current decompressed block. Bounded by (readahead + 1) frames + one raw
   /// block, independent of segment size.
   uint64_t peak_buffered_bytes = 0;
-  /// Blocks skipped by min/max-key stats (columnar chunks only): their
-  /// payloads were neither read, transferred, nor decoded.
-  uint64_t blocks_pruned = 0;
-  /// Stored payload bytes those pruned blocks would have cost.
-  uint64_t pruned_bytes = 0;
-};
-
-/// \brief A KVStream over one shuffle segment, whatever its storage format.
-///
-/// BlockRunReader (row runs) and ChunkReader (columnar chunks) both
-/// implement it; segment consumers hold SegmentStream so the format is a
-/// per-file property detected from the magic, not a compile-time choice.
-class SegmentStream : public KVStream {
- public:
-  virtual const BlockReadStats& stats() const = 0;
 };
 
 /// \brief Streaming KVStream over a block-framed run with bounded readahead.
@@ -260,7 +245,7 @@ class SegmentStream : public KVStream {
 /// block N-1 occupied, never block N's, so a NextBatch result (whose views
 /// live in one block) survives the advance onto the next block and dies
 /// only at the following call, per the batch contract.
-class BlockRunReader : public SegmentStream {
+class BlockRunReader : public KVStream {
  public:
   struct Options {
     size_t readahead_blocks = kDefaultReadaheadBlocks;
@@ -286,7 +271,7 @@ class BlockRunReader : public SegmentStream {
   Status NextBatch(RecordBatch* batch, const BatchOptions& opts) override;
   bool SupportsEagerBatches() const override { return true; }
 
-  const BlockReadStats& stats() const override { return stats_; }
+  const BlockReadStats& stats() const { return stats_; }
 
  private:
   struct Frame {
@@ -296,7 +281,10 @@ class BlockRunReader : public SegmentStream {
   };
 
   Status FillReadahead();
+  Status ReadFrame(Frame* frame);
   Status DecodeNextBlock();
+  /// Error-context prefix: "segment <name> block <n>: ".
+  std::string Where(uint64_t block) const;
   Status CorruptionAt(const std::string& detail) const;
   void NotePeak();
 

@@ -18,11 +18,11 @@ namespace {
 // Accumulates charged bytes and sleeps once per ~64 KiB quantum instead of
 // once per operation. A real disk's cost is proportional to bytes moved, but
 // sleep_for() has a scheduler-granularity floor (tens of microseconds), so
-// sleeping per op overcharges fine-grained access patterns — e.g. the
-// columnar reader's 4-byte frame headers, or record-at-a-time probes — by
-// orders of magnitude. Batching the sleep keeps the simulated time
-// proportional to bytes regardless of op size. Call Flush() at a natural
-// stream boundary (Close, EOF) to charge the sub-quantum tail.
+// sleeping per op overcharges fine-grained access patterns — e.g. small
+// frame-header reads, or record-at-a-time probes — by orders of magnitude.
+// Batching the sleep keeps the simulated time proportional to bytes
+// regardless of op size. Call Flush() at a natural stream boundary (Close,
+// EOF) to charge the sub-quantum tail.
 class ByteThrottle {
  public:
   explicit ByteThrottle(double mb_per_s) : mb_per_s_(mb_per_s) {}

@@ -41,9 +41,6 @@ Status RunJob(const JobSpec& spec, const std::vector<InputSplit>& splits,
   exec_options.run_id = options.job_id;
   exec_options.max_task_attempts = options.max_task_attempts;
   exec_options.retry_backoff_nanos = options.retry_backoff_nanos;
-  exec_options.record_format = options.record_format;
-  exec_options.chunk_block_bytes = options.chunk_block_bytes;
-  exec_options.chunk_codec = options.chunk_codec;
 
   engine::Executor executor(exec_options);
   engine::PlanResult plan_result;

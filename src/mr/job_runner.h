@@ -10,7 +10,6 @@
 #ifndef ANTIMR_MR_JOB_RUNNER_H_
 #define ANTIMR_MR_JOB_RUNNER_H_
 
-#include <optional>
 #include <vector>
 
 #include "mr/job_spec.h"
@@ -57,11 +56,6 @@ struct RunOptions {
   int max_task_attempts = 1;
   /// Backoff before a task's first retry; doubles per attempt (capped).
   uint64_t retry_backoff_nanos = 1000 * 1000;
-  /// When set, override the spec's record_format (storage layout of spills
-  /// and shuffle segments), chunk block size, and chunk codec.
-  std::optional<RecordFormat> record_format;
-  std::optional<size_t> chunk_block_bytes;
-  std::optional<CodecType> chunk_codec;
 };
 
 /// Run `spec` over `splits` (one map task per split).

@@ -9,7 +9,6 @@
 
 #include "codec/codec.h"
 #include "mr/api.h"
-#include "table/format.h"
 
 namespace antimr {
 
@@ -52,31 +51,6 @@ struct JobSpec {
   /// boundaries into ~this many raw bytes per independently compressed,
   /// CRC-framed block, so reducers can stream with O(block) memory.
   size_t shuffle_block_bytes = 64 * 1024;
-
-  /// Storage layout of spill files and shuffle segments. Columnar chunks
-  /// (table/format.h) store keys and values as separate columns with
-  /// per-block min/max stats, dictionary key encoding, and per-column codec
-  /// choice; readers auto-detect the format per file, and job output is
-  /// byte-identical across formats.
-  RecordFormat record_format = RecordFormat::kRow;
-
-  /// Raw bytes per columnar chunk block; 0 = shuffle_block_bytes, so both
-  /// formats cut blocks at the same record boundaries by default.
-  size_t chunk_block_bytes = 0;
-
-  /// Codec tried per column per columnar block; kNone falls back to
-  /// map_output_codec, keeping compression knobs format-agnostic.
-  CodecType chunk_codec = CodecType::kNone;
-
-  /// Chunk block size after defaulting.
-  size_t EffectiveChunkBlockBytes() const {
-    return chunk_block_bytes == 0 ? shuffle_block_bytes : chunk_block_bytes;
-  }
-
-  /// Chunk codec after defaulting.
-  CodecType EffectiveChunkCodec() const {
-    return chunk_codec == CodecType::kNone ? map_output_codec : chunk_codec;
-  }
 
   /// Apply the Combiner during the final spill merge when at least this many
   /// spill files exist (Hadoop's min.num.spills.for.combine).

@@ -80,8 +80,8 @@ class MapTaskContext : public MapContext {
           SpillFileName(job_id_, task_id_, spill_count_, p);
       created_files_.push_back(fname);
       SegmentWriteResult res;
-      ANTIMR_RETURN_NOT_OK(WritePossiblyCombined(
-          stream.get(), p, fname, codec, /*final_segment=*/false, &res));
+      ANTIMR_RETURN_NOT_OK(
+          WritePossiblyCombined(stream.get(), p, fname, codec, &res));
       spill_files_per_partition_[static_cast<size_t>(p)].push_back(fname);
     }
     ++spill_count_;
@@ -114,8 +114,8 @@ class MapTaskContext : public MapContext {
         const std::string fname = SegmentFileName(job_id_, task_id_, p);
         created_files_.push_back(fname);
         SegmentWriteResult res;
-        ANTIMR_RETURN_NOT_OK(WritePossiblyCombined(
-            stream.get(), p, fname, codec, /*final_segment=*/true, &res));
+        ANTIMR_RETURN_NOT_OK(
+            WritePossiblyCombined(stream.get(), p, fname, codec, &res));
         result->segment_files[static_cast<size_t>(p)] = fname;
       }
       buffer_.Clear();
@@ -133,11 +133,11 @@ class MapTaskContext : public MapContext {
       // Stream each spill through a block reader: the merge holds O(block)
       // memory per spill instead of inflating every spill up front.
       std::vector<std::unique_ptr<KVStream>> inputs;
-      std::vector<std::unique_ptr<SegmentStream>> empty_spills;
+      std::vector<std::unique_ptr<BlockRunReader>> empty_spills;
       std::vector<const BlockReadStats*> spill_stats;
       inputs.reserve(spills.size());
       for (const std::string& fname : spills) {
-        std::unique_ptr<SegmentStream> reader;
+        std::unique_ptr<BlockRunReader> reader;
         ANTIMR_RETURN_NOT_OK(
             OpenSegmentReader(env_, fname, codec, {}, &reader));
         spill_stats.push_back(&reader->stats());
@@ -154,16 +154,12 @@ class MapTaskContext : public MapContext {
       created_files_.push_back(fname);
       SegmentWriteResult res;
       if (combine_on_merge) {
-        ANTIMR_RETURN_NOT_OK(WriteCombined(&merged, p, fname, codec,
-                                           /*final_segment=*/true, &res));
+        ANTIMR_RETURN_NOT_OK(WriteCombined(&merged, p, fname, codec, &res));
       } else {
         ScopedTimer t(&metrics_->cpu.merge);
-        // Merge-backed views die at each batch; the writer must copy.
-        ANTIMR_RETURN_NOT_OK(
-            WriteSegment(env_, fname, &merged,
-                         SegmentOptions(/*final_segment=*/true,
-                                        /*stable_input=*/false),
-                         &metrics_->cpu.compress, &res));
+        ANTIMR_RETURN_NOT_OK(WriteSegment(env_, fname, &merged, codec,
+                                          &metrics_->cpu.compress, &res,
+                                          spec_.shuffle_block_bytes));
       }
       for (const BlockReadStats* s : spill_stats) {
         metrics_->cpu.decompress += s->decode_nanos;
@@ -192,48 +188,19 @@ class MapTaskContext : public MapContext {
   }
 
  private:
-  /// Segment layout for everything this task writes, derived from the spec.
-  /// `final_segment` is true for the segments reducers fetch; intermediate
-  /// spills skip the eager-payload dictionary rewrite — they are merged and
-  /// deleted within this task, so rewriting them buys no shuffle bytes and
-  /// would cost a rewrite + rematerialize round trip per spill generation.
-  SegmentWriteOptions SegmentOptions(bool final_segment,
-                                     bool stable_input) const {
-    SegmentWriteOptions o;
-    o.format = spec_.record_format;
-    o.stable_input = stable_input;
-    if (spec_.record_format == RecordFormat::kColumnar) {
-      o.codec = GetCodec(spec_.EffectiveChunkCodec());
-      o.block_bytes = spec_.EffectiveChunkBlockBytes();
-      // Only anti-combined map output consists entirely of flagged EagerSH/
-      // LazySH payloads; plain jobs' values must never be parsed as such.
-      o.rewrite_eager_payloads =
-          final_segment && spec_.mapper_reports_logical_output;
-    } else {
-      o.codec = GetCodec(spec_.map_output_codec);
-      o.block_bytes = spec_.shuffle_block_bytes;
-    }
-    return o;
-  }
-
   Status WritePossiblyCombined(KVStream* stream, int partition,
                                const std::string& fname, const Codec* codec,
-                               bool final_segment, SegmentWriteResult* res) {
+                               SegmentWriteResult* res) {
     if (spec_.combiner_factory != nullptr) {
-      return WriteCombined(stream, partition, fname, codec, final_segment,
-                           res);
+      return WriteCombined(stream, partition, fname, codec, res);
     }
-    // Both callers drain buffer_.PartitionStream: views into the map-output
-    // arena, alive until buffer_.Clear() — after every write.
-    return WriteSegment(env_, fname, stream,
-                        SegmentOptions(final_segment, /*stable_input=*/true),
-                        &metrics_->cpu.compress, res);
+    return WriteSegment(env_, fname, stream, codec, &metrics_->cpu.compress,
+                        res, spec_.shuffle_block_bytes);
   }
 
   Status WriteCombined(KVStream* stream, int partition,
                        const std::string& fname, const Codec* codec,
-                       bool final_segment, SegmentWriteResult* res) {
-    (void)codec;
+                       SegmentWriteResult* res) {
     TaskInfo info = info_;
     info.shuffle_partition = partition;
     std::vector<KV> combined;
@@ -244,10 +211,8 @@ class MapTaskContext : public MapContext {
     metrics_->combine_input_records += stats.records;
     metrics_->combine_output_records += combined.size();
     KVVectorStream out(&combined);
-    // `combined` owns its records and outlives the write.
-    return WriteSegment(env_, fname, &out,
-                        SegmentOptions(final_segment, /*stable_input=*/true),
-                        &metrics_->cpu.compress, res);
+    return WriteSegment(env_, fname, &out, codec, &metrics_->cpu.compress, res,
+                        spec_.shuffle_block_bytes);
   }
 
   const JobSpec& spec_;

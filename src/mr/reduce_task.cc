@@ -61,122 +61,7 @@ class GroupValueIterator : public ValueIterator {
   Status status_;
 };
 
-// Iterates a group's values over two contiguous RecordRef spans: the carried
-// prefix (records interned from earlier batches) and the in-batch suffix.
-// No stream calls happen during iteration, so the Reduce call cannot
-// invalidate the views it is reading.
-class TwoSpanValueIterator : public ValueIterator {
- public:
-  TwoSpanValueIterator(const RecordRef* a, size_t na, const RecordRef* b,
-                       size_t nb)
-      : a_(a), na_(na), b_(b), nb_(nb) {}
-
-  bool Next(Slice* value) override {
-    const RecordRef* rec;
-    if (i_ < na_) {
-      rec = &a_[i_];
-    } else if (i_ - na_ < nb_) {
-      rec = &b_[i_ - na_];
-    } else {
-      return false;
-    }
-    ++i_;
-    cur_key_ = rec->key;
-    *value = rec->value;
-    return true;
-  }
-
-  Slice key() const override { return cur_key_; }
-
- private:
-  const RecordRef* a_;
-  size_t na_;
-  const RecordRef* b_;
-  size_t nb_;
-  size_t i_ = 0;
-  Slice cur_key_;
-};
-
 }  // namespace
-
-Status RunGroupsBatched(KVStream* stream, const KeyComparator& grouping_cmp,
-                        Reducer* reducer, ReduceContext* ctx,
-                        GroupRunStats* stats) {
-  RecordBatch batch;
-  const BatchOptions opts;
-  Arena carry_arena;
-  std::vector<RecordRef> carry;  // boundary-spanning group, interned
-  std::string carry_key;         // its group key (first record's key)
-
-  auto reduce_group = [&](const Slice& group_key, const RecordRef* a,
-                          size_t na, const RecordRef* b, size_t nb) {
-    TwoSpanValueIterator values(a, na, b, nb);
-    {
-      ScopedTimer t(&stats->fn_nanos);
-      reducer->Reduce(group_key, &values, ctx);
-    }
-    stats->groups += 1;
-    stats->records += na + nb;
-  };
-
-  ANTIMR_RETURN_NOT_OK(stream->NextBatch(&batch, opts));
-  while (!batch.empty()) {
-    // Eager streams are positioned past the batch, so one peek at the
-    // stream head decides whether the batch's final group continues. When
-    // it does not (next key differs, or the stream is done), every group in
-    // this batch is complete and nothing needs interning — the common case
-    // once batch boundaries land on group boundaries.
-    const bool tail_open =
-        stream->Valid() &&
-        grouping_cmp(stream->key(), batch.back().key) == 0;
-    size_t pos = 0;
-    if (!carry.empty()) {
-      // Continue the carried group while the batch head still matches.
-      size_t j = 0;
-      while (j < batch.size() &&
-             grouping_cmp(batch[j].key, Slice(carry_key)) == 0) {
-        ++j;
-      }
-      if (j == batch.size() && tail_open) {
-        for (const RecordRef& r : batch) {
-          carry.push_back(carry_arena.InternRecord(r.key, r.value));
-        }
-        ANTIMR_RETURN_NOT_OK(stream->NextBatch(&batch, opts));
-        continue;
-      }
-      reduce_group(Slice(carry_key), carry.data(), carry.size(), batch.data(),
-                   j);
-      carry.clear();
-      carry_arena.Clear();
-      pos = j;
-    }
-    while (pos < batch.size()) {
-      size_t j = pos + 1;
-      while (j < batch.size() &&
-             grouping_cmp(batch[j].key, batch[pos].key) == 0) {
-        ++j;
-      }
-      if (j < batch.size() || !tail_open) {
-        // Whole group inside this batch: reduce it zero-copy.
-        reduce_group(batch[pos].key, batch.data() + pos, j - pos, nullptr, 0);
-        pos = j;
-        continue;
-      }
-      // The group continues into the next batch: carry it.
-      carry_key.assign(batch[pos].key.data(), batch[pos].key.size());
-      for (size_t i = pos; i < batch.size(); ++i) {
-        carry.push_back(carry_arena.InternRecord(batch[i].key,
-                                                 batch[i].value));
-      }
-      break;
-    }
-    ANTIMR_RETURN_NOT_OK(stream->NextBatch(&batch, opts));
-  }
-  if (!carry.empty()) {
-    reduce_group(Slice(carry_key), carry.data(), carry.size(), nullptr, 0);
-  }
-  return Status::OK();
-}
 
 Status RunGroups(KVStream* stream, const KeyComparator& grouping_cmp,
                  Reducer* reducer, ReduceContext* ctx, GroupRunStats* stats) {
@@ -225,7 +110,7 @@ Status RunReduceTask(const JobSpec& spec, int partition,
   // Open every map task's segment for this partition as a streaming block
   // reader decoding out of reducer memory.
   std::vector<std::unique_ptr<KVStream>> segments;
-  std::vector<std::unique_ptr<SegmentStream>> empty_readers;
+  std::vector<std::unique_ptr<BlockRunReader>> empty_readers;
   // Raw stats pointers stay valid while `merged` / `empty_readers` own the
   // readers; stats are harvested after the merge completes.
   std::vector<const BlockReadStats*> reader_stats;
@@ -261,7 +146,7 @@ Status RunReduceTask(const JobSpec& spec, int partition,
   auto adopt_fetched = [&](const FetchedSegment& fs) -> Status {
     m.shuffle_bytes += fs.fetched_bytes;
     m.shuffle_fetch_wait_nanos += fs.fetch_nanos;
-    std::unique_ptr<SegmentStream> reader;
+    std::unique_ptr<BlockRunReader> reader;
     ANTIMR_RETURN_NOT_OK(
         OpenFetchedSegment(fs, codec, inputs.readahead_blocks, &reader));
     reader_stats.push_back(&reader->stats());
@@ -297,18 +182,8 @@ Status RunReduceTask(const JobSpec& spec, int partition,
   reducer->Setup(info, &ctx);
   GroupRunStats stats;
   const uint64_t merge_start = NowNanos();
-  // Columnar jobs drain the merge batch-wise: whole sorted runs per heap
-  // fix-up, whole groups per Reduce call. Reduce input (and therefore
-  // output) is byte-identical either way; the row path keeps the
-  // record-wise loop.
-  if (spec.record_format == RecordFormat::kColumnar &&
-      merged.SupportsEagerBatches()) {
-    ANTIMR_RETURN_NOT_OK(RunGroupsBatched(&merged, info.grouping_cmp,
-                                          reducer.get(), &ctx, &stats));
-  } else {
-    ANTIMR_RETURN_NOT_OK(
-        RunGroups(&merged, info.grouping_cmp, reducer.get(), &ctx, &stats));
-  }
+  ANTIMR_RETURN_NOT_OK(
+      RunGroups(&merged, info.grouping_cmp, reducer.get(), &ctx, &stats));
   const uint64_t merge_wall = NowNanos() - merge_start;
   const uint64_t fn_in_merge = stats.fn_nanos;
   {

@@ -29,17 +29,6 @@ struct GroupRunStats {
 Status RunGroups(KVStream* stream, const KeyComparator& grouping_cmp,
                  Reducer* reducer, ReduceContext* ctx, GroupRunStats* stats);
 
-/// Batched variant of RunGroups: drains `stream` via NextBatch and runs
-/// whole in-batch groups zero-copy, with one stream call per batch instead
-/// of per record. A group that crosses a batch boundary is carried in an
-/// arena until its end arrives (O(group) memory for boundary-spanning
-/// groups, O(1) otherwise). Reduce call order, group keys, and value order
-/// are identical to RunGroups. Intended for eager-batch streams; falls back
-/// to one-record batches (correct, slower) otherwise.
-Status RunGroupsBatched(KVStream* stream, const KeyComparator& grouping_cmp,
-                        Reducer* reducer, ReduceContext* ctx,
-                        GroupRunStats* stats);
-
 /// \brief ReduceContext that appends records to a vector.
 class CollectingContext : public ReduceContext {
  public:

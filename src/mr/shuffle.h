@@ -17,7 +17,6 @@
 #include "codec/codec.h"
 #include "io/env.h"
 #include "io/run_file.h"
-#include "table/format.h"
 
 namespace antimr {
 
@@ -39,35 +38,13 @@ struct SegmentWriteResult {
   uint64_t stored_bytes = 0;  ///< bytes written to the file
   uint64_t records = 0;
   uint64_t blocks = 0;
-  uint64_t dict_blocks = 0;       ///< columnar only: dictionary-keyed blocks
-  uint64_t payload_rewrites = 0;  ///< columnar only: EagerSH->dict rewrites
 };
 
-/// How WriteSegment lays a segment out on storage.
-struct SegmentWriteOptions {
-  RecordFormat format = RecordFormat::kRow;
-  /// Codec for row blocks, and the per-column candidate for columnar ones.
-  const Codec* codec = nullptr;  ///< null = kNone
-  size_t block_bytes = kShuffleBlockBytes;
-  /// Columnar only: rewrite EagerSH payloads against the block dictionary
-  /// (safe only when every value is an anti-combining flagged payload).
-  bool rewrite_eager_payloads = false;
-  /// The stream's record views stay valid until WriteSegment returns (true
-  /// for arena-backed buffer drains and owned vectors; false for merges,
-  /// whose views die at each batch). Lets the columnar writer stage views
-  /// instead of copying every record.
-  bool stable_input = false;
-};
-
-/// Serialize `stream` (already key-sorted) into `options.format` — row
-/// block-framed runs or columnar chunks — and write to `fname`. Streaming
-/// and batched: records drain via NextBatch, memory use is O(block).
-/// Compression CPU is added to *compress_nanos.
-Status WriteSegment(Env* env, const std::string& fname, KVStream* stream,
-                    const SegmentWriteOptions& options,
-                    uint64_t* compress_nanos, SegmentWriteResult* out);
-
-/// Row-format convenience overload (the pre-columnar signature).
+/// Serialize `stream` (already key-sorted) into block-framed runs of
+/// ~`block_bytes` raw bytes, each compressed with `codec` (null = kNone),
+/// and write them to `fname`. Streaming and batched: records drain via
+/// NextBatch, memory use is O(block). Compression CPU is added to
+/// *compress_nanos.
 Status WriteSegment(Env* env, const std::string& fname, KVStream* stream,
                     const Codec* codec, uint64_t* compress_nanos,
                     SegmentWriteResult* out,
@@ -75,22 +52,14 @@ Status WriteSegment(Env* env, const std::string& fname, KVStream* stream,
 
 struct SegmentReadOptions {
   size_t readahead_blocks = kShuffleReadaheadBlocks;
-  /// Optional key-range prune (columnar segments only; borrowed, must
-  /// outlive the reader). Blocks whose min/max stats miss the range are
-  /// skipped without reading — their bytes pay no disk cost.
-  const KeyRange* prune = nullptr;
-  /// Comparator the segment was sorted with; required when prune is set.
-  KeyComparator prune_cmp;
 };
 
 /// Open `fname` as a streaming segment reader positioned at its first
-/// record. The storage format is detected from the file magic ("ABS1" row
-/// runs vs "ACH1" columnar chunks), so readers never need to know how a
-/// segment was written. Per-block CRC failures surface as
-/// Status::Corruption with file and block context.
+/// record. A file without the block-segment magic, and per-block CRC
+/// failures, surface as Status::Corruption with file and block context.
 Status OpenSegmentReader(Env* env, const std::string& fname,
                          const Codec* codec, const SegmentReadOptions& options,
-                         std::unique_ptr<SegmentStream>* reader);
+                         std::unique_ptr<BlockRunReader>* reader);
 
 /// \brief One segment copied to the reduce side by a concurrent fetcher.
 ///
@@ -105,16 +74,12 @@ struct FetchedSegment {
                                ///< disk and network transfer time
 };
 
-/// Open a previously fetched segment as a streaming reader, detecting the
-/// format from the frames' magic like OpenSegmentReader. `segment` must
-/// outlive the reader (its frames are borrowed, not copied). Pruning via
-/// `prune`/`prune_cmp` (columnar only) skips decode CPU — the bytes were
-/// already transferred by the fetch.
+/// Open a previously fetched segment as a streaming reader, with the same
+/// checks as OpenSegmentReader. `segment` must outlive the reader (its frames
+/// are borrowed, not copied).
 Status OpenFetchedSegment(const FetchedSegment& segment, const Codec* codec,
                           size_t readahead_blocks,
-                          std::unique_ptr<SegmentStream>* reader,
-                          const KeyRange* prune = nullptr,
-                          KeyComparator prune_cmp = KeyComparator());
+                          std::unique_ptr<BlockRunReader>* reader);
 
 }  // namespace antimr
 

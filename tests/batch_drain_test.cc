@@ -14,8 +14,6 @@
 
 #include "io/merger.h"
 #include "io/run_file.h"
-#include "table/chunk_reader.h"
-#include "table/chunk_writer.h"
 
 namespace antimr {
 namespace {
@@ -39,20 +37,27 @@ class BatchDrainTest : public ::testing::Test {
     env_ = NewMemEnv();
     records_ = SortedRecords(5000);
     std::unique_ptr<WritableFile> file;
-    ASSERT_TRUE(env_->NewWritableFile("chunk", &file).ok());
-    ChunkWriter::Options wopts;
-    wopts.block_bytes = 8 * 1024;
-    ChunkWriter writer(std::move(file), wopts);
+    ASSERT_TRUE(env_->NewWritableFile("seg", &file).ok());
+    BlockRunWriter writer(std::move(file), GetCodec(CodecType::kNone),
+                          {8 * 1024});
     for (const auto& [k, v] : records_) {
-      ASSERT_TRUE(writer.Append(k, v).ok());
+      ASSERT_TRUE(writer.Add(k, v).ok());
     }
     ASSERT_TRUE(writer.Finish().ok());
   }
 
+  std::unique_ptr<BlockRunReader> OpenSegment() {
+    std::unique_ptr<SequentialFile> file;
+    EXPECT_TRUE(env_->NewSequentialFile("seg", &file).ok());
+    auto reader = std::make_unique<BlockRunReader>(
+        std::move(file), GetCodec(CodecType::kNone), BlockRunReader::Options());
+    EXPECT_TRUE(reader->Open().ok());
+    return reader;
+  }
+
   /// Allocations for a full record-at-a-time drain of a fresh reader.
   uint64_t RecordDrainAllocs(size_t* count_out) {
-    std::unique_ptr<ChunkReader> reader;
-    EXPECT_TRUE(OpenChunk(env_.get(), "chunk", {}, &reader).ok());
+    std::unique_ptr<BlockRunReader> reader = OpenSegment();
     size_t count = 0;
     const uint64_t before = test_alloc::AllocationCount();
     while (reader->Valid()) {
@@ -68,8 +73,7 @@ class BatchDrainTest : public ::testing::Test {
   /// reused across calls, as the real drain loops reuse theirs: its capacity
   /// growth is a one-time cost, paid in the warm-up run.
   uint64_t BatchDrainAllocs(size_t* count_out) {
-    std::unique_ptr<ChunkReader> reader;
-    EXPECT_TRUE(OpenChunk(env_.get(), "chunk", {}, &reader).ok());
+    std::unique_ptr<BlockRunReader> reader = OpenSegment();
     BatchOptions opts;
     size_t count = 0;
     const uint64_t before = test_alloc::AllocationCount();
@@ -88,7 +92,7 @@ class BatchDrainTest : public ::testing::Test {
   RecordBatch batch_;
 };
 
-TEST_F(BatchDrainTest, BatchedChunkDrainAllocatesNoMoreThanRecordDrain) {
+TEST_F(BatchDrainTest, BatchedSegmentDrainAllocatesNoMoreThanRecordDrain) {
   // Warm both paths once: first-use growth (decode scratch, batch capacity)
   // is not what this test polices.
   size_t n = 0;

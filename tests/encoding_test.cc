@@ -115,6 +115,16 @@ TEST(Encoding, RejectsBadFlag) {
                   .IsCorruption());
 }
 
+// Flag 2 is not an encoding: a stray byte 2 (say, an EagerSH payload with
+// its key list rewritten to ids) must not reach the decoders' non-EagerSH
+// branch and be misparsed as a LazySH record.
+TEST(Encoding, RejectsFlagTwo) {
+  const std::string payload("\x02\x01\x00value", 8);
+  Encoding encoding;
+  Slice rest;
+  EXPECT_TRUE(GetEncoding(Slice(payload), &encoding, &rest).IsCorruption());
+}
+
 TEST(Encoding, RejectsTruncatedEagerKeys) {
   std::string payload;
   EncodeEagerPayload({Slice("a-long-key-name")}, Slice("v"), &payload);

@@ -281,52 +281,56 @@ TEST_F(FaultInjection, TransientFaultsRecoverWithRetries) {
   }
 }
 
-// The storage format must be invisible in results, even under faults and
-// retries: a columnar-format run (compressed chunks, small blocks) must
-// produce byte-identical output to the row-format clean run, both on a
-// clean pass and across a transient-fault sweep with retries.
-TEST_F(FaultInjection, ColumnarOutputMatchesRowUnderTransientFaults) {
-  std::vector<KV> row_output;
+// Segment compression and block size must be invisible in results, even
+// under faults and retries: a run with snappy-compressed, 1 KiB-block
+// segments (many blocks per spill and per shuffled segment) must produce
+// byte-identical output to the uncompressed clean run, both on a clean pass
+// and across a transient-fault sweep with retries.
+TEST_F(FaultInjection, CompressedManyBlockOutputMatchesUnderTransientFaults) {
+  std::vector<KV> plain_output;
   {
     auto env = NewMemEnv();
     JobResult result;
     ASSERT_TRUE(RunJob(TestJob(), MakeSplits(TestInput(), 2),
                        MakeOptions(env.get()), &result)
                     .ok());
-    row_output = result.FlatOutput();
+    plain_output = result.FlatOutput();
   }
-  ASSERT_FALSE(row_output.empty());
+  ASSERT_FALSE(plain_output.empty());
 
-  RunOptions columnar = MakeOptions(nullptr);
-  columnar.record_format = RecordFormat::kColumnar;
-  columnar.chunk_codec = CodecType::kSnappyLike;
-  columnar.chunk_block_bytes = 1024;  // many blocks per segment
+  JobSpec spec = TestJob();
+  spec.map_output_codec = CodecType::kSnappyLike;
+  spec.shuffle_block_bytes = 1024;  // many blocks per segment
+  RunOptions options = MakeOptions(nullptr);
 
   int total_ops = 0;
   {
     FaultyEnv env(NewMemEnv(), FaultyEnv::kForever);
-    columnar.env = &env;
+    options.env = &env;
     JobResult result;
     ASSERT_TRUE(
-        RunJob(TestJob(), MakeSplits(TestInput(), 2), columnar, &result).ok());
-    EXPECT_TRUE(result.FlatOutput() == row_output)
-        << "clean columnar run diverged from row format";
+        RunJob(spec, MakeSplits(TestInput(), 2), options, &result).ok());
+    EXPECT_TRUE(result.FlatOutput() == plain_output)
+        << "clean compressed run diverged from the uncompressed run";
+    EXPECT_GT(result.metrics.shuffle_blocks,
+              static_cast<uint64_t>(2 * spec.num_reduce_tasks))
+        << "segments must span several blocks";
     total_ops = env.operations_seen();
   }
   ASSERT_GT(total_ops, 20);
 
-  columnar.max_task_attempts = 3;
-  columnar.retry_backoff_nanos = 1000;  // keep the sweep fast
+  options.max_task_attempts = 3;
+  options.retry_backoff_nanos = 1000;  // keep the sweep fast
   for (int fail_at = 0; fail_at < total_ops; fail_at += 7) {
     FaultyEnv env(NewMemEnv(), fail_at, /*fail_times=*/1);
-    columnar.env = &env;
+    options.env = &env;
     JobResult result;
     const Status st =
-        RunJob(TestJob(), MakeSplits(TestInput(), 2), columnar, &result);
+        RunJob(spec, MakeSplits(TestInput(), 2), options, &result);
     ASSERT_TRUE(st.ok()) << "fault at op " << fail_at
                          << " not survived: " << st.ToString();
-    EXPECT_TRUE(result.FlatOutput() == row_output)
-        << "columnar output diverged, fault at op " << fail_at;
+    EXPECT_TRUE(result.FlatOutput() == plain_output)
+        << "compressed output diverged, fault at op " << fail_at;
   }
 }
 

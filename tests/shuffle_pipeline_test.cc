@@ -55,7 +55,7 @@ TEST_P(BlockSegmentTest, MultiBlockRoundTrip) {
       WriteTestSegment(env_.get(), "seg", records, codec, 1024, &wr).ok());
   EXPECT_GT(wr.blocks, 10u) << "1 KiB blocks must cut this segment often";
 
-  std::unique_ptr<SegmentStream> reader;
+  std::unique_ptr<BlockRunReader> reader;
   ASSERT_TRUE(OpenSegmentReader(env_.get(), "seg", codec, {}, &reader).ok());
   size_t i = 0;
   while (reader->Valid()) {
@@ -97,7 +97,7 @@ TEST(BlockSegment, ByteFlipSurfacesCorruptionWithContext) {
   ASSERT_TRUE(f->Append(data).ok());
   ASSERT_TRUE(f->Close().ok());
 
-  std::unique_ptr<SegmentStream> reader;
+  std::unique_ptr<BlockRunReader> reader;
   Status open = OpenSegmentReader(env.get(), "seg", codec, {}, &reader);
   Status st = open;
   if (open.ok()) {
@@ -166,7 +166,7 @@ TEST(BlockSegment, ReaderMemoryBoundedByReadahead) {
 
   SegmentReadOptions opts;
   opts.readahead_blocks = 2;
-  std::unique_ptr<SegmentStream> reader;
+  std::unique_ptr<BlockRunReader> reader;
   ASSERT_TRUE(OpenSegmentReader(env.get(), "seg", codec, opts, &reader).ok());
   size_t n = 0;
   while (reader->Valid()) {

@@ -32,7 +32,7 @@ TEST_P(ShuffleTest, SegmentRoundTrip) {
   EXPECT_GT(write_result.raw_bytes, 0u);
   EXPECT_GT(write_result.blocks, 0u);
 
-  std::unique_ptr<SegmentStream> out;
+  std::unique_ptr<BlockRunReader> out;
   ASSERT_TRUE(OpenSegmentReader(env_.get(), "seg", codec, {}, &out).ok());
   size_t i = 0;
   while (out->Valid()) {
@@ -70,7 +70,7 @@ TEST_P(ShuffleTest, FetchedSegmentRoundTrip) {
   EXPECT_EQ(fetched.fetched_bytes, write_result.stored_bytes);
   EXPECT_EQ(fetched.file, "seg");
 
-  std::unique_ptr<SegmentStream> out;
+  std::unique_ptr<BlockRunReader> out;
   ASSERT_TRUE(
       OpenFetchedSegment(fetched, codec, kShuffleReadaheadBlocks, &out).ok());
   size_t i = 0;
@@ -93,7 +93,7 @@ TEST_P(ShuffleTest, EmptySegment) {
   ASSERT_TRUE(
       WriteSegment(env_.get(), "empty", &in, codec, &nanos, &result).ok());
   EXPECT_EQ(result.records, 0u);
-  std::unique_ptr<SegmentStream> out;
+  std::unique_ptr<BlockRunReader> out;
   ASSERT_TRUE(OpenSegmentReader(env_.get(), "empty", codec, {}, &out).ok());
   EXPECT_FALSE(out->Valid());
 }
@@ -119,7 +119,7 @@ TEST(ShuffleNames, AreUniquePerTaskPartitionAndSpill) {
 
 TEST(ShuffleCompression, MissingSegmentIsError) {
   auto env = NewMemEnv();
-  std::unique_ptr<SegmentStream> out;
+  std::unique_ptr<BlockRunReader> out;
   EXPECT_FALSE(
       OpenSegmentReader(env.get(), "nope", GetCodec(CodecType::kNone), {}, &out)
           .ok());
@@ -131,12 +131,153 @@ TEST(ShuffleCompression, CorruptSegmentIsError) {
   ASSERT_TRUE(env->NewWritableFile("bad", &f).ok());
   ASSERT_TRUE(f->Append("this is not gzip").ok());
   ASSERT_TRUE(f->Close().ok());
-  std::unique_ptr<SegmentStream> out;
+  std::unique_ptr<BlockRunReader> out;
   Status st =
       OpenSegmentReader(env.get(), "bad", GetCodec(CodecType::kGzip), {}, &out);
   EXPECT_FALSE(st.ok());
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
 }
+
+// ---- Both segment openers against damaged bytes ---------------------------
+
+enum class Opener { kFile, kFetched };
+
+/// Open `bytes` as segment "seg" through `opener` and drain it. Returns the
+/// first open or read error; *records gets every record served before it.
+Status ReadSegmentBytes(Opener opener, const std::string& bytes,
+                        const Codec* codec, std::vector<KV>* records) {
+  records->clear();
+  std::unique_ptr<Env> env = NewMemEnv();
+  FetchedSegment fetched;
+  std::unique_ptr<BlockRunReader> reader;
+  Status st;
+  if (opener == Opener::kFile) {
+    std::unique_ptr<WritableFile> f;
+    ANTIMR_RETURN_NOT_OK(env->NewWritableFile("seg", &f));
+    ANTIMR_RETURN_NOT_OK(f->Append(bytes));
+    ANTIMR_RETURN_NOT_OK(f->Close());
+    st = OpenSegmentReader(env.get(), "seg", codec, {}, &reader);
+  } else {
+    fetched.file = "seg";
+    fetched.frames = bytes;
+    fetched.fetched_bytes = bytes.size();
+    st = OpenFetchedSegment(fetched, codec, kShuffleReadaheadBlocks, &reader);
+  }
+  while (st.ok() && reader->Valid()) {
+    records->push_back({reader->key().ToString(), reader->value().ToString()});
+    st = reader->Next();
+  }
+  return st;
+}
+
+/// A small snappy segment cut into many blocks, and the records it holds.
+std::string SmallMultiBlockSegment(std::vector<KV>* records) {
+  records->clear();
+  for (int i = 0; i < 60; ++i) {
+    records->push_back({"key" + std::to_string(100 + i),
+                        "value value value " + std::to_string(i % 7)});
+  }
+  auto env = NewMemEnv();
+  KVVectorStream in(records);
+  SegmentWriteResult wr;
+  EXPECT_TRUE(WriteSegment(env.get(), "seg", &in,
+                           GetCodec(CodecType::kSnappyLike), nullptr, &wr,
+                           /*block_bytes=*/256)
+                  .ok());
+  EXPECT_GE(wr.blocks, 4u) << "test needs a multi-block segment";
+  EXPECT_LT(wr.stored_bytes, wr.raw_bytes) << "snappy must compress";
+  std::string bytes;
+  EXPECT_TRUE(ReadFileToString(env.get(), "seg", &bytes).ok());
+  return bytes;
+}
+
+bool IsPrefix(const std::vector<KV>& prefix, const std::vector<KV>& all) {
+  if (prefix.size() > all.size()) return false;
+  for (size_t i = 0; i < prefix.size(); ++i) {
+    if (prefix[i].key != all[i].key || prefix[i].value != all[i].value) {
+      return false;
+    }
+  }
+  return true;
+}
+
+class SegmentOpenerTest : public ::testing::TestWithParam<Opener> {};
+
+TEST_P(SegmentOpenerTest, ForeignOrMissingMagicIsCorruption) {
+  // "ACH1" was the magic of the deleted columnar chunk format.
+  std::vector<KV> records;
+  const std::string segment = SmallMultiBlockSegment(&records);
+  const std::string body = segment.substr(4);
+  for (const std::string& bytes :
+       {std::string(), std::string("AB"), std::string("ABS"), "ACH1" + body,
+        "abs1" + body, "XYZ1" + body, body}) {
+    std::vector<KV> read;
+    const Status st = ReadSegmentBytes(
+        GetParam(), bytes, GetCodec(CodecType::kSnappyLike), &read);
+    EXPECT_TRUE(st.IsCorruption())
+        << bytes.size() << " bytes: " << st.ToString();
+    EXPECT_NE(st.ToString().find("segment seg"), std::string::npos)
+        << st.ToString();
+    EXPECT_TRUE(read.empty());
+  }
+}
+
+TEST_P(SegmentOpenerTest, TruncatedSegmentIsCorruptionOrShorterPrefix) {
+  // Frames carry no trailer, so a cut exactly at a frame boundary reads as a
+  // shorter segment; every other cut must surface Corruption.
+  std::vector<KV> records;
+  const std::string segment = SmallMultiBlockSegment(&records);
+  size_t corrupt = 0;
+  for (size_t cut = 0; cut < segment.size(); ++cut) {
+    std::vector<KV> read;
+    const Status st =
+        ReadSegmentBytes(GetParam(), segment.substr(0, cut),
+                         GetCodec(CodecType::kSnappyLike), &read);
+    if (st.ok()) {
+      EXPECT_GE(cut, 4u) << "a cut inside the magic opened cleanly";
+      EXPECT_LT(read.size(), records.size()) << "cut at " << cut;
+      EXPECT_TRUE(IsPrefix(read, records)) << "cut at " << cut;
+    } else {
+      ASSERT_TRUE(st.IsCorruption()) << "cut at " << cut << ": "
+                                     << st.ToString();
+      EXPECT_TRUE(IsPrefix(read, records)) << "cut at " << cut;
+      ++corrupt;
+    }
+  }
+  EXPECT_GT(corrupt, segment.size() / 2);
+}
+
+TEST_P(SegmentOpenerTest, EveryByteFlipIsCorruptionNamingSegmentAndBlock) {
+  std::vector<KV> records;
+  const std::string segment = SmallMultiBlockSegment(&records);
+  for (size_t pos = 0; pos < segment.size(); ++pos) {
+    for (const unsigned char mask : {0x01, 0x80}) {
+      std::string bytes = segment;
+      bytes[pos] = static_cast<char>(bytes[pos] ^ mask);
+      std::vector<KV> read;
+      const Status st = ReadSegmentBytes(
+          GetParam(), bytes, GetCodec(CodecType::kSnappyLike), &read);
+      if (st.ok()) {
+        // Only an undetectable flip may pass, and it must change nothing.
+        EXPECT_EQ(read.size(), records.size()) << "flip at " << pos;
+        EXPECT_TRUE(IsPrefix(read, records)) << "flip at " << pos;
+        continue;
+      }
+      ASSERT_TRUE(st.IsCorruption()) << "flip at " << pos << ": "
+                                     << st.ToString();
+      EXPECT_NE(st.ToString().find("segment seg block "), std::string::npos)
+          << "flip at " << pos << ": " << st.ToString();
+      EXPECT_TRUE(IsPrefix(read, records)) << "flip at " << pos;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Openers, SegmentOpenerTest,
+    ::testing::Values(Opener::kFile, Opener::kFetched),
+    [](const ::testing::TestParamInfo<Opener>& info) {
+      return std::string(info.param == Opener::kFile ? "File" : "Fetched");
+    });
 
 }  // namespace
 }  // namespace antimr

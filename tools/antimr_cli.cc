@@ -22,12 +22,10 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "antimr.h"
-#include "common/hash.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
@@ -85,12 +83,6 @@ int Usage() {
       "  --codec=none|snappy|deflate|gzip|bzip2    (default none)\n"
       "  --records=N --maps=N --reduces=N --seed=N\n"
       "  --disk-mbps=N --net-mbps=N   simulated hardware (default off)\n"
-      "  --row-format=row|columnar    storage layout of spills and shuffle\n"
-      "                        segments (default: the spec's, normally row)\n"
-      "  --chunk-block-size=BYTES  columnar block target size (default:\n"
-      "                        the shuffle block size)\n"
-      "  --chunk-codec=none|snappy|deflate|gzip|bzip2  per-column codec\n"
-      "                        cap for columnar chunks (default: --codec)\n"
       "  --max-task-attempts=N total executions allowed per task; N>1\n"
       "                        retries transient (I/O) task failures with\n"
       "                        capped exponential backoff (default 1)\n"
@@ -183,30 +175,6 @@ int Usage() {
   return 2;
 }
 
-/// Storage-format knobs shared by the run and pipeline commands. Parsed into
-/// the per-run override optionals (RunOptions / ExecutorOptions), so an
-/// unset flag leaves the stage spec's own choice in force.
-Status ParseFormatFlags(const Flags& flags,
-                        std::optional<RecordFormat>* record_format,
-                        std::optional<size_t>* chunk_block_bytes,
-                        std::optional<CodecType>* chunk_codec) {
-  if (flags.Has("row-format")) {
-    RecordFormat format = RecordFormat::kRow;
-    ANTIMR_RETURN_NOT_OK(
-        RecordFormatFromName(flags.GetString("row-format", "row"), &format));
-    *record_format = format;
-  }
-  if (flags.Has("chunk-block-size")) {
-    *chunk_block_bytes = flags.GetUint("chunk-block-size", 0);
-  }
-  if (flags.Has("chunk-codec")) {
-    const auto codec = CodecTypeFromName(flags.GetString("chunk-codec", ""));
-    if (!codec.ok()) return codec.status();
-    *chunk_codec = codec.value();
-  }
-  return Status::OK();
-}
-
 Status BuildJob(const Flags& flags, JobSpec* spec,
                 std::vector<InputSplit>* splits, uint64_t records,
                 int maps) {
@@ -273,7 +241,6 @@ Status BuildJob(const Flags& flags, JobSpec* spec,
   return Status::InvalidArgument("unknown workload: " + workload);
 }
 
-uint64_t HashOutput(const std::vector<KV>& kvs);
 int DistRunCommand(const Flags& flags, const std::string& mode);
 Status WriteTextFile(const std::string& path, const std::string& body);
 
@@ -327,9 +294,6 @@ int SkewRunCommand(const Flags& flags, const JobSpec& spec,
   exec_options.num_workers = run.num_workers;
   exec_options.hardware = run.hardware;
   exec_options.max_task_attempts = run.max_task_attempts;
-  exec_options.record_format = run.record_format;
-  exec_options.chunk_block_bytes = run.chunk_block_bytes;
-  exec_options.chunk_codec = run.chunk_codec;
   exec_options.collect_outputs = flags.Has("output-hash");
   engine::Executor executor(exec_options);
   engine::PlanResult result;
@@ -346,7 +310,8 @@ int SkewRunCommand(const Flags& flags, const JobSpec& spec,
   if (flags.Has("output-hash")) {
     const std::vector<KV> flat = result.FlatOutput(output);
     std::printf("output_hash=%016llx output_records=%zu\n",
-                static_cast<unsigned long long>(HashOutput(flat)),
+                static_cast<unsigned long long>(
+                    engine::OutputMultisetHash(flat)),
                 flat.size());
   }
   if (flags.GetBool("json", false)) {
@@ -386,15 +351,6 @@ int RunCommand(const Flags& flags) {
   run.collect_task_metrics = flags.Has("top-tasks");
   run.max_task_attempts =
       static_cast<int>(flags.GetUint("max-task-attempts", 1));
-  {
-    const Status st = ParseFormatFlags(flags, &run.record_format,
-                                       &run.chunk_block_bytes,
-                                       &run.chunk_codec);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return Usage();
-    }
-  }
 
   // PageRank is iterative: one multi-stage plan, a stage per iteration.
   if (workload == "pagerank") {
@@ -411,9 +367,6 @@ int RunCommand(const Flags& flags) {
     exec_options.num_workers = run.num_workers;
     exec_options.hardware = run.hardware;
     exec_options.max_task_attempts = run.max_task_attempts;
-    exec_options.record_format = run.record_format;
-    exec_options.chunk_block_bytes = run.chunk_block_bytes;
-    exec_options.chunk_codec = run.chunk_codec;
     engine::Executor executor(exec_options);
     workloads::PageRankRunResult result;
     engine::PlanResult plan_result;
@@ -468,7 +421,8 @@ int RunCommand(const Flags& flags) {
   if (flags.Has("output-hash")) {
     const std::vector<KV> flat = result.FlatOutput();
     std::printf("output_hash=%016llx output_records=%zu\n",
-                static_cast<unsigned long long>(HashOutput(flat)),
+                static_cast<unsigned long long>(
+                    engine::OutputMultisetHash(flat)),
                 flat.size());
   }
   if (flags.GetBool("json", false)) {
@@ -567,13 +521,6 @@ int PipelineCommand(const Flags& flags) {
   exec_options.collect_task_metrics = flags.Has("top-tasks");
   exec_options.max_task_attempts =
       static_cast<int>(flags.GetUint("max-task-attempts", 1));
-  st = ParseFormatFlags(flags, &exec_options.record_format,
-                        &exec_options.chunk_block_bytes,
-                        &exec_options.chunk_codec);
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-    return Usage();
-  }
   engine::Executor executor(exec_options);
   engine::PlanResult result;
   st = executor.Run(plan, &result);
@@ -652,21 +599,6 @@ int CodecsCommand(const Flags& flags) {
                 FormatNanos(decompress_nanos).c_str());
   }
   return 0;
-}
-
-/// Order-insensitive digest over the flattened output: the wrapping sum of
-/// per-record FNV hashes (value hashed with the key's hash as seed). Two
-/// runs that produced the same key/value multiset hash equal even when
-/// partition placement differs — so hash-, range-, and split-partitioned
-/// runs of the same job are directly comparable, as are cross-process runs
-/// (the identity check run_local_cluster.sh relies on).
-uint64_t HashOutput(const std::vector<KV>& kvs) {
-  uint64_t h = 0;
-  for (const KV& kv : kvs) {
-    h += Hash64(kv.value.data(), kv.value.size(),
-                Hash64(kv.key.data(), kv.key.size()));
-  }
-  return h;
 }
 
 /// Chunk `records` exactly like MakeSplits (mr/types.cc) so distributed map
@@ -901,7 +833,8 @@ int DistRunCommand(const Flags& flags, const std::string& mode) {
   if (flags.Has("output-hash")) {
     const std::vector<KV> flat = result.FlatOutput();
     std::printf("output_hash=%016llx output_records=%zu\n",
-                static_cast<unsigned long long>(HashOutput(flat)),
+                static_cast<unsigned long long>(
+                    engine::OutputMultisetHash(flat)),
                 flat.size());
   }
   if (flags.GetBool("json", false)) {
