@@ -10,8 +10,8 @@ namespace {
 // Slicing-by-8 tables: table[0] is the classic byte-at-a-time CRC-32
 // (polynomial 0xedb88320) table; table[k][b] advances byte b through k
 // additional zero bytes. Eight table lookups then retire eight input bytes
-// per iteration, which matters because every block payload on the chunk
-// and run-file read paths is CRC'd before use.
+// per iteration, which matters because every block payload of a shuffle
+// segment is CRC'd when it is written and again before it is decoded.
 std::array<std::array<uint32_t, 256>, 8> MakeTables() {
   std::array<std::array<uint32_t, 256>, 8> tables{};
   for (uint32_t i = 0; i < 256; ++i) {

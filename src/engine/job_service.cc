@@ -57,7 +57,8 @@ bool IsTerminalState(const std::string& state) {
 struct MapPlacement {
   std::mutex mu;  ///< serializes heal re-runs of this map
   uint32_t worker = 0;
-  std::vector<std::string> segment_files;  ///< per reduce partition
+  /// Per reduce partition, the map's segment files in run order.
+  std::vector<std::vector<std::string>> segment_files;
   JobMetrics metrics;                      ///< latest attempt only
   uint64_t cpu_nanos = 0;
   std::atomic<uint32_t> attempts{0};  ///< executions started (job_id scope)
@@ -493,15 +494,15 @@ Status ExecuteDistJob(Coordinator* coord, const DistJobOptions& options,
           base.collect_output = options.collect_outputs;
           base.network_mb_per_s = options.network_mb_per_s;
           base.readahead_blocks = options.readahead_blocks;
-          // Segment list in map-index order: merge order is part of the
-          // output contract, identical to the single-process planner.
+          // Segment list in (map index, run) order: merge order is part of
+          // the output contract, identical to the single-process planner.
           for (int m = 0; m < num_maps; ++m) {
             MapPlacement& loc = placements[m];
             std::lock_guard<std::mutex> lock(loc.mu);
-            const std::string& file = loc.segment_files[p];
-            if (file.empty()) continue;
-            base.segments.push_back(
-                {coord->WorkerShuffleAddr(loc.worker), file});
+            for (const std::string& file : loc.segment_files[p]) {
+              base.segments.push_back(
+                  {coord->WorkerShuffleAddr(loc.worker), file});
+            }
           }
           auto start_attempt =
               [&, base](uint32_t exclude, std::atomic<uint64_t>* rpc_id,

@@ -194,8 +194,9 @@ Status LowerPlan(const PlannerContext& ctx, TaskGraph* graph,
           deps, TaskGraph::TaskOptions{});
     }
 
-    // Concurrent fetches overlap the map wave: fetch(p, m) runs the moment
-    // map m finishes; only the merge+reduce waits for all of p's inputs.
+    // Concurrent fetches overlap the map wave: fetch(p, m) pulls every
+    // segment of map m for partition p the moment map m finishes; only the
+    // merge+reduce waits for all of p's inputs.
     st->reduce_task_ids.assign(num_reduce, -1);
     st->fetched.resize(num_reduce);
     for (auto& per_map : st->fetched) per_map.resize(num_maps);
@@ -208,16 +209,18 @@ Status LowerPlan(const PlannerContext& ctx, TaskGraph* graph,
         TaskGraph::TaskOptions fetch_options;
         fetch_options.pool = ctx.fetch_pool;
         fetch_ids.push_back(graph->AddTask(
-            [&ctx, st, p, m](int attempt) {
-              const std::string& fname = st->map_results[m].segment_files[p];
-              if (fname.empty()) return Status::OK();
+            [&ctx, st, p, m](int) {
+              const std::vector<std::string>& files =
+                  st->map_results[m].segment_files[p];
+              if (files.empty()) return Status::OK();
               ANTIMR_TRACE_SPAN_DYN(
                   "task", "fetch:" + st->trace_label + " p" +
                               std::to_string(p) + " m" + std::to_string(m));
-              // A retried fetch starts over from an empty segment so a
-              // partially-filled buffer from the failed attempt cannot
-              // leak into the merge.
-              if (attempt > 0) st->fetched[p][m] = FetchedSegment();
+              // Every attempt starts over from empty segments so a
+              // partially-filled buffer from a failed attempt cannot leak
+              // into the merge.
+              std::vector<FetchedSegment>& out = st->fetched[p][m];
+              out.assign(files.size(), FetchedSegment());
               if (st->maps_remaining.load(std::memory_order_relaxed) > 0) {
                 st->overlapped_fetches.fetch_add(1,
                                                  std::memory_order_relaxed);
@@ -225,8 +228,11 @@ Status LowerPlan(const PlannerContext& ctx, TaskGraph* graph,
               const uint64_t cpu_start = ThreadCpuNanos();
               // Over the shuffle service, so the copy crosses the counted
               // transport boundary.
-              Status status = ctx.shuffle->Fetch(ctx.shuffle_addr, fname,
-                                                 &st->fetched[p][m]);
+              Status status;
+              for (size_t r = 0; r < files.size() && status.ok(); ++r) {
+                status = ctx.shuffle->Fetch(ctx.shuffle_addr, files[r],
+                                            &out[r]);
+              }
               st->fetch_cpu[p].fetch_add(ThreadCpuNanos() - cpu_start,
                                          std::memory_order_relaxed);
               return status;
@@ -238,11 +244,14 @@ Status LowerPlan(const PlannerContext& ctx, TaskGraph* graph,
             if (attempt > 0) st->reduce_results[p] = ReduceTaskResult();
             ReduceTaskInputs inputs;
             inputs.readahead_blocks = ctx.readahead_blocks;
-            // Borrow the fetched segments — the StageExec keeps owning
-            // them so a transiently-failed reduce retries against the
-            // same bytes instead of finding moved-out empties.
-            for (const FetchedSegment& fs : st->fetched[p]) {
-              if (!fs.file.empty()) inputs.fetched.push_back(&fs);
+            // Borrow the fetched segments in (map, run) order — the
+            // StageExec keeps owning them so a transiently-failed reduce
+            // retries against the same bytes instead of finding moved-out
+            // empties.
+            for (const std::vector<FetchedSegment>& runs : st->fetched[p]) {
+              for (const FetchedSegment& fs : runs) {
+                inputs.fetched.push_back(&fs);
+              }
             }
             Status status =
                 RunStageReduce(ctx, st, static_cast<int>(p), inputs);
@@ -250,8 +259,8 @@ Status LowerPlan(const PlannerContext& ctx, TaskGraph* graph,
               // Success is terminal: drop the fetched frames now (not at
               // stage teardown) to keep shuffle memory bounded per live
               // reduce.
-              for (FetchedSegment& fs : st->fetched[p]) {
-                std::string().swap(fs.frames);
+              for (std::vector<FetchedSegment>& runs : st->fetched[p]) {
+                std::vector<FetchedSegment>().swap(runs);
               }
             }
             return status;
@@ -271,8 +280,10 @@ Status LowerPlan(const PlannerContext& ctx, TaskGraph* graph,
           [&ctx, st](int) {
             ANTIMR_TRACE_SPAN_DYN("task", "cleanup:" + st->trace_label);
             for (const MapTaskResult& mr : st->map_results) {
-              for (const std::string& fname : mr.segment_files) {
-                if (!fname.empty()) ctx.cleanup_env->DeleteFile(fname);
+              for (const std::vector<std::string>& files : mr.segment_files) {
+                for (const std::string& fname : files) {
+                  ctx.cleanup_env->DeleteFile(fname);
+                }
               }
             }
             return Status::OK();

@@ -62,8 +62,8 @@ struct StageExec {
   std::vector<uint64_t> map_cpu;
   std::vector<ReduceTaskResult> reduce_results;
   std::vector<uint64_t> reduce_cpu;
-  /// fetched[p][i]: map i's segment for partition p.
-  std::vector<std::vector<FetchedSegment>> fetched;
+  /// fetched[p][i]: map i's segments for partition p, in run order.
+  std::vector<std::vector<std::vector<FetchedSegment>>> fetched;
   std::vector<std::atomic<uint64_t>> fetch_cpu;  ///< per reduce partition
 
   std::atomic<size_t> maps_remaining{0};

@@ -183,7 +183,16 @@ Status BlockRunWriter::Finish() {
 
 BlockRunReader::BlockRunReader(std::unique_ptr<SequentialFile> file,
                                const Codec* codec, Options options)
-    : reader_(std::move(file)), codec_(codec), opts_(std::move(options)) {}
+    : file_(std::make_unique<BufferedReader>(std::move(file))),
+      codec_(codec),
+      opts_(std::move(options)) {}
+
+BlockRunReader::BlockRunReader(const Slice& frames, const Codec* codec,
+                               Options options)
+    : in_place_(frames),
+      in_place_size_(frames.size()),
+      codec_(codec),
+      opts_(std::move(options)) {}
 
 std::string BlockRunReader::Where(uint64_t block) const {
   return "segment " + (opts_.name.empty() ? "<unnamed>" : opts_.name) +
@@ -201,21 +210,38 @@ void BlockRunReader::NotePeak() {
   }
 }
 
-Status BlockRunReader::Open() {
-  const uint64_t before = reader_.bytes_consumed();
-  std::string magic;
-  Status st;
-  {
-    ScopedTimer t(&stats_.read_nanos);
-    st = reader_.ReadExact(sizeof(kBlockMagic), &magic);
+bool BlockRunReader::SourceAtEof() {
+  return file_ != nullptr ? file_->AtEof() : in_place_.empty();
+}
+
+uint64_t BlockRunReader::SourceConsumed() const {
+  return file_ != nullptr ? file_->bytes_consumed()
+                          : in_place_size_ - in_place_.size();
+}
+
+Status BlockRunReader::ReadMagic(std::string* magic) {
+  if (file_ != nullptr) {
+    return file_->ReadExact(sizeof(kBlockMagic), magic);
   }
+  if (in_place_.size() < sizeof(kBlockMagic)) {
+    return Status::Corruption("unexpected EOF");
+  }
+  magic->assign(in_place_.data(), sizeof(kBlockMagic));
+  in_place_.RemovePrefix(sizeof(kBlockMagic));
+  return Status::OK();
+}
+
+Status BlockRunReader::Open() {
+  const uint64_t before = SourceConsumed();
+  std::string magic;
+  const Status st = ReadMagic(&magic);
   if (!st.ok()) {
     return Status::Corruption("segment " +
                               (opts_.name.empty() ? "<unnamed>" : opts_.name) +
                               ": missing block-segment magic (" +
                               st.message() + ")");
   }
-  stats_.bytes_read += reader_.bytes_consumed() - before;
+  stats_.bytes_read += SourceConsumed() - before;
   if (Slice(magic) != Slice(kBlockMagic, sizeof(kBlockMagic))) {
     return CorruptionAt("bad magic: not a block segment");
   }
@@ -225,26 +251,23 @@ Status BlockRunReader::Open() {
 
 Status BlockRunReader::FillReadahead() {
   while (!source_eof_ && readahead_.size() < std::max<size_t>(1, opts_.readahead_blocks)) {
-    const uint64_t before = reader_.bytes_consumed();
-    Frame frame;
-    Status st;
-    {
-      ScopedTimer t(&stats_.read_nanos);
-      if (reader_.AtEof()) {
-        source_eof_ = true;
-        break;
-      }
-      st = ReadFrame(&frame);
+    if (SourceAtEof()) {
+      source_eof_ = true;
+      break;
     }
+    const uint64_t before = SourceConsumed();
+    // Filled where it lands: deque growth never moves an element, so a
+    // payload view into the frame's own copy stays valid until it pops.
+    Frame& frame = readahead_.emplace_back();
+    const Status st = ReadFrame(&frame);
     if (!st.ok()) {
+      readahead_.pop_back();
       // The frame being read sits just past the queued window.
       return Status(st.code(),
                     Where(block_index_ + readahead_.size() + 1) + st.message());
     }
-    const uint64_t frame_bytes = reader_.bytes_consumed() - before;
-    stats_.bytes_read += frame_bytes;
+    stats_.bytes_read += SourceConsumed() - before;
     readahead_bytes_ += frame.payload.size();
-    readahead_.push_back(std::move(frame));
     NotePeak();
   }
   return Status::OK();
@@ -252,18 +275,29 @@ Status BlockRunReader::FillReadahead() {
 
 Status BlockRunReader::ReadFrame(Frame* frame) {
   uint32_t stored_len = 0;
-  ANTIMR_RETURN_NOT_OK(reader_.ReadVarint32(&frame->raw_len));
-  ANTIMR_RETURN_NOT_OK(reader_.ReadVarint32(&stored_len));
+  if (file_ == nullptr) {
+    if (!GetVarint32(&in_place_, &frame->raw_len) ||
+        !GetVarint32(&in_place_, &stored_len) ||
+        !GetFixed32(&in_place_, &frame->crc) ||
+        in_place_.size() < stored_len) {
+      return Status::Corruption("truncated frame");
+    }
+    frame->payload = Slice(in_place_.data(), stored_len);
+    in_place_.RemovePrefix(stored_len);
+    return Status::OK();
+  }
+  ANTIMR_RETURN_NOT_OK(file_->ReadVarint32(&frame->raw_len));
+  ANTIMR_RETURN_NOT_OK(file_->ReadVarint32(&stored_len));
   std::string crc_bytes;
-  ANTIMR_RETURN_NOT_OK(reader_.ReadExact(4, &crc_bytes));
+  ANTIMR_RETURN_NOT_OK(file_->ReadExact(4, &crc_bytes));
   frame->crc = DecodeFixed32(crc_bytes.data());
-  return reader_.ReadExact(stored_len, &frame->payload);
+  ANTIMR_RETURN_NOT_OK(file_->ReadExact(stored_len, &frame->owned));
+  frame->payload = Slice(frame->owned);
+  return Status::OK();
 }
 
 Status BlockRunReader::DecodeNextBlock() {
-  Frame frame = std::move(readahead_.front());
-  readahead_.pop_front();
-  readahead_bytes_ -= frame.payload.size();
+  const Frame& frame = readahead_.front();
   ++block_index_;
   {
     ScopedTimer t(&stats_.decode_nanos);
@@ -273,14 +307,20 @@ Status BlockRunReader::DecodeNextBlock() {
       return CorruptionAt("crc mismatch (stored " + std::to_string(frame.crc) +
                           ", computed " + std::to_string(actual) + ")");
     }
-    // Decode into the generation-before-last's buffer: the just-finished
-    // block (block_ before the swap) must survive this decode so a batch
-    // returned up to its tail stays valid across the advance.
-    std::swap(block_, prev_block_);
-    Status st = codec_->Decompress(frame.payload, &block_);
-    if (!st.ok()) {
-      valid_ = false;
-      return CorruptionAt("decompress failed: " + st.message());
+    if (file_ == nullptr && codec_->type() == CodecType::kNone) {
+      // In place and uncompressed: the payload is the block.
+      block_ = frame.payload;
+    } else {
+      // Decode into the generation-before-last's buffer: the just-finished
+      // block (block_buf_ before the swap) must survive this decode so a
+      // batch returned up to its tail stays valid across the advance.
+      std::swap(block_buf_, prev_block_);
+      Status st = codec_->Decompress(frame.payload, &block_buf_);
+      if (!st.ok()) {
+        valid_ = false;
+        return CorruptionAt("decompress failed: " + st.message());
+      }
+      block_ = Slice(block_buf_);
     }
     if (block_.size() != frame.raw_len) {
       valid_ = false;
@@ -289,6 +329,8 @@ Status BlockRunReader::DecodeNextBlock() {
                           std::to_string(block_.size()) + ")");
     }
   }
+  readahead_bytes_ -= frame.payload.size();
+  readahead_.pop_front();
   pos_ = 0;
   ++stats_.blocks;
   NotePeak();

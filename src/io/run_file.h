@@ -222,8 +222,6 @@ class BlockRunWriter {
 /// Cost/volume counters for one BlockRunReader, split the way the shuffle
 /// metrics report them.
 struct BlockReadStats {
-  uint64_t read_nanos = 0;    ///< wall time blocked on source reads (incl.
-                              ///< simulated disk/network transfer sleeps)
   uint64_t decode_nanos = 0;  ///< CRC verification + decompression
   uint64_t bytes_read = 0;    ///< stored bytes consumed from the source
   uint64_t blocks = 0;        ///< frames decoded
@@ -238,13 +236,16 @@ struct BlockReadStats {
 ///
 /// Frames are pulled from the source into a small queue (readahead_blocks
 /// deep) and decompressed one at a time, so memory stays O(block) while the
-/// source — a throttled disk file or an in-memory fetched segment — is
-/// consumed sequentially.
+/// source is consumed sequentially. The source is either a SequentialFile
+/// (a disk file; each queued frame is a copy) or a byte buffer already in
+/// memory (a fetched segment), read in place: queued frames are views into
+/// the buffer, and with the none codec so is the current block.
 ///
 /// Block storage is double-buffered: decoding block N+1 reuses the buffer
 /// block N-1 occupied, never block N's, so a NextBatch result (whose views
 /// live in one block) survives the advance onto the next block and dies
-/// only at the following call, per the batch contract.
+/// only at the following call, per the batch contract. Views into an
+/// in-place buffer live as long as the buffer.
 class BlockRunReader : public KVStream {
  public:
   struct Options {
@@ -255,6 +256,9 @@ class BlockRunReader : public KVStream {
 
   BlockRunReader(std::unique_ptr<SequentialFile> file, const Codec* codec,
                  Options options);
+  /// Read `frames` (magic + block frames) in place; `frames` must outlive
+  /// the reader.
+  BlockRunReader(const Slice& frames, const Codec* codec, Options options);
 
   /// Check the magic, fill the readahead window, and position at the first
   /// record. Must be called once before use.
@@ -277,25 +281,32 @@ class BlockRunReader : public KVStream {
   struct Frame {
     uint32_t raw_len = 0;
     uint32_t crc = 0;
-    std::string payload;
+    Slice payload;      // views `owned` (file source) or the in-place buffer
+    std::string owned;  // payload copied out of a file source
   };
 
-  Status FillReadahead();
+  bool SourceAtEof();
+  uint64_t SourceConsumed() const;
+  Status ReadMagic(std::string* magic);
   Status ReadFrame(Frame* frame);
+  Status FillReadahead();
   Status DecodeNextBlock();
   /// Error-context prefix: "segment <name> block <n>: ".
   std::string Where(uint64_t block) const;
   Status CorruptionAt(const std::string& detail) const;
   void NotePeak();
 
-  BufferedReader reader_;
+  std::unique_ptr<BufferedReader> file_;  // null when reading in place
+  Slice in_place_;                        // unread rest of the buffer
+  uint64_t in_place_size_ = 0;
   const Codec* codec_;
   Options opts_;
   std::deque<Frame> readahead_;
   uint64_t readahead_bytes_ = 0;
-  std::string block_;  // current decompressed block
+  Slice block_;             // current block: block_buf_ or a frame view
+  std::string block_buf_;   // decompressed current block
   std::string prev_block_;  // previous generation, kept for batch views
-  size_t pos_ = 0;     // parse position within block_
+  size_t pos_ = 0;          // parse position within block_
   Slice key_;
   Slice value_;
   bool valid_ = false;
@@ -305,7 +316,7 @@ class BlockRunReader : public KVStream {
 };
 
 /// Borrowing SequentialFile over a byte buffer; `data` must outlive the
-/// returned file. Used to re-read fetched (in-memory) segment frames.
+/// returned file.
 std::unique_ptr<SequentialFile> NewSliceSource(const Slice& data);
 
 /// Convenience: open a run file on `env` and return a positioned reader.

@@ -25,10 +25,6 @@ Status JobSpec::Validate() const {
   if (shuffle_block_bytes < 512) {
     return Status::InvalidArgument("JobSpec: shuffle_block_bytes too small");
   }
-  if (min_spills_for_combine < 1) {
-    return Status::InvalidArgument(
-        "JobSpec: min_spills_for_combine must be >= 1");
-  }
   return Status::OK();
 }
 

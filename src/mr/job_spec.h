@@ -52,10 +52,6 @@ struct JobSpec {
   /// CRC-framed block, so reducers can stream with O(block) memory.
   size_t shuffle_block_bytes = 64 * 1024;
 
-  /// Apply the Combiner during the final spill merge when at least this many
-  /// spill files exist (Hadoop's min.num.spills.for.combine).
-  int min_spills_for_combine = 3;
-
   /// Whether Map and Partition are deterministic. LazySH re-executes both on
   /// reducers, so Anti-Combining refuses Lazy encoding when false (paper
   /// Section 6.2, "Non-determinism").

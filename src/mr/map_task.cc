@@ -11,6 +11,11 @@ namespace antimr {
 
 namespace {
 
+/// Runs from which a task with a Combiner merges them map-side, combining
+/// on the merge (Hadoop's min.num.spills.for.combine). Below it, and always
+/// without a Combiner, runs ship as they are: the reducer merges them anyway.
+constexpr int kMinSpillsForMerge = 3;
+
 // MapContext that partitions each emitted record into the output buffer and
 // triggers spills when the buffer exceeds its budget.
 class MapTaskContext : public MapContext {
@@ -24,8 +29,7 @@ class MapTaskContext : public MapContext {
         env_(env),
         metrics_(metrics),
         buffer_(spec.num_reduce_tasks, spec.key_cmp),
-        spill_files_per_partition_(
-            static_cast<size_t>(spec.num_reduce_tasks)) {}
+        run_files_(static_cast<size_t>(spec.num_reduce_tasks)) {}
 
   void Emit(const Slice& key, const Slice& value) override {
     int partition;
@@ -60,13 +64,15 @@ class MapTaskContext : public MapContext {
   /// so sort/combine/compress cost is not attributed to map_fn.
   Status MaybeSpill() {
     if (buffer_.memory_usage() >= spec_.map_buffer_bytes) {
-      return SpillBuffer();
+      return WriteRun(/*spill=*/true);
     }
     return Status::OK();
   }
 
-  /// Sort + (combine) + write the current buffer as spill files.
-  Status SpillBuffer() {
+  /// Sort + (combine) + write the current buffer as one run per partition.
+  /// `spill` says whether the run counts as a spill: a task's only run,
+  /// written at Finish, does not (it is Hadoop's single final spill).
+  Status WriteRun(bool spill) {
     if (buffer_.empty()) return Status::OK();
     {
       ScopedTimer t(&metrics_->cpu.sort);
@@ -76,75 +82,56 @@ class MapTaskContext : public MapContext {
     for (int p = 0; p < spec_.num_reduce_tasks; ++p) {
       if (buffer_.PartitionRecords(p) == 0) continue;
       std::unique_ptr<KVStream> stream = buffer_.PartitionStream(p);
-      const std::string fname =
-          SpillFileName(job_id_, task_id_, spill_count_, p);
+      const std::string fname = RunFileName(job_id_, task_id_, p, runs_);
       created_files_.push_back(fname);
       SegmentWriteResult res;
       ANTIMR_RETURN_NOT_OK(
           WritePossiblyCombined(stream.get(), p, fname, codec, &res));
-      spill_files_per_partition_[static_cast<size_t>(p)].push_back(fname);
+      run_files_[static_cast<size_t>(p)].push_back(fname);
     }
-    ++spill_count_;
-    metrics_->map_spills += 1;
-    ANTIMR_TRACE_INSTANT("task", "map_spill",
-                         obs::TraceArgs()
-                             .Add("task", task_id_)
-                             .Add("spill", spill_count_ - 1));
+    ++runs_;
+    if (spill) {
+      metrics_->map_spills += 1;
+      ANTIMR_TRACE_INSTANT("task", "map_spill",
+                           obs::TraceArgs()
+                               .Add("task", task_id_)
+                               .Add("spill", runs_ - 1));
+    }
     buffer_.Clear();
     return Status::OK();
   }
 
-  /// Finalize the task's output: one merged, compressed segment per
-  /// partition. Fills result->segment_files.
+  /// Finalize the task's output: write the buffer's tail as the last run,
+  /// then either hand every run to the reducers or, with a Combiner and
+  /// from kMinSpillsForMerge runs on, merge and combine them into one
+  /// segment per partition. Fills result->segment_files.
   Status Finish(MapTaskResult* result) {
-    result->segment_files.assign(
-        static_cast<size_t>(spec_.num_reduce_tasks), "");
-    const Codec* codec = GetCodec(spec_.map_output_codec);
-
-    if (spill_count_ == 0) {
-      // Everything fits in memory: sort and write final segments directly
-      // (this is Hadoop's single final spill).
-      {
-        ScopedTimer t(&metrics_->cpu.sort);
-        buffer_.Sort();
-      }
-      for (int p = 0; p < spec_.num_reduce_tasks; ++p) {
-        if (buffer_.PartitionRecords(p) == 0) continue;
-        std::unique_ptr<KVStream> stream = buffer_.PartitionStream(p);
-        const std::string fname = SegmentFileName(job_id_, task_id_, p);
-        created_files_.push_back(fname);
-        SegmentWriteResult res;
-        ANTIMR_RETURN_NOT_OK(
-            WritePossiblyCombined(stream.get(), p, fname, codec, &res));
-        result->segment_files[static_cast<size_t>(p)] = fname;
-      }
-      buffer_.Clear();
+    ANTIMR_RETURN_NOT_OK(WriteRun(/*spill=*/runs_ > 0));
+    if (spec_.combiner_factory == nullptr || runs_ < kMinSpillsForMerge) {
+      result->segment_files = std::move(run_files_);
       return Status::OK();
     }
-
-    // Spill the tail of the buffer, then merge all spills per partition.
-    ANTIMR_RETURN_NOT_OK(SpillBuffer());
-    const bool combine_on_merge =
-        spec_.combiner_factory != nullptr &&
-        spill_count_ >= spec_.min_spills_for_combine;
+    result->segment_files.assign(
+        static_cast<size_t>(spec_.num_reduce_tasks), {});
+    const Codec* codec = GetCodec(spec_.map_output_codec);
     for (int p = 0; p < spec_.num_reduce_tasks; ++p) {
-      const auto& spills = spill_files_per_partition_[static_cast<size_t>(p)];
-      if (spills.empty()) continue;
-      // Stream each spill through a block reader: the merge holds O(block)
-      // memory per spill instead of inflating every spill up front.
+      const auto& runs = run_files_[static_cast<size_t>(p)];
+      if (runs.empty()) continue;
+      // Stream each run through a block reader: the merge holds O(block)
+      // memory per run instead of inflating every run up front.
       std::vector<std::unique_ptr<KVStream>> inputs;
-      std::vector<std::unique_ptr<BlockRunReader>> empty_spills;
-      std::vector<const BlockReadStats*> spill_stats;
-      inputs.reserve(spills.size());
-      for (const std::string& fname : spills) {
+      std::vector<std::unique_ptr<BlockRunReader>> empty_runs;
+      std::vector<const BlockReadStats*> run_stats;
+      inputs.reserve(runs.size());
+      for (const std::string& fname : runs) {
         std::unique_ptr<BlockRunReader> reader;
         ANTIMR_RETURN_NOT_OK(
             OpenSegmentReader(env_, fname, codec, {}, &reader));
-        spill_stats.push_back(&reader->stats());
+        run_stats.push_back(&reader->stats());
         if (reader->Valid()) {
           inputs.push_back(std::move(reader));
         } else {
-          empty_spills.push_back(std::move(reader));
+          empty_runs.push_back(std::move(reader));
         }
       }
       uint64_t merge_start = NowNanos();
@@ -153,20 +140,13 @@ class MapTaskContext : public MapContext {
       const std::string fname = SegmentFileName(job_id_, task_id_, p);
       created_files_.push_back(fname);
       SegmentWriteResult res;
-      if (combine_on_merge) {
-        ANTIMR_RETURN_NOT_OK(WriteCombined(&merged, p, fname, codec, &res));
-      } else {
-        ScopedTimer t(&metrics_->cpu.merge);
-        ANTIMR_RETURN_NOT_OK(WriteSegment(env_, fname, &merged, codec,
-                                          &metrics_->cpu.compress, &res,
-                                          spec_.shuffle_block_bytes));
-      }
-      for (const BlockReadStats* s : spill_stats) {
+      ANTIMR_RETURN_NOT_OK(WriteCombined(&merged, p, fname, codec, &res));
+      for (const BlockReadStats* s : run_stats) {
         metrics_->cpu.decompress += s->decode_nanos;
       }
-      result->segment_files[static_cast<size_t>(p)] = fname;
-      for (const std::string& sf : spills) {
-        ANTIMR_RETURN_NOT_OK(env_->DeleteFile(sf));
+      result->segment_files[static_cast<size_t>(p)] = {fname};
+      for (const std::string& rf : runs) {
+        ANTIMR_RETURN_NOT_OK(env_->DeleteFile(rf));
       }
     }
     return Status::OK();
@@ -223,10 +203,11 @@ class MapTaskContext : public MapContext {
   JobMetrics* metrics_;
   MapOutputBuffer buffer_;
   std::vector<int> partition_scratch_;  // EmitBatch partition targets
-  std::vector<std::vector<std::string>> spill_files_per_partition_;
+  /// Per partition, the run files written so far, in run order.
+  std::vector<std::vector<std::string>> run_files_;
   /// Every file name this task has started writing, for failure cleanup.
   std::vector<std::string> created_files_;
-  int spill_count_ = 0;
+  int runs_ = 0;
 };
 
 }  // namespace

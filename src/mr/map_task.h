@@ -1,7 +1,10 @@
-// Map task driver: run the Mapper over its split, buffer output, spill with
-// partition/sort (+Combiner), merge spills, and produce one compressed
-// segment per reduce partition — the Hadoop 1.x map-side pipeline the paper
-// executes on (Section 2, Figure 2).
+// Map task driver: run the Mapper over its split, buffer output, and spill
+// with partition/sort (+Combiner) — the Hadoop 1.x map-side pipeline the
+// paper executes on (Section 2, Figure 2). Each spill writes one compressed
+// run per reduce partition. Unlike Hadoop 1.x, which merges any two or more
+// spills, a task ships its runs as they are (the reducer k-way merges them
+// anyway); only a task with a Combiner and three or more spills merges
+// them, combining again, into one segment per partition.
 #ifndef ANTIMR_MR_MAP_TASK_H_
 #define ANTIMR_MR_MAP_TASK_H_
 
@@ -16,9 +19,10 @@
 namespace antimr {
 
 struct MapTaskResult {
-  /// Segment file name per reduce partition ("" when the partition got no
-  /// records from this task).
-  std::vector<std::string> segment_files;
+  /// Per reduce partition, this task's segment files in merge order: one
+  /// run per spill, or the one merged segment (empty when the partition got
+  /// no records from this task).
+  std::vector<std::vector<std::string>> segment_files;
   JobMetrics metrics;
 };
 

@@ -61,9 +61,9 @@ namespace antimr {
 //                                  files (post-compression): the paper's
 //                                  mapper->reducer "data transfer"
 // --- shuffle pipeline phases ---
-//   shuffle_fetch_wait_nanos       reduce-side wall time blocked on segment
-//                                  transfer (concurrent-fetch copies plus
-//                                  block reads during the merge, including
+//   shuffle_fetch_wait_nanos       reduce-side wall time of segment
+//                                  transfer (FetchedSegment::fetch_nanos of
+//                                  every fetched segment, including
 //                                  simulated disk/network transfer time)
 //   shuffle_decode_nanos           reduce-side CRC verify + decompression
 //   shuffle_merge_nanos            reduce-side merge/consume wall time

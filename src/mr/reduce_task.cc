@@ -107,8 +107,10 @@ Status RunReduceTask(const JobSpec& spec, int partition,
   const uint64_t trace_start = NowNanos();
   const Codec* codec = GetCodec(spec.map_output_codec);
 
-  // Open every map task's segment for this partition as a streaming block
-  // reader decoding out of reducer memory.
+  // Open every segment of every map task for this partition, in (map, run)
+  // order, as a streaming block reader over the fetched bytes in place. The
+  // transfer wait is FetchedSegment::fetch_nanos: reading the fetched frames
+  // is an in-memory scan, not a wait.
   std::vector<std::unique_ptr<KVStream>> segments;
   std::vector<std::unique_ptr<BlockRunReader>> empty_readers;
   // Raw stats pointers stay valid while `merged` / `empty_readers` own the
@@ -197,7 +199,6 @@ Status RunReduceTask(const JobSpec& spec, int partition,
     m.shuffle_decode_nanos += rstats->decode_nanos;
     m.cpu.decompress += rstats->decode_nanos;
     m.shuffle_blocks += rstats->blocks;
-    m.shuffle_fetch_wait_nanos += rstats->read_nanos;
     task_peak_buffered += rstats->peak_buffered_bytes;
   }
   if (task_peak_buffered > m.shuffle_peak_buffered_bytes) {

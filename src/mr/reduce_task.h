@@ -85,9 +85,11 @@ Status ApplyCombiner(const JobSpec& spec, const TaskInfo& info,
                      GroupRunStats* stats);
 
 /// Inputs to one reduce task: the segments produced for its partition by
-/// every map task, either already copied to the reduce side by the local
-/// engine's concurrent fetchers, or pulled by the task itself (distributed
-/// runs). Either way the bytes crossed a ShuffleClient.
+/// every map task (one per spill run, or one merged segment per map), either
+/// already copied to the reduce side by the local engine's concurrent
+/// fetchers, or pulled by the task itself (distributed runs). Either way the
+/// bytes crossed a ShuffleClient. Both lists are in (map index, run) order:
+/// merge order is part of the output contract.
 struct ReduceTaskInputs {
   /// Segments pre-fetched by the concurrent shuffle phase, borrowed from
   /// the scheduler (which keeps ownership so a transiently-failed reduce
@@ -95,8 +97,7 @@ struct ReduceTaskInputs {
   /// still block-at-a-time during the merge.
   std::vector<const FetchedSegment*> fetched;
   /// Segments this task pulls through `shuffle` at task start (distributed
-  /// reduce tasks), in map-index order — merge order is part of the output
-  /// contract. Their transfer volume is counted from
+  /// reduce tasks). Their transfer volume is counted from
   /// FetchedSegment::fetched_bytes, the same boundary the local fetchers
   /// use, so both inputs account identically.
   std::vector<net::SegmentRef> remote;

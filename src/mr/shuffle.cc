@@ -35,10 +35,10 @@ std::string SegmentFileName(const std::string& job_id, int map_task,
          std::to_string(partition);
 }
 
-std::string SpillFileName(const std::string& job_id, int map_task, int spill,
-                          int partition) {
-  return job_id + "/map_" + std::to_string(map_task) + "_spill_" +
-         std::to_string(spill) + "_p" + std::to_string(partition);
+std::string RunFileName(const std::string& job_id, int map_task,
+                        int partition, int run) {
+  return SegmentFileName(job_id, map_task, partition) + "_r" +
+         std::to_string(run);
 }
 
 Status WriteSegment(Env* env, const std::string& fname, KVStream* stream,
@@ -79,10 +79,9 @@ Status OpenFetchedSegment(const FetchedSegment& segment, const Codec* codec,
   BlockRunReader::Options ropts;
   ropts.readahead_blocks = readahead_blocks;
   ropts.name = segment.file;
-  return OpenReader(
-      std::make_unique<BlockRunReader>(NewSliceSource(segment.frames), codec,
-                                       std::move(ropts)),
-      reader);
+  return OpenReader(std::make_unique<BlockRunReader>(Slice(segment.frames),
+                                                     codec, std::move(ropts)),
+                    reader);
 }
 
 }  // namespace antimr

@@ -1,13 +1,17 @@
 // Map-output segment format and the mapper->reducer transfer path. A segment
-// is one partition's sorted records, serialized in run format, cut into
-// ~64 KiB blocks, and independently compressed + CRC-framed per block (see
-// io/run_file.h). Spill files and final map outputs share the format.
+// is one sorted run of one partition's records, serialized in run format,
+// cut into ~64 KiB blocks, and independently compressed + CRC-framed per
+// block (see io/run_file.h). A map task's spills are written as segments
+// ("runs") and shipped as they are; only a task with a Combiner and three or
+// more spills merges them map-side into one segment per partition
+// (mr/map_task.h).
 //
 // Reducers consume segments from in-memory FetchedSegments that a concurrent
 // fetcher copied through the shuffle service while the map wave was still
-// running (mirroring Hadoop's parallel-copy shuffle phase). Decompression is
-// block-at-a-time with bounded readahead, so a reduce task's decode buffers
-// are O(blocks x readahead), not O(segment).
+// running (mirroring Hadoop's parallel-copy shuffle phase), and k-way merge
+// every run of every map. Frames are read in place and decompressed
+// block-at-a-time, so a reduce task's decode buffers are O(blocks), not
+// O(segment).
 #ifndef ANTIMR_MR_SHUFFLE_H_
 #define ANTIMR_MR_SHUFFLE_H_
 
@@ -25,13 +29,15 @@ constexpr size_t kShuffleBlockBytes = kDefaultBlockBytes;
 /// Default per-segment readahead window (in blocks).
 constexpr size_t kShuffleReadaheadBlocks = kDefaultReadaheadBlocks;
 
-/// File name for map task `map_task`'s final output segment for `partition`.
+/// File name for map task `map_task`'s merged output segment for
+/// `partition`.
 std::string SegmentFileName(const std::string& job_id, int map_task,
                             int partition);
 
-/// File name for spill `spill` of map task `map_task`, partition `partition`.
-std::string SpillFileName(const std::string& job_id, int map_task, int spill,
-                          int partition);
+/// File name for run (spill) `run` of map task `map_task`, partition
+/// `partition`.
+std::string RunFileName(const std::string& job_id, int map_task,
+                        int partition, int run);
 
 struct SegmentWriteResult {
   uint64_t raw_bytes = 0;     ///< serialized run bytes before compression
@@ -75,8 +81,8 @@ struct FetchedSegment {
 };
 
 /// Open a previously fetched segment as a streaming reader, with the same
-/// checks as OpenSegmentReader. `segment` must outlive the reader (its frames
-/// are borrowed, not copied).
+/// checks as OpenSegmentReader. The reader works on `segment.frames` in
+/// place, so `segment` must outlive it.
 Status OpenFetchedSegment(const FetchedSegment& segment, const Codec* codec,
                           size_t readahead_blocks,
                           std::unique_ptr<BlockRunReader>* reader);

@@ -195,7 +195,10 @@ void EncodeTaskResult(const TaskResultMsg& msg, std::string* out) {
   PutVarint32(out, static_cast<uint32_t>(msg.status_code));
   PutString(out, msg.status_msg);
   PutVarint64(out, msg.segment_files.size());
-  for (const std::string& f : msg.segment_files) PutString(out, f);
+  for (const std::vector<std::string>& runs : msg.segment_files) {
+    PutVarint64(out, runs.size());
+    for (const std::string& f : runs) PutString(out, f);
+  }
   PutString(out, msg.output_records);
   PutString(out, msg.metrics);
   PutVarint64(out, msg.cpu_nanos);
@@ -205,18 +208,23 @@ void EncodeTaskResult(const TaskResultMsg& msg, std::string* out) {
 Status DecodeTaskResult(const std::string& payload, TaskResultMsg* msg) {
   Slice in(payload);
   uint32_t code = 0;
-  uint64_t num_files = 0;
+  uint64_t num_partitions = 0;
   if (!GetVarint64(&in, &msg->rpc_id) || !GetVarint32(&in, &code) ||
-      !GetString(&in, &msg->status_msg) || !GetVarint64(&in, &num_files)) {
+      !GetString(&in, &msg->status_msg) ||
+      !GetVarint64(&in, &num_partitions) || num_partitions > in.size()) {
     return Malformed("TaskResult");
   }
   msg->status_code = static_cast<int32_t>(code);
-  msg->segment_files.clear();
-  msg->segment_files.reserve(num_files);
-  for (uint64_t i = 0; i < num_files; ++i) {
-    std::string f;
-    if (!GetString(&in, &f)) return Malformed("TaskResult files");
-    msg->segment_files.push_back(std::move(f));
+  msg->segment_files.assign(num_partitions, {});
+  for (std::vector<std::string>& runs : msg->segment_files) {
+    uint64_t num_runs = 0;
+    if (!GetVarint64(&in, &num_runs) || num_runs > in.size()) {
+      return Malformed("TaskResult files");
+    }
+    runs.resize(num_runs);
+    for (std::string& f : runs) {
+      if (!GetString(&in, &f)) return Malformed("TaskResult files");
+    }
   }
   if (!GetString(&in, &msg->output_records) ||
       !GetString(&in, &msg->metrics) ||

@@ -129,8 +129,8 @@ struct TaskAssignMsg {
   uint32_t attempt = 0;
   // Map tasks: the split's records, encoded with EncodeKVList.
   std::string split_records;
-  // Reduce tasks: every map's segment for this partition, in map-index
-  // order (merge order is part of the output contract).
+  // Reduce tasks: every segment of every map for this partition, in
+  // (map index, run) order (merge order is part of the output contract).
   std::vector<SegmentRef> segments;
   bool collect_output = true;
   double network_mb_per_s = 0;  ///< simulated fetch bandwidth on the worker
@@ -145,8 +145,9 @@ struct TaskResultMsg {
   uint64_t rpc_id = 0;
   int32_t status_code = 0;  ///< Status::Code as int; 0 = ok
   std::string status_msg;
-  // Map tasks: segment file name per reduce partition ("" = empty).
-  std::vector<std::string> segment_files;
+  // Map tasks: per reduce partition, the task's segment files in run order
+  // (MapTaskResult::segment_files; an empty list = no records).
+  std::vector<std::vector<std::string>> segment_files;
   // Reduce tasks: the partition's output, encoded with EncodeKVList.
   std::string output_records;
   std::string metrics;  ///< EncodeJobMetrics of the task's JobMetrics

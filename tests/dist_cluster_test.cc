@@ -15,9 +15,11 @@
 
 #include "engine/coordinator.h"
 #include "engine/job_registry.h"
+#include "engine/job_service.h"
 #include "engine/worker.h"
 #include "datagen/cloud.h"
 #include "datagen/random_text.h"
+#include "mr/map_output_buffer.h"
 #include "net/frame.h"
 #include "net/http.h"
 #include "net/transport.h"
@@ -77,6 +79,45 @@ std::vector<KV> SingleProcessOutput(const std::string& job_name,
   return result.FlatOutput();
 }
 
+/// Single-process run of a registered job, with each map task's spill
+/// count in *map_spills (in no particular order).
+JobResult LocalRun(const std::string& job_name, const net::JobParams& params,
+                   const std::vector<KV>& records, int maps,
+                   std::vector<uint64_t>* map_spills) {
+  JobSpec spec;
+  Status st = engine::BuildRegisteredJob(job_name, params, &spec);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  RunOptions run;
+  run.collect_output = true;
+  run.collect_task_metrics = true;
+  JobResult result;
+  st = RunJob(spec, MakeSplits(records, maps), run, &result);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  map_spills->clear();
+  for (const TaskMetrics& task : result.task_metrics) {
+    if (task.is_map) map_spills->push_back(task.metrics.map_spills);
+  }
+  return result;
+}
+
+/// map_buffer_bytes under which every chunk, emitted record for record (an
+/// identity mapper, like sort's), spills exactly twice: the buffer fills
+/// once past half of the largest chunk, and before the smallest one ends.
+size_t TwoSpillBufferBytes(const std::vector<std::vector<KV>>& chunks,
+                           int reduces) {
+  size_t smallest = SIZE_MAX;
+  size_t largest = 0;
+  for (const std::vector<KV>& chunk : chunks) {
+    MapOutputBuffer buffer(reduces, BytewiseCompare);
+    for (const KV& kv : chunk) buffer.Add(0, kv.key, kv.value);
+    smallest = std::min(smallest, buffer.memory_usage());
+    largest = std::max(largest, buffer.memory_usage());
+  }
+  const size_t bytes = smallest * 6 / 10;
+  EXPECT_GT(bytes, largest / 2) << "chunks too uneven for two spills each";
+  return bytes;
+}
+
 class DistClusterTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
@@ -113,6 +154,38 @@ class DistClusterTest : public ::testing::TestWithParam<const char*> {
       ASSERT_TRUE(worker->Start(coord_->addr()).ok());
     }
     ASSERT_TRUE(coord_->WaitForWorkers(n, 10ull * 1000 * 1000 * 1000));
+  }
+
+  /// Wordcount whose every map spills three or more times must give the
+  /// local run's output, in order, and its shuffle bytes.
+  void CheckManySpillWordCount(bool combiner) {
+    const std::vector<KV> input = WordCountInput();
+    constexpr int kMaps = 4;
+    const net::JobParams params = {{"reduces", "4"},
+                                   {"combiner", combiner ? "1" : "0"},
+                                   {"map_buffer_bytes", "4096"}};
+    std::vector<uint64_t> map_spills;
+    const JobResult local =
+        LocalRun("wordcount", params, input, kMaps, &map_spills);
+    ASSERT_EQ(map_spills.size(), static_cast<size_t>(kMaps));
+    for (uint64_t spills : map_spills) {
+      ASSERT_GE(spills, 3u) << "premise: every map spills three times";
+    }
+    StartWorkers(2);
+
+    DistJobOptions options;
+    options.job_name = "wordcount";
+    options.params = params;
+    options.splits = Chunk(input, kMaps);
+    DistJobResult result;
+    const Status st = RunDistributedJob(coord_.get(), options, &result);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+
+    EXPECT_EQ(result.metrics.map_spills, local.metrics.map_spills);
+    EXPECT_EQ(engine::OutputMultisetHash(result.FlatOutput()),
+              engine::OutputMultisetHash(local.FlatOutput()));
+    EXPECT_EQ(result.FlatOutput(), local.FlatOutput());
+    EXPECT_EQ(result.metrics.shuffle_bytes, local.metrics.shuffle_bytes);
   }
 
   std::unique_ptr<net::Transport> transport_;
@@ -160,6 +233,48 @@ TEST_P(DistClusterTest, ThetaJoinMatchesSingleProcess) {
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(result.FlatOutput(),
             SingleProcessOutput("theta_join", params, input, 4));
+}
+
+// A map with two spills ships one run per spill, so each reduce fetches
+// several segments from every map's worker. Every run must cross the wire,
+// in (map, run) order, or records silently go missing.
+TEST_P(DistClusterTest, TwoSpillMapsShipEveryRun) {
+  const std::vector<KV> input = WordCountInput();
+  constexpr int kMaps = 4;
+  const std::vector<std::vector<KV>> chunks = Chunk(input, kMaps);
+  const net::JobParams params = {
+      {"reduces", "4"},
+      {"map_buffer_bytes", std::to_string(TwoSpillBufferBytes(chunks, 4))}};
+  std::vector<uint64_t> map_spills;
+  const JobResult local = LocalRun("sort", params, input, kMaps, &map_spills);
+  ASSERT_EQ(map_spills, std::vector<uint64_t>(kMaps, 2))
+      << "premise: every map spills twice";
+  StartWorkers(2);
+
+  DistJobOptions options;
+  options.job_name = "sort";
+  options.params = params;
+  options.splits = chunks;
+  DistJobResult result;
+  const Status st = RunDistributedJob(coord_.get(), options, &result);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+
+  EXPECT_EQ(result.metrics.map_spills, 2u * kMaps);
+  EXPECT_EQ(engine::OutputMultisetHash(result.FlatOutput()),
+            engine::OutputMultisetHash(local.FlatOutput()));
+  EXPECT_EQ(result.FlatOutput(), local.FlatOutput());
+  EXPECT_EQ(result.metrics.shuffle_bytes, local.metrics.shuffle_bytes);
+}
+
+// From three spills on, a map with a Combiner merges and combines its runs
+// into one segment per partition before shipping it.
+TEST_P(DistClusterTest, ManySpillMapsShipMergedSegments) {
+  CheckManySpillWordCount(/*combiner=*/true);
+}
+
+// Without a Combiner a map ships every run however often it spilled.
+TEST_P(DistClusterTest, ManySpillMapsWithoutCombinerShipEveryRun) {
+  CheckManySpillWordCount(/*combiner=*/false);
 }
 
 TEST_P(DistClusterTest, WorkerCrashMidMapRecovers) {

@@ -38,20 +38,27 @@ class FaultyEnv : public Env {
         fail_times_(fail_times),
         fault_code_(fault_code) {}
 
+  /// Sample only `op` calls on files whose name ends with `suffix`; every
+  /// other operation passes through uncounted.
+  void SampleOnly(std::string op, std::string suffix) {
+    only_op_ = std::move(op);
+    suffix_ = std::move(suffix);
+  }
+
   Status NewWritableFile(const std::string& fname,
                          std::unique_ptr<WritableFile>* file) override {
-    ANTIMR_RETURN_NOT_OK(Tick("NewWritableFile"));
+    ANTIMR_RETURN_NOT_OK(Tick("NewWritableFile", fname));
     return base_->NewWritableFile(fname, file);
   }
   Status NewSequentialFile(const std::string& fname,
                            std::unique_ptr<SequentialFile>* file) override {
-    ANTIMR_RETURN_NOT_OK(Tick("NewSequentialFile"));
+    ANTIMR_RETURN_NOT_OK(Tick("NewSequentialFile", fname));
     return base_->NewSequentialFile(fname, file);
   }
   Status NewRandomAccessFile(
       const std::string& fname,
       std::unique_ptr<RandomAccessFile>* file) override {
-    ANTIMR_RETURN_NOT_OK(Tick("NewRandomAccessFile"));
+    ANTIMR_RETURN_NOT_OK(Tick("NewRandomAccessFile", fname));
     return base_->NewRandomAccessFile(fname, file);
   }
   Status GetFileSize(const std::string& fname, uint64_t* size) override {
@@ -73,7 +80,13 @@ class FaultyEnv : public Env {
   int faults_injected() const { return injected_.load(); }
 
  private:
-  Status Tick(const char* op) {
+  Status Tick(const char* op, const std::string& fname) {
+    if ((!only_op_.empty() && only_op_ != op) ||
+        fname.size() < suffix_.size() ||
+        fname.compare(fname.size() - suffix_.size(), suffix_.size(),
+                      suffix_) != 0) {
+      return Status::OK();
+    }
     const int index = ops_.fetch_add(1);
     if (index >= fail_at_ && index - fail_at_ < fail_times_) {
       injected_.fetch_add(1);
@@ -90,6 +103,8 @@ class FaultyEnv : public Env {
   const int fail_at_;
   const int fail_times_;
   const Status::Code fault_code_;
+  std::string only_op_;
+  std::string suffix_;
   std::atomic<int> ops_{0};
   std::atomic<int> injected_{0};
 };
@@ -332,6 +347,46 @@ TEST_F(FaultInjection, CompressedManyBlockOutputMatchesUnderTransientFaults) {
     EXPECT_TRUE(result.FlatOutput() == plain_output)
         << "compressed output diverged, fault at op " << fail_at;
   }
+}
+
+// A map task with two spills ships each spill's run, so the reduce's fetch
+// task pulls several files per map. A transient fault on a
+// later run must retry the whole fetch, and the retried fetch must replace
+// (not append to) the runs the failed attempt already copied.
+TEST_F(FaultInjection, TransientFaultOnSecondRunFetchIsRetried) {
+  JobSpec spec = TestJob();
+  // Each map's ~600 emitted records fill the buffer once, leaving a smaller
+  // tail: two spills, so two runs per partition.
+  spec.map_buffer_bytes = 12 * 1024;
+  std::vector<KV> clean_output;
+  {
+    auto env = NewMemEnv();
+    JobResult result;
+    ASSERT_TRUE(RunJob(spec, MakeSplits(TestInput(), 2),
+                       MakeOptions(env.get()), &result)
+                    .ok());
+    ASSERT_EQ(result.metrics.map_spills, 4u) << "premise: 2 spills per map";
+    clean_output = result.FlatOutput();
+  }
+
+  obs::Counter* const retries = obs::MetricsRegistry::Global().GetCounter(
+      "antimr_task_retries_total",
+      "Transient task failures answered with a re-execution");
+  // Shipped runs are only ever opened for reading by the shuffle server, so
+  // the first read of any map's second run is a fetch.
+  FaultyEnv env(NewMemEnv(), /*fail_at=*/0, /*fail_times=*/1);
+  env.SampleOnly("NewSequentialFile", "_r1");
+  RunOptions options = MakeOptions(&env);
+  options.max_task_attempts = 3;
+  options.retry_backoff_nanos = 1000;
+  JobResult result;
+  const uint64_t retries_before = retries->value();
+  const Status st = RunJob(spec, MakeSplits(TestInput(), 2), options, &result);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(env.faults_injected(), 1);
+  EXPECT_GE(retries->value() - retries_before, 1u);
+  EXPECT_EQ(result.FlatOutput(), clean_output);
+  EXPECT_EQ(result.metrics.map_spills, 4u);
 }
 
 // Permanent faults must NOT be retried: a Corruption error fails the plan

@@ -1,12 +1,15 @@
 // End-to-end tests of the MapReduce framework: map/shuffle/reduce semantics,
 // spilling, combiners, codecs, comparators, and metrics plumbing.
+#include <cstdio>
 #include <map>
 #include <memory>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "common/hash.h"
 #include "datagen/random_text.h"
+#include "mr/map_output_buffer.h"
 #include "test_util.h"
 #include "workloads/sort.h"
 #include "workloads/wordcount.h"
@@ -123,26 +126,113 @@ TEST(JobRunner, PartitioningSendsEachKeyToOneTask) {
   EXPECT_EQ(task_of_key.size(), 50u);
 }
 
-TEST(JobRunner, SpillingPreservesResults) {
-  std::vector<KV> input;
-  for (int i = 0; i < 2000; ++i) {
-    input.push_back({"k" + std::to_string(i % 100),
-                     "value_" + std::to_string(i)});
-  }
-  JobSpec spec = EchoConcatJob(4);
-  auto no_spill = Canonicalize(MustRun(spec, MakeSplits(input, 2)));
+// Map-side spill sweep. A task ships each spill's runs to the reducers as
+// they are, unless it has a Combiner and spilled three or more times: then it
+// merges and combines them map-side. Either way every reduce task must see
+// the no-spill run's record sequence, so its output is identical in order.
+class SpillSweep
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {
+ protected:
+  static constexpr int kMaps = 2;
+  static constexpr int kReduces = 4;
 
-  spec.map_buffer_bytes = 4096;  // force many spills
-  JobMetrics metrics;
-  auto with_spill =
-      Canonicalize(MustRun(spec, MakeSplits(input, 2), &metrics));
-  EXPECT_GT(metrics.map_spills, 2u);
-  EXPECT_EQ(no_spill.size(), with_spill.size());
-  for (size_t i = 0; i < no_spill.size(); ++i) {
-    EXPECT_EQ(no_spill[i].key, with_spill[i].key);
-    EXPECT_EQ(no_spill[i].value, with_spill[i].value);
+  /// Fixed-width records, so both splits fill the map buffer at the same
+  /// record and the sweep's spill counts hold for every task.
+  static std::vector<KV> Input() {
+    std::vector<KV> input;
+    char key[8];
+    char value[16];
+    for (int i = 0; i < 2000; ++i) {
+      std::snprintf(key, sizeof(key), "k%03d", i % 100);
+      std::snprintf(value, sizeof(value), "value_%04d", i);
+      input.push_back({key, value});
+    }
+    return input;
+  }
+
+  /// map_buffer_bytes under which a task over `split` spills `spills` times
+  /// (0 = never; 4 stands for "3 or more"), from the buffer usage its
+  /// records reach when emitted one by one.
+  static size_t BufferForSpills(const std::vector<KV>& split, int spills) {
+    MapOutputBuffer buffer(kReduces, BytewiseCompare);
+    std::vector<size_t> usage;
+    for (const KV& kv : split) {
+      buffer.Add(0, kv.key, kv.value);
+      usage.push_back(buffer.memory_usage());
+    }
+    const size_t n = usage.size();
+    switch (spills) {
+      case 0:
+        return usage.back() + 1;  // never full
+      case 1:
+        return usage.back();  // full after the last record: no tail
+      case 2:
+        return usage[n * 6 / 10];  // one spill, then a smaller tail
+      default:
+        return usage[n / 4 - 1];  // full every quarter
+    }
+  }
+
+  static JobSpec Spec(bool combiner) {
+    JobSpec spec = EchoConcatJob(kReduces);
+    // Concatenation is associative, so combined runs reduce to the same
+    // strings as raw ones.
+    if (combiner) spec.combiner_factory = spec.reducer_factory;
+    return spec;
+  }
+
+  static JobResult Run(const JobSpec& spec) {
+    JobResult result;
+    const Status st = RunJob(spec, MakeSplits(Input(), kMaps), &result);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return result;
+  }
+};
+
+TEST_P(SpillSweep, OutputsMatchTheNoSpillRunInOrder) {
+  const auto [spills, combiner] = GetParam();
+  const std::vector<KV> input = Input();
+  const std::vector<KV> split(input.begin(),
+                              input.begin() + input.size() / kMaps);
+  const JobResult no_spill = Run(Spec(/*combiner=*/false));
+  ASSERT_EQ(no_spill.metrics.map_spills, 0u);
+
+  JobSpec spec = Spec(combiner);
+  spec.map_buffer_bytes = BufferForSpills(split, spills);
+  const JobResult result = Run(spec);
+  ASSERT_EQ(result.metrics.map_spills,
+            static_cast<uint64_t>(kMaps * (spills == 0 ? 0 : spills)))
+      << "premise: every task spills " << spills << " times";
+  ASSERT_EQ(result.outputs.size(), no_spill.outputs.size());
+  for (size_t p = 0; p < result.outputs.size(); ++p) {
+    EXPECT_EQ(result.outputs[p], no_spill.outputs[p]) << "reduce task " << p;
+  }
+
+  if (spills <= 2 || !combiner) {
+    // Runs ship as written: each stored byte is written once (and read once,
+    // by the shuffle), never rewritten by a map-side merge.
+    EXPECT_EQ(result.metrics.disk_bytes_written, result.metrics.shuffle_bytes);
+    EXPECT_EQ(result.metrics.disk_bytes_read, result.metrics.shuffle_bytes);
+  } else {
+    // Runs merge map-side into one segment per partition, and the Combiner
+    // folds every run of a key into one record again, so the shuffle is the
+    // no-spill combined run's, byte for byte.
+    EXPECT_GT(result.metrics.disk_bytes_written, result.metrics.shuffle_bytes);
+    const JobResult combined_no_spill = Run(Spec(/*combiner=*/true));
+    EXPECT_EQ(result.metrics.shuffle_bytes,
+              combined_no_spill.metrics.shuffle_bytes);
+    EXPECT_EQ(result.metrics.reduce_input_records,
+              combined_no_spill.metrics.reduce_input_records);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    SpillCounts, SpillSweep,
+    ::testing::Combine(::testing::Values(0, 1, 2, 4), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
+      return std::to_string(std::get<0>(info.param)) + "_spills" +
+             (std::get<1>(info.param) ? "_combiner" : "");
+    });
 
 TEST(JobRunner, CombinerReducesShuffledRecords) {
   RandomTextConfig cfg;

@@ -182,6 +182,49 @@ TEST(BlockSegment, ReaderMemoryBoundedByReadahead) {
       << "peak buffered bytes must not scale with segment size";
 }
 
+/// The segment file `records` make, as the fetcher would hand it over.
+FetchedSegment FetchedCopy(const std::vector<KV>& records, const Codec* codec,
+                           size_t block_bytes) {
+  auto env = NewMemEnv();
+  SegmentWriteResult wr;
+  EXPECT_TRUE(
+      WriteTestSegment(env.get(), "seg", records, codec, block_bytes, &wr)
+          .ok());
+  FetchedSegment fetched;
+  fetched.file = "seg";
+  EXPECT_TRUE(ReadFileToString(env.get(), "seg", &fetched.frames).ok());
+  fetched.fetched_bytes = fetched.frames.size();
+  return fetched;
+}
+
+TEST_P(BlockSegmentTest, FetchedSegmentIsReadInPlace) {
+  const Codec* codec = GetCodec(GetParam());
+  const std::vector<KV> records = MakeSortedRecords(2000);
+  const FetchedSegment fetched = FetchedCopy(records, codec, 1024);
+  std::unique_ptr<BlockRunReader> reader;
+  ASSERT_TRUE(OpenFetchedSegment(fetched, codec, 2, &reader).ok());
+  const char* begin = fetched.frames.data();
+  const char* end = begin + fetched.frames.size();
+  size_t i = 0;
+  while (reader->Valid()) {
+    ASSERT_LT(i, records.size());
+    EXPECT_EQ(reader->key().ToString(), records[i].key);
+    EXPECT_EQ(reader->value().ToString(), records[i].value);
+    if (GetParam() == CodecType::kNone) {
+      // Uncompressed blocks are never copied: records view the fetched
+      // frames themselves.
+      EXPECT_TRUE(reader->key().data() >= begin && reader->key().data() < end)
+          << "record " << i;
+    }
+    ASSERT_TRUE(reader->Next().ok());
+    ++i;
+  }
+  EXPECT_EQ(i, records.size());
+  EXPECT_EQ(reader->stats().bytes_read, fetched.frames.size());
+  // Queued frames and the current block count whether owned or viewed.
+  EXPECT_GT(reader->stats().peak_buffered_bytes, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Pipelined job execution
 // ---------------------------------------------------------------------------
@@ -317,6 +360,30 @@ TEST(PipelinedShuffle, ShufflePhaseMetricsArePopulated) {
   EXPECT_GT(result.metrics.shuffle_blocks, 0u);
   EXPECT_GT(result.metrics.shuffle_decode_nanos, 0u);
   EXPECT_GT(result.metrics.shuffle_merge_nanos, 0u);
+  EXPECT_GT(result.metrics.shuffle_peak_buffered_bytes, 0u);
+}
+
+// The reduce's fetch wait is the fetches' transfer time. Reading the fetched
+// frames afterwards is an in-memory scan and must not be added to it.
+TEST(BlockSegment, FetchWaitIsTheFetchTimeOnly) {
+  const Codec* codec = GetCodec(CodecType::kNone);
+  FetchedSegment first = FetchedCopy(MakeSortedRecords(2000), codec, 1024);
+  first.fetch_nanos = 1000;
+  FetchedSegment second = FetchedCopy(MakeSortedRecords(500), codec, 1024);
+  second.fetch_nanos = 234;
+
+  JobSpec spec = EchoConcatJob(1);
+  auto env = NewMemEnv();
+  ReduceTaskInputs inputs;
+  inputs.fetched = {&first, &second};
+  ReduceTaskResult result;
+  ASSERT_TRUE(RunReduceTask(spec, 0, inputs, env.get(),
+                            /*collect_output=*/true, &result)
+                  .ok());
+  EXPECT_EQ(result.output.size(), 2000u);
+  EXPECT_EQ(result.metrics.shuffle_fetch_wait_nanos, 1234u);
+  EXPECT_EQ(result.metrics.shuffle_bytes,
+            first.fetched_bytes + second.fetched_bytes);
   EXPECT_GT(result.metrics.shuffle_peak_buffered_bytes, 0u);
 }
 

@@ -113,8 +113,12 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ShuffleNames, AreUniquePerTaskPartitionAndSpill) {
   EXPECT_NE(SegmentFileName("j", 1, 2), SegmentFileName("j", 2, 1));
   EXPECT_NE(SegmentFileName("j1", 1, 2), SegmentFileName("j2", 1, 2));
-  EXPECT_NE(SpillFileName("j", 1, 0, 2), SpillFileName("j", 1, 1, 2));
-  EXPECT_NE(SpillFileName("j", 1, 0, 2), SegmentFileName("j", 1, 2));
+  EXPECT_NE(RunFileName("j", 1, 2, 0), RunFileName("j", 1, 2, 1));
+  EXPECT_NE(RunFileName("j", 1, 2, 0), RunFileName("j", 1, 3, 0));
+  EXPECT_NE(RunFileName("j", 1, 2, 0), SegmentFileName("j", 1, 2));
+  // Runs are shipped as map output, so they share the segment name form.
+  EXPECT_EQ(RunFileName("j", 1, 2, 0).rfind(SegmentFileName("j", 1, 2), 0),
+            0u);
 }
 
 TEST(ShuffleCompression, MissingSegmentIsError) {

@@ -295,7 +295,6 @@ TEST(WireTest, TaskResultCarriesStatus) {
   msg.rpc_id = 9;
   msg.status_code = static_cast<int32_t>(Status::Code::kIOError);
   msg.status_msg = "disk on fire";
-  msg.segment_files = {"a", "", "c"};  // "" = empty partition
   std::string payload;
   EncodeTaskResult(msg, &payload);
   TaskResultMsg got;
@@ -304,7 +303,46 @@ TEST(WireTest, TaskResultCarriesStatus) {
   const Status st = StatusFromWire(got.status_code, got.status_msg);
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsTransient());
+  EXPECT_TRUE(got.segment_files.empty());
+}
+
+TEST(WireTest, TaskResultCarriesPerPartitionRunLists) {
+  TaskResultMsg msg;
+  msg.rpc_id = 4;
+  // An empty partition, a single run, several runs (in merge order), and a
+  // merged segment.
+  msg.segment_files = {{},
+                       {"j/map_3_p1_r0"},
+                       {"j/map_3_p2_r0", "j/map_3_p2_r1", "j/map_3_p2_r2"},
+                       {"j/map_3_p3"}};
+  msg.output_records = "out";
+  msg.metrics = "metrics";
+  msg.cpu_nanos = 77;
+  msg.trace_chunk = "trace";
+  std::string payload;
+  EncodeTaskResult(msg, &payload);
+  TaskResultMsg got;
+  ASSERT_TRUE(DecodeTaskResult(payload, &got).ok());
   EXPECT_EQ(got.segment_files, msg.segment_files);
+  // The fields after the run lists still line up.
+  EXPECT_EQ(got.output_records, "out");
+  EXPECT_EQ(got.metrics, "metrics");
+  EXPECT_EQ(got.cpu_nanos, 77u);
+  EXPECT_EQ(got.trace_chunk, "trace");
+
+  // No partitions at all (a failed map) round-trips too.
+  msg.segment_files.clear();
+  EncodeTaskResult(msg, &payload);
+  ASSERT_TRUE(DecodeTaskResult(payload, &got).ok());
+  EXPECT_TRUE(got.segment_files.empty());
+
+  // Every strict prefix of a message is malformed, never a shorter list.
+  msg.segment_files = {{}, {"a"}, {"b", "c"}};
+  EncodeTaskResult(msg, &payload);
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    EXPECT_FALSE(DecodeTaskResult(payload.substr(0, cut), &got).ok())
+        << "cut at " << cut;
+  }
 }
 
 TEST(WireTest, KVListRoundTrip) {
