@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <utility>
 
 #include "common/json.h"
@@ -13,6 +12,14 @@
 
 namespace antimr {
 namespace engine {
+
+namespace {
+/// Once WaitForWorkers first sees its quorum, it re-checks liveness after
+/// this settle window, so a worker that registered and immediately died
+/// (connection reset before its first heartbeat) regresses the count
+/// instead of being handed out as capacity.
+constexpr uint64_t kQuorumSettleNanos = 20ull * 1000 * 1000;
+}  // namespace
 
 Coordinator::Coordinator(net::Transport* transport,
                          const CoordinatorOptions& options)
@@ -137,13 +144,7 @@ void Coordinator::ReceiveLoop(WorkerState* worker) {
         return;
       }
       if (!result.trace_chunk.empty()) {
-        const Status merge =
-            trace_merger_.AddChunk(1 + static_cast<int>(worker->id),
-                                   result.trace_chunk);
-        if (!merge.ok()) {
-          ANTIMR_LOG(kWarn) << "dropping trace chunk from worker "
-                            << worker->id << ": " << merge.ToString();
-        }
+        MergeTraceChunk(worker->id, result.trace_chunk);
         result.trace_chunk.clear();  // callers only see task payloads
       }
       std::lock_guard<std::mutex> lock(mu_);
@@ -162,17 +163,22 @@ void Coordinator::ReceiveLoop(WorkerState* worker) {
       // (handler threads, anything not drained at a task boundary).
       net::TraceChunkMsg msg;
       if (net::DecodeTraceChunk(payload, &msg).ok() && !msg.chunk.empty()) {
-        const Status merge = trace_merger_.AddChunk(
-            1 + static_cast<int>(worker->id), msg.chunk);
-        if (!merge.ok()) {
-          ANTIMR_LOG(kWarn) << "dropping trace chunk from worker "
-                            << worker->id << ": " << merge.ToString();
-        }
+        MergeTraceChunk(worker->id, msg.chunk);
       }
       std::lock_guard<std::mutex> lock(mu_);
       worker->last_activity_nanos = NowNanos();
     }
     // Unknown frame types are skipped (forward compatibility).
+  }
+}
+
+void Coordinator::MergeTraceChunk(uint32_t worker_id,
+                                  const std::string& chunk) {
+  const Status st =
+      trace_merger_.AddChunk(1 + static_cast<int>(worker_id), chunk);
+  if (!st.ok()) {
+    ANTIMR_LOG(kWarn) << "dropping trace chunk from worker " << worker_id
+                      << ": " << st.ToString();
   }
 }
 
@@ -248,7 +254,7 @@ bool Coordinator::WaitForWorkers(int n, uint64_t timeout_nanos) {
       // instant stays marked alive until its receiver observes the dead
       // connection. Hold for the settle window, waking on worker-state
       // changes, and only report success if the quorum survived it.
-      const uint64_t settle_deadline = now + options_.quorum_settle_nanos;
+      const uint64_t settle_deadline = now + kQuorumSettleNanos;
       while ((now = NowNanos()) < settle_deadline && live_count() >= n) {
         cv_.wait_for(lock, std::chrono::nanoseconds(settle_deadline - now));
       }
@@ -385,14 +391,7 @@ Status Coordinator::Call(uint32_t worker_id, net::TaskAssignMsg assign,
   cv_.wait(lock, [&] { return call.done; });
   worker->inflight--;
   rpc_progress_.erase(assign.rpc_id);
-  const uint64_t duration = NowNanos() - call_start;
-  rpc_latency_hist_->Observe(duration);
-  if (call.status.ok() && result->status_code == 0) {
-    // Successful completions feed the speculation slowness baseline.
-    auto& recent = recent_task_nanos_[assign.kind == net::TaskKind::kMap ? 0 : 1];
-    if (recent.size() >= 64) recent.erase(recent.begin());
-    recent.push_back(duration);
-  }
+  rpc_latency_hist_->Observe(NowNanos() - call_start);
   if (!call.status.ok()) return call.status;
   if (result->status_code != 0) {
     return net::StatusFromWire(result->status_code, result->status_msg);
@@ -439,18 +438,6 @@ uint32_t Coordinator::RpcProgressPermille(uint64_t rpc_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = rpc_progress_.find(rpc_id);
   return it == rpc_progress_.end() ? 0 : it->second;
-}
-
-uint64_t Coordinator::TypicalTaskNanos(net::TaskKind kind) const {
-  std::vector<uint64_t> recent;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    recent = recent_task_nanos_[kind == net::TaskKind::kMap ? 0 : 1];
-  }
-  if (recent.empty()) return 0;
-  std::nth_element(recent.begin(), recent.begin() + recent.size() / 2,
-                   recent.end());
-  return recent[recent.size() / 2];
 }
 
 void Coordinator::Stop() {
@@ -581,7 +568,11 @@ std::string Coordinator::StatusJson() const {
     }
     out.append(first ? "]" : "\n  ]");
   }
-  const JobStatusSnapshot job = job_status();
+  JobStatusSnapshot job;
+  {
+    std::lock_guard<std::mutex> lock(status_mu_);
+    job = job_status_;
+  }
   out.append(",\n  \"job\": {\"job_id\": ");
   AppendJsonString(&out, job.job_id);
   out.append(", \"name\": ");
@@ -601,11 +592,6 @@ std::string Coordinator::StatusJson() const {
 void Coordinator::PublishJobStatus(const JobStatusSnapshot& snapshot) {
   std::lock_guard<std::mutex> lock(status_mu_);
   job_status_ = snapshot;
-}
-
-JobStatusSnapshot Coordinator::job_status() const {
-  std::lock_guard<std::mutex> lock(status_mu_);
-  return job_status_;
 }
 
 std::string Coordinator::ClusterTraceJson() {

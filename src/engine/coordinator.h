@@ -1,19 +1,19 @@
 // The control plane of the distributed engine. A Coordinator accepts worker
 // registrations over a transport, tracks liveness via heartbeats, and
-// exposes a blocking task-RPC (Call) the distributed job driver schedules
-// over. RunDistributedJob reuses the single-process scheduling machinery —
-// TaskGraph + RetryPolicy — but its task bodies ship TaskAssign messages to
-// workers instead of running locally, so retry semantics, backoff, and
-// dependency ordering are identical in both modes.
+// exposes a blocking task-RPC (Call). Distributed jobs do not get a driver
+// of their own: the planner lowers them like any JobPlan, and the
+// RemoteRunner (engine/remote_runner.h) turns each map and reduce body into
+// a Call — so the TaskGraph, RetryPolicy, dependency ordering and metric
+// roll-up are the ones local plans use.
 //
 // Worker-loss model: a worker is dead when its connection errors or its
 // heartbeats stop for heartbeat_timeout_nanos. Death fails every in-flight
 // Call on that worker with a *transient* IOError, which flows back through
-// the TaskGraph retry path exactly like any flaky task; the reduce-side
-// driver additionally "heals" map placements whose owning worker died (the
-// map's segments died with the worker's storage) by re-running those maps
-// on live workers before retrying the reduce — re-execution recovery, the
-// MapReduce fault-tolerance contract.
+// the TaskGraph retry path exactly like any flaky task; the remote runner
+// additionally "heals" map placements whose owning worker died (the map's
+// segments died with the worker's storage) by re-running those maps on live
+// workers before retrying the reduce — re-execution recovery, the MapReduce
+// fault-tolerance contract.
 #ifndef ANTIMR_ENGINE_COORDINATOR_H_
 #define ANTIMR_ENGINE_COORDINATOR_H_
 
@@ -39,8 +39,8 @@
 namespace antimr {
 namespace engine {
 
-/// Point-in-time view of the job the driver is running (or last ran),
-/// published by RunDistributedJob and served verbatim on /status.
+/// Point-in-time view of the job a RemoteRunner is running (or last ran),
+/// served verbatim on /status.
 struct JobStatusSnapshot {
   std::string job_id;
   std::string job_name;
@@ -57,11 +57,6 @@ struct CoordinatorOptions {
   uint64_t heartbeat_timeout_nanos = 2ull * 1000 * 1000 * 1000;
   /// How often the monitor thread scans for lost workers.
   uint64_t monitor_period_nanos = 50ull * 1000 * 1000;
-  /// Once WaitForWorkers first sees its quorum, it re-checks liveness after
-  /// this settle window so a worker that registered and immediately died
-  /// (connection reset before its first heartbeat) regresses the count
-  /// instead of being handed to the driver as capacity.
-  uint64_t quorum_settle_nanos = 20ull * 1000 * 1000;
 };
 
 /// \brief Accepts workers, tracks liveness, routes task RPCs.
@@ -91,7 +86,7 @@ class Coordinator {
   /// Block until `n` workers are registered and alive, or `timeout_nanos`
   /// elapses. Returns whether the quorum held at the deadline: a worker
   /// that registers then immediately dies within the wait window is
-  /// re-checked (quorum_settle_nanos) and not counted once it regresses.
+  /// re-checked after a short settle window and not counted once it regresses.
   bool WaitForWorkers(int n, uint64_t timeout_nanos);
 
   int live_workers() const;
@@ -137,10 +132,6 @@ class Coordinator {
   /// 0 when the worker has not reported yet.
   uint32_t RpcProgressPermille(uint64_t rpc_id) const;
 
-  /// Median duration of recently completed tasks of one kind (speculation's
-  /// slowness baseline); 0 until a completion of that kind was observed.
-  uint64_t TypicalTaskNanos(net::TaskKind kind) const;
-
   /// Best-effort Shutdown to every live worker, close everything, join all
   /// threads. When a trace is being captured, waits briefly for workers'
   /// final kTraceChunk frames before dropping connections. Idempotent; also
@@ -175,7 +166,6 @@ class Coordinator {
   obs::ClusterMetrics& cluster_metrics() { return cluster_metrics_; }
 
   void PublishJobStatus(const JobStatusSnapshot& snapshot);
-  JobStatusSnapshot job_status() const;
 
   /// Merge this process's remaining trace buffers with every chunk workers
   /// shipped and render one Chrome-trace JSON document (coordinator = pid 1,
@@ -207,6 +197,8 @@ class Coordinator {
 
   void AcceptLoop();
   void ReceiveLoop(WorkerState* worker);
+  /// Fold a worker's shipped trace chunk into the cluster trace.
+  void MergeTraceChunk(uint32_t worker_id, const std::string& chunk);
   void MonitorLoop();
   /// Declare `worker` lost: fail its pending calls, close its conn.
   /// Caller must NOT hold mu_.
@@ -228,9 +220,6 @@ class Coordinator {
   std::map<uint64_t, PendingCall*> pending_;
   /// Heartbeat-reported progress per in-flight rpc (erased on completion).
   std::map<uint64_t, uint32_t> rpc_progress_;
-  /// Recent completed-task durations per kind (map, reduce), bounded, for
-  /// the speculation slowness baseline.
-  std::vector<uint64_t> recent_task_nanos_[2];
 
   obs::Gauge* workers_live_gauge_;
   obs::Counter* tasks_assigned_counter_;
@@ -247,7 +236,7 @@ class Coordinator {
   JobStatusSnapshot job_status_;
 };
 
-// --- distributed job driver ----------------------------------------------
+// --- distributed jobs ----------------------------------------------------
 
 struct DistJobOptions {
   std::string job_name;     ///< registered builder name (engine/job_registry.h)
@@ -265,9 +254,6 @@ struct DistJobOptions {
   /// Scope for segment file names; "" derives one from job_name. Attempts
   /// get unique sub-scopes so re-executions never collide with stale files.
   std::string job_id;
-  /// Dispatcher threads driving blocking Calls; 0 sizes to the task count
-  /// (dispatchers spend their life blocked on worker RPCs, not CPU).
-  int dispatch_threads = 0;
 
   // --- speculative execution ---------------------------------------------
   /// Launch a backup attempt for a task whose primary attempt looks like a
@@ -277,10 +263,8 @@ struct DistJobOptions {
   bool speculative_execution = false;
   /// A primary is a straggler once its elapsed time exceeds
   /// slowness_factor x the median completed duration of its task kind.
+  /// (Never before 200 ms of elapsed time: the cold-start guard.)
   double speculation_slowness_factor = 2.0;
-  /// Never speculate before this much elapsed time (guards the cold start
-  /// where no duration baseline exists yet).
-  uint64_t speculation_min_elapsed_nanos = 200ull * 1000 * 1000;
   /// Test override: when > 0, a backup launches after exactly this elapsed
   /// time regardless of the adaptive baseline (deterministic races).
   uint64_t speculation_force_after_nanos = 0;
@@ -294,8 +278,9 @@ struct DistJobResult {
   JobMetrics metrics;
   /// Map task executions beyond the first num_maps (retries + heals).
   uint64_t map_reruns = 0;
-  /// Per reduce partition: transport bytes fetched (shuffle load) and input
-  /// records — the load-spread signal bench_e7_skew plots.
+  /// Per reduce partition of the plan's first stage: transport bytes
+  /// fetched (shuffle load) and input records — the load-spread signal the
+  /// skew defenses balance.
   std::vector<uint64_t> reduce_shuffle_bytes;
   std::vector<uint64_t> reduce_input_records;
   /// Speculation outcome counts for this job.
@@ -310,11 +295,10 @@ struct DistJobResult {
 
 /// Run one registered job across `coord`'s workers. Blocks until done.
 ///
-/// Since the JobService refactor this is a thin submit-and-wait shim over an
-/// ephemeral single-pool JobService (engine/job_service.h) — the job passes
-/// through the same admission/queue/dispatch path a daemon-submitted job
-/// does, with an unlimited quota and legacy dispatch-width sizing so callers
-/// observe identical behavior. Defined in job_service.cc.
+/// A thin submit-and-wait shim over an ephemeral single-pool JobService
+/// (engine/job_service.h): the job passes through the same admission/queue/
+/// dispatch path a daemon-submitted job does, with an unlimited quota and
+/// one dispatch thread per task. Defined in job_service.cc.
 Status RunDistributedJob(Coordinator* coord, const DistJobOptions& options,
                          DistJobResult* result);
 

@@ -21,13 +21,11 @@ DatasetCatalog::Dataset* DatasetCatalog::Find(const std::string& name) {
   return &it->second;
 }
 
-void DatasetCatalog::RegisterExternal(const std::string& name,
-                                      const std::vector<InputSplit>* splits) {
+void DatasetCatalog::RegisterExternal(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   Dataset& ds = datasets_[name];
   ds.info.name = name;
   ds.info.external = true;
-  ds.external_splits = splits;
 }
 
 void DatasetCatalog::RegisterIntermediate(const std::string& name,

@@ -39,10 +39,8 @@ struct DatasetInfo {
 /// read by tasks that depend on the reduce task that published it.
 class DatasetCatalog {
  public:
-  /// Register an external dataset; the catalog borrows nothing (splits are
-  /// copied in and handed out as-is).
-  void RegisterExternal(const std::string& name,
-                        const std::vector<InputSplit>* splits);
+  /// Register an external dataset (its splits stay with the plan).
+  void RegisterExternal(const std::string& name);
 
   /// Register a stage output with `num_partitions` reduce partitions.
   /// `retained` datasets survive their last consumer (plan outputs).
@@ -83,7 +81,6 @@ class DatasetCatalog {
  private:
   struct Dataset {
     DatasetInfo info;
-    const std::vector<InputSplit>* external_splits = nullptr;
     std::vector<std::shared_ptr<std::vector<KV>>> partitions;
     int pending_consumers = 0;
   };

@@ -1,7 +1,6 @@
 #include "engine/executor.h"
 
 #include <atomic>
-#include <set>
 #include <utility>
 
 #include "common/logging.h"
@@ -15,28 +14,109 @@
 namespace antimr {
 namespace engine {
 
-const std::vector<std::vector<KV>>* PlanResult::Output(
-    const std::string& name) const {
-  auto it = outputs.find(name);
-  return it == outputs.end() ? nullptr : &it->second;
-}
-
 std::vector<KV> PlanResult::FlatOutput(const std::string& name) const {
   std::vector<KV> flat;
-  const auto* partitions = Output(name);
-  if (partitions == nullptr) return flat;
-  for (const auto& part : *partitions) {
+  auto it = outputs.find(name);
+  if (it == outputs.end()) return flat;
+  for (const auto& part : it->second) {
     flat.insert(flat.end(), part.begin(), part.end());
   }
   return flat;
 }
 
 namespace {
-std::string UniquePlanId(const std::string& name) {
-  static std::atomic<uint64_t> counter{0};
-  return "plan_" + name + "_" +
-         std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
-}
+
+/// Runs tasks in-process. Segments are written to `task_env` (maybe
+/// throttled), served by the run's SegmentServer at `shuffle_addr` and
+/// pulled through `shuffle`, so every shuffled byte crosses the transport
+/// framing layer; `cleanup_env` deletes them.
+struct LocalRunner : public TaskRunner {
+  Env* task_env = nullptr;
+  Env* cleanup_env = nullptr;
+  TaskPool* fetches = nullptr;
+  net::ShuffleClient* shuffle = nullptr;
+  std::string shuffle_addr;
+  size_t readahead_blocks = 0;
+
+  TaskPool* fetch_pool() override { return fetches; }
+
+  Status Map(StageExec* st, size_t m, int attempt) override {
+    // Idempotent retry: discard the prior attempt's partial result and
+    // write under an attempt-scoped job id so a half-written file from the
+    // failed attempt can never be read as output.
+    if (attempt > 0) st->map_results[m] = MapTaskResult();
+    const std::string job_id =
+        attempt == 0 ? st->job_id
+                     : st->job_id + "_r" + std::to_string(attempt);
+    const uint64_t cpu_start = ThreadCpuNanos();
+    Status status = RunMapTask(st->run_spec, job_id, static_cast<int>(m),
+                               st->map_inputs[m].split, task_env,
+                               &st->map_results[m]);
+    st->map_cpu[m] = ThreadCpuNanos() - cpu_start;
+    return status;
+  }
+
+  Status Fetch(StageExec* st, size_t p, size_t m) override {
+    const std::vector<std::string>& files =
+        st->map_results[m].segment_files[p];
+    if (files.empty()) return Status::OK();
+    ANTIMR_TRACE_SPAN_DYN("task", "fetch:" + st->trace_label + " p" +
+                                      std::to_string(p) + " m" +
+                                      std::to_string(m));
+    // Every attempt starts over from empty segments so a partially-filled
+    // buffer from a failed attempt cannot leak into the merge.
+    std::vector<FetchedSegment>& out = st->fetched[p][m];
+    out.assign(files.size(), FetchedSegment());
+    if (st->maps_remaining.load(std::memory_order_relaxed) > 0) {
+      st->overlapped_fetches.fetch_add(1, std::memory_order_relaxed);
+    }
+    const uint64_t cpu_start = ThreadCpuNanos();
+    // Over the shuffle service, so the copy crosses the counted transport
+    // boundary.
+    Status status;
+    for (size_t r = 0; r < files.size() && status.ok(); ++r) {
+      status = shuffle->Fetch(shuffle_addr, files[r], &out[r]);
+    }
+    st->fetch_cpu[p].fetch_add(ThreadCpuNanos() - cpu_start,
+                               std::memory_order_relaxed);
+    return status;
+  }
+
+  Status Reduce(StageExec* st, size_t p, int attempt) override {
+    if (attempt > 0) st->reduce_results[p] = ReduceTaskResult();
+    ReduceTaskInputs inputs;
+    inputs.readahead_blocks = readahead_blocks;
+    // Borrow the fetched segments in (map, run) order — the StageExec keeps
+    // owning them so a transiently-failed reduce retries against the same
+    // bytes instead of finding moved-out empties.
+    for (const std::vector<FetchedSegment>& runs : st->fetched[p]) {
+      for (const FetchedSegment& fs : runs) inputs.fetched.push_back(&fs);
+    }
+    const uint64_t cpu_start = ThreadCpuNanos();
+    Status status =
+        RunReduceTask(st->run_spec, static_cast<int>(p), inputs, task_env,
+                      st->publish_output, &st->reduce_results[p]);
+    st->reduce_cpu[p] = ThreadCpuNanos() - cpu_start +
+                        st->fetch_cpu[p].load(std::memory_order_relaxed);
+    if (status.ok()) {
+      // Success is terminal: drop the fetched frames now (not at stage
+      // teardown) to keep shuffle memory bounded per live reduce.
+      for (std::vector<FetchedSegment>& runs : st->fetched[p]) {
+        std::vector<FetchedSegment>().swap(runs);
+      }
+    }
+    return status;
+  }
+
+  void Cleanup(StageExec* st) override {
+    for (const MapTaskResult& mr : st->map_results) {
+      for (const std::vector<std::string>& files : mr.segment_files) {
+        for (const std::string& fname : files) cleanup_env->DeleteFile(fname);
+      }
+    }
+  }
+};
+
 }  // namespace
 
 Executor::Executor(const ExecutorOptions& options)
@@ -94,114 +174,27 @@ Status Executor::Run(const JobPlan& plan, PlanResult* result) {
                                              "fetch");
   }
 
-  DatasetCatalog catalog;
-  std::deque<StageExec> stages;
-  RetryPolicy retry;
-  retry.max_attempts = std::max(1, options_.max_task_attempts);
-  retry.backoff_nanos = options_.retry_backoff_nanos;
-  TaskGraph graph(&pool_, retry);
-
+  LocalRunner runner;
+  runner.task_env = task_env;
+  runner.cleanup_env = env;
+  runner.fetches = fetch_pool_.get();
+  runner.shuffle = &shuffle_client;
+  runner.shuffle_addr = shuffle_server.addr();
+  runner.readahead_blocks = options_.readahead_blocks > 0
+                                ? options_.readahead_blocks
+                                : kShuffleReadaheadBlocks;
   PlannerContext ctx;
   ctx.plan = &plan;
-  ctx.catalog = &catalog;
-  ctx.task_env = task_env;
-  ctx.cleanup_env = env;
-  ctx.fetch_pool = fetch_pool_.get();
-  ctx.shuffle = &shuffle_client;
-  ctx.shuffle_addr = shuffle_server.addr();
-  ctx.readahead_blocks = options_.readahead_blocks > 0
-                             ? options_.readahead_blocks
-                             : kShuffleReadaheadBlocks;
+  ctx.runner = &runner;
+  ctx.job_id =
+      options_.run_id.empty() ? UniqueJobId("plan", plan.name) : options_.run_id;
+  ctx.pool = &pool_;
+  ctx.retry.max_attempts = std::max(1, options_.max_task_attempts);
+  ctx.retry.backoff_nanos = options_.retry_backoff_nanos;
   ctx.collect_outputs = options_.collect_outputs;
   ctx.cleanup_intermediates = options_.cleanup_intermediates;
-  ctx.run_id = options_.run_id.empty() ? UniquePlanId(plan.name)
-                                       : options_.run_id;
-
-  const Status lowered = LowerPlan(ctx, &graph, &stages);
-  // Tasks added before a lowering error may already be running; always
-  // drain the graph before touching (or destroying) the state they use.
-  const Status run_status = graph.Wait();
-  // On a failure path, consumer tasks that were skipped never reached their
-  // ConsumerDone calls, so intermediates would sit unreleased. Every task is
-  // terminal once Wait returns; reclaim whatever is still held so a failed
-  // plan cannot leak dataset memory (sinks stay retained for TakePartitions).
-  catalog.ReleaseAll();
-  if (!lowered.ok()) return lowered;
-
-  // ---- Aggregate: per-stage roll-ups, then the plan total ------------------
-  result->stages.resize(plan.stages().size());
-  for (size_t i = 0; i < plan.stages().size(); ++i) {
-    const Stage& stage = plan.stages()[i];
-    const StageExec& st = stages[i];
-    StageResult& sr = result->stages[i];
-    sr.name = stage.name.empty() ? stage.spec.name : stage.name;
-    sr.output = stage.output;
-    for (size_t m = 0; m < st.num_maps; ++m) {
-      sr.metrics.Add(st.map_results[m].metrics);
-      sr.metrics.total_cpu_nanos += st.map_cpu[m];
-      if (options_.collect_task_metrics) {
-        sr.tasks.push_back({/*is_map=*/true, static_cast<int>(m),
-                            st.map_cpu[m], st.map_results[m].metrics});
-      }
-    }
-    for (size_t p = 0; p < st.reduce_results.size(); ++p) {
-      sr.metrics.Add(st.reduce_results[p].metrics);
-      sr.metrics.total_cpu_nanos += st.reduce_cpu[p];
-      if (options_.collect_task_metrics) {
-        sr.tasks.push_back({/*is_map=*/false, static_cast<int>(p),
-                            st.reduce_cpu[p], st.reduce_results[p].metrics});
-      }
-    }
-    sr.metrics.shuffle_overlapped_fetches =
-        st.overlapped_fetches.load(std::memory_order_relaxed);
-    const uint64_t first = st.first_start.load(std::memory_order_relaxed);
-    const uint64_t last = st.last_end.load(std::memory_order_relaxed);
-    if (last > 0 && first != ~uint64_t{0}) {
-      sr.first_start_nanos = first;
-      sr.last_end_nanos = last;
-      sr.metrics.wall_nanos = last - first;
-      // One async track per stage: the stage's activity span, emitted
-      // post-run with the timestamps the tasks stamped. Renders as a lane
-      // above the worker threads showing how stages overlap.
-      if (obs::kTraceCompiled && obs::TraceEnabled()) {
-        static std::atomic<uint64_t> track_counter{0};
-        const uint64_t track_id =
-            track_counter.fetch_add(1, std::memory_order_relaxed) + 1;
-        const std::string track_name =
-            "stage:" + std::to_string(st.stage_index) + ":" + sr.name;
-        obs::Tracer::Global().AsyncBegin("stage", track_name, track_id, first);
-        obs::Tracer::Global().AsyncEnd("stage", track_name, track_id, last);
-      }
-    }
-    result->metrics.Add(sr.metrics);
-  }
-
-  // Cross-stage pipelining metric: overlap of producer/consumer activity
-  // spans, summed over distinct dataset edges.
-  std::set<std::pair<int, int>> edges;
-  for (size_t i = 0; i < plan.stages().size(); ++i) {
-    for (const std::string& input : plan.stages()[i].inputs) {
-      const int producer = plan.ProducerOf(input);
-      if (producer >= 0) edges.insert({producer, static_cast<int>(i)});
-    }
-  }
-  for (const auto& [producer, consumer] : edges) {
-    const StageResult& a = result->stages[static_cast<size_t>(producer)];
-    const StageResult& b = result->stages[static_cast<size_t>(consumer)];
-    if (a.last_end_nanos == 0 || b.last_end_nanos == 0) continue;
-    const uint64_t lo = std::max(a.first_start_nanos, b.first_start_nanos);
-    const uint64_t hi = std::min(a.last_end_nanos, b.last_end_nanos);
-    if (hi > lo) result->stage_overlap_nanos += hi - lo;
-  }
-
-  if (options_.collect_outputs) {
-    for (size_t i = 0; i < plan.stages().size(); ++i) {
-      if (!plan.IsSink(static_cast<int>(i))) continue;
-      const std::string& name = plan.stages()[i].output;
-      result->outputs[name] = catalog.TakePartitions(name);
-    }
-  }
-  result->datasets = catalog.Describe();
+  ctx.collect_task_metrics = options_.collect_task_metrics;
+  const Status run_status = RunPlan(ctx, result);
 
   const IoStats io_after = env->stats();
   result->metrics.disk_bytes_read = io_after.bytes_read - io_before.bytes_read;

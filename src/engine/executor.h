@@ -82,8 +82,6 @@ struct PlanResult {
   /// Sink dataset -> reduce output per partition (when collect_outputs).
   std::map<std::string, std::vector<std::vector<KV>>> outputs;
 
-  /// Partitions of a sink dataset, or null if not collected.
-  const std::vector<std::vector<KV>>* Output(const std::string& name) const;
   /// Flatten a sink dataset across partitions (partition order, then
   /// emission order). Empty if not collected.
   std::vector<KV> FlatOutput(const std::string& name) const;

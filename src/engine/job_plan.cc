@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "engine/job_registry.h"
+
 namespace antimr {
 namespace engine {
 
@@ -44,6 +46,22 @@ bool JobPlan::IsSink(int stage) const {
   return ConsumerCount(stages_[static_cast<size_t>(stage)].output) == 0;
 }
 
+int JobPlan::NumSplits(const std::string& dataset) const {
+  const int producer = ProducerOf(dataset);
+  return producer >= 0
+             ? stages_[static_cast<size_t>(producer)].spec.num_reduce_tasks
+             : static_cast<int>(external_inputs_.at(dataset).size());
+}
+
+Status MakeRegisteredStage(const std::string& builder, net::JobParams params,
+                           Stage* stage) {
+  ANTIMR_RETURN_NOT_OK(BuildRegisteredJob(builder, params, &stage->spec));
+  if (stage->name.empty()) stage->name = builder;
+  stage->builder = builder;
+  stage->params = std::move(params);
+  return Status::OK();
+}
+
 Status JobPlan::Validate() const {
   if (stages_.empty()) {
     return Status::InvalidArgument("JobPlan: no stages");
@@ -55,6 +73,11 @@ Status JobPlan::Validate() const {
     // as a permanent InvalidArgument, not as modulo-by-zero UB mid-task.
     ANTIMR_RETURN_NOT_OK(stage.spec.partitioner->ValidatePartitions(
         stage.spec.num_reduce_tasks));
+    if (!stage.builder.empty() && stage.options.anti_combine) {
+      // A registered spec carries its strategy from its params already.
+      return Status::InvalidArgument("JobPlan: registered stage " +
+                                     stage.name + " must not set anti_combine");
+    }
     if (stage.output.empty()) {
       return Status::InvalidArgument("JobPlan: stage " + stage.name +
                                      " has no output dataset");

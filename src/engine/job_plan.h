@@ -18,6 +18,7 @@
 
 #include "anticombine/options.h"
 #include "mr/job_spec.h"
+#include "net/wire.h"
 
 namespace antimr {
 namespace engine {
@@ -31,9 +32,15 @@ struct StageOptions {
 };
 
 /// \brief One stage of a pipeline: a JobSpec plus dataset wiring.
+///
+/// A registered stage (MakeRegisteredStage) can run on remote workers, which
+/// rebuild `spec` from its `builder` and `params`. Its params carry its
+/// Anti-Combining strategy, so options.anti_combine must stay off.
 struct Stage {
   std::string name;
   JobSpec spec;
+  std::string builder;  ///< registered builder name; "" = local-only stage
+  net::JobParams params;  ///< builder params, shipped verbatim to workers
   /// Dataset names this stage maps over. Each must be either an external
   /// input (JobPlan::AddInput) or the output of exactly one other stage.
   std::vector<std::string> inputs;
@@ -78,6 +85,10 @@ class JobPlan {
   /// True when no stage consumes `stage`'s output (a plan output).
   bool IsSink(int stage) const;
 
+  /// Map tasks a stage runs over `dataset`: one per split of an external
+  /// input, one per reduce partition of an intermediate one.
+  int NumSplits(const std::string& dataset) const;
+
   const std::vector<Stage>& stages() const { return stages_; }
   const std::map<std::string, std::vector<InputSplit>>& external_inputs()
       const {
@@ -88,6 +99,12 @@ class JobPlan {
   std::vector<Stage> stages_;
   std::map<std::string, std::vector<InputSplit>> external_inputs_;
 };
+
+/// Build `stage->spec` from the registered `builder` and `params` and record
+/// both on the stage (its name defaults to the builder's). NotFound for an
+/// unknown builder; the builder's own errors otherwise.
+Status MakeRegisteredStage(const std::string& builder, net::JobParams params,
+                           Stage* stage);
 
 }  // namespace engine
 }  // namespace antimr

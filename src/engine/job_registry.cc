@@ -45,15 +45,6 @@ Status BuildRegisteredJob(const std::string& name, const net::JobParams& params,
   return spec->Validate();
 }
 
-std::vector<std::string> RegisteredJobNames() {
-  Registry& r = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  std::vector<std::string> names;
-  names.reserve(r.builders.size());
-  for (const auto& [name, builder] : r.builders) names.push_back(name);
-  return names;
-}
-
 Status ParamInt(const std::map<std::string, std::string>& params,
                 const std::string& key, int def, int* out) {
   auto it = params.find(key);

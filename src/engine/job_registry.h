@@ -11,7 +11,6 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "mr/job_spec.h"
 #include "net/wire.h"
@@ -30,11 +29,9 @@ using JobBuilder =
 void RegisterJobBuilder(const std::string& name, JobBuilder builder);
 
 /// Rebuild the spec for a registered job. NotFound when no builder exists.
+/// A key given twice in `params` takes its last value.
 Status BuildRegisteredJob(const std::string& name, const net::JobParams& params,
                           JobSpec* spec);
-
-/// Names of all registered builders, sorted (for CLI help / diagnostics).
-std::vector<std::string> RegisteredJobNames();
 
 // --- param parsing helpers (shared by builders) --------------------------
 

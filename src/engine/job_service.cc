@@ -1,29 +1,27 @@
-// JobService implementation plus the distributed job driver it dispatches.
-// The driver (ExecuteDistJob) is the former RunDistributedJob body, moved
-// here and parameterized for multi-tenancy: per-job placement accounting
+// JobService implementation. Each admitted job runs as a one-stage JobPlan
+// on its own RemoteRunner (engine/remote_runner.h), which brings the
+// multi-tenancy the service needs: per-job placement accounting
 // (PickWorker's job_inflight map), a per-job speculation baseline (a slow
 // tenant must not poison another tenant's straggler threshold), and an
-// abort flag checked at every task-body entry so AbortJob unwinds the
+// abort flag checked at every task-body entry so Abort unwinds the
 // TaskGraph with a permanent status instead of burning the retry budget.
-// RunDistributedJob itself survives as a submit-and-wait shim over an
-// ephemeral single-pool service, so every job — legacy or daemon-submitted
-// — takes the same admission/queue/dispatch path.
+// RunDistributedJob survives as a submit-and-wait shim over an ephemeral
+// single-pool service, so every job — one-shot or daemon-submitted — takes
+// the same admission/queue/dispatch path.
 #include "engine/job_service.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <functional>
+#include <memory>
 #include <utility>
 
 #include "common/hash.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "engine/job_registry.h"
-#include "mr/local_cluster.h"
+#include "engine/job_plan.h"
+#include "engine/remote_runner.h"
 #include "net/frame.h"
-#include "obs/trace.h"
 
 namespace antimr {
 namespace engine {
@@ -45,518 +43,10 @@ std::vector<KV> DistJobResult::FlatOutput() const {
   return flat;
 }
 
-// --- distributed job driver ----------------------------------------------
-
 namespace {
 
 bool IsTerminalState(const std::string& state) {
   return state == "succeeded" || state == "failed" || state == "aborted";
-}
-
-/// Placement of one map task's current (latest successful) execution.
-struct MapPlacement {
-  std::mutex mu;  ///< serializes heal re-runs of this map
-  uint32_t worker = 0;
-  /// Per reduce partition, the map's segment files in run order.
-  std::vector<std::vector<std::string>> segment_files;
-  JobMetrics metrics;                      ///< latest attempt only
-  uint64_t cpu_nanos = 0;
-  std::atomic<uint32_t> attempts{0};  ///< executions started (job_id scope)
-};
-
-std::string UniqueJobId(const std::string& name) {
-  static std::atomic<uint64_t> counter{0};
-  return "dist_" + name + "_" +
-         std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
-}
-
-// --- speculative execution ------------------------------------------------
-
-/// Launch one attempt of a task: pick a worker (excluding `exclude_worker`;
-/// 0 = none), publish the chosen worker and the rpc_id through the atomics
-/// *before* blocking, then block in Coordinator::Call. Returning means the
-/// attempt finished (either way); the atomics let the race monitor cancel a
-/// still-running attempt from outside.
-using AttemptFn =
-    std::function<Status(uint32_t exclude_worker, std::atomic<uint64_t>* rpc_id,
-                         std::atomic<uint32_t>* worker,
-                         net::TaskResultMsg* res)>;
-
-struct SpecConfig {
-  bool enabled = false;
-  double slowness_factor = 2.0;
-  uint64_t min_elapsed_nanos = 0;
-  uint64_t force_after_nanos = 0;
-  net::TaskKind kind = net::TaskKind::kMap;
-};
-
-struct SpecStats {
-  std::atomic<uint64_t> backups{0};
-  std::atomic<uint64_t> backup_wins{0};
-  std::atomic<uint64_t> cancels{0};
-};
-
-/// Per-job straggler baseline: recent completed-task durations by kind.
-/// Job-scoped on purpose — under multi-tenancy a pool of long tasks must
-/// not set the slowness threshold for a pool of short ones (and vice
-/// versa), which the old coordinator-global baseline would.
-struct SpecBaseline {
-  std::mutex mu;
-  std::vector<uint64_t> recent[2];  ///< [map, reduce]
-
-  void Record(net::TaskKind kind, uint64_t nanos) {
-    std::lock_guard<std::mutex> lock(mu);
-    auto& r = recent[kind == net::TaskKind::kMap ? 0 : 1];
-    if (r.size() >= 64) r.erase(r.begin());
-    r.push_back(nanos);
-  }
-
-  /// Median recent duration; 0 until a completion of that kind landed.
-  uint64_t Typical(net::TaskKind kind) {
-    std::lock_guard<std::mutex> lock(mu);
-    std::vector<uint64_t> r = recent[kind == net::TaskKind::kMap ? 0 : 1];
-    if (r.empty()) return 0;
-    const size_t mid = r.size() / 2;
-    std::nth_element(r.begin(), r.begin() + static_cast<long>(mid), r.end());
-    return r[mid];
-  }
-};
-
-/// First-finisher-wins execution of `attempt`, optionally racing a backup
-/// against a straggling primary. The winner's result lands in *result /
-/// *winner_worker; the loser is cancelled (kCancelTask) and awaited, so no
-/// attempt outlives this call. With cfg.enabled false this is a plain
-/// single-attempt run.
-Status RunWithSpeculation(Coordinator* coord, const SpecConfig& cfg,
-                          SpecBaseline* baseline, const AttemptFn& attempt,
-                          net::TaskResultMsg* result, uint32_t* winner_worker,
-                          SpecStats* stats) {
-  struct Side {
-    std::atomic<uint64_t> rpc_id{0};
-    std::atomic<uint32_t> worker{0};
-    net::TaskResultMsg res;
-    Status status;
-    bool done = false;  // guarded by mu below
-  };
-  if (!cfg.enabled) {
-    Side solo;
-    const Status st = attempt(0, &solo.rpc_id, &solo.worker, &solo.res);
-    *result = std::move(solo.res);
-    *winner_worker = solo.worker.load(std::memory_order_relaxed);
-    return st;
-  }
-
-  static obs::Counter* const backups_counter =
-      obs::MetricsRegistry::Global().GetCounter(
-          "antimr_spec_backups_total",
-          "speculative backup attempts launched for stragglers");
-  static obs::Counter* const wins_counter =
-      obs::MetricsRegistry::Global().GetCounter(
-          "antimr_spec_wins_total",
-          "speculative races won by the backup attempt");
-  static obs::Counter* const cancelled_counter =
-      obs::MetricsRegistry::Global().GetCounter(
-          "antimr_spec_cancelled_total",
-          "attempts cancelled after losing a speculative race");
-
-  Side primary, backup;
-  std::mutex mu;
-  std::condition_variable cv;
-  auto run_side = [&](Side* side, uint32_t exclude) {
-    const Status st = attempt(exclude, &side->rpc_id, &side->worker, &side->res);
-    std::lock_guard<std::mutex> lock(mu);
-    side->status = st;
-    side->done = true;
-    cv.notify_all();
-  };
-  std::thread primary_thread(run_side, &primary, 0u);
-  std::thread backup_thread;
-  bool backup_started = false;
-  const uint64_t start = NowNanos();
-
-  // Adaptive threshold: explicit override wins; otherwise slowness_factor x
-  // the job's median completed duration of this task kind, floored. No
-  // baseline yet (cold start) = no speculation.
-  auto slowness_threshold = [&]() -> uint64_t {
-    if (cfg.force_after_nanos > 0) return cfg.force_after_nanos;
-    const uint64_t typical = baseline->Typical(cfg.kind);
-    if (typical == 0) return 0;
-    const auto scaled =
-        static_cast<uint64_t>(static_cast<double>(typical) * cfg.slowness_factor);
-    return std::max(cfg.min_elapsed_nanos, scaled);
-  };
-
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    for (;;) {
-      const bool all_done = primary.done && (!backup_started || backup.done);
-      const bool have_winner = (primary.done && primary.status.ok()) ||
-                               (backup_started && backup.done &&
-                                backup.status.ok());
-      if (all_done || have_winner) break;
-      cv.wait_for(lock, std::chrono::milliseconds(5));
-      if (backup_started || primary.done) continue;
-      const uint64_t threshold = slowness_threshold();
-      if (threshold == 0 || NowNanos() - start < threshold) continue;
-      // Nearly-finished primaries are not worth racing (adaptive mode only;
-      // a forced threshold is a test asking for a deterministic race).
-      if (cfg.force_after_nanos == 0 &&
-          coord->RpcProgressPermille(
-              primary.rpc_id.load(std::memory_order_acquire)) >= 900) {
-        continue;
-      }
-      if (coord->live_workers() < 2) continue;  // nowhere to place a backup
-      backup_started = true;
-      stats->backups.fetch_add(1, std::memory_order_relaxed);
-      backups_counter->Inc();
-      ANTIMR_TRACE_INSTANT(
-          "engine", "speculative_backup",
-          obs::TraceArgs()
-              .Add("rpc", static_cast<int64_t>(
-                              primary.rpc_id.load(std::memory_order_acquire)))
-              .Add("kind", cfg.kind == net::TaskKind::kMap ? "map" : "reduce"));
-      lock.unlock();
-      backup_thread = std::thread(run_side, &backup,
-                                  primary.worker.load(std::memory_order_relaxed));
-      lock.lock();
-    }
-  }
-
-  // Decide the race and cancel the still-running loser, if any.
-  Side* winner = nullptr;
-  Side* loser = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (primary.done && primary.status.ok()) {
-      winner = &primary;
-      loser = backup_started ? &backup : nullptr;
-    } else if (backup_started && backup.done && backup.status.ok()) {
-      winner = &backup;
-      loser = &primary;
-    }
-  }
-  if (winner != nullptr && loser != nullptr) {
-    bool loser_running;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      loser_running = !loser->done;
-    }
-    if (loser_running) {
-      coord->CancelTask(loser->worker.load(std::memory_order_relaxed),
-                        loser->rpc_id.load(std::memory_order_acquire));
-      stats->cancels.fetch_add(1, std::memory_order_relaxed);
-      cancelled_counter->Inc();
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return loser->done; });
-    }
-  }
-  primary_thread.join();
-  if (backup_thread.joinable()) backup_thread.join();
-
-  if (winner == nullptr) {
-    // Both attempts failed (or the lone primary did): surface the primary's
-    // error — the TaskGraph retry layer treats it like any failed attempt.
-    return !primary.status.ok() ? primary.status : backup.status;
-  }
-  if (winner == &backup) {
-    stats->backup_wins.fetch_add(1, std::memory_order_relaxed);
-    wins_counter->Inc();
-    ANTIMR_TRACE_INSTANT(
-        "engine", "speculation_win",
-        obs::TraceArgs()
-            .Add("rpc", static_cast<int64_t>(
-                            backup.rpc_id.load(std::memory_order_acquire)))
-            .Add("kind", cfg.kind == net::TaskKind::kMap ? "map" : "reduce"));
-  }
-  *result = std::move(winner->res);
-  *winner_worker = winner->worker.load(std::memory_order_relaxed);
-  return Status::OK();
-}
-
-/// Service-side hooks threaded through one driver run.
-struct ExecHooks {
-  /// Pre-encoded splits (wire path); empty = encode options.splits here.
-  const std::vector<std::string>* encoded_splits = nullptr;
-  /// Abort flag: checked at every task-body entry; a set flag turns the
-  /// body into a *permanent* failure (Status::Internal), which stops the
-  /// TaskGraph retry loop cold. The kCancelJob broadcast fails in-flight
-  /// worker attempts transiently; this check is what keeps the retry from
-  /// relaunching them.
-  const std::atomic<bool>* abort = nullptr;
-  /// Progress mirror for the service's job table (called alongside the
-  /// coordinator's own PublishJobStatus).
-  std::function<void(const JobStatusSnapshot&)> on_status;
-};
-
-/// The distributed job driver: the body RunDistributedJob had before the
-/// JobService refactor, now shared by every admitted job.
-Status ExecuteDistJob(Coordinator* coord, const DistJobOptions& options,
-                      const ExecHooks& hooks, DistJobResult* result) {
-  *result = DistJobResult();
-  const uint64_t wall_start = NowNanos();
-
-  auto aborted = [&hooks] {
-    return hooks.abort != nullptr &&
-           hooks.abort->load(std::memory_order_acquire);
-  };
-
-  // Build the spec locally only to learn the job's shape (and fail fast on
-  // bad params) — workers rebuild their own from the same registry.
-  JobSpec spec;
-  ANTIMR_RETURN_NOT_OK(
-      BuildRegisteredJob(options.job_name, options.params, &spec));
-  const int num_reduces = spec.num_reduce_tasks;
-
-  // Encode each split once; retries and heals reuse the bytes. The wire
-  // path hands pre-encoded splits through hooks.
-  std::vector<std::string> encoded_storage;
-  const std::vector<std::string>* encoded = hooks.encoded_splits;
-  if (encoded == nullptr || encoded->empty()) {
-    encoded_storage.resize(options.splits.size());
-    for (size_t m = 0; m < options.splits.size(); ++m) {
-      net::EncodeKVList(options.splits[m], &encoded_storage[m]);
-    }
-    encoded = &encoded_storage;
-  }
-  const int num_maps = static_cast<int>(encoded->size());
-  if (num_maps == 0) return Status::InvalidArgument("no input splits");
-  const std::string job_id =
-      options.job_id.empty() ? UniqueJobId(options.job_name) : options.job_id;
-  ANTIMR_TRACE_SPAN_DYN("engine", "dist:" + job_id);
-
-  std::deque<MapPlacement> placements(num_maps);
-  std::vector<std::vector<KV>> outputs(num_reduces);
-  std::vector<JobMetrics> reduce_metrics(num_reduces);
-  std::vector<uint64_t> reduce_cpu(num_reduces, 0);
-  std::atomic<uint64_t> map_runs{0};
-  std::atomic<uint64_t> maps_done{0};
-  std::atomic<uint64_t> reduces_done{0};
-
-  // This job's in-flight dispatches per worker: placement balances the
-  // job's own spread first (Coordinator::PickWorker) so one tenant's flood
-  // cannot pile another tenant's tasks onto the one idle worker.
-  std::mutex job_load_mu;
-  std::map<uint32_t, int> job_load;
-  SpecBaseline baseline;
-
-  // Workers capture and ship trace spans only when this run is tracing.
-  const bool trace_enabled = obs::kTraceCompiled && obs::TraceEnabled();
-
-  auto publish_status = [&](const char* state) {
-    JobStatusSnapshot s;
-    s.job_id = job_id;
-    s.job_name = options.job_name;
-    s.state = state;
-    s.maps_total = static_cast<uint64_t>(num_maps);
-    s.maps_done = std::min(maps_done.load(std::memory_order_relaxed),
-                           static_cast<uint64_t>(num_maps));
-    s.reduces_total = static_cast<uint64_t>(num_reduces);
-    s.reduces_done = reduces_done.load(std::memory_order_relaxed);
-    const uint64_t runs = map_runs.load(std::memory_order_relaxed);
-    s.map_reruns = runs > static_cast<uint64_t>(num_maps)
-                       ? runs - static_cast<uint64_t>(num_maps)
-                       : 0;
-    coord->PublishJobStatus(s);
-    if (hooks.on_status) hooks.on_status(s);
-  };
-  publish_status("running");
-
-  SpecStats spec_stats;
-  SpecConfig map_spec, reduce_spec;
-  map_spec.enabled = reduce_spec.enabled = options.speculative_execution;
-  map_spec.slowness_factor = reduce_spec.slowness_factor =
-      options.speculation_slowness_factor;
-  map_spec.min_elapsed_nanos = reduce_spec.min_elapsed_nanos =
-      options.speculation_min_elapsed_nanos;
-  map_spec.force_after_nanos = reduce_spec.force_after_nanos =
-      options.speculation_force_after_nanos;
-  map_spec.kind = net::TaskKind::kMap;
-  reduce_spec.kind = net::TaskKind::kReduce;
-
-  // Pick a worker (job-aware), run the Call, and maintain the job's
-  // in-flight map plus its speculation baseline around it.
-  auto place_and_call = [&](uint32_t exclude, net::TaskAssignMsg assign,
-                            std::atomic<uint64_t>* rpc_id,
-                            std::atomic<uint32_t>* worker,
-                            net::TaskResultMsg* res,
-                            net::TaskKind kind) -> Status {
-    uint32_t worker_id = 0;
-    {
-      std::lock_guard<std::mutex> lock(job_load_mu);
-      ANTIMR_RETURN_NOT_OK(coord->PickWorker(&worker_id, exclude, &job_load));
-      ++job_load[worker_id];
-    }
-    worker->store(worker_id, std::memory_order_relaxed);
-    const uint64_t t0 = NowNanos();
-    const Status st = coord->Call(worker_id, std::move(assign), res, rpc_id);
-    {
-      std::lock_guard<std::mutex> lock(job_load_mu);
-      if (--job_load[worker_id] <= 0) job_load.erase(worker_id);
-    }
-    if (st.ok() && res->status_code == 0) {
-      baseline.Record(kind, NowNanos() - t0);
-    }
-    return st;
-  };
-
-  // Runs (or re-runs) map `m` on a live worker and records its placement —
-  // under speculation, the first of up to two racing attempts to finish.
-  // Callers hold placements[m].mu, so each attempt draws a fresh
-  // attempt-scoped job_id: a re-execution (retry, heal, or speculative
-  // backup) can land on a worker that already holds a previous attempt's
-  // files, and unique names keep stale segments from masking fresh ones.
-  auto run_map_once = [&](int m) -> Status {
-    MapPlacement& loc = placements[m];
-    auto start_attempt = [&](uint32_t exclude, std::atomic<uint64_t>* rpc_id,
-                             std::atomic<uint32_t>* worker,
-                             net::TaskResultMsg* res) -> Status {
-      net::TaskAssignMsg assign;
-      assign.kind = net::TaskKind::kMap;
-      assign.job_name = options.job_name;
-      assign.params = options.params;
-      const uint32_t attempt =
-          loc.attempts.fetch_add(1, std::memory_order_relaxed);
-      assign.job_id = job_id + "_a" + std::to_string(attempt);
-      assign.task_index = static_cast<uint32_t>(m);
-      assign.attempt = attempt;
-      assign.trace_enabled = trace_enabled;
-      assign.split_records = (*encoded)[m];
-      return place_and_call(exclude, std::move(assign), rpc_id, worker, res,
-                            net::TaskKind::kMap);
-    };
-    net::TaskResultMsg res;
-    uint32_t winner_worker = 0;
-    ANTIMR_RETURN_NOT_OK(RunWithSpeculation(coord, map_spec, &baseline,
-                                            start_attempt, &res,
-                                            &winner_worker, &spec_stats));
-    JobMetrics metrics;
-    ANTIMR_RETURN_NOT_OK(net::DecodeJobMetrics(res.metrics, &metrics));
-    loc.worker = winner_worker;
-    loc.segment_files = std::move(res.segment_files);
-    loc.metrics = metrics;
-    loc.cpu_nanos = res.cpu_nanos;
-    map_runs.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
-  };
-
-  // Dispatcher threads only block on worker RPCs, so size the pool to run
-  // every task's dispatch concurrently by default; a job admitted with a
-  // cpu-slot grant runs at exactly that dispatch width.
-  const int total_tasks = num_maps + num_reduces;
-  TaskPool dispatch(options.dispatch_threads > 0 ? options.dispatch_threads
-                                                 : std::min(total_tasks, 64),
-                    "dispatch");
-  RetryPolicy retry;
-  retry.max_attempts = std::max(1, options.max_task_attempts);
-  retry.backoff_nanos = options.retry_backoff_nanos;
-  TaskGraph graph(&dispatch, retry);
-
-  std::vector<int> map_ids(num_maps);
-  for (int m = 0; m < num_maps; ++m) {
-    map_ids[m] = graph.AddTask(
-        [&, m](int) -> Status {
-          if (aborted()) return Status::Internal("job aborted");
-          {
-            std::lock_guard<std::mutex> lock(placements[m].mu);
-            ANTIMR_RETURN_NOT_OK(run_map_once(m));
-          }
-          maps_done.fetch_add(1, std::memory_order_relaxed);
-          publish_status("running");
-          return Status::OK();
-        },
-        {}, TaskGraph::TaskOptions());
-  }
-
-  for (int p = 0; p < num_reduces; ++p) {
-    graph.AddTask(
-        [&, p](int attempt) -> Status {
-          if (aborted()) return Status::Internal("job aborted");
-          // Heal before placing: any map whose owning worker died lost its
-          // segments, so re-run it first. The per-map mutex lets concurrent
-          // reduce attempts heal disjoint maps in parallel while never
-          // double-running one.
-          for (int m = 0; m < num_maps; ++m) {
-            if (aborted()) return Status::Internal("job aborted");
-            MapPlacement& loc = placements[m];
-            std::lock_guard<std::mutex> lock(loc.mu);
-            if (!coord->WorkerAlive(loc.worker)) {
-              ANTIMR_RETURN_NOT_OK(run_map_once(m));
-            }
-          }
-          net::TaskAssignMsg base;
-          base.kind = net::TaskKind::kReduce;
-          base.job_name = options.job_name;
-          base.params = options.params;
-          base.job_id = job_id;
-          base.task_index = static_cast<uint32_t>(p);
-          base.attempt = static_cast<uint32_t>(attempt);
-          base.trace_enabled = trace_enabled;
-          base.collect_output = options.collect_outputs;
-          base.network_mb_per_s = options.network_mb_per_s;
-          base.readahead_blocks = options.readahead_blocks;
-          // Segment list in (map index, run) order: merge order is part of
-          // the output contract, identical to the single-process planner.
-          for (int m = 0; m < num_maps; ++m) {
-            MapPlacement& loc = placements[m];
-            std::lock_guard<std::mutex> lock(loc.mu);
-            for (const std::string& file : loc.segment_files[p]) {
-              base.segments.push_back(
-                  {coord->WorkerShuffleAddr(loc.worker), file});
-            }
-          }
-          auto start_attempt =
-              [&, base](uint32_t exclude, std::atomic<uint64_t>* rpc_id,
-                        std::atomic<uint32_t>* worker,
-                        net::TaskResultMsg* res) -> Status {
-            return place_and_call(exclude, net::TaskAssignMsg(base), rpc_id,
-                                  worker, res, net::TaskKind::kReduce);
-          };
-          net::TaskResultMsg res;
-          uint32_t winner_worker = 0;
-          ANTIMR_RETURN_NOT_OK(RunWithSpeculation(coord, reduce_spec,
-                                                  &baseline, start_attempt,
-                                                  &res, &winner_worker,
-                                                  &spec_stats));
-          ANTIMR_RETURN_NOT_OK(
-              net::DecodeKVList(res.output_records, &outputs[p]));
-          ANTIMR_RETURN_NOT_OK(
-              net::DecodeJobMetrics(res.metrics, &reduce_metrics[p]));
-          reduce_cpu[p] = res.cpu_nanos;
-          reduces_done.fetch_add(1, std::memory_order_relaxed);
-          publish_status("running");
-          return Status::OK();
-        },
-        map_ids, TaskGraph::TaskOptions());
-  }
-
-  const Status run_status = graph.Wait();
-  publish_status(run_status.ok() ? "done" : "failed");
-  if (!run_status.ok()) return run_status;
-
-  for (int m = 0; m < num_maps; ++m) {
-    result->metrics.Add(placements[m].metrics);
-    result->metrics.total_cpu_nanos += placements[m].cpu_nanos;
-  }
-  result->reduce_shuffle_bytes.resize(num_reduces, 0);
-  result->reduce_input_records.resize(num_reduces, 0);
-  for (int p = 0; p < num_reduces; ++p) {
-    result->metrics.Add(reduce_metrics[p]);
-    result->metrics.total_cpu_nanos += reduce_cpu[p];
-    result->reduce_shuffle_bytes[p] = reduce_metrics[p].shuffle_bytes;
-    result->reduce_input_records[p] = reduce_metrics[p].reduce_input_records;
-  }
-  result->spec_backups = spec_stats.backups.load(std::memory_order_relaxed);
-  result->spec_backup_wins =
-      spec_stats.backup_wins.load(std::memory_order_relaxed);
-  result->spec_cancels = spec_stats.cancels.load(std::memory_order_relaxed);
-  result->outputs = std::move(outputs);
-  const uint64_t total_runs = map_runs.load(std::memory_order_relaxed);
-  result->map_reruns =
-      total_runs > static_cast<uint64_t>(num_maps)
-          ? total_runs - static_cast<uint64_t>(num_maps)
-          : 0;
-  result->metrics.wall_nanos = NowNanos() - wall_start;
-  return Status::OK();
 }
 
 }  // namespace
@@ -579,18 +69,11 @@ struct JobService::Job {
   uint64_t finish_nanos = 0;
   uint64_t dispatch_seq = 0;
   std::atomic<bool> abort_requested{false};
-  // Driver progress mirror; atomics so status readers never touch the
-  // driver's own synchronization.
-  std::atomic<uint64_t> maps_total{0};
-  std::atomic<uint64_t> maps_done{0};
-  std::atomic<uint64_t> reduces_total{0};
-  std::atomic<uint64_t> reduces_done{0};
-  std::atomic<uint64_t> map_reruns{0};
+  JobStatusSnapshot progress;  ///< the runner's latest report
   Status final_status;
   uint64_t output_hash = 0;
   uint64_t output_records = 0;
   DistJobResult result;
-  bool have_result = false;
   std::thread runner;
   bool reaped = false;  ///< runner joined (scheduler GC or Stop)
 };
@@ -653,14 +136,8 @@ void JobService::AttachStatusEndpoint() {
   });
 }
 
-Status JobService::Submit(JobSubmission submission, std::string* job_id) {
-  std::unique_lock<std::mutex> lock(mu_);
-  return SubmitLocked(std::move(submission), job_id, lock);
-}
-
-Status JobService::SubmitLocked(JobSubmission&& sub, std::string* job_id,
-                                std::unique_lock<std::mutex>& lock) {
-  (void)lock;
+Status JobService::Submit(JobSubmission sub, std::string* job_id) {
+  std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) return Status::Internal("job service is stopping");
   const std::string pool_name = sub.pool.empty() ? first_pool_ : sub.pool;
   auto pit = pools_.find(pool_name);
@@ -702,7 +179,7 @@ Status JobService::SubmitLocked(JobSubmission&& sub, std::string* job_id,
     return Status::ResourceExhausted(
         "job queue full (" + std::to_string(queued_jobs_) + " queued)");
   }
-  std::string id = sub.job_id.empty() ? UniqueJobId(sub.job_name) : sub.job_id;
+  std::string id = sub.job_id.empty() ? UniqueJobId("dist", sub.job_name) : sub.job_id;
   if (jobs_.count(id) != 0) {
     pool.rejected->Inc();
     return Status::InvalidArgument("duplicate job id: " + id);
@@ -806,7 +283,6 @@ void JobService::SchedulerLoop() {
 void JobService::RunJob(Pool* pool, Job* job) {
   DistJobOptions opts;
   opts.job_name = job->sub.job_name;
-  opts.params = job->sub.params;
   opts.collect_outputs = job->sub.collect_outputs;
   opts.max_task_attempts = job->sub.max_task_attempts > 0
                                ? job->sub.max_task_attempts
@@ -817,12 +293,10 @@ void JobService::RunJob(Pool* pool, Job* job) {
   opts.network_mb_per_s = job->sub.network_mb_per_s;
   opts.readahead_blocks = job->sub.readahead_blocks;
   opts.job_id = job->id;
-  opts.dispatch_threads = job->granted_slots;  // 0 = legacy auto sizing
   opts.speculative_execution = job->sub.speculation < 0
                                    ? options_.speculative_execution
                                    : job->sub.speculation != 0;
   opts.speculation_slowness_factor = options_.speculation_slowness_factor;
-  opts.speculation_min_elapsed_nanos = options_.speculation_min_elapsed_nanos;
   opts.speculation_force_after_nanos = job->sub.speculation_force_after_nanos;
 
   {
@@ -831,18 +305,35 @@ void JobService::RunJob(Pool* pool, Job* job) {
     job->start_nanos = NowNanos();
   }
 
-  ExecHooks hooks;
-  hooks.encoded_splits = &job->sub.encoded_splits;
-  hooks.abort = &job->abort_requested;
-  hooks.on_status = [job](const JobStatusSnapshot& s) {
-    job->maps_total.store(s.maps_total, std::memory_order_relaxed);
-    job->maps_done.store(s.maps_done, std::memory_order_relaxed);
-    job->reduces_total.store(s.reduces_total, std::memory_order_relaxed);
-    job->reduces_done.store(s.reduces_done, std::memory_order_relaxed);
-    job->map_reruns.store(s.map_reruns, std::memory_order_relaxed);
-  };
+  // The submission as a one-stage plan over its encoded splits. The runner
+  // ships those bytes as they are; the splits decode them only if opened.
+  JobPlan plan;
+  plan.name = job->sub.job_name;
+  std::vector<InputSplit> splits;
+  for (const std::string& bytes : job->sub.encoded_splits) {
+    splits.push_back({[&bytes]() -> std::unique_ptr<RecordSource> {
+      auto records = std::make_shared<std::vector<KV>>();
+      net::DecodeKVList(bytes, records.get());
+      return std::make_unique<VectorSource>(std::move(records));
+    }});
+  }
+  Stage stage;
+  stage.inputs = {"in"};
+  stage.output = "out";
+  Status st = MakeRegisteredStage(job->sub.job_name, job->sub.params, &stage);
   DistJobResult result;
-  const Status st = ExecuteDistJob(coord_, opts, hooks, &result);
+  if (st.ok()) st = plan.AddInput("in", std::move(splits));
+  if (st.ok()) {
+    plan.AddStage(std::move(stage));
+    RemoteRunner runner(coord_, opts, job->granted_slots);
+    runner.abort = &job->abort_requested;
+    runner.on_status = [this, job](const JobStatusSnapshot& s) {
+      std::lock_guard<std::mutex> lock(mu_);
+      job->progress = s;
+    };
+    runner.encoded_inputs["in"] = &job->sub.encoded_splits;
+    st = runner.Run(plan, &result);
+  }
   const uint64_t finish = NowNanos();
 
   {
@@ -866,7 +357,6 @@ void JobService::RunJob(Pool* pool, Job* job) {
       }
     }
     job->result = std::move(result);
-    job->have_result = true;
     --pool->running;
     --running_jobs_;
     pool->used_slots -= job->granted_slots;
@@ -877,9 +367,6 @@ void JobService::RunJob(Pool* pool, Job* job) {
     pool->busy_slot_nanos +=
         static_cast<uint64_t>(job->cost) * (finish - job->start_nanos);
     ++pool->jobs_completed;
-  }
-  if (options_.scrub_on_terminal) {
-    coord_->BroadcastJobFrame(net::kScrubJob, job->id);
   }
   cv_.notify_all();
 }
@@ -895,7 +382,6 @@ Status JobService::Wait(const std::string& job_id, DistJobResult* result) {
   if (result != nullptr) {
     *result = std::move(job->result);
     job->result = DistJobResult();
-    job->have_result = false;
   }
   return job->final_status;
 }
@@ -933,7 +419,7 @@ Status JobService::Abort(const std::string& job_id) {
       cv_.notify_all();
       return Status::OK();
     }
-    // Admitted or running: flip the flag the driver checks at every task
+    // Admitted or running: flip the flag the runner checks at every task
     // boundary, then cancel the in-flight worker attempts cluster-wide.
     job->abort_requested.store(true, std::memory_order_release);
     cancel_id = job->id;
@@ -961,11 +447,11 @@ net::JobStatusWire JobService::RowOfLocked(const Job& job) const {
     }
   }
   row.cpu_slots = static_cast<uint32_t>(job.granted_slots);
-  row.maps_total = job.maps_total.load(std::memory_order_relaxed);
-  row.maps_done = job.maps_done.load(std::memory_order_relaxed);
-  row.reduces_total = job.reduces_total.load(std::memory_order_relaxed);
-  row.reduces_done = job.reduces_done.load(std::memory_order_relaxed);
-  row.map_reruns = job.map_reruns.load(std::memory_order_relaxed);
+  row.maps_total = job.progress.maps_total;
+  row.maps_done = job.progress.maps_done;
+  row.reduces_total = job.progress.reduces_total;
+  row.reduces_done = job.progress.reduces_done;
+  row.map_reruns = job.progress.map_reruns;
   if (IsTerminalState(job.state)) {
     row.status_code = static_cast<int32_t>(job.final_status.code());
     row.status_msg = job.final_status.message();
@@ -1288,14 +774,12 @@ Status RunDistributedJob(Coordinator* coord, const DistJobOptions& options,
   sopts.default_max_task_attempts = options.max_task_attempts;
   sopts.default_retry_backoff_nanos = options.retry_backoff_nanos;
   sopts.speculation_slowness_factor = options.speculation_slowness_factor;
-  sopts.speculation_min_elapsed_nanos = options.speculation_min_elapsed_nanos;
   JobService service(coord, sopts);
 
   JobSubmission sub;
   sub.job_name = options.job_name;
   sub.params = options.params;
   sub.job_id = options.job_id;
-  sub.cpu_slots = options.dispatch_threads;  // 0 = auto
   sub.collect_outputs = options.collect_outputs;
   sub.max_task_attempts = options.max_task_attempts;
   sub.retry_backoff_nanos = options.retry_backoff_nanos;

@@ -1,20 +1,21 @@
 // The multi-tenant job layer of the distributed engine: a persistent
 // JobService that owns job admission, queueing, and fair-share dispatch on
-// top of a borrowed Coordinator. Where RunDistributedJob used to mean "one
-// job owns the cluster for one blocking call", the service keeps a job
-// table (queued|admitted|running|succeeded|failed|aborted), admits jobs
-// against per-pool quotas (concurrent jobs, cpu dispatch slots, map-buffer/
-// Shared memory estimates), orders dispatch across named pools by stride
-// (weighted fair-share) scheduling, and exposes the job lifecycle both
-// in-process (Submit/Wait/Abort/ListJobs) and over the wire (kSubmitJob and
-// friends on its own listener).
+// top of a borrowed Coordinator. It keeps a job table
+// (queued|admitted|running|succeeded|failed|aborted), admits jobs against
+// per-pool quotas (concurrent jobs, cpu dispatch slots, map-buffer/Shared
+// memory estimates), orders dispatch across named pools by stride (weighted
+// fair-share) scheduling, and exposes the job lifecycle both in-process
+// (Submit/Wait/Abort/ListJobs) and over the wire (kSubmitJob and friends on
+// its own listener). Each admitted job runs as a one-stage JobPlan on a
+// RemoteRunner (engine/remote_runner.h) whose dispatch width is the job's
+// granted cpu slots.
 //
 // Isolation model: every job runs under a unique job_id, and all of a job's
 // worker-side footprint (shuffle segments, spills) is namespaced by that id
 // (mr/shuffle.cc SegmentFileName), so concurrent jobs on shared workers
-// cannot collide. On every terminal transition the service broadcasts
-// kScrubJob so workers garbage-collect the job's files — the cleanup a
-// long-lived daemon needs where a one-shot process relied on exit.
+// cannot collide. Once every task is terminal — success, failure or abort —
+// the plan's cleanup task broadcasts kScrubJob so workers garbage-collect
+// the job's files, the cleanup a long-lived daemon needs.
 //
 // Fairness model: each pool carries a weight and a stride accumulator
 // (`pass`). Dispatching a job advances its pool's pass by cost/weight
@@ -89,10 +90,6 @@ struct JobServiceOptions {
   uint64_t default_retry_backoff_nanos = 1000 * 1000;
   bool speculative_execution = false;
   double speculation_slowness_factor = 2.0;
-  uint64_t speculation_min_elapsed_nanos = 200ull * 1000 * 1000;
-  /// Broadcast kScrubJob on every terminal transition so workers GC the
-  /// job's segments.
-  bool scrub_on_terminal = true;
 };
 
 /// One job submission. Splits may arrive raw (`splits`, encoded once by
@@ -193,8 +190,6 @@ class JobService {
   void ServeConn(net::Conn* conn);
   /// Row snapshot; caller holds mu_.
   net::JobStatusWire RowOfLocked(const Job& job) const;
-  Status SubmitLocked(JobSubmission&& submission, std::string* job_id,
-                      std::unique_lock<std::mutex>& lock);
 
   Coordinator* coord_;
   JobServiceOptions options_;

@@ -1,10 +1,15 @@
-// The planner lowers a logical JobPlan into one dependency-aware TaskGraph.
-// Every stage contributes map tasks, fetch tasks, reduce tasks, and a
-// segment-cleanup task; cross-stage edges connect a producer stage's reduce
-// task for partition p to the consumer stage's map task over that partition. There is no barrier between stages: a downstream map runs
-// the instant the single partition it reads is published, so stage N+1
-// overlaps the tail of stage N (cross-stage pipelining), exactly as fetch
-// tasks overlap the map wave inside one stage.
+// The planner is the one code path that turns a JobPlan into tasks: every
+// stage becomes map tasks, (local) fetch tasks, reduce tasks and a cleanup
+// task of one dependency-aware TaskGraph, and the finished tasks' metrics
+// roll up per stage and per plan. A producer stage's reduce task for
+// partition p feeds the consumer stage's map task over that partition, with
+// no barrier between stages, so stage N+1 overlaps the tail of stage N just
+// as fetch tasks overlap the map wave inside one stage.
+//
+// Where a task body runs is a TaskRunner's business: the Executor's local
+// runner runs it in-process; the RemoteRunner (engine/remote_runner.h)
+// ships it to a worker as a TaskAssign. A remote reduce fetches its own
+// segments, so a runner without a fetch pool gets no fetch tasks.
 #ifndef ANTIMR_ENGINE_PLANNER_H_
 #define ANTIMR_ENGINE_PLANNER_H_
 
@@ -14,6 +19,7 @@
 #include <vector>
 
 #include "engine/dataset_catalog.h"
+#include "engine/executor.h"
 #include "engine/job_plan.h"
 #include "mr/local_cluster.h"
 #include "mr/map_task.h"
@@ -23,41 +29,30 @@
 namespace antimr {
 namespace engine {
 
-/// Resources and knobs the lowered tasks run against. Owned by the
-/// Executor; the planner only borrows them.
-struct PlannerContext {
-  const JobPlan* plan = nullptr;
-  DatasetCatalog* catalog = nullptr;
-  Env* task_env = nullptr;     ///< storage as tasks see it (maybe throttled)
-  Env* cleanup_env = nullptr;  ///< unthrottled storage for file deletion
-  TaskPool* fetch_pool = nullptr;  ///< dedicated pool for shuffle fetches
-  /// Shuffle data plane (required): segments are pulled from
-  /// `shuffle_addr` (the Executor's SegmentServer over task_env) through
-  /// this client, so every shuffled byte crosses the transport framing
-  /// layer, and the client charges the simulated network bandwidth.
-  net::ShuffleClient* shuffle = nullptr;
-  std::string shuffle_addr;
-  size_t readahead_blocks = 0;
-  bool collect_outputs = true;        ///< retain sink datasets in the catalog
-  bool cleanup_intermediates = true;  ///< delete segment files per stage
-  std::string run_id;
+/// One map task's input: its split, the graph task it must wait for (the
+/// producing reduce task; -1 for external splits), the dataset it consumes
+/// (for the catalog's refcount), and its split or partition index there.
+struct MapInput {
+  InputSplit split;
+  int dep = -1;
+  const std::string* dataset = nullptr;
+  int index = 0;
 };
 
 /// \brief Physical execution state of one stage, populated by its tasks.
 ///
-/// Held in a deque by the Executor (atomics make it immovable); task
-/// lambdas capture pointers into it, so it must not move while the graph
-/// runs.
+/// Held in a deque (atomics make it immovable); task lambdas capture
+/// pointers into it, so it must not move while the graph runs.
 struct StageExec {
   int stage_index = 0;
   JobSpec run_spec;  ///< stage spec after the Anti-Combining transform
-  std::string job_id;
+  std::string job_id;  ///< scope of the stage's task ids and files
   std::string trace_label;  ///< stage name used in span names
   std::string output_dataset;
-  bool publish_output = false;  ///< reduce tasks publish to the catalog
-  bool collect_output = false;  ///< reduce tasks materialize their output
+  /// Reduce tasks materialize their output and publish it to the catalog.
+  bool publish_output = false;
 
-  size_t num_maps = 0;
+  std::vector<MapInput> map_inputs;  ///< one per map task
   std::vector<MapTaskResult> map_results;
   std::vector<uint64_t> map_cpu;
   std::vector<ReduceTaskResult> reduce_results;
@@ -78,14 +73,61 @@ struct StageExec {
   std::vector<int> reduce_task_ids;
 };
 
-/// Lower `ctx.plan` into `graph`, appending one StageExec per stage to
-/// `stages` (indexed by stage, not topological position). Tasks may start
-/// running while later stages are still being lowered; dataset consumer
-/// counts are registered up front so that cannot release a dataset early.
-/// Task lambdas keep references to `ctx`, `graph`, and `stages` — all three
-/// must outlive the graph run (the Executor waits before tearing them down).
-Status LowerPlan(const PlannerContext& ctx, TaskGraph* graph,
-                 std::deque<StageExec>* stages);
+/// \brief Where a lowered stage's task bodies execute.
+///
+/// The planner owns the graph shape, the dataset wiring and the stage
+/// bookkeeping; a runner runs one attempt of one task and fills the
+/// StageExec slots of that task. Calls arrive concurrently from pool
+/// threads, each for a distinct task.
+class TaskRunner {
+ public:
+  virtual ~TaskRunner() = default;
+
+  /// Pool for the fetch tasks lowered between maps and reduces; null when
+  /// reduce tasks fetch their own segments (no fetch tasks are lowered).
+  virtual TaskPool* fetch_pool() { return nullptr; }
+
+  /// Attempt `attempt` of map `m`: fill map_results[m] and map_cpu[m].
+  virtual Status Map(StageExec* st, size_t m, int attempt) = 0;
+
+  /// Pull map `m`'s segments for partition `p` into fetched[p][m] (only
+  /// called when fetch_pool() is non-null).
+  virtual Status Fetch(StageExec*, size_t, size_t) {
+    return Status::Internal("runner lowers no fetch tasks");
+  }
+
+  /// Attempt `attempt` of reduce `p`: fill reduce_results[p] (its output
+  /// when st->publish_output) and reduce_cpu[p].
+  virtual Status Reduce(StageExec* st, size_t p, int attempt) = 0;
+
+  /// Delete a stage's segment files once every map and reduce of the stage
+  /// is terminal, on success and failure paths alike.
+  virtual void Cleanup(StageExec* st) = 0;
+};
+
+/// "<prefix>_<name>_<n>", unique within the process: a default job id.
+std::string UniqueJobId(const std::string& prefix, const std::string& name);
+
+/// What RunPlan lowers and how the graph runs it.
+struct PlannerContext {
+  const JobPlan* plan = nullptr;
+  TaskRunner* runner = nullptr;
+  /// Scope of the plan's task ids and files; stage s of a longer plan nests
+  /// under `<job_id>/s<s>`, inside the scope (worker.h JobIdInScope).
+  std::string job_id;
+  TaskPool* pool = nullptr;  ///< runs the map, reduce and cleanup bodies
+  RetryPolicy retry;
+  bool collect_outputs = true;        ///< retain sink datasets in the catalog
+  bool cleanup_intermediates = true;  ///< lower a cleanup task per stage
+  bool collect_task_metrics = false;  ///< fill StageResult::tasks
+};
+
+/// Lower `ctx.plan` (already validated), run the graph to completion, and
+/// roll the task metrics up per stage and per plan into `result`, with the
+/// sink outputs and the datasets' final states. The plan's wall time and
+/// disk bytes are the caller's to set. Returns the first lowering or task
+/// failure.
+Status RunPlan(const PlannerContext& ctx, PlanResult* result);
 
 }  // namespace engine
 }  // namespace antimr

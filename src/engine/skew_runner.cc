@@ -1,126 +1,61 @@
 #include "engine/skew_runner.h"
 
-#include <memory>
 #include <utility>
+
+#include "engine/job_registry.h"
 
 namespace antimr {
 namespace engine {
 
-namespace {
-
-// Set (replacing, not duplicating) one builder param.
-void SetParam(net::JobParams* params, const std::string& key,
-              std::string value) {
-  for (auto& kv : *params) {
-    if (kv.first == key) {
-      kv.second = std::move(value);
-      return;
-    }
-  }
-  params->emplace_back(key, std::move(value));
-}
-
-}  // namespace
-
-Status MakeSkewPlan(const JobSpec& spec, std::vector<InputSplit> splits,
+Status MakeSkewPlan(const std::string& builder, const net::JobParams& params,
+                    std::vector<InputSplit> splits,
                     const SkewPlanOptions& options, JobPlan* plan,
                     std::string* output_dataset, SkewModel* model_out) {
-  auto model = std::make_shared<SkewModel>();
-  ANTIMR_RETURN_NOT_OK(
-      BuildSkewModel(spec, splits, options.sample, model.get()));
-  if (model_out != nullptr) *model_out = *model;
+  // The sample models the job's own mapper, not the anti-combining wrapper.
+  // (A builder reads its params in order, so a later value overrides.)
+  net::JobParams base = params;
+  base.emplace_back("anti_combine", "off");
+  JobSpec spec;
+  ANTIMR_RETURN_NOT_OK(BuildRegisteredJob(builder, base, &spec));
+  SkewModel model;
+  ANTIMR_RETURN_NOT_OK(BuildSkewModel(spec, splits, options.sample, &model));
+  if (model_out != nullptr) *model_out = model;
 
   plan->name = spec.name + "_skew";
   const std::string input = spec.name + "_in";
-  const std::string output = spec.name + "_out";
+  *output_dataset = spec.name + "_out";
   ANTIMR_RETURN_NOT_OK(plan->AddInput(input, std::move(splits)));
 
-  if (!options.hot_key_split || !model->HasHotKeys()) {
+  auto add_stage = [&](const std::string& suffix, net::JobParams stage_params,
+                       const std::string& in, const std::string& out) {
     Stage stage;
-    stage.name = spec.name + "_range";
-    stage.spec = spec;
-    stage.spec.partitioner = std::make_shared<RangePartitioner>(model->pivots);
-    stage.inputs = {input};
-    stage.output = output;
-    stage.options = options.stage_options;
+    stage.name = spec.name + suffix;
+    stage.inputs = {in};
+    stage.output = out;
+    ANTIMR_RETURN_NOT_OK(
+        MakeRegisteredStage(builder, std::move(stage_params), &stage));
     plan->AddStage(std::move(stage));
-    *output_dataset = output;
     return Status::OK();
+  };
+
+  if (!options.hot_key_split || !model.HasHotKeys()) {
+    net::JobParams ranged = params;
+    ranged.emplace_back("range_pivots", EncodeKeyList(model.pivots));
+    return add_stage("_range", std::move(ranged), input, *output_dataset);
   }
 
   const std::string partials = spec.name + "_partials";
-  Stage split1;
-  split1.name = spec.name + "_split1";
-  ANTIMR_RETURN_NOT_OK(MakeSplitStage1Spec(spec, model, &split1.spec));
-  split1.inputs = {input};
-  split1.output = partials;
-  split1.options = options.stage_options;
-  plan->AddStage(std::move(split1));
-
-  Stage merge;
-  merge.name = spec.name + "_merge";
-  ANTIMR_RETURN_NOT_OK(MakeSplitStage2Spec(spec, model, &merge.spec));
-  merge.inputs = {partials};
-  merge.output = output;
-  merge.options = options.stage_options;
-  plan->AddStage(std::move(merge));
-  *output_dataset = output;
-  return Status::OK();
-}
-
-Status RunDistributedSkewJob(Coordinator* coord, const DistJobOptions& options,
-                             const JobSpec& spec,
-                             const SkewSampleOptions& sample,
-                             bool hot_key_split, DistSkewResult* out) {
-  // Sample on the driver, over the same records the maps will see.
-  std::vector<InputSplit> sample_splits;
-  sample_splits.reserve(options.splits.size());
-  for (const auto& records : options.splits) {
-    sample_splits.push_back(MakeSplit(records));
-  }
-  ANTIMR_RETURN_NOT_OK(
-      BuildSkewModel(spec, sample_splits, sample, &out->model));
-  const SkewModel& model = out->model;
-  const std::string scope =
-      options.job_id.empty() ? options.job_name : options.job_id;
-
-  if (!hot_key_split || !model.HasHotKeys()) {
-    DistJobOptions ranged = options;
-    SetParam(&ranged.params, "range_pivots", EncodeKeyList(model.pivots));
-    return RunDistributedJob(coord, ranged, &out->job);
-  }
-
-  out->split = true;
-  DistJobOptions stage1 = options;
-  stage1.job_id = scope + "_s1";
-  // Stage-1 reduce outputs are stage 2's map input; they must round-trip
-  // through the driver regardless of what the caller wants of the final
-  // output.
-  stage1.collect_outputs = true;
-  SetParam(&stage1.params, "skew_stage", "split1");
-  SetParam(&stage1.params, "range_pivots", EncodeKeyList(model.salted_pivots));
-  SetParam(&stage1.params, "hot_keys", EncodeKeyList(model.hot_keys));
-  SetParam(&stage1.params, "hot_fanout", std::to_string(model.hot_fanout));
-  DistJobResult partials;
-  ANTIMR_RETURN_NOT_OK(RunDistributedJob(coord, stage1, &partials));
-
-  DistJobOptions stage2 = options;
-  stage2.job_id = scope + "_s2";
-  stage2.splits = std::move(partials.outputs);
-  SetParam(&stage2.params, "skew_stage", "merge");
-  SetParam(&stage2.params, "range_pivots", EncodeKeyList(model.pivots));
-  ANTIMR_RETURN_NOT_OK(RunDistributedJob(coord, stage2, &out->job));
-
-  out->job.metrics.Add(partials.metrics);
-  out->job.map_reruns += partials.map_reruns;
-  out->job.spec_backups += partials.spec_backups;
-  out->job.spec_backup_wins += partials.spec_backup_wins;
-  out->job.spec_cancels += partials.spec_cancels;
-  // The load-spread signal is stage 1's shuffle — the one the salting
-  // balances; stage 2 moves a record per key per stage-1 partition.
-  out->job.reduce_shuffle_bytes = std::move(partials.reduce_shuffle_bytes);
-  out->job.reduce_input_records = std::move(partials.reduce_input_records);
-  return Status::OK();
+  net::JobParams split1 = params;
+  split1.emplace_back("skew_stage", "split1");
+  split1.emplace_back("range_pivots", EncodeKeyList(model.salted_pivots));
+  split1.emplace_back("hot_keys", EncodeKeyList(model.hot_keys));
+  split1.emplace_back("hot_fanout", std::to_string(model.hot_fanout));
+  ANTIMR_RETURN_NOT_OK(add_stage("_split1", std::move(split1), input,
+                                 partials));
+  net::JobParams merge = params;
+  merge.emplace_back("skew_stage", "merge");
+  merge.emplace_back("range_pivots", EncodeKeyList(model.pivots));
+  return add_stage("_merge", std::move(merge), partials, *output_dataset);
 }
 
 }  // namespace engine

@@ -1,25 +1,20 @@
-// Drivers that wire the skew defenses (mr/skew.h) into both execution
-// engines. The sampling pass runs on the driver; what it learns ships to
-// the tasks two ways:
-//
-//  - Local plans: MakeSkewPlan builds a JobPlan — one range-partitioned
-//    stage, or the split1 -> merge fix-up chain when hot keys were found —
-//    and the Executor/planner run it like any other DAG.
-//  - Distributed jobs: RunDistributedSkewJob encodes the model into
-//    net::JobParams (range_pivots / skew_stage / hot_keys / hot_fanout);
-//    workers reconstruct the per-stage JobSpec through the job registry
-//    (workloads::ApplySkewParams), so LazySH re-execution on reducers sees
-//    the identical salted pipeline.
-//
-// Either way the final output is byte-identical (as a key/value multiset per
-// partition contract) to the unsplit run of the same job.
+// The skew-defense plan builder (mr/skew.h), shared by local and
+// distributed runs. The sampling pass runs on the driver with the job's own
+// untransformed mapper; what it learns enters the plan as builder params —
+// range_pivots, skew_stage, hot_keys, hot_fanout — that the job registry
+// turns into per-stage JobSpecs (workloads::ApplySkewParams) before the
+// Anti-Combining strategy. The plan is one range-partitioned stage, or the
+// split1 -> merge fix-up chain when hot keys were found. Its stages are all
+// registered, so it runs on the Executor or, through the RemoteRunner, on a
+// cluster whose workers rebuild the identical salted pipeline (so LazySH
+// re-execution sees the keys the map side produced). Either way the output
+// equals the unsplit run of the same job as a key/value multiset.
 #ifndef ANTIMR_ENGINE_SKEW_RUNNER_H_
 #define ANTIMR_ENGINE_SKEW_RUNNER_H_
 
 #include <string>
 #include <vector>
 
-#include "engine/coordinator.h"
 #include "engine/job_plan.h"
 #include "mr/skew.h"
 
@@ -31,36 +26,18 @@ struct SkewPlanOptions {
   /// Salt superfrequent keys and add the merge fix-up stage when the sample
   /// finds any. Off = plain range partitioning from the sampled pivots.
   bool hot_key_split = true;
-  /// Applied to every generated stage (shuffle mode, anti-combining).
-  StageOptions stage_options;
 };
 
-/// Sample `splits` with `spec`'s own mapper and build the plan. On return
-/// *output_dataset names the sink dataset and, when `model_out` is set, it
-/// holds what the sampling pass learned (pivots, hot keys).
-Status MakeSkewPlan(const JobSpec& spec, std::vector<InputSplit> splits,
+/// Sample `splits` with the registered job `builder`/`params` (its strategy
+/// switched off) and build the plan from registered stages that carry
+/// `params` plus the skew params. On return *output_dataset names the sink
+/// dataset and, when `model_out` is set, it holds what the sampling pass
+/// learned (pivots, hot keys).
+Status MakeSkewPlan(const std::string& builder, const net::JobParams& params,
+                    std::vector<InputSplit> splits,
                     const SkewPlanOptions& options, JobPlan* plan,
                     std::string* output_dataset,
                     SkewModel* model_out = nullptr);
-
-/// Distributed skew run: sampling + one or two RunDistributedJob rounds.
-struct DistSkewResult {
-  /// Final outputs + rolled-up metrics. When the fix-up chain ran,
-  /// reduce_shuffle_bytes / reduce_input_records are stage 1's — the heavy
-  /// shuffle whose balance the range pivots and hot-key salting control
-  /// (stage 2 only re-shuffles one partial record per key per partition).
-  DistJobResult job;
-  SkewModel model;
-  bool split = false;  ///< the split1 -> merge chain ran
-};
-
-/// `options.job_name`/`params`/`splits` describe the base job exactly as for
-/// RunDistributedJob; `spec` must be the same job built locally (it drives
-/// the sampling pass). Blocks until the final stage completes.
-Status RunDistributedSkewJob(Coordinator* coord, const DistJobOptions& options,
-                             const JobSpec& spec,
-                             const SkewSampleOptions& sample,
-                             bool hot_key_split, DistSkewResult* out);
 
 }  // namespace engine
 }  // namespace antimr

@@ -258,18 +258,21 @@ Status Worker::ExecuteTask(const net::TaskAssignMsg& assign,
   const int index = static_cast<int>(assign.task_index);
   const uint64_t cpu_start = ThreadCpuNanos();
 
-  if (assign.kind == net::TaskKind::kMap) {
-    ANTIMR_TRACE_SPAN_DYN("task", "dist_map:" + assign.job_id + ":" +
-                                      std::to_string(index) + "#a" +
-                                      std::to_string(assign.attempt));
-    if (obs::kTraceCompiled && obs::TraceEnabled() && assign.rpc_id != 0) {
-      // Arrow head of the coordinator's dispatch FlowStart (id = rpc_id),
-      // recorded inside the task span so viewers can anchor it.
-      obs::Tracer::Global().FlowEnd("dispatch", "task_dispatch",
-                                    assign.rpc_id);
-    }
-    if (on_map_start) on_map_start(index, assign.attempt);
-    if (crashed()) return Status::IOError("worker crashed");
+  const bool is_map = assign.kind == net::TaskKind::kMap;
+  ANTIMR_TRACE_SPAN_DYN("task", (is_map ? "dist_map:" : "dist_reduce:") +
+                                    assign.job_id + ":" +
+                                    std::to_string(index) + "#a" +
+                                    std::to_string(assign.attempt));
+  if (obs::kTraceCompiled && obs::TraceEnabled() && assign.rpc_id != 0) {
+    // Arrow head of the coordinator's dispatch FlowStart (id = rpc_id),
+    // recorded inside the task span so viewers can anchor it.
+    obs::Tracer::Global().FlowEnd("dispatch", "task_dispatch", assign.rpc_id);
+  }
+  const auto& on_start = is_map ? on_map_start : on_reduce_start;
+  if (on_start) on_start(index, assign.attempt);
+  if (crashed()) return Status::IOError("worker crashed");
+
+  if (is_map) {
     std::vector<KV> records;
     ANTIMR_RETURN_NOT_OK(net::DecodeKVList(assign.split_records, &records));
     const uint64_t total_records = records.size();
@@ -280,15 +283,6 @@ Status Worker::ExecuteTask(const net::TaskAssignMsg& assign,
     result->segment_files = std::move(map_result.segment_files);
     net::EncodeJobMetrics(map_result.metrics, &result->metrics);
   } else {
-    ANTIMR_TRACE_SPAN_DYN("task", "dist_reduce:" + assign.job_id + ":" +
-                                       std::to_string(index) + "#a" +
-                                       std::to_string(assign.attempt));
-    if (obs::kTraceCompiled && obs::TraceEnabled() && assign.rpc_id != 0) {
-      obs::Tracer::Global().FlowEnd("dispatch", "task_dispatch",
-                                    assign.rpc_id);
-    }
-    if (on_reduce_start) on_reduce_start(index, assign.attempt);
-    if (crashed()) return Status::IOError("worker crashed");
     // A per-task client still pools conns across this task's segments; the
     // simulated bandwidth rides in on the assignment so all workers throttle
     // identically without per-worker configuration.

@@ -21,8 +21,8 @@ using engine::ParamInt;
 using engine::ParamUint64;
 using Params = std::map<std::string, std::string>;
 
-// Apply the anti_combine/lazy_threshold_nanos params as the builder's last
-// step, so the transform wraps the fully configured original job.
+// Apply the anti_combine strategy and its knobs as the builder's last step,
+// so the transform wraps the fully configured original job.
 Status ApplyAntiCombine(const Params& params, JobSpec* spec) {
   auto it = params.find("anti_combine");
   const std::string mode = it == params.end() ? "off" : it->second;
@@ -39,10 +39,15 @@ Status ApplyAntiCombine(const Params& params, JobSpec* spec) {
   } else {
     return Status::InvalidArgument("bad anti_combine mode: " + mode);
   }
-  uint64_t threshold = 0;
   ANTIMR_RETURN_NOT_OK(ParamUint64(params, "lazy_threshold_nanos",
-                                   options.lazy_threshold_nanos, &threshold));
-  options.lazy_threshold_nanos = threshold;
+                                   options.lazy_threshold_nanos,
+                                   &options.lazy_threshold_nanos));
+  ANTIMR_RETURN_NOT_OK(ParamInt(params, "cross_call_window",
+                                options.cross_call_window,
+                                &options.cross_call_window));
+  ANTIMR_RETURN_NOT_OK(ParamBool(params, "map_phase_combiner",
+                                 options.map_phase_combiner,
+                                 &options.map_phase_combiner));
   *spec = anticombine::EnableAntiCombining(*spec, options);
   return Status::OK();
 }

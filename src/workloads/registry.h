@@ -14,6 +14,8 @@
 //
 //   anti_combine = off | eager | lazy | adaptive | alpha   (default off)
 //   lazy_threshold_nanos = <uint64>   (overrides the mode's threshold T)
+//   cross_call_window = <int>         (window W, default 1)
+//   map_phase_combiner = 0 | 1        (the paper's flag C, default 1)
 #ifndef ANTIMR_WORKLOADS_REGISTRY_H_
 #define ANTIMR_WORKLOADS_REGISTRY_H_
 

@@ -4,8 +4,11 @@
 // TCP sockets, with and without workers dying mid-job. Worker-loss recovery
 // is the MapReduce contract: segments on a dead worker are gone, so the
 // driver re-runs that worker's maps elsewhere before retrying the reduce.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -13,9 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "engine/coordinator.h"
+#include "engine/executor.h"
+#include "engine/job_plan.h"
 #include "engine/job_registry.h"
 #include "engine/job_service.h"
+#include "engine/remote_runner.h"
+#include "engine/skew_runner.h"
 #include "engine/worker.h"
 #include "datagen/cloud.h"
 #include "datagen/random_text.h"
@@ -118,6 +126,73 @@ size_t TwoSpillBufferBytes(const std::vector<std::vector<KV>>& chunks,
   return bytes;
 }
 
+/// Zipf(s) wordcount input: `lines` lines of `words_per_line` words drawn
+/// from a `vocab`-word dictionary; rank 0 dominates.
+std::vector<KV> ZipfLines(int lines, size_t vocab, double s,
+                          int words_per_line, uint64_t seed) {
+  Random rng(seed);
+  ZipfSampler zipf(vocab, s);
+  std::vector<KV> records;
+  for (int i = 0; i < lines; ++i) {
+    std::string line;
+    for (int j = 0; j < words_per_line; ++j) {
+      if (j > 0) line += ' ';
+      char word[16];
+      std::snprintf(word, sizeof(word), "w%04zu", zipf.Sample(&rng));
+      line += word;
+    }
+    records.push_back({"", std::move(line)});
+  }
+  return records;
+}
+
+/// Max over mean of per-reducer loads; 0 when nothing was shuffled.
+double LoadSpread(const std::vector<uint64_t>& loads) {
+  uint64_t max = 0, total = 0;
+  for (uint64_t v : loads) {
+    max = std::max(max, v);
+    total += v;
+  }
+  return total == 0 ? 0
+                    : static_cast<double>(max) * static_cast<double>(
+                                                     loads.size()) /
+                          static_cast<double>(total);
+}
+
+constexpr int kPipelineMaps = 4;
+constexpr int kPipelineReduces = 4;
+
+/// The `pipeline` command's wordcount -> sort plan built from registered
+/// stages: EagerSH on the counts, LazySH on the re-sort.
+engine::JobPlan PipelinePlan(const std::vector<KV>& input,
+                             const std::string& sort_builder = "sort") {
+  const std::string reduces = std::to_string(kPipelineReduces);
+  engine::JobPlan plan;
+  plan.name = "wordcount_sort";
+  EXPECT_TRUE(plan.AddInput("lines", MakeSplits(input, kPipelineMaps)).ok());
+  engine::Stage count;
+  count.inputs = {"lines"};
+  count.output = "counts";
+  EXPECT_TRUE(engine::MakeRegisteredStage(
+                  "wordcount", {{"reduces", reduces}, {"anti_combine", "eager"}},
+                  &count)
+                  .ok());
+  plan.AddStage(std::move(count));
+  engine::Stage sort;
+  sort.inputs = {"counts"};
+  sort.output = "sorted";
+  EXPECT_TRUE(engine::MakeRegisteredStage(
+                  sort_builder, {{"reduces", reduces}, {"anti_combine", "lazy"}},
+                  &sort)
+                  .ok());
+  plan.AddStage(std::move(sort));
+  return plan;
+}
+
+/// Set to make "sort_poisonable" builds fail, as a job's builder would on
+/// a worker that cannot build it.
+std::atomic<bool> g_sort_poisoned{false};
+
 class DistClusterTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
@@ -139,12 +214,13 @@ class DistClusterTest : public ::testing::TestWithParam<const char*> {
     for (auto& worker : workers_) worker->Stop();
   }
 
-  void StartWorkers(int n) {
+  void StartWorkers(int n, Env* env = nullptr) {
     for (int i = 0; i < n; ++i) {
       WorkerOptions options;
       options.name = "w" + std::to_string(i);
       options.slots = 2;
       options.heartbeat_period_nanos = 50ull * 1000 * 1000;
+      options.env = env;
       workers_.push_back(
           std::make_unique<Worker>(transport_.get(), options));
     }
@@ -188,9 +264,46 @@ class DistClusterTest : public ::testing::TestWithParam<const char*> {
     EXPECT_EQ(result.metrics.shuffle_bytes, local.metrics.shuffle_bytes);
   }
 
+  /// Runs `plan` on the workers through a RemoteRunner.
+  Status RunRemote(const engine::JobPlan& plan, DistJobResult* result,
+                   const std::atomic<bool>* abort = nullptr,
+                   const std::string& job_id = "") {
+    DistJobOptions options;
+    options.job_name = plan.name;
+    options.job_id = job_id;
+    options.max_task_attempts = 4;
+    engine::RemoteRunner runner(coord_.get(), options);
+    runner.abort = abort;
+    return runner.Run(plan, result);
+  }
+
+  /// Blocks until no file of job `scope` is left in `env` (scrub frames
+  /// are asynchronous); fails the test after a deadline.
+  void ExpectScrubbed(Env* env, const std::string& scope) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (;;) {
+      std::vector<std::string> names;
+      ASSERT_TRUE(env->ListFiles(&names).ok());
+      size_t in_scope = 0;
+      for (const std::string& name : names) {
+        if (engine::JobIdInScope(name, scope)) ++in_scope;
+      }
+      if (in_scope == 0) return;
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << in_scope << " files of " << scope << " left on workers";
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+
   std::unique_ptr<net::Transport> transport_;
   std::unique_ptr<Coordinator> coord_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  // Borrowed by workers and their hooks, so it lives on the fixture: worker
+  // threads can still touch it until TearDown stops them.
+  std::unique_ptr<Env> shared_env_;
+  std::atomic<int> map_starts_{0};
+  std::atomic<int> reduce_starts_{0};
 };
 
 TEST_P(DistClusterTest, WordCountMatchesSingleProcess) {
@@ -615,6 +728,243 @@ TEST_P(DistClusterTest, DeadWorkerSeriesRetainedInClusterMetrics) {
   const std::string text = coord_->ClusterMetricsText();
   EXPECT_NE(text.find("{worker=\"1\"}"), std::string::npos);
   EXPECT_NE(text.find("{worker=\"2\"}"), std::string::npos);
+}
+
+// The skew defenses end to end on both transports: a Zipf wordcount pins
+// one reducer under hash partitioning (max/mean reduce input records
+// >= 3x), hot-key splitting levels the heavy stage-1 shuffle (<= 1.5x), and
+// every partitioning x strategy x speculation cell gives the same output.
+// The range and split cells run MakeSkewPlan's one- or two-stage plan on
+// the remote runner.
+TEST_P(DistClusterTest, SkewDefensesBalanceLoadWithIdenticalOutput) {
+  StartWorkers(4);
+  const std::vector<std::vector<KV>> chunks =
+      Chunk(ZipfLines(1200, 500, 1.5, 6, 0x5eed), 8);
+  std::vector<uint64_t> hashes;
+  bool split_ran = false;
+  for (const std::string mode : {"hash", "range", "split"}) {
+    for (const std::string strategy : {"original", "adaptive"}) {
+      for (const bool speculation : {false, true}) {
+        SCOPED_TRACE(mode + "/" + strategy + (speculation ? "/spec" : ""));
+        // The combiner stays off so the skewed shuffle is actually skewed.
+        net::JobParams params = {{"reduces", "8"}, {"combiner", "false"}};
+        if (strategy != "original") {
+          params.emplace_back("anti_combine", strategy);
+        }
+        DistJobOptions options;
+        options.job_name = "wordcount";
+        options.params = params;
+        options.speculative_execution = speculation;
+        DistJobResult result;
+        Status st;
+        if (mode == "hash") {
+          options.splits = chunks;
+          st = RunDistributedJob(coord_.get(), options, &result);
+        } else {
+          std::vector<InputSplit> splits;
+          for (const std::vector<KV>& chunk : chunks) {
+            splits.push_back(MakeSplit(chunk));
+          }
+          engine::SkewPlanOptions skew;
+          skew.hot_key_split = mode == "split";
+          engine::JobPlan plan;
+          std::string output;
+          st = engine::MakeSkewPlan("wordcount", params, std::move(splits),
+                                    skew, &plan, &output);
+          ASSERT_TRUE(st.ok()) << st.ToString();
+          split_ran = split_ran || plan.stages().size() == 2;
+          st = engine::RemoteRunner(coord_.get(), options).Run(plan, &result);
+        }
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        hashes.push_back(engine::OutputMultisetHash(result.FlatOutput()));
+        // The gates read the untransformed, speculation-off cells: record
+        // counts there are pure partitioning signal.
+        if (strategy == "original" && !speculation) {
+          const double spread = LoadSpread(result.reduce_input_records);
+          if (mode == "hash") {
+            EXPECT_GE(spread, 3.0);
+          } else if (mode == "split") {
+            EXPECT_LE(spread, 1.5);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(split_ran) << "sampling never found a hot key";
+  for (uint64_t hash : hashes) EXPECT_EQ(hash, hashes.front());
+}
+
+// The window W and flag C cross the wire as builder params: with W = 4 and
+// C = 0, EagerSH and LazySH runs emit and shuffle exactly what the local
+// run with the same options does.
+TEST_P(DistClusterTest, WindowAndCombinerFlagReachWorkers) {
+  const std::vector<KV> input = WordCountInput();
+  StartWorkers(2);
+  JobSpec base;
+  ASSERT_TRUE(
+      engine::BuildRegisteredJob("wordcount", {{"reduces", "4"}}, &base).ok());
+  for (const std::string strategy : {"eager", "lazy"}) {
+    SCOPED_TRACE(strategy);
+    anticombine::AntiCombineOptions ac =
+        strategy == "eager" ? anticombine::AntiCombineOptions::EagerOnly()
+                            : anticombine::AntiCombineOptions::LazyOnly();
+    RunOptions run;
+    run.collect_output = true;
+    JobResult plain;
+    ASSERT_TRUE(RunJob(anticombine::EnableAntiCombining(base, ac),
+                       MakeSplits(input, 4), run, &plain)
+                    .ok());
+    ac.cross_call_window = 4;
+    ac.map_phase_combiner = false;
+    JobResult local;
+    ASSERT_TRUE(RunJob(anticombine::EnableAntiCombining(base, ac),
+                       MakeSplits(input, 4), run, &local)
+                    .ok());
+    ASSERT_NE(local.metrics.shuffle_bytes, plain.metrics.shuffle_bytes)
+        << "premise: W and C change what the job ships";
+
+    DistJobOptions options;
+    options.job_name = "wordcount";
+    options.params = {{"reduces", "4"},
+                      {"anti_combine", strategy},
+                      {"cross_call_window", "4"},
+                      {"map_phase_combiner", "0"}};
+    options.splits = Chunk(input, 4);
+    DistJobResult result;
+    const Status st = RunDistributedJob(coord_.get(), options, &result);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(result.metrics.eager_records, local.metrics.eager_records);
+    EXPECT_EQ(result.metrics.lazy_records, local.metrics.lazy_records);
+    EXPECT_EQ(result.metrics.shuffle_bytes, local.metrics.shuffle_bytes);
+    EXPECT_EQ(testing::Canonicalize(result.FlatOutput()),
+              testing::Canonicalize(local.FlatOutput()));
+  }
+}
+
+// A two-stage plan of registered stages runs on the remote runner with the
+// local Executor's output, in order, and its shuffle bytes.
+TEST_P(DistClusterTest, PipelinePlanMatchesLocalExecutor) {
+  const std::vector<KV> input = WordCountInput();
+  StartWorkers(3);
+  const engine::JobPlan plan = PipelinePlan(input);
+  engine::Executor executor;
+  engine::PlanResult local;
+  ASSERT_TRUE(executor.Run(plan, &local).ok());
+  ASSERT_GT(local.stages[1].metrics.shuffle_bytes, 0u);
+
+  DistJobResult result;
+  const Status st = RunRemote(plan, &result);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(result.FlatOutput(), local.FlatOutput("sorted"));
+  EXPECT_EQ(result.metrics.shuffle_bytes, local.metrics.shuffle_bytes);
+  EXPECT_EQ(result.map_reruns, 0u);
+}
+
+// Only a stage that names a registered builder can be rebuilt on a worker;
+// a plan with any other stage is refused before a single task is sent.
+TEST_P(DistClusterTest, UnregisteredStageFailsBeforeAnyTaskAssign) {
+  StartWorkers(2);
+  engine::JobPlan plan = PipelinePlan(WordCountInput());
+  engine::Stage local_only;
+  local_only.name = "local_sort";
+  local_only.spec = plan.stages()[1].spec;
+  local_only.inputs = {"counts"};
+  local_only.output = "sorted_locally";
+  plan.AddStage(std::move(local_only));
+
+  obs::Counter* assigned = obs::MetricsRegistry::Global().GetCounter(
+      "antimr_coord_tasks_assigned_total", "");
+  const uint64_t assigned_before = assigned->value();
+  DistJobResult result;
+  const Status st = RunRemote(plan, &result);
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(assigned->value(), assigned_before);
+}
+
+// Whether a two-stage plan succeeds, fails in stage 2, or is aborted in
+// stage 2, each stage's cleanup scrubs its files, so no worker keeps a file
+// of either stage.
+TEST_P(DistClusterTest, TwoStagePlanLeavesNoFilesOnWorkers) {
+  engine::RegisterJobBuilder(
+      "sort_poisonable",
+      [](const std::map<std::string, std::string>& params, JobSpec* spec) {
+        if (g_sort_poisoned.load()) return Status::InvalidArgument("poisoned");
+        return engine::BuildRegisteredJob(
+            "sort", net::JobParams(params.begin(), params.end()), spec);
+      });
+  shared_env_ = NewMemEnv();
+  StartWorkers(2, shared_env_.get());
+  enum Action { kNone, kPoison, kAbort };
+  std::atomic<int> action{kNone};
+  std::atomic<bool> abort{false};
+  for (auto& worker : workers_) {
+    worker->on_map_start = [this, &action, &abort](int, uint32_t) {
+      if (map_starts_.fetch_add(1) < kPipelineMaps) return;  // stage 1
+      if (action.load() == kPoison) g_sort_poisoned.store(true);
+      if (action.load() == kAbort && !abort.exchange(true)) {
+        coord_->BroadcastJobFrame(net::kCancelJob, "files_aborted");
+      }
+    };
+  }
+  const std::vector<KV> input = WordCountInput();
+  const struct {
+    const char* job_id;
+    Action action;
+    bool ok;
+  } cases[] = {{"files_succeeded", kNone, true},
+               {"files_failed", kPoison, false},
+               {"files_aborted", kAbort, false}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.job_id);
+    map_starts_.store(0);
+    action.store(c.action);
+    const engine::JobPlan plan = PipelinePlan(input, "sort_poisonable");
+    DistJobResult result;
+    const Status st = RunRemote(plan, &result, &abort, c.job_id);
+    EXPECT_EQ(st.ok(), c.ok) << st.ToString();
+    g_sort_poisoned.store(false);
+    ExpectScrubbed(shared_env_.get(), c.job_id);
+  }
+}
+
+// A worker lost during stage 2 takes that stage's map segments with it.
+// The reduce heals them from the encoded partitions the runner kept — the
+// catalog has released stage 1's output by then — and the output holds.
+TEST_P(DistClusterTest, WorkerCrashInSecondStageHeals) {
+  const std::vector<KV> input = WordCountInput();
+  const engine::JobPlan plan = PipelinePlan(input);
+  engine::Executor executor;
+  engine::PlanResult local;
+  ASSERT_TRUE(executor.Run(plan, &local).ok());
+  StartWorkers(3);
+
+  // Kill the worker that ran the first stage-2 map the moment a stage-2
+  // reduce starts on another worker.
+  std::atomic<Worker*> stage2_map_owner{nullptr};
+  std::atomic<bool> crashed{false};
+  for (auto& worker : workers_) {
+    Worker* self = worker.get();
+    self->on_map_start = [this, self, &stage2_map_owner](int, uint32_t) {
+      if (map_starts_.fetch_add(1) < kPipelineMaps) return;  // stage 1
+      Worker* expected = nullptr;
+      stage2_map_owner.compare_exchange_strong(expected, self);
+    };
+    self->on_reduce_start = [this, self, &stage2_map_owner, &crashed](
+                                int, uint32_t) {
+      if (reduce_starts_.fetch_add(1) < kPipelineReduces) return;  // stage 1
+      Worker* owner = stage2_map_owner.load();
+      if (owner != nullptr && owner != self && !crashed.exchange(true)) {
+        owner->Crash();
+      }
+    };
+  }
+
+  DistJobResult result;
+  const Status st = RunRemote(plan, &result);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(crashed.load());
+  EXPECT_GT(result.map_reruns, 0u);
+  EXPECT_EQ(result.FlatOutput(), local.FlatOutput("sorted"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, DistClusterTest,

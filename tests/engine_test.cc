@@ -11,6 +11,7 @@
 #include "datagen/graph.h"
 #include "test_util.h"
 #include "workloads/pagerank.h"
+#include "workloads/registry.h"
 
 namespace antimr {
 namespace {
@@ -143,6 +144,31 @@ TEST(JobPlan, RejectsDuplicateProducers) {
     plan.AddStage(stage);
   }
   EXPECT_FALSE(plan.Validate().ok());
+}
+
+// A registered stage's spec already carries the strategy its params name;
+// the planner must never wrap it a second time.
+TEST(JobPlan, RejectsTransformingARegisteredStage) {
+  workloads::RegisterStandardJobs();
+  JobPlan plan;
+  ASSERT_TRUE(plan.AddInput("in", MakeSplits(SmallInput("k", 10), 2)).ok());
+  Stage stage;
+  stage.inputs = {"in"};
+  stage.output = "out";
+  ASSERT_TRUE(engine::MakeRegisteredStage(
+                  "wordcount", {{"reduces", "2"}, {"anti_combine", "eager"}},
+                  &stage)
+                  .ok());
+  EXPECT_EQ(stage.builder, "wordcount");
+  plan.AddStage(stage);
+  ASSERT_TRUE(plan.Validate().ok());
+
+  JobPlan twice;
+  ASSERT_TRUE(twice.AddInput("in", MakeSplits(SmallInput("k", 10), 2)).ok());
+  stage.options.anti_combine = true;
+  twice.AddStage(stage);
+  const Status st = twice.Validate();
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
 }
 
 // ---- Execution shapes ------------------------------------------------------

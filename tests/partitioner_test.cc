@@ -14,10 +14,12 @@
 #include "common/hash.h"
 #include "engine/executor.h"
 #include "engine/job_plan.h"
+#include "engine/job_registry.h"
 #include "engine/skew_runner.h"
 #include "mr/api.h"
 #include "mr/job_runner.h"
 #include "mr/skew.h"
+#include "workloads/registry.h"
 #include "workloads/wordcount.h"
 
 namespace antimr {
@@ -252,10 +254,11 @@ std::vector<KV> SortedMultiset(std::vector<KV> kvs) {
 }
 
 TEST(HotKeySplitTest, SplitPlanOutputMatchesDirectRun) {
-  workloads::WordCountConfig config;
-  config.num_reduce_tasks = 4;
-  config.with_combiner = false;  // keep the skewed shuffle actually skewed
-  const JobSpec spec = workloads::MakeWordCountJob(config);
+  workloads::RegisterStandardJobs();
+  // combiner off keeps the skewed shuffle actually skewed.
+  const net::JobParams params = {{"reduces", "4"}, {"combiner", "0"}};
+  JobSpec spec;
+  ASSERT_TRUE(engine::BuildRegisteredJob("wordcount", params, &spec).ok());
   const std::vector<KV> input = SkewedLines(900, 2);
 
   RunOptions run;
@@ -269,8 +272,8 @@ TEST(HotKeySplitTest, SplitPlanOutputMatchesDirectRun) {
     engine::JobPlan plan;
     std::string output;
     SkewModel model;
-    ASSERT_TRUE(engine::MakeSkewPlan(spec, MakeSplits(input, 6), skew, &plan,
-                                     &output, &model)
+    ASSERT_TRUE(engine::MakeSkewPlan("wordcount", params, MakeSplits(input, 6),
+                                     skew, &plan, &output, &model)
                     .ok());
     ASSERT_TRUE(model.HasHotKeys());
     EXPECT_EQ(plan.stages().size(), split ? 2u : 1u);

@@ -32,6 +32,7 @@
 #include "engine/coordinator.h"
 #include "engine/job_registry.h"
 #include "engine/job_service.h"
+#include "engine/remote_runner.h"
 #include "engine/skew_runner.h"
 #include "engine/worker.h"
 #include "net/frame.h"
@@ -242,6 +243,8 @@ Status BuildJob(const Flags& flags, JobSpec* spec,
 }
 
 int DistRunCommand(const Flags& flags, const std::string& mode);
+Status BuildDistJob(const Flags& flags, uint64_t records, int maps,
+                    engine::DistJobOptions* dist);
 Status WriteTextFile(const std::string& path, const std::string& body);
 
 SkewSampleOptions ParseSampleFlags(const Flags& flags) {
@@ -256,36 +259,38 @@ SkewSampleOptions ParseSampleFlags(const Flags& flags) {
   return sample;
 }
 
-/// `run --partitioner=range [--hot-key-split]` for the standard workloads:
-/// sample the input, build the skew plan (one range-partitioned stage, or
-/// the split1 -> merge fix-up chain when hot keys were found and splitting
-/// is on), and run it on the Executor.
-int SkewRunCommand(const Flags& flags, const JobSpec& spec,
-                   std::vector<InputSplit> splits,
-                   const anticombine::AntiCombineOptions& ac_options,
-                   const std::string& strategy, const RunOptions& run) {
+/// The skew plan of `run --partitioner=range [--hot-key-split]`, local or
+/// distributed: sample the registered job `dist` describes and build one
+/// range-partitioned stage, or the split1 -> merge fix-up chain when hot
+/// keys were found and splitting is on. Moves the records out of `dist`.
+Status BuildSkewPlan(const Flags& flags, engine::DistJobOptions* dist,
+                     engine::JobPlan* plan, std::string* output,
+                     SkewModel* model) {
+  std::vector<InputSplit> splits;
+  for (std::vector<KV>& records : dist->splits) {
+    splits.push_back(MakeSplit(std::move(records)));
+  }
   engine::SkewPlanOptions skew;
   skew.sample = ParseSampleFlags(flags);
   skew.hot_key_split = flags.GetBool("hot-key-split", false);
-  skew.stage_options.anti_combine_options = ac_options;
-  if (strategy == "eager") {
-    skew.stage_options.anti_combine = true;
-    skew.stage_options.anti_combine_options.lazy_threshold_nanos = 0;
-  } else if (strategy == "lazy") {
-    skew.stage_options.anti_combine = true;
-    skew.stage_options.anti_combine_options.force_lazy = true;
-  } else if (strategy == "adaptive") {
-    skew.stage_options.anti_combine = true;
-  } else if (strategy != "original") {
-    std::fprintf(stderr, "error: unknown strategy %s\n", strategy.c_str());
+  return engine::MakeSkewPlan(dist->job_name, dist->params, std::move(splits),
+                              skew, plan, output, model);
+}
+
+/// `run --partitioner=range` for the registered workloads on the Executor.
+int SkewRunCommand(const Flags& flags, const RunOptions& run) {
+  workloads::RegisterStandardJobs();
+  engine::DistJobOptions dist;
+  Status st = BuildDistJob(flags, flags.GetUint("records", 20000),
+                           static_cast<int>(flags.GetUint("maps", 8)), &dist);
+  if (!st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
     return Usage();
   }
-
   engine::JobPlan plan;
   std::string output;
   SkewModel model;
-  Status st = engine::MakeSkewPlan(spec, std::move(splits), skew, &plan,
-                                   &output, &model);
+  st = BuildSkewPlan(flags, &dist, &plan, &output, &model);
   if (!st.ok()) {
     std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
     return 1;
@@ -304,8 +309,8 @@ int SkewRunCommand(const Flags& flags, const JobSpec& spec,
   }
   std::printf("partitioner=range strategy=%s hot_keys=%zu split=%d "
               "stages=%zu\n",
-              strategy.c_str(), model.hot_keys.size(),
-              model.HasHotKeys() && skew.hot_key_split ? 1 : 0,
+              flags.GetString("strategy", "adaptive").c_str(),
+              model.hot_keys.size(), result.stages.size() > 1 ? 1 : 0,
               result.stages.size());
   if (flags.Has("output-hash")) {
     const std::vector<KV> flat = result.FlatOutput(output);
@@ -383,20 +388,19 @@ int RunCommand(const Flags& flags) {
     return 0;
   }
 
+  // --partitioner=range runs the skew plan of the registered job. qsuggest
+  // keeps its own meaning for the flag (hash|prefix1|prefix5 key schemes).
+  if (workload != "qsuggest" &&
+      flags.GetString("partitioner", "hash") == "range") {
+    return SkewRunCommand(flags, run);
+  }
+
   JobSpec spec;
   std::vector<InputSplit> splits;
   Status st = BuildJob(flags, &spec, &splits, records, maps);
   if (!st.ok()) {
     std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
     return Usage();
-  }
-
-  // --partitioner=range routes through the skew plan driver. qsuggest keeps
-  // its own meaning for the flag (hash|prefix1|prefix5 key schemes).
-  if (workload != "qsuggest" &&
-      flags.GetString("partitioner", "hash") == "range") {
-    return SkewRunCommand(flags, spec, std::move(splits), options, strategy,
-                          run);
   }
 
   if (strategy == "eager") {
@@ -622,8 +626,8 @@ std::vector<std::vector<KV>> ChunkRecords(std::vector<KV> records,
 }
 
 /// Translate the run command's flags into a registered-job name, its
-/// JobParams, and the input splits for the distributed driver. The params
-/// mirror what BuildJob configures locally, so `--dist=loopback` and
+/// JobParams, and the input splits. The params mirror what BuildJob
+/// configures locally, strategy knobs included, so `--dist=loopback` and
 /// `--dist=off` execute the same job over the same input.
 Status BuildDistJob(const Flags& flags, uint64_t records, int maps,
                     engine::DistJobOptions* dist) {
@@ -678,13 +682,22 @@ Status BuildDistJob(const Flags& flags, uint64_t records, int maps,
           "lazy_threshold_nanos",
           std::to_string(flags.GetUint("threshold-us", 0) * 1000));
     }
+    if (flags.Has("window")) {
+      dist->params.emplace_back("cross_call_window",
+                                std::to_string(flags.GetUint("window", 1)));
+    }
+    if (flags.Has("c-flag")) {
+      dist->params.emplace_back("map_phase_combiner",
+                                flags.GetBool("c-flag", true) ? "1" : "0");
+    }
   }
   return Status::OK();
 }
 
 /// `run --dist=loopback|tcp`: bring up a Coordinator (plus in-process
 /// workers in loopback mode), wait for the worker quorum, and drive the job
-/// through RunDistributedJob.
+/// through RunDistributedJob — or, with --partitioner=range, run its skew
+/// plan on a RemoteRunner.
 int DistRunCommand(const Flags& flags, const std::string& mode) {
   workloads::RegisterStandardJobs();
   SetLogNodeLabel("coord");
@@ -779,27 +792,20 @@ int DistRunCommand(const Flags& flags, const std::string& mode) {
   }
 
   const bool range = flags.GetString("partitioner", "hash") == "range";
+  const size_t maps_run = dist.splits.size();
   const net::WireCounters wire_before = net::SnapshotWireCounters();
   engine::DistJobResult result;
-  engine::DistSkewResult skew_result;
+  SkewModel model;
+  size_t stages = 1;
   if (range) {
-    // Sampling runs the *base* job's mapper on the driver; the anti-combine
-    // params are reapplied per stage on the workers.
-    net::JobParams base_params;
-    for (const auto& kv : dist.params) {
-      if (kv.first != "anti_combine" && kv.first != "lazy_threshold_nanos") {
-        base_params.push_back(kv);
-      }
-    }
-    JobSpec sample_spec;
-    st = engine::BuildRegisteredJob(dist.job_name, base_params, &sample_spec);
+    // The skew plan runs on the remote runner; sampling happens here.
+    engine::JobPlan plan;
+    std::string output;
+    st = BuildSkewPlan(flags, &dist, &plan, &output, &model);
     if (st.ok()) {
-      st = engine::RunDistributedSkewJob(&coord, dist, sample_spec,
-                                         ParseSampleFlags(flags),
-                                         flags.GetBool("hot-key-split", false),
-                                         &skew_result);
+      stages = plan.stages().size();
+      st = engine::RemoteRunner(&coord, dist).Run(plan, &result);
     }
-    if (st.ok()) result = std::move(skew_result.job);
   } else {
     st = RunDistributedJob(&coord, dist, &result);
   }
@@ -811,7 +817,7 @@ int DistRunCommand(const Flags& flags, const std::string& mode) {
 
   std::printf("workload=%s dist=%s workers=%d maps=%zu records=%llu\n",
               flags.GetString("workload", "qsuggest").c_str(), mode.c_str(),
-              workers, dist.splits.size(),
+              workers, maps_run,
               static_cast<unsigned long long>(records));
   std::printf("wire_bytes_sent=%llu wire_bytes_received=%llu "
               "map_reruns=%llu\n",
@@ -822,7 +828,7 @@ int DistRunCommand(const Flags& flags, const std::string& mode) {
               static_cast<unsigned long long>(result.map_reruns));
   if (range) {
     std::printf("partitioner=range hot_keys=%zu split=%d\n",
-                skew_result.model.hot_keys.size(), skew_result.split ? 1 : 0);
+                model.hot_keys.size(), stages > 1 ? 1 : 0);
   }
   if (dist.speculative_execution) {
     std::printf("spec_backups=%llu spec_backup_wins=%llu spec_cancels=%llu\n",
