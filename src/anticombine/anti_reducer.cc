@@ -55,7 +55,6 @@ void AntiReducer::Setup(const TaskInfo& info, ReduceContext* ctx) {
   so.env = info.env;
   so.file_prefix = UniqueSharedPrefix(info.task_id);
   so.memory_limit_bytes = options_.shared_memory_bytes;
-  so.spill_merge_threshold = options_.shared_spill_merge_threshold;
   so.combiner = o_combiner_.get();
   so.metrics = info.metrics;
   shared_ = std::make_unique<Shared>(std::move(so));

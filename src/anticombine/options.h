@@ -31,9 +31,6 @@ struct AntiCombineOptions {
   /// Shared's in-memory budget before spilling to local disk.
   size_t shared_memory_bytes = 8 * 1024 * 1024;
 
-  /// Merge Shared spill files once their count exceeds this.
-  int shared_spill_merge_threshold = 10;
-
   /// Force LazySH for every partition that has an input record to resend
   /// (subject to determinism). This is the paper's pure "LazySH" strategy
   /// from Figure 9; normally leave false and let the size test decide.

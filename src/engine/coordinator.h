@@ -250,7 +250,6 @@ struct DistJobOptions {
   uint64_t retry_backoff_nanos = 1000 * 1000;
   /// Simulated shuffle bandwidth the reduce workers apply per fetched chunk.
   double network_mb_per_s = 0;
-  uint32_t readahead_blocks = 0;
   /// Scope for segment file names; "" derives one from job_name. Attempts
   /// get unique sub-scopes so re-executions never collide with stale files.
   std::string job_id;

@@ -1,6 +1,7 @@
 #include "engine/executor.h"
 
 #include <atomic>
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
@@ -36,7 +37,6 @@ struct LocalRunner : public TaskRunner {
   TaskPool* fetches = nullptr;
   net::ShuffleClient* shuffle = nullptr;
   std::string shuffle_addr;
-  size_t readahead_blocks = 0;
 
   TaskPool* fetch_pool() override { return fetches; }
 
@@ -85,7 +85,6 @@ struct LocalRunner : public TaskRunner {
   Status Reduce(StageExec* st, size_t p, int attempt) override {
     if (attempt > 0) st->reduce_results[p] = ReduceTaskResult();
     ReduceTaskInputs inputs;
-    inputs.readahead_blocks = readahead_blocks;
     // Borrow the fetched segments in (map, run) order — the StageExec keeps
     // owning them so a transiently-failed reduce retries against the same
     // bytes instead of finding moved-out empties.
@@ -120,7 +119,9 @@ struct LocalRunner : public TaskRunner {
 }  // namespace
 
 Executor::Executor(const ExecutorOptions& options)
-    : options_(options), pool_(options.num_workers) {}
+    : options_(options),
+      pool_(options.num_workers),
+      fetch_pool_(pool_.num_workers(), "fetch") {}
 
 Status Executor::Run(const JobPlan& plan, PlanResult* result) {
   *result = PlanResult();
@@ -167,22 +168,12 @@ Status Executor::Run(const JobPlan& plan, PlanResult* result) {
   net::ShuffleClient shuffle_client(transport,
                                     options_.hardware.network_mb_per_s);
 
-  if (fetch_pool_ == nullptr) {
-    fetch_pool_ = std::make_unique<TaskPool>(options_.fetch_threads > 0
-                                                 ? options_.fetch_threads
-                                                 : pool_.num_workers(),
-                                             "fetch");
-  }
-
   LocalRunner runner;
   runner.task_env = task_env;
   runner.cleanup_env = env;
-  runner.fetches = fetch_pool_.get();
+  runner.fetches = &fetch_pool_;
   runner.shuffle = &shuffle_client;
   runner.shuffle_addr = shuffle_server.addr();
-  runner.readahead_blocks = options_.readahead_blocks > 0
-                                ? options_.readahead_blocks
-                                : kShuffleReadaheadBlocks;
   PlannerContext ctx;
   ctx.plan = &plan;
   ctx.runner = &runner;

@@ -7,7 +7,6 @@
 #define ANTIMR_ENGINE_EXECUTOR_H_
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,12 +21,9 @@ namespace antimr {
 namespace engine {
 
 struct ExecutorOptions {
-  /// Worker threads for map/reduce tasks; 0 = hardware concurrency.
+  /// Worker threads for map/reduce tasks; 0 = hardware concurrency. Shuffle
+  /// fetches run on a second pool of the same width.
   int num_workers = 0;
-  /// Dedicated threads for shuffle fetches; 0 = num_workers.
-  int fetch_threads = 0;
-  /// Per-segment streaming readahead window in blocks; 0 = default.
-  size_t readahead_blocks = 0;
   /// Storage for intermediate data. When null each Run creates a private
   /// in-memory Env whose I/O counters become the plan's disk metrics.
   Env* env = nullptr;
@@ -103,7 +99,7 @@ class Executor {
  private:
   ExecutorOptions options_;
   TaskPool pool_;
-  std::unique_ptr<TaskPool> fetch_pool_;  ///< created on first Run
+  TaskPool fetch_pool_;  ///< shuffle fetches; as wide as pool_
 };
 
 }  // namespace engine

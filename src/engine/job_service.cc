@@ -291,7 +291,6 @@ void JobService::RunJob(Pool* pool, Job* job) {
                                  ? job->sub.retry_backoff_nanos
                                  : options_.default_retry_backoff_nanos;
   opts.network_mb_per_s = job->sub.network_mb_per_s;
-  opts.readahead_blocks = job->sub.readahead_blocks;
   opts.job_id = job->id;
   opts.speculative_execution = job->sub.speculation < 0
                                    ? options_.speculative_execution
@@ -585,7 +584,6 @@ void JobService::ServeConn(net::Conn* conn) {
           sub.collect_outputs = msg.collect_output;
           sub.max_task_attempts = static_cast<int>(msg.max_task_attempts);
           sub.network_mb_per_s = msg.network_mb_per_s;
-          sub.readahead_blocks = msg.readahead_blocks;
           std::string id;
           st = Submit(std::move(sub), &id);
           ack.job_id = id;
@@ -784,7 +782,6 @@ Status RunDistributedJob(Coordinator* coord, const DistJobOptions& options,
   sub.max_task_attempts = options.max_task_attempts;
   sub.retry_backoff_nanos = options.retry_backoff_nanos;
   sub.network_mb_per_s = options.network_mb_per_s;
-  sub.readahead_blocks = options.readahead_blocks;
   sub.speculation = options.speculative_execution ? 1 : 0;
   sub.speculation_force_after_nanos = options.speculation_force_after_nanos;
   sub.encoded_splits.resize(options.splits.size());

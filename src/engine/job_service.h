@@ -108,7 +108,6 @@ struct JobSubmission {
   int max_task_attempts = 0;
   uint64_t retry_backoff_nanos = 0;
   double network_mb_per_s = 0;
-  uint32_t readahead_blocks = 0;
   /// Tri-state speculation override: -1 = service default, 0 = off, 1 = on.
   int speculation = -1;
   uint64_t speculation_force_after_nanos = 0;  ///< test knob passthrough

@@ -430,7 +430,6 @@ Status RemoteRunner::Reduce(StageExec* st, size_t p, int attempt) {
   base.trace_enabled = trace_enabled_;
   base.collect_output = st->publish_output;
   base.network_mb_per_s = options_.network_mb_per_s;
-  base.readahead_blocks = options_.readahead_blocks;
   // Segment list in (map index, run) order: merge order is part of the
   // output contract, identical to the local runner's.
   for (size_t m = 0; m < st->map_inputs.size(); ++m) {

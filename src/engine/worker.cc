@@ -293,9 +293,6 @@ Status Worker::ExecuteTask(const net::TaskAssignMsg& assign,
     inputs.remote.assign(assign.segments.begin(), assign.segments.end());
     inputs.shuffle = &shuffle;
     inputs.control = control;
-    if (assign.readahead_blocks > 0) {
-      inputs.readahead_blocks = assign.readahead_blocks;
-    }
     ReduceTaskResult reduce_result;
     ANTIMR_RETURN_NOT_OK(RunReduceTask(spec, index, inputs, env_,
                                        assign.collect_output,

@@ -31,8 +31,6 @@ Status RunJob(const JobSpec& spec, const std::vector<InputSplit>& splits,
 
   engine::ExecutorOptions exec_options;
   exec_options.num_workers = options.num_workers;
-  exec_options.fetch_threads = options.fetch_threads;
-  exec_options.readahead_blocks = options.readahead_blocks;
   exec_options.env = options.env;
   exec_options.collect_outputs = options.collect_output;
   exec_options.cleanup_intermediates = options.cleanup_intermediates;

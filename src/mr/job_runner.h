@@ -33,12 +33,9 @@ struct JobResult {
 };
 
 struct RunOptions {
-  /// Worker threads for map/reduce tasks; 0 = hardware concurrency.
+  /// Worker threads for map/reduce tasks; 0 = hardware concurrency. Shuffle
+  /// fetches run on a second pool of the same width.
   int num_workers = 0;
-  /// Dedicated threads for shuffle fetches; 0 = num_workers.
-  int fetch_threads = 0;
-  /// Per-segment streaming readahead window in blocks; 0 = default.
-  size_t readahead_blocks = 0;
   /// Storage for intermediate data. When null the runner creates a private
   /// in-memory Env whose I/O counters become the job's disk metrics.
   Env* env = nullptr;

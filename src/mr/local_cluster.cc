@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/random.h"
-#include "engine/executor.h"
 #include "obs/trace.h"
 
 namespace antimr {
@@ -294,24 +293,6 @@ Status TaskGraph::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this]() { return done_ == nodes_.size(); });
   return first_failure_;
-}
-
-LocalCluster::LocalCluster(const Options& options)
-    : num_workers_(options.num_workers),
-      pool_(options.num_workers),
-      env_(options.posix_root.empty() ? NewMemEnv()
-                                      : NewPosixEnv(options.posix_root)) {}
-
-LocalCluster::~LocalCluster() = default;
-
-engine::Executor* LocalCluster::executor() {
-  if (executor_ == nullptr) {
-    engine::ExecutorOptions options;
-    options.num_workers = num_workers_;
-    options.env = env_.get();
-    executor_ = std::make_unique<engine::Executor>(options);
-  }
-  return executor_.get();
 }
 
 }  // namespace antimr

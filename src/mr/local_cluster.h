@@ -1,6 +1,6 @@
 // The simulated shared-nothing cluster: a pool of worker threads standing in
-// for the paper's 44 worker cores, plus the storage Env standing in for the
-// workers' local disks. Thread CPU time is sampled per task so the harness
+// for the paper's 44 worker cores, plus the simulated bandwidth of their
+// local disks and network. Thread CPU time is sampled per task so the harness
 // can report "total CPU time" summed over all tasks, like the paper does.
 //
 // TaskPool keeps its worker threads alive for the pool's whole lifetime;
@@ -17,18 +17,14 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/status.h"
-#include "io/env.h"
 #include "obs/metrics_registry.h"
 
 namespace antimr {
-
-namespace engine {
-class Executor;
-}  // namespace engine
 
 /// \brief Simulated cluster hardware (paper Section 7's testbed analog).
 ///
@@ -190,32 +186,6 @@ class TaskGraph {
   Status first_failure_;
   size_t first_failure_id_ = 0;
   bool have_failure_ = false;
-};
-
-/// \brief Cluster facade: worker pool + local-disk Env factory.
-class LocalCluster {
- public:
-  struct Options {
-    int num_workers = 0;  ///< 0 = hardware concurrency
-    /// Create the cluster on a real directory instead of in-memory storage.
-    std::string posix_root;  ///< empty = in-memory Env
-  };
-
-  explicit LocalCluster(const Options& options);
-  ~LocalCluster();
-
-  TaskPool* pool() { return &pool_; }
-  Env* env() { return env_.get(); }
-
-  /// A plan executor bound to this cluster's storage and worker count,
-  /// created on first use. Lives as long as the cluster.
-  engine::Executor* executor();
-
- private:
-  int num_workers_;
-  TaskPool pool_;
-  std::unique_ptr<Env> env_;
-  std::unique_ptr<engine::Executor> executor_;
 };
 
 }  // namespace antimr

@@ -150,7 +150,7 @@ Status RunReduceTask(const JobSpec& spec, int partition,
     m.shuffle_fetch_wait_nanos += fs.fetch_nanos;
     std::unique_ptr<BlockRunReader> reader;
     ANTIMR_RETURN_NOT_OK(
-        OpenFetchedSegment(fs, codec, inputs.readahead_blocks, &reader));
+        OpenFetchedSegment(fs, codec, kShuffleReadaheadBlocks, &reader));
     reader_stats.push_back(&reader->stats());
     if (reader->Valid()) {
       segments.push_back(std::move(reader));

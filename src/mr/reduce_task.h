@@ -103,8 +103,6 @@ struct ReduceTaskInputs {
   std::vector<net::SegmentRef> remote;
   /// Fetcher for `remote`; required when `remote` is non-empty.
   net::ShuffleClient* shuffle = nullptr;
-  /// Per-segment streaming readahead window, in blocks.
-  size_t readahead_blocks = kShuffleReadaheadBlocks;
   /// Optional cancellation/progress hook (mr/task_control.h), polled between
   /// remote segment fetches. A cancelled reduce aborts with a transient
   /// IOError before emitting output.

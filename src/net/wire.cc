@@ -148,7 +148,6 @@ void EncodeTaskAssign(const TaskAssignMsg& msg, std::string* out) {
   }
   out->push_back(msg.collect_output ? 1 : 0);
   PutDouble(out, msg.network_mb_per_s);
-  PutVarint32(out, msg.readahead_blocks);
   out->push_back(msg.trace_enabled ? 1 : 0);
 }
 
@@ -180,8 +179,7 @@ Status DecodeTaskAssign(const std::string& payload, TaskAssignMsg* msg) {
   if (in.empty()) return Malformed("TaskAssign tail");
   msg->collect_output = in[0] != 0;
   in.RemovePrefix(1);
-  if (!GetDouble(&in, &msg->network_mb_per_s) ||
-      !GetVarint32(&in, &msg->readahead_blocks) || in.empty()) {
+  if (!GetDouble(&in, &msg->network_mb_per_s) || in.empty()) {
     return Malformed("TaskAssign tail");
   }
   msg->trace_enabled = in[0] != 0;
@@ -302,7 +300,6 @@ void EncodeSubmitJob(const SubmitJobMsg& msg, std::string* out) {
   PutVarint64(out, msg.memory_bytes);
   PutVarint32(out, msg.max_task_attempts);
   PutDouble(out, msg.network_mb_per_s);
-  PutVarint32(out, msg.readahead_blocks);
   out->push_back(msg.collect_output ? 1 : 0);
   PutVarint64(out, msg.splits.size());
   for (const std::string& s : msg.splits) PutString(out, s);
@@ -315,8 +312,7 @@ Status DecodeSubmitJob(const std::string& payload, SubmitJobMsg* msg) {
       !GetVarint32(&in, &msg->cpu_slots) ||
       !GetVarint64(&in, &msg->memory_bytes) ||
       !GetVarint32(&in, &msg->max_task_attempts) ||
-      !GetDouble(&in, &msg->network_mb_per_s) ||
-      !GetVarint32(&in, &msg->readahead_blocks) || in.empty()) {
+      !GetDouble(&in, &msg->network_mb_per_s) || in.empty()) {
     return Malformed("SubmitJob");
   }
   msg->collect_output = in[0] != 0;

@@ -134,7 +134,6 @@ struct TaskAssignMsg {
   std::vector<SegmentRef> segments;
   bool collect_output = true;
   double network_mb_per_s = 0;  ///< simulated fetch bandwidth on the worker
-  uint32_t readahead_blocks = 0;
   /// Trace context: the coordinator is capturing, so record spans for this
   /// task (job_id/task_index/attempt above name them) and ship them back in
   /// TaskResultMsg::trace_chunk.
@@ -200,7 +199,6 @@ struct SubmitJobMsg {
   uint64_t memory_bytes = 0;   ///< map-buffer/Shared admission estimate
   uint32_t max_task_attempts = 0;
   double network_mb_per_s = 0;
-  uint32_t readahead_blocks = 0;
   bool collect_output = true;
   std::vector<std::string> splits;  ///< EncodeKVList payload per map task
 };

@@ -544,27 +544,5 @@ TEST(Engine, FailedPlanReleasesAllDatasets) {
   }
 }
 
-// LocalCluster facade exposes a lazily-created engine executor bound to the
-// cluster's storage.
-TEST(Engine, LocalClusterExecutor) {
-  LocalCluster cluster(LocalCluster::Options{});
-  engine::Executor* executor = cluster.executor();
-  ASSERT_NE(executor, nullptr);
-  EXPECT_EQ(executor, cluster.executor()) << "executor not cached";
-
-  JobPlan plan;
-  ASSERT_TRUE(plan.AddInput("in", MakeSplits(SmallInput("k", 20), 2)).ok());
-  Stage stage;
-  stage.name = "count";
-  stage.spec = CountSpec("count", 2);
-  stage.inputs = {"in"};
-  stage.output = "out";
-  plan.AddStage(std::move(stage));
-  PlanResult result;
-  const Status st = executor->Run(plan, &result);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(result.FlatOutput("out").size(), 7u);
-}
-
 }  // namespace
 }  // namespace antimr

@@ -432,15 +432,5 @@ TEST(TaskGraph, DeterministicBackoffScheduleIsReproducible) {
   }
 }
 
-TEST(LocalCluster, ProvidesEnvAndPool) {
-  LocalCluster::Options options;
-  options.num_workers = 2;
-  LocalCluster cluster(options);
-  EXPECT_EQ(cluster.pool()->num_workers(), 2);
-  ASSERT_NE(cluster.env(), nullptr);
-  std::unique_ptr<WritableFile> f;
-  ASSERT_TRUE(cluster.env()->NewWritableFile("x", &f).ok());
-}
-
 }  // namespace
 }  // namespace antimr

@@ -315,7 +315,6 @@ TEST(PipelinedShuffle, FetchesOverlapTheMapWave) {
 
   RunOptions options;
   options.num_workers = 1;
-  options.fetch_threads = 2;
   JobResult result;
   ASSERT_TRUE(RunJob(spec, splits, options, &result).ok());
   EXPECT_GT(result.metrics.shuffle_overlapped_fetches, 0u)
@@ -336,10 +335,8 @@ TEST(PipelinedShuffle, PeakBufferedBytesStaysBoundedUnderLargeShuffle) {
   }
   JobSpec spec = EchoConcatJob(4);
   spec.shuffle_block_bytes = 2048;
-  RunOptions options;
-  options.readahead_blocks = 2;
   JobResult result;
-  ASSERT_TRUE(RunJob(spec, MakeSplits(input, 4), options, &result).ok());
+  ASSERT_TRUE(RunJob(spec, MakeSplits(input, 4), RunOptions(), &result).ok());
   EXPECT_GT(result.metrics.shuffle_peak_buffered_bytes, 0u);
   // A reduce task buffers its fetched compressed frames plus a bounded
   // decode window; it must never approach the whole job's shuffle volume.

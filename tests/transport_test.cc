@@ -268,7 +268,6 @@ TEST(WireTest, TaskAssignRoundTrip) {
   msg.segments = {{"127.0.0.1:1234", "job/m0/p3"}, {"loopback:1", "m1/p3"}};
   msg.collect_output = true;
   msg.network_mb_per_s = 12.5;
-  msg.readahead_blocks = 6;
 
   std::string payload;
   EncodeTaskAssign(msg, &payload);
@@ -287,7 +286,6 @@ TEST(WireTest, TaskAssignRoundTrip) {
   EXPECT_EQ(got.segments[1].file, "m1/p3");
   EXPECT_EQ(got.collect_output, msg.collect_output);
   EXPECT_DOUBLE_EQ(got.network_mb_per_s, msg.network_mb_per_s);
-  EXPECT_EQ(got.readahead_blocks, msg.readahead_blocks);
 }
 
 TEST(WireTest, TaskResultCarriesStatus) {
