@@ -21,6 +21,13 @@ std::string UniqueSharedPrefix(int task_id) {
 }
 }  // namespace
 
+void PartitionFilterContext::Bind(const TaskInfo& info) {
+  partitioner_ = info.partitioner;
+  num_partitions_ = info.num_reduce_tasks;
+  partition_ = info.shuffle_partition;
+  kept_.Clear();
+}
+
 AntiReducer::AntiReducer(ReducerFactory o_reducer_factory,
                          MapperFactory o_mapper_factory,
                          ReducerFactory o_combiner_factory,
@@ -38,9 +45,9 @@ void AntiReducer::Setup(const TaskInfo& info, ReduceContext* ctx) {
   // The original mapper is needed to decode LazySH records. Setup-time
   // emissions (rare, and already shipped by the map phase) are discarded.
   o_mapper_ = o_mapper_factory_();
-  remap_capture_.Clear();
-  o_mapper_->Setup(info, &remap_capture_);
-  remap_capture_.Clear();
+  remap_.Bind(info);
+  o_mapper_->Setup(info, &remap_);
+  remap_.Clear();
 
   if (o_combiner_factory_ && options_.combine_in_shared) {
     o_combiner_ = o_combiner_factory_();
@@ -96,22 +103,19 @@ void AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
   }
 
   // LazySH: re-execute the original Map and Partition, keeping only the
-  // records assigned to this reduce task (Algorithm 4, lines 6-10).
+  // records assigned to this reduce task (Algorithm 4, lines 6-10). The
+  // Partitioner runs inside Emit, so the other partitions' records are
+  // dropped uncopied; the kept ones reach Shared after Map returns, which
+  // keeps Shared's work out of the remap span.
   Slice input_key, input_value;
   {
     const uint64_t t0 = NowNanos();
     ANTIMR_CHECK_OK(DecodeLazyPayload(rest, &input_key, &input_value));
     if (m != nullptr) m->cpu.decode += NowNanos() - t0;
   }
-  remap_capture_.Clear();
+  remap_.Clear();
   const uint64_t t0 = NowNanos();
-  o_mapper_->Map(input_key, input_value, &remap_capture_);
-  mine_.assign(remap_capture_.size(), false);
-  for (size_t i = 0; i < remap_capture_.size(); ++i) {
-    mine_[i] = info_.partitioner->Partition(remap_capture_.key(i),
-                                            info_.num_reduce_tasks) ==
-               info_.shuffle_partition;
-  }
+  o_mapper_->Map(input_key, input_value, &remap_);
   // One Inc per Lazy record is dwarfed by the Map re-execution it tallies.
   static obs::Counter* const remap_counter =
       obs::MetricsRegistry::Global().GetCounter(
@@ -119,8 +123,9 @@ void AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
           "LazySH decodes that re-executed the original Map");
   remap_counter->Inc();
   const uint64_t t1 = NowNanos();
-  for (size_t i = 0; i < remap_capture_.size(); ++i) {
-    if (mine_[i]) shared_->Add(remap_capture_.key(i), remap_capture_.value(i));
+  const CaptureContext& kept = remap_.kept();
+  for (size_t i = 0; i < kept.size(); ++i) {
+    shared_->Add(kept.key(i), kept.value(i));
   }
   if (m != nullptr) {
     m->cpu.remap += t1 - t0;
@@ -219,9 +224,9 @@ void AntiReducer::Cleanup(ReduceContext* ctx) {
   // then shut down the wrapped objects.
   DrainShared(Slice(), /*to_end=*/true, ctx);
   o_reducer_->Cleanup(ctx);
-  remap_capture_.Clear();
-  o_mapper_->Cleanup(&remap_capture_);
-  remap_capture_.Clear();
+  remap_.Clear();
+  o_mapper_->Cleanup(&remap_);
+  remap_.Clear();
   if (o_combiner_ != nullptr) {
     CollectingContext discard_ctx(&discard_);
     o_combiner_->Cleanup(&discard_ctx);
@@ -246,9 +251,9 @@ void AntiCombiner::Setup(const TaskInfo& info, ReduceContext* ctx) {
   o_combiner_->Setup(info, &discard_ctx);
 
   o_mapper_ = o_mapper_factory_();
-  remap_capture_.Clear();
-  o_mapper_->Setup(info, &remap_capture_);
-  remap_capture_.Clear();
+  remap_.Bind(info);
+  o_mapper_->Setup(info, &remap_);
+  remap_.Clear();
 
   acc_.clear();
   acc_arena_.Clear();
@@ -280,16 +285,11 @@ void AntiCombiner::DecodeValue(const Slice& rep_key, const Slice& payload) {
   }
   Slice input_key, input_value;
   ANTIMR_CHECK_OK(DecodeLazyPayload(rest, &input_key, &input_value));
-  remap_capture_.Clear();
-  o_mapper_->Map(input_key, input_value, &remap_capture_);
+  remap_.Clear();
+  o_mapper_->Map(input_key, input_value, &remap_);
   if (info_.metrics != nullptr) info_.metrics->remap_calls += 1;
-  for (size_t i = 0; i < remap_capture_.size(); ++i) {
-    const Slice k = remap_capture_.key(i);
-    if (info_.partitioner->Partition(k, info_.num_reduce_tasks) ==
-        info_.shuffle_partition) {
-      AddAcc(k, remap_capture_.value(i));
-    }
-  }
+  const CaptureContext& kept = remap_.kept();
+  for (size_t i = 0; i < kept.size(); ++i) AddAcc(kept.key(i), kept.value(i));
 }
 
 void AntiCombiner::Reduce(const Slice& key, ValueIterator* values,

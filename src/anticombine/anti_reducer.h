@@ -22,6 +22,34 @@
 namespace antimr {
 namespace anticombine {
 
+/// \brief Map sink for LazySH decoding: keeps only the records of one
+/// shuffle partition.
+///
+/// The Partitioner runs as each record is emitted, and only the records
+/// `info.shuffle_partition` owns are copied; the rest of the re-executed
+/// Map's output is never interned. Kept views are stable until Clear().
+class PartitionFilterContext : public MapContext {
+ public:
+  /// Keep the records that `info.partitioner` assigns to
+  /// `info.shuffle_partition` of `info.num_reduce_tasks`. Clears.
+  void Bind(const TaskInfo& info);
+
+  void Emit(const Slice& key, const Slice& value) override {
+    if (partitioner_->Partition(key, num_partitions_) == partition_) {
+      kept_.Emit(key, value);
+    }
+  }
+
+  const CaptureContext& kept() const { return kept_; }
+  void Clear() { kept_.Clear(); }
+
+ private:
+  const Partitioner* partitioner_ = nullptr;
+  int num_partitions_ = 1;
+  int partition_ = 0;
+  CaptureContext kept_;
+};
+
 /// \brief Decoding reducer.
 class AntiReducer : public Reducer {
  public:
@@ -56,7 +84,7 @@ class AntiReducer : public Reducer {
   std::unique_ptr<Mapper> o_mapper_;
   std::unique_ptr<Reducer> o_combiner_;
   std::unique_ptr<Shared> shared_;
-  CaptureContext remap_capture_;
+  PartitionFilterContext remap_;
   std::vector<KV> discard_;  // sink for Setup-time emissions of sub-objects
 
   // Scratch reused across Reduce calls to avoid per-group allocations. The
@@ -69,7 +97,6 @@ class AntiReducer : public Reducer {
   std::vector<Slice> decode_keys_;
   std::string group_key_;
   std::vector<Slice> group_values_;  // views into Shared's latest pop
-  std::vector<bool> mine_;
 };
 
 /// \brief Anti-Combining-aware Combiner wrapper.
@@ -99,7 +126,7 @@ class AntiCombiner : public Reducer {
   TaskInfo info_;
   std::unique_ptr<Reducer> o_combiner_;
   std::unique_ptr<Mapper> o_mapper_;
-  CaptureContext remap_capture_;
+  PartitionFilterContext remap_;
 
   /// Decoded records accumulated across the whole combine pass; sorted by
   /// the key comparator once, in Cleanup (cheaper than an ordered map for

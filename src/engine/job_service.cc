@@ -97,7 +97,9 @@ struct JobService::Pool {
 };
 
 JobService::JobService(Coordinator* coord, const JobServiceOptions& options)
-    : coord_(coord), options_(options) {
+    : coord_(coord),
+      options_(options),
+      rpc_(coord->transport(), [this](net::Conn* conn) { ServeConn(conn); }) {
   if (options_.pools.empty()) options_.pools.push_back(PoolConfig());
   first_pool_ = options_.pools.front().name;
   auto& reg = obs::MetricsRegistry::Global();
@@ -541,23 +543,10 @@ std::vector<JobService::PoolUsage> JobService::PoolUsageSnapshot() const {
 // --- RPC plane -----------------------------------------------------------
 
 Status JobService::Serve(const std::string& addr) {
-  if (listener_ != nullptr) return Status::Internal("already serving");
-  ANTIMR_RETURN_NOT_OK(coord_->transport()->Listen(addr, &listener_));
-  serve_addr_ = listener_->addr();
-  accept_thread_ = std::thread(&JobService::AcceptLoop, this);
-  ANTIMR_LOG(kInfo) << "job service listening on " << serve_addr_;
+  if (!rpc_.addr().empty()) return Status::Internal("already serving");
+  ANTIMR_RETURN_NOT_OK(rpc_.Start(addr));
+  ANTIMR_LOG(kInfo) << "job service listening on " << rpc_.addr();
   return Status::OK();
-}
-
-void JobService::AcceptLoop() {
-  for (;;) {
-    std::unique_ptr<net::Conn> conn;
-    if (!listener_->Accept(&conn).ok()) return;  // listener closed
-    net::Conn* raw = conn.get();
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.push_back(std::move(conn));
-    conn_threads_.emplace_back([this, raw] { ServeConn(raw); });
-  }
 }
 
 void JobService::ServeConn(net::Conn* conn) {
@@ -678,16 +667,7 @@ void JobService::Stop() {
     }
   }
   for (std::thread& runner : runners) runner.join();
-  // RPC plane: closing the listener unblocks Accept, closing the conns
-  // unblocks their ReadFrames. Accept is joined before the conns close so
-  // no new conn can slip past the sweep.
-  if (listener_ != nullptr) listener_->Close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& conn : conns_) conn->Close();
-  }
-  for (std::thread& t : conn_threads_) t.join();
+  rpc_.Stop();
 }
 
 // --- JobServiceClient ----------------------------------------------------

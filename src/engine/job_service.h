@@ -6,9 +6,11 @@
 // memory estimates), orders dispatch across named pools by stride (weighted
 // fair-share) scheduling, and exposes the job lifecycle both in-process
 // (Submit/Wait/Abort/ListJobs) and over the wire (kSubmitJob and friends on
-// its own listener). Each admitted job runs as a one-stage JobPlan on a
-// RemoteRunner (engine/remote_runner.h) whose dispatch width is the job's
-// granted cpu slots.
+// its own listener, a net::ConnServer that reaps each client conn once the
+// client hangs up, so a daemon answering submit/jobs/abort calls holds no
+// thread or socket per past call). Each admitted job runs as a one-stage
+// JobPlan on a RemoteRunner (engine/remote_runner.h) whose dispatch width is
+// the job's granted cpu slots.
 //
 // Isolation model: every job runs under a unique job_id, and all of a job's
 // worker-side footprint (shuffle segments, spills) is namespaced by that id
@@ -39,6 +41,7 @@
 #include <vector>
 
 #include "engine/coordinator.h"
+#include "net/conn_server.h"
 #include "net/transport.h"
 #include "net/wire.h"
 #include "obs/metrics_registry.h"
@@ -153,7 +156,7 @@ class JobService {
   /// Start the lifecycle RPC listener (kSubmitJob/kJobStatusReq/kAbortJob/
   /// kListJobsReq) on `addr` ("" = auto) over the coordinator's transport.
   Status Serve(const std::string& addr);
-  const std::string& serve_addr() const { return serve_addr_; }
+  const std::string& serve_addr() const { return rpc_.addr(); }
 
   /// Register the /jobs endpoint on the coordinator's status surface. Call
   /// before Coordinator::StartStatusServer, and keep this service alive
@@ -185,14 +188,12 @@ class JobService {
 
   void SchedulerLoop();
   void RunJob(Pool* pool, Job* job);
-  void AcceptLoop();
   void ServeConn(net::Conn* conn);
   /// Row snapshot; caller holds mu_.
   net::JobStatusWire RowOfLocked(const Job& job) const;
 
   Coordinator* coord_;
   JobServiceOptions options_;
-  std::string serve_addr_;
   std::string first_pool_;  ///< target of submissions that name no pool
 
   mutable std::mutex mu_;
@@ -207,11 +208,9 @@ class JobService {
   std::vector<std::string> submit_order_;
 
   std::thread scheduler_;
-  std::unique_ptr<net::Listener> listener_;
-  std::thread accept_thread_;
-  std::mutex conns_mu_;
-  std::vector<std::unique_ptr<net::Conn>> conns_;
-  std::vector<std::thread> conn_threads_;
+  /// The RPC plane; last, so its handler threads, which call ServeConn, are
+  /// joined before the state above goes.
+  net::ConnServer rpc_;
 };
 
 /// \brief One-request-per-connection client for the service's RPC plane

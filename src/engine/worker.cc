@@ -272,14 +272,21 @@ Status Worker::ExecuteTask(const net::TaskAssignMsg& assign,
   if (on_start) on_start(index, assign.attempt);
   if (crashed()) return Status::IOError("worker crashed");
 
+  // Concurrent tasks share env_, so a delta of env_->stats() would charge
+  // each task its neighbours' bytes: the task counts its own disk traffic.
+  const std::unique_ptr<Env> task_env = NewCountingEnv(env_);
   if (is_map) {
     std::vector<KV> records;
     ANTIMR_RETURN_NOT_OK(net::DecodeKVList(assign.split_records, &records));
     const uint64_t total_records = records.size();
     MapTaskResult map_result;
     ANTIMR_RETURN_NOT_OK(RunMapTask(spec, assign.job_id, index,
-                                    MakeSplit(std::move(records)), env_,
-                                    &map_result, control, total_records));
+                                    MakeSplit(std::move(records)),
+                                    task_env.get(), &map_result, control,
+                                    total_records));
+    const IoStats io = task_env->stats();
+    map_result.metrics.disk_bytes_read = io.bytes_read;
+    map_result.metrics.disk_bytes_written = io.bytes_written;
     result->segment_files = std::move(map_result.segment_files);
     net::EncodeJobMetrics(map_result.metrics, &result->metrics);
   } else {
@@ -294,9 +301,15 @@ Status Worker::ExecuteTask(const net::TaskAssignMsg& assign,
     inputs.shuffle = &shuffle;
     inputs.control = control;
     ReduceTaskResult reduce_result;
-    ANTIMR_RETURN_NOT_OK(RunReduceTask(spec, index, inputs, env_,
+    ANTIMR_RETURN_NOT_OK(RunReduceTask(spec, index, inputs, task_env.get(),
                                        assign.collect_output,
                                        &reduce_result));
+    // Every input segment was fetched, and the serving SegmentServer read
+    // exactly its stored bytes (shuffle_bytes) from that worker's Env.
+    const IoStats io = task_env->stats();
+    JobMetrics& m = reduce_result.metrics;
+    m.disk_bytes_read = io.bytes_read + m.shuffle_bytes;
+    m.disk_bytes_written = io.bytes_written;
     net::EncodeKVList(reduce_result.output, &result->output_records);
     net::EncodeJobMetrics(reduce_result.metrics, &result->metrics);
   }

@@ -72,6 +72,7 @@ class Worker {
   /// Coordinator-assigned id (valid after Start).
   uint32_t id() const { return id_; }
   const std::string& shuffle_addr() const { return shuffle_server_.addr(); }
+  const net::SegmentServer& shuffle_server() const { return shuffle_server_; }
 
   /// Block until the coordinator sends Shutdown or the connection drops.
   void WaitDone();

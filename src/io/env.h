@@ -79,6 +79,11 @@ class Env {
 /// In-process filesystem; the default substrate for simulated local disks.
 std::unique_ptr<Env> NewMemEnv();
 
+/// An Env over `base` (borrowed, must outlive it) whose stats() count only
+/// the traffic that goes through it. Distributed tasks share their worker's
+/// Env, so each task measures its own disk bytes on one of these.
+std::unique_ptr<Env> NewCountingEnv(Env* base);
+
 /// Real-filesystem Env rooted at `root_dir` (created if absent). File names
 /// must be relative and slash-free components are created under the root.
 std::unique_ptr<Env> NewPosixEnv(const std::string& root_dir);

@@ -29,7 +29,9 @@ namespace antimr {
 //   decompress   codec decompression
 //   merge        spill / segment merging
 //   decode       Anti-Combining decoding (reducer side)
-//   remap        LazySH Map re-execution on reducers
+//   remap        LazySH Map re-execution on reducers, with the
+//                Partitioner that filters its output as it is emitted;
+//                the kept records' Shared inserts are charged to shared
 //   shared       Shared structure maintenance incl. spills
 //   reduce_fn    user Reduce function
 #define ANTIMR_PHASE_CPU_FIELDS(X) \

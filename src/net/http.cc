@@ -44,59 +44,20 @@ std::string StatusResponse(const char* status_line, const std::string& body,
 
 }  // namespace
 
-HttpServer::HttpServer(Transport* transport) : transport_(transport) {}
-
-HttpServer::~HttpServer() { Stop(); }
+HttpServer::HttpServer(Transport* transport)
+    : server_(transport, [this](Conn* conn) { Serve(conn); }) {}
 
 void HttpServer::Handle(const std::string& path, Handler handler) {
   handlers_[path] = std::move(handler);
 }
 
 Status HttpServer::Start(const std::string& addr) {
-  ANTIMR_RETURN_NOT_OK(transport_->Listen(addr, &listener_));
-  addr_ = listener_->addr();
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
-}
-
-void HttpServer::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  if (listener_ != nullptr) listener_->Close();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& conn : conns_) conn->Close();
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
-}
-
-void HttpServer::AcceptLoop() {
-  while (true) {
-    std::unique_ptr<Conn> conn;
-    if (!listener_->Accept(&conn).ok()) return;  // closed
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      conn->Close();
-      return;
-    }
-    Conn* raw = conn.get();
-    conns_.push_back(std::move(conn));
-    conn_threads_.emplace_back([this, raw] { Serve(raw); });
-  }
+  return server_.Start(addr);
 }
 
 void HttpServer::Serve(Conn* conn) {
   std::string header;
-  if (!ReadHeader(conn, &header).ok()) {
-    conn->Close();
-    return;
-  }
+  if (!ReadHeader(conn, &header).ok()) return;
   // Request line: METHOD SP PATH SP VERSION.
   const size_t line_end = header.find("\r\n");
   const std::string line = header.substr(0, line_end);
@@ -126,7 +87,6 @@ void HttpServer::Serve(Conn* conn) {
     }
   }
   conn->Write(response);  // best effort; the conn closes either way
-  conn->Close();
 }
 
 Status HttpGet(Transport* transport, const std::string& addr,

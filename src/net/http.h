@@ -16,13 +16,10 @@
 
 #include <functional>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/status.h"
+#include "net/conn_server.h"
 #include "net/transport.h"
 
 namespace antimr {
@@ -30,8 +27,11 @@ namespace net {
 
 /// \brief Serves registered GET handlers over a transport.
 ///
-/// One accept thread plus one handler thread per connection, SegmentServer
-/// style. Handlers run on connection threads and must be thread-safe.
+/// Runs on a ConnServer, like SegmentServer: one accept thread plus one
+/// handler thread per connection, reaped at the next accept once its
+/// response is written, so a scraped daemon holds no thread or socket per
+/// past request.
+/// Handlers run on connection threads and must be thread-safe.
 class HttpServer {
  public:
   /// Returns the response body; may set *content_type (defaults to
@@ -40,7 +40,6 @@ class HttpServer {
 
   /// `transport` is borrowed and must outlive the server.
   explicit HttpServer(Transport* transport);
-  ~HttpServer();
 
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
@@ -52,23 +51,15 @@ class HttpServer {
   Status Start(const std::string& addr);
 
   /// The resolved address clients dial.
-  const std::string& addr() const { return addr_; }
+  const std::string& addr() const { return server_.addr(); }
 
-  void Stop();
+  void Stop() { server_.Stop(); }
 
  private:
-  void AcceptLoop();
   void Serve(Conn* conn);
 
-  Transport* transport_;
-  std::string addr_;
   std::map<std::string, Handler> handlers_;
-  std::unique_ptr<Listener> listener_;
-  std::thread accept_thread_;
-  std::mutex mu_;
-  bool stopping_ = false;
-  std::vector<std::thread> conn_threads_;
-  std::vector<std::unique_ptr<Conn>> conns_;
+  ConnServer server_;  // last: its threads call Serve, which reads handlers_
 };
 
 /// Blocking GET of `path` from the HttpServer at `addr`; *body receives the

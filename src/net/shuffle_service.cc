@@ -21,47 +21,10 @@ constexpr size_t kFetchChunkBytes = 64 * 1024;
 }  // namespace
 
 SegmentServer::SegmentServer(Transport* transport, Env* env)
-    : transport_(transport), env_(env) {}
-
-SegmentServer::~SegmentServer() { Stop(); }
+    : env_(env), server_(transport, [this](Conn* conn) { Serve(conn); }) {}
 
 Status SegmentServer::Start(const std::string& addr) {
-  ANTIMR_RETURN_NOT_OK(transport_->Listen(addr, &listener_));
-  addr_ = listener_->addr();
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
-}
-
-void SegmentServer::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  if (listener_ != nullptr) listener_->Close();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& conn : conns_) conn->Close();
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  for (std::thread& t : handlers_) {
-    if (t.joinable()) t.join();
-  }
-}
-
-void SegmentServer::AcceptLoop() {
-  while (true) {
-    std::unique_ptr<Conn> conn;
-    if (!listener_->Accept(&conn).ok()) return;  // closed
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      conn->Close();
-      return;
-    }
-    Conn* raw = conn.get();
-    conns_.push_back(std::move(conn));
-    handlers_.emplace_back([this, raw] { Serve(raw); });
-  }
+  return server_.Start(addr);
 }
 
 void SegmentServer::Serve(Conn* conn) {

@@ -12,11 +12,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "io/env.h"
 #include "mr/shuffle.h"
+#include "net/conn_server.h"
 #include "net/transport.h"
 
 namespace antimr {
@@ -24,14 +24,15 @@ namespace net {
 
 /// \brief Serves segment files from one Env over a transport.
 ///
-/// One accept thread plus one handler thread per live connection; a
-/// connection serves any number of sequential FetchReqs (fetchers pool
-/// their conns). Stop() closes everything and joins.
+/// Runs on a ConnServer: one accept thread plus one handler thread per live
+/// connection, and a connection the fetcher closed is reaped at the next
+/// accept. A connection serves any number of sequential FetchReqs (a
+/// fetcher pools its conns for the life of one reduce task). Stop() closes
+/// everything and joins.
 class SegmentServer {
  public:
   /// `transport` and `env` are borrowed and must outlive the server.
   SegmentServer(Transport* transport, Env* env);
-  ~SegmentServer();
 
   SegmentServer(const SegmentServer&) = delete;
   SegmentServer& operator=(const SegmentServer&) = delete;
@@ -40,7 +41,10 @@ class SegmentServer {
   Status Start(const std::string& addr);
 
   /// The resolved address fetchers dial.
-  const std::string& addr() const { return addr_; }
+  const std::string& addr() const { return server_.addr(); }
+
+  /// The accept loop's handler counts, for tests.
+  const ConnServer& conns() const { return server_; }
 
   /// Distributed tracing hook: after each request is served while a trace
   /// is being captured, the handler thread drains its own span buffer and
@@ -51,22 +55,14 @@ class SegmentServer {
     trace_sink_ = std::move(sink);
   }
 
-  void Stop();
+  void Stop() { server_.Stop(); }
 
  private:
-  void AcceptLoop();
   void Serve(Conn* conn);
 
-  Transport* transport_;
   Env* env_;
-  std::string addr_;
   std::function<void(std::string&&)> trace_sink_;
-  std::unique_ptr<Listener> listener_;
-  std::thread accept_thread_;
-  std::mutex mu_;
-  bool stopping_ = false;
-  std::vector<std::thread> handlers_;
-  std::vector<std::unique_ptr<Conn>> conns_;
+  ConnServer server_;  // last: its threads call Serve, which reads the above
 };
 
 /// \brief Reduce-side fetcher: pulls segments from SegmentServers.

@@ -1,7 +1,6 @@
 #include "workloads/theta_join.h"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <unordered_map>
 #include <vector>
@@ -12,13 +11,23 @@
 namespace antimr {
 namespace workloads {
 
-namespace {
-
-std::string RegionKey(int region) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "g%06d", region);
-  return buf;
+size_t FormatRegionKey(int region, char* buf) {
+  // Digits least significant first, then copied out behind the padding.
+  char digits[10];
+  size_t n = 0;
+  uint32_t v = static_cast<uint32_t>(region);
+  do {
+    digits[n++] = static_cast<char>('0' + v % 10);
+    v /= 10;
+  } while (v != 0);
+  size_t len = 0;
+  buf[len++] = 'g';
+  for (size_t pad = n; pad < 6; ++pad) buf[len++] = '0';
+  while (n > 0) buf[len++] = digits[--n];
+  return len;
 }
+
+namespace {
 
 class ThetaJoinMapper : public Mapper {
  public:
@@ -33,22 +42,30 @@ class ThetaJoinMapper : public Mapper {
     const int col = static_cast<int>((h2 >> 32) %
                                      static_cast<uint64_t>(config_.grid_cols));
 
-    std::string s_value = "S,";
-    s_value.append(value.data(), value.size());
-    std::string t_value = "T,";
-    t_value.append(value.data(), value.size());
+    s_value_.assign("S,");
+    s_value_.append(value.data(), value.size());
+    t_value_.assign("T,");
+    t_value_.append(value.data(), value.size());
 
     // S-side: every region in this row; T-side: every region in this column.
+    // Each key is formatted into one stack buffer, which Emit copies.
+    char region_key[kMaxRegionKeyBytes];
     for (int c = 0; c < config_.grid_cols; ++c) {
-      ctx->Emit(RegionKey(row * config_.grid_cols + c), s_value);
+      ctx->Emit(Slice(region_key,
+                      FormatRegionKey(row * config_.grid_cols + c, region_key)),
+                s_value_);
     }
     for (int r = 0; r < config_.grid_rows; ++r) {
-      ctx->Emit(RegionKey(r * config_.grid_cols + col), t_value);
+      ctx->Emit(Slice(region_key,
+                      FormatRegionKey(r * config_.grid_cols + col, region_key)),
+                t_value_);
     }
   }
 
  private:
   ThetaJoinConfig config_;
+  std::string s_value_;  // scratch reused across Map calls
+  std::string t_value_;
 };
 
 class ThetaJoinReducer : public Reducer {

@@ -12,6 +12,8 @@
 #ifndef ANTIMR_WORKLOADS_THETA_JOIN_H_
 #define ANTIMR_WORKLOADS_THETA_JOIN_H_
 
+#include <cstddef>
+
 #include "mr/job_spec.h"
 
 namespace antimr {
@@ -34,6 +36,15 @@ struct ThetaJoinConfig {
 /// deterministic and LazySH-compatible (re-execution yields identical
 /// assignments).
 JobSpec MakeThetaJoinJob(const ThetaJoinConfig& config);
+
+/// Bytes of the longest region key: 'g' plus the ten digits of INT_MAX.
+constexpr size_t kMaxRegionKeyBytes = 11;
+
+/// Write the shuffle key of region `region` (>= 0) into `buf`, which holds
+/// at least kMaxRegionKeyBytes, and return its length. The key is 'g' plus
+/// the id zero-padded to six digits, byte-equal to printf's "g%06d", so
+/// keys sort by region id up to 999 999.
+size_t FormatRegionKey(int region, char* buf);
 
 /// Pick a memory-aware square grid: the largest rows = cols such that the
 /// expected records per region fit `region_memory_records` (the analog of

@@ -25,21 +25,28 @@ inline uint64_t AllocationCount() {
 
 }  // namespace test_alloc
 
-void* operator new(std::size_t size) {
+// noinline keeps GCC from inlining a replacement into its caller, where it
+// would see malloc paired with a sized delete and warn
+// (-Wmismatched-new-delete) about a pairing that is correct.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   test_alloc::Counter().fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   test_alloc::Counter().fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 #endif  // ANTIMR_TESTS_ALLOC_COUNTER_H_

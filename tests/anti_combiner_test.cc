@@ -10,6 +10,7 @@
 #include "anticombine/encoding.h"
 #include "mr/metrics.h"
 #include "mr/reduce_task.h"
+#include "test_util.h"
 
 namespace antimr {
 namespace anticombine {
@@ -56,6 +57,13 @@ std::string Eager(const std::vector<std::string>& other_keys,
   return payload;
 }
 
+std::string Lazy(const std::string& input_key,
+                 const std::string& input_value) {
+  std::string payload;
+  EncodeLazyPayload(input_key, input_value, &payload);
+  return payload;
+}
+
 struct DecodedOut {
   std::vector<std::string> keys;  // rep + others, rep first
   std::string value;
@@ -80,12 +88,11 @@ class AntiCombinerTest : public ::testing::Test {
  protected:
   std::vector<KV> Run(const std::vector<std::vector<KV>>& groups) {
     AntiCombiner combiner([]() { return std::make_unique<SumCombiner>(); },
-                          []() { return std::make_unique<NopMapper>(); });
+                          mapper_factory_);
     TaskInfo info;
-    info.num_reduce_tasks = 1;
-    info.shuffle_partition = 0;
-    static HashPartitioner partitioner;
-    info.partitioner = &partitioner;
+    info.num_reduce_tasks = num_partitions_;
+    info.shuffle_partition = partition_;
+    info.partitioner = partitioner_;
     info.key_cmp = BytewiseCompare;
     info.grouping_cmp = BytewiseCompare;
     info.metrics = &metrics_;
@@ -101,6 +108,14 @@ class AntiCombinerTest : public ::testing::Test {
   }
 
   JobMetrics metrics_;
+  MapperFactory mapper_factory_ = []() {
+    return std::make_unique<NopMapper>();
+  };
+  HashPartitioner hash_partitioner_;
+  testing::DigitPartitioner digit_partitioner_;
+  const Partitioner* partitioner_ = &hash_partitioner_;
+  int num_partitions_ = 1;
+  int partition_ = 0;
 };
 
 TEST_F(AntiCombinerTest, CombinesDecodedValuesPerKey) {
@@ -145,6 +160,31 @@ TEST_F(AntiCombinerTest, OutputIsKeySorted) {
     EXPECT_LT(out[i - 1].key, out[i].key)
         << "segments must stay merge-compatible";
   }
+}
+
+// The re-executed Map emits to partitions 1, 2 and 3; only partition 1's
+// records are combined, and each is copied at Emit (ScriptedMapper
+// overwrites it right after).
+TEST_F(AntiCombinerTest, LazyRemapCombinesOnlyThisPartitionCopiedAtEmit) {
+  mapper_factory_ = []() {
+    return std::make_unique<testing::ScriptedMapper>();
+  };
+  partitioner_ = &digit_partitioner_;
+  num_partitions_ = 4;
+  partition_ = 1;
+  auto out = Run({{{"1a", Lazy("ik", "1a:1 2b:5 1c:2 3d:7")},
+                   {"1a", Lazy("ik2", "2b:2 1a:3 1c:1")}}});
+  EXPECT_EQ(metrics_.remap_calls, 2u);
+  // 1a = 1 + 3 and 1c = 2 + 1; 2b and 3d belong to other partitions.
+  ASSERT_EQ(out.size(), 2u);
+  std::map<std::string, std::string> values;
+  for (const KV& kv : out) {
+    const DecodedOut d = DecodeOut(kv);
+    ASSERT_EQ(d.keys.size(), 1u);
+    values[d.keys[0]] = d.value;
+  }
+  EXPECT_EQ(values, (std::map<std::string, std::string>{{"1a", "4"},
+                                                        {"1c", "3"}}));
 }
 
 TEST_F(AntiCombinerTest, EmptyPassEmitsNothing) {

@@ -11,6 +11,7 @@
 #include "anticombine/encoding.h"
 #include "mr/metrics.h"
 #include "mr/reduce_task.h"
+#include "test_util.h"
 
 namespace antimr {
 namespace anticombine {
@@ -60,34 +61,6 @@ class RecordingReducer : public Reducer {
   std::vector<Call>* log_;
 };
 
-// Scripted mapper for Lazy re-execution: input value "a:v1 b:v2 ..." emits
-// (a, v1), (b, v2), ...
-class RemapMapper : public Mapper {
- public:
-  void Map(const Slice&, const Slice& value, MapContext* ctx) override {
-    size_t start = 0;
-    const std::string text(value.data(), value.size());
-    while (start < text.size()) {
-      size_t end = text.find(' ', start);
-      if (end == std::string::npos) end = text.size();
-      const std::string token = text.substr(start, end - start);
-      const size_t colon = token.find(':');
-      if (colon != std::string::npos) {
-        ctx->Emit(token.substr(0, colon), token.substr(colon + 1));
-      }
-      start = end + 1;
-    }
-  }
-};
-
-// Partition = first character digit.
-class DigitPartitioner : public Partitioner {
- public:
-  int Partition(const Slice& key, int num_partitions) const override {
-    return (key.empty() ? 0 : key[0] - '0') % num_partitions;
-  }
-};
-
 std::string EagerValue(const std::vector<std::string>& other_keys,
                        const std::string& value) {
   std::vector<Slice> keys(other_keys.begin(), other_keys.end());
@@ -112,7 +85,8 @@ class AntiReducerTest : public ::testing::Test {
       ReducerFactory combiner = nullptr) {
     auto reducer = std::make_unique<AntiReducer>(
         [this]() { return std::make_unique<RecordingReducer>(&log_); },
-        []() { return std::make_unique<RemapMapper>(); }, combiner, options);
+        []() { return std::make_unique<testing::ScriptedMapper>(); },
+        combiner, options);
     info_.task_id = 1;
     info_.shuffle_partition = 1;
     info_.num_reduce_tasks = 4;
@@ -132,7 +106,7 @@ class AntiReducerTest : public ::testing::Test {
   }
 
   std::unique_ptr<Env> env_;
-  DigitPartitioner partitioner_;
+  testing::DigitPartitioner partitioner_;
   JobMetrics metrics_;
   TaskInfo info_;
   std::vector<RecordingReducer::Call> log_;
@@ -190,10 +164,12 @@ TEST_F(AntiReducerTest, SharedAndDirectValuesMergeForSameKey) {
 
 TEST_F(AntiReducerTest, LazyRemapKeepsOnlyThisPartition) {
   auto reducer = MakeReducer();
-  // Re-executed Map emits to partitions 1 (keys starting '1') and 2 (keys
-  // starting '2'); this reduce task is partition 1.
+  // Re-executed Map emits to partitions 1 (keys starting '1'), 2 and 3;
+  // this reduce task is partition 1. Only its records reach Shared, and
+  // ScriptedMapper overwrites each record after Emit, so they must have
+  // been copied there.
   Call(reducer.get(),
-       {{"1a", LazyValue("ik", "1a:x 2b:y 1c:z")}});
+       {{"1a", LazyValue("ik", "1a:x 2b:y 1c:z 3d:w")}});
   reducer->Cleanup(&ctx_);
   ASSERT_EQ(log_.size(), 2u);
   EXPECT_EQ(log_[0].key, "1a");
@@ -201,6 +177,7 @@ TEST_F(AntiReducerTest, LazyRemapKeepsOnlyThisPartition) {
   EXPECT_EQ(log_[1].key, "1c");
   EXPECT_EQ(log_[1].values, std::vector<std::string>{"z"});
   EXPECT_EQ(metrics_.remap_calls, 1u);
+  EXPECT_EQ(metrics_.shared_insertions, 2u);
 }
 
 TEST_F(AntiReducerTest, MixedEncodingsInOneGroup) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -193,6 +194,17 @@ engine::JobPlan PipelinePlan(const std::vector<KV>& input,
 /// a worker that cannot build it.
 std::atomic<bool> g_sort_poisoned{false};
 
+/// The process's open file descriptors.
+size_t OpenFds() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
 class DistClusterTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
@@ -346,6 +358,69 @@ TEST_P(DistClusterTest, ThetaJoinMatchesSingleProcess) {
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(result.FlatOutput(),
             SingleProcessOutput("theta_join", params, input, 4));
+}
+
+// Each task counts its own disk traffic on the worker's Env, and a reduce
+// adds the stored bytes of the segments it fetched (the serving worker read
+// exactly those), so a fault-free distributed job reports the local run's
+// disk bytes.
+TEST_P(DistClusterTest, DiskBytesMatchSingleProcess) {
+  CloudConfig cloud;
+  cloud.num_records = 1000;
+  cloud.seed = 5;
+  const struct {
+    const char* job;
+    std::vector<KV> input;
+    net::JobParams params;
+  } cases[] = {
+      {"wordcount", WordCountInput(), {{"reduces", "4"}}},
+      {"theta_join", CloudGenerator(cloud).Generate(),
+       {{"reduces", "4"}, {"grid_rows", "4"}, {"grid_cols", "4"}}},
+  };
+  StartWorkers(2);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.job);
+    std::vector<uint64_t> map_spills;
+    const JobResult local = LocalRun(c.job, c.params, c.input, 4, &map_spills);
+    ASSERT_GT(local.metrics.disk_bytes_written, 0u);
+
+    DistJobOptions options;
+    options.job_name = c.job;
+    options.params = c.params;
+    options.splits = Chunk(c.input, 4);
+    DistJobResult result;
+    const Status st = RunDistributedJob(coord_.get(), options, &result);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(result.metrics.disk_bytes_read, local.metrics.disk_bytes_read);
+    EXPECT_EQ(result.metrics.disk_bytes_written,
+              local.metrics.disk_bytes_written);
+  }
+}
+
+// Every worker reduce task opens its own fetch conns and closes them when it
+// ends. The SegmentServers must reap those conns, so a stream of jobs does
+// not grow the handler threads, or on TCP the process's fds, with the
+// number of jobs run.
+TEST_P(DistClusterTest, SequentialJobsLeaveNoServerConnsBehind) {
+  StartWorkers(2);
+  DistJobOptions options;
+  options.job_name = "wordcount";
+  options.params = {{"reduces", "8"}};
+  options.splits = Chunk(WordCountInput(), 4);
+  size_t fds_after_first = 0;
+  for (int job = 0; job < 30; ++job) {
+    DistJobResult result;
+    const Status st = RunDistributedJob(coord_.get(), options, &result);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    if (job == 0) fds_after_first = OpenFds();
+  }
+  // 8 reduces each dial both workers: 16 conns per job. What may stay is
+  // the handlers finished since each server's last accept, not a socket and
+  // a thread per conn of every job.
+  EXPECT_LE(OpenFds(), fds_after_first + 16);
+  for (const auto& worker : workers_) {
+    EXPECT_LE(worker->shuffle_server().conns().handler_threads(), 16u);
+  }
 }
 
 // A map with two spills ships one run per spill, so each reduce fetches

@@ -3,6 +3,7 @@
 #define ANTIMR_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,44 @@ inline void ExpectEquivalent(const JobSpec& original,
         << "at record " << i << " key=" << expected[i].key;
   }
 }
+
+/// Scripted mapper for LazySH re-execution: input value "a:v1 b:v2 ..."
+/// emits (a, v1), (b, v2), ... Every record is emitted from one buffer that
+/// is overwritten as soon as Emit returns, so a sink that kept views
+/// instead of copying at Emit would read the overwrite.
+class ScriptedMapper : public Mapper {
+ public:
+  void Map(const Slice&, const Slice& value, MapContext* ctx) override {
+    const std::string text(value.data(), value.size());
+    size_t start = 0;
+    while (start < text.size()) {
+      size_t end = text.find(' ', start);
+      if (end == std::string::npos) end = text.size();
+      const size_t colon = text.find(':', start);
+      if (colon < end) {
+        const size_t key_len = colon - start;
+        const size_t value_len = end - colon - 1;
+        ASSERT_LE(key_len + value_len, sizeof(buf_));
+        std::memcpy(buf_, text.data() + start, key_len);
+        std::memcpy(buf_ + key_len, text.data() + colon + 1, value_len);
+        ctx->Emit(Slice(buf_, key_len), Slice(buf_ + key_len, value_len));
+        std::memset(buf_, '#', sizeof(buf_));
+      }
+      start = end + 1;
+    }
+  }
+
+ private:
+  char buf_[64];
+};
+
+/// Partition = the key's first character as a digit.
+class DigitPartitioner : public Partitioner {
+ public:
+  int Partition(const Slice& key, int num_partitions) const override {
+    return (key.empty() ? 0 : key[0] - '0') % num_partitions;
+  }
+};
 
 }  // namespace testing
 }  // namespace antimr

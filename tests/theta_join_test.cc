@@ -1,11 +1,14 @@
 #include "workloads/theta_join.h"
 
 #include <algorithm>
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "datagen/cloud.h"
 #include "test_util.h"
 
@@ -137,6 +140,87 @@ TEST(ThetaJoin, BandPredicateHonored) {
   }
   auto expected = ReferenceJoin(input, 0);
   EXPECT_EQ(out.size(), expected.size());
+}
+
+std::string PrintfRegionKey(int region) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "g%06d", region);
+  return buf;
+}
+
+TEST(ThetaJoin, RegionKeyMatchesPrintf) {
+  for (int region : {0, 9, 10, 999999, 1000000, INT_MAX}) {
+    char buf[workloads::kMaxRegionKeyBytes];
+    const size_t len = workloads::FormatRegionKey(region, buf);
+    EXPECT_EQ(std::string(buf, len), PrintfRegionKey(region)) << region;
+  }
+}
+
+// The theta-join mapper as it was written with snprintf: the reference the
+// digit-loop formatter must reproduce byte for byte.
+class PrintfThetaJoinMapper : public Mapper {
+ public:
+  explicit PrintfThetaJoinMapper(const ThetaJoinConfig& config)
+      : config_(config) {}
+
+  void Map(const Slice& key, const Slice& value, MapContext* ctx) override {
+    const uint64_t h1 = Hash64(key, config_.salt);
+    const uint64_t h2 = Hash64(value, h1);
+    const int row =
+        static_cast<int>(h2 % static_cast<uint64_t>(config_.grid_rows));
+    const int col = static_cast<int>((h2 >> 32) %
+                                     static_cast<uint64_t>(config_.grid_cols));
+    const std::string s_value = "S," + value.ToString();
+    const std::string t_value = "T," + value.ToString();
+    for (int c = 0; c < config_.grid_cols; ++c) {
+      ctx->Emit(PrintfRegionKey(row * config_.grid_cols + c), s_value);
+    }
+    for (int r = 0; r < config_.grid_rows; ++r) {
+      ctx->Emit(PrintfRegionKey(r * config_.grid_cols + col), t_value);
+    }
+  }
+
+ private:
+  ThetaJoinConfig config_;
+};
+
+class VectorMapContext : public MapContext {
+ public:
+  void Emit(const Slice& key, const Slice& value) override {
+    out.push_back({key.ToString(), value.ToString()});
+  }
+  std::vector<KV> out;
+};
+
+TEST(ThetaJoin, MapperEmitsThePrintfReferenceKeys) {
+  const auto input = SmallCloud(150);
+  ThetaJoinConfig cfg;
+  cfg.grid_rows = 34;  // the paper's grid
+  cfg.grid_cols = 34;
+  cfg.num_reduce_tasks = 4;
+  const JobSpec job = MakeThetaJoinJob(cfg);
+  JobSpec reference = job;
+  reference.mapper_factory = [cfg]() {
+    return std::make_unique<PrintfThetaJoinMapper>(cfg);
+  };
+
+  VectorMapContext emitted, expected;
+  const std::unique_ptr<Mapper> mapper = job.mapper_factory();
+  const std::unique_ptr<Mapper> printf_mapper = reference.mapper_factory();
+  for (const KV& kv : input) {
+    mapper->Map(kv.key, kv.value, &emitted);
+    printf_mapper->Map(kv.key, kv.value, &expected);
+  }
+  ASSERT_EQ(emitted.out.size(), input.size() * 68);
+  EXPECT_EQ(emitted.out, expected.out);
+
+  JobMetrics m, reference_m;
+  const auto out = MustRun(job, MakeSplits(input, 2), &m);
+  const auto reference_out = MustRun(reference, MakeSplits(input, 2),
+                                     &reference_m);
+  EXPECT_EQ(Canonicalize(out), Canonicalize(reference_out));
+  EXPECT_EQ(m.shuffle_bytes, reference_m.shuffle_bytes);
+  EXPECT_EQ(m.map_output_bytes, reference_m.map_output_bytes);
 }
 
 TEST(ThetaJoin, SizeGridForMemory) {

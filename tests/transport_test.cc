@@ -2,6 +2,7 @@
 // same framing, same failure classes (transient IOError for conn loss,
 // corruption, short reads), same counters. Parameterized over both so every
 // assertion runs on the in-memory path and on real sockets.
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -245,6 +246,32 @@ TEST_P(TransportTest, PooledConnSurvivesServerRestart) {
   ASSERT_TRUE(revived.Start("").ok());
   ASSERT_TRUE(client.Fetch(revived.addr(), "seg", &seg).ok());
   EXPECT_EQ(seg.frames, "before");
+}
+
+// A worker reduce task's ShuffleClient closes its conns when the task ends.
+// The server reaps each finished handler at its next accept instead of
+// holding a thread and a socket for every conn it ever accepted.
+TEST_P(TransportTest, ServerReapsClosedFetchConns) {
+  std::unique_ptr<Env> env = NewMemEnv();
+  WriteEnvFile(env.get(), "seg", "payload");
+  SegmentServer server(transport_.get(), env.get());
+  ASSERT_TRUE(server.Start("").ok());
+  for (int i = 0; i < 100; ++i) {
+    {
+      ShuffleClient client(transport_.get());
+      FetchedSegment seg;
+      ASSERT_TRUE(client.Fetch(server.addr(), "seg", &seg).ok());
+      EXPECT_EQ(seg.frames, "payload");
+    }  // the client closes its pooled conn
+    // Let the handler see the close, so the next accept finds it done.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.conns().serving_handlers() > 0) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_LE(server.conns().handler_threads(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, TransportTest,
