@@ -54,6 +54,7 @@ void AntiReducer::Setup(const TaskInfo& info, ReduceContext* ctx) {
     CollectingContext discard_ctx(&discard_);
     o_combiner_->Setup(info, &discard_ctx);
     discard_.clear();
+    if (!discard_ctx.status().ok()) ctx->Fail(discard_ctx.status());
   }
 
   Shared::Options so;
@@ -64,26 +65,29 @@ void AntiReducer::Setup(const TaskInfo& info, ReduceContext* ctx) {
   so.memory_limit_bytes = options_.shared_memory_bytes;
   so.combiner = o_combiner_.get();
   so.metrics = info.metrics;
+  so.codec = info.spill_codec;
+  so.block_bytes = info.spill_block_bytes;
   shared_ = std::make_unique<Shared>(std::move(so));
 }
 
-void AntiReducer::DrainShared(const Slice& key, bool to_end,
-                              ReduceContext* ctx) {
+Status AntiReducer::DrainShared(const Slice& key, bool to_end,
+                                ReduceContext* ctx) {
   Slice alt_key;  // zero-copy peek; only inspected before the pop
   while (shared_->PeekMinKey(&alt_key)) {
     if (!to_end && info_.grouping_cmp(alt_key, key) >= 0) break;
     group_values_.clear();
-    if (!shared_->PopMinKeyValues(&group_key_, &group_values_)) break;
+    ANTIMR_RETURN_NOT_OK(shared_->PopMinKeyValues(&group_key_, &group_values_));
     SliceVectorIterator it(&group_values_);
     o_reducer_->Reduce(group_key_, &it, ctx);
   }
+  return Status::OK();
 }
 
-void AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
+Status AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
   JobMetrics* m = info_.metrics;
   Encoding encoding;
   Slice rest;
-  ANTIMR_CHECK_OK(GetEncoding(payload, &encoding, &rest));
+  ANTIMR_RETURN_NOT_OK(GetEncoding(payload, &encoding, &rest));
 
   // Each phase ends with one clock read that also starts the next, and the
   // record's Adds are charged to cpu.shared as one span.
@@ -91,15 +95,17 @@ void AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
     const uint64_t t0 = NowNanos();
     decode_keys_.clear();
     Slice value;
-    ANTIMR_CHECK_OK(DecodeEagerPayload(rest, &decode_keys_, &value));
+    ANTIMR_RETURN_NOT_OK(DecodeEagerPayload(rest, &decode_keys_, &value));
     const uint64_t t1 = NowNanos();
-    shared_->Add(rep_key, value);
-    for (const Slice& key : decode_keys_) shared_->Add(key, value);
+    ANTIMR_RETURN_NOT_OK(shared_->Add(rep_key, value));
+    for (const Slice& key : decode_keys_) {
+      ANTIMR_RETURN_NOT_OK(shared_->Add(key, value));
+    }
     if (m != nullptr) {
       m->cpu.decode += t1 - t0;
       m->cpu.shared += NowNanos() - t1;
     }
-    return;
+    return Status::OK();
   }
 
   // LazySH: re-execute the original Map and Partition, keeping only the
@@ -110,7 +116,7 @@ void AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
   Slice input_key, input_value;
   {
     const uint64_t t0 = NowNanos();
-    ANTIMR_CHECK_OK(DecodeLazyPayload(rest, &input_key, &input_value));
+    ANTIMR_RETURN_NOT_OK(DecodeLazyPayload(rest, &input_key, &input_value));
     if (m != nullptr) m->cpu.decode += NowNanos() - t0;
   }
   remap_.Clear();
@@ -125,20 +131,27 @@ void AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
   const uint64_t t1 = NowNanos();
   const CaptureContext& kept = remap_.kept();
   for (size_t i = 0; i < kept.size(); ++i) {
-    shared_->Add(kept.key(i), kept.value(i));
+    ANTIMR_RETURN_NOT_OK(shared_->Add(kept.key(i), kept.value(i)));
   }
   if (m != nullptr) {
     m->cpu.remap += t1 - t0;
     m->remap_calls += 1;
     m->cpu.shared += NowNanos() - t1;
   }
+  return Status::OK();
 }
 
 void AntiReducer::Reduce(const Slice& key, ValueIterator* values,
                          ReduceContext* ctx) {
+  const Status st = ReduceGroup(key, values, ctx);
+  if (!st.ok()) ctx->Fail(st);
+}
+
+Status AntiReducer::ReduceGroup(const Slice& key, ValueIterator* values,
+                                ReduceContext* ctx) {
   // Algorithm 2/4, lines 1-5: finish the Shared groups ordered before this
   // key.
-  DrainShared(key, /*to_end=*/false, ctx);
+  ANTIMR_RETURN_NOT_OK(DrainShared(key, /*to_end=*/false, ctx));
 
   // Lines 6-10: decode every incoming record. Decoded keys are always >=
   // the representative key, so nothing lands behind the cursor.
@@ -152,14 +165,15 @@ void AntiReducer::Reduce(const Slice& key, ValueIterator* values,
   local_group_.clear();
   local_arena_.Clear();
   bool use_shared = false;
-  auto flush_locals = [&]() {
+  auto flush_locals = [&]() -> Status {
     const uint64_t t0 = NowNanos();
     for (const RecordRef& rec : local_group_) {
-      shared_->Add(rec.key, rec.value);
+      ANTIMR_RETURN_NOT_OK(shared_->Add(rec.key, rec.value));
     }
     if (info_.metrics != nullptr) info_.metrics->cpu.shared += NowNanos() - t0;
     local_group_.clear();
     local_arena_.Clear();
+    return Status::OK();
   };
 
   Slice payload;
@@ -168,20 +182,20 @@ void AntiReducer::Reduce(const Slice& key, ValueIterator* values,
     if (!use_shared) {
       Encoding encoding;
       Slice rest;
-      ANTIMR_CHECK_OK(GetEncoding(payload, &encoding, &rest));
+      ANTIMR_RETURN_NOT_OK(GetEncoding(payload, &encoding, &rest));
       if (encoding == Encoding::kEager) {
         decode_keys_.clear();
         Slice value;
-        ANTIMR_CHECK_OK(DecodeEagerPayload(rest, &decode_keys_, &value));
+        ANTIMR_RETURN_NOT_OK(DecodeEagerPayload(rest, &decode_keys_, &value));
         if (decode_keys_.empty()) {
           local_group_.push_back(local_arena_.InternRecord(record_key, value));
           continue;
         }
       }
       use_shared = true;
-      flush_locals();
+      ANTIMR_RETURN_NOT_OK(flush_locals());
     }
-    DecodeValue(record_key, payload);
+    ANTIMR_RETURN_NOT_OK(DecodeValue(record_key, payload));
   }
 
   if (!use_shared) {
@@ -191,7 +205,7 @@ void AntiReducer::Reduce(const Slice& key, ValueIterator* values,
     if (shared_->PeekMinKey(&min_key) &&
         info_.grouping_cmp(min_key, key) == 0) {
       use_shared = true;
-      flush_locals();
+      ANTIMR_RETURN_NOT_OK(flush_locals());
     }
   }
 
@@ -200,11 +214,12 @@ void AntiReducer::Reduce(const Slice& key, ValueIterator* values,
   // PopMinKeyValues, in key order).
   if (use_shared) {
     group_values_.clear();
-    if (shared_->PopMinKeyValues(&group_key_, &group_values_)) {
-      SliceVectorIterator it(&group_values_);
-      o_reducer_->Reduce(group_key_, &it, ctx);
-    }
-    return;
+    const Status st = shared_->PopMinKeyValues(&group_key_, &group_values_);
+    if (st.IsNotFound()) return Status::OK();
+    ANTIMR_RETURN_NOT_OK(st);
+    SliceVectorIterator it(&group_values_);
+    o_reducer_->Reduce(group_key_, &it, ctx);
+    return Status::OK();
   }
   if (!local_group_.empty()) {
     // Hand the original Reduce arena-backed views: the group's records are
@@ -217,12 +232,17 @@ void AntiReducer::Reduce(const Slice& key, ValueIterator* values,
     SliceVectorIterator it(&local_values_);
     o_reducer_->Reduce(local_group_.front().key, &it, ctx);
   }
+  return Status::OK();
 }
 
 void AntiReducer::Cleanup(ReduceContext* ctx) {
   // Process everything left in Shared (the cleanup loop of Section 3.2),
   // then shut down the wrapped objects.
-  DrainShared(Slice(), /*to_end=*/true, ctx);
+  const Status drained = DrainShared(Slice(), /*to_end=*/true, ctx);
+  if (!drained.ok()) {
+    ctx->Fail(drained);
+    return;
+  }
   o_reducer_->Cleanup(ctx);
   remap_.Clear();
   o_mapper_->Cleanup(&remap_);
@@ -231,6 +251,7 @@ void AntiReducer::Cleanup(ReduceContext* ctx) {
     CollectingContext discard_ctx(&discard_);
     o_combiner_->Cleanup(&discard_ctx);
     discard_.clear();
+    if (!discard_ctx.status().ok()) ctx->Fail(discard_ctx.status());
   }
   shared_.reset();
 }
@@ -243,12 +264,12 @@ AntiCombiner::AntiCombiner(ReducerFactory o_combiner_factory,
       o_mapper_factory_(std::move(o_mapper_factory)) {}
 
 void AntiCombiner::Setup(const TaskInfo& info, ReduceContext* ctx) {
-  (void)ctx;
   info_ = info;
   o_combiner_ = o_combiner_factory_();
   std::vector<KV> discard;
   CollectingContext discard_ctx(&discard);
   o_combiner_->Setup(info, &discard_ctx);
+  if (!discard_ctx.status().ok()) ctx->Fail(discard_ctx.status());
 
   o_mapper_ = o_mapper_factory_();
   remap_.Bind(info);
@@ -269,38 +290,43 @@ void AntiCombiner::AddAcc(const Slice& key, const Slice& value) {
   it->second.push_back(acc_arena_.Intern(value));
 }
 
-void AntiCombiner::DecodeValue(const Slice& rep_key, const Slice& payload) {
+Status AntiCombiner::DecodeValue(const Slice& rep_key, const Slice& payload) {
   Encoding encoding;
   Slice rest;
-  ANTIMR_CHECK_OK(GetEncoding(payload, &encoding, &rest));
+  ANTIMR_RETURN_NOT_OK(GetEncoding(payload, &encoding, &rest));
   if (encoding == Encoding::kEager) {
     std::vector<Slice> other_keys;
     Slice value;
-    ANTIMR_CHECK_OK(DecodeEagerPayload(rest, &other_keys, &value));
+    ANTIMR_RETURN_NOT_OK(DecodeEagerPayload(rest, &other_keys, &value));
     AddAcc(rep_key, value);
     for (const Slice& key : other_keys) {
       AddAcc(key, value);
     }
-    return;
+    return Status::OK();
   }
   Slice input_key, input_value;
-  ANTIMR_CHECK_OK(DecodeLazyPayload(rest, &input_key, &input_value));
+  ANTIMR_RETURN_NOT_OK(DecodeLazyPayload(rest, &input_key, &input_value));
   remap_.Clear();
   o_mapper_->Map(input_key, input_value, &remap_);
   if (info_.metrics != nullptr) info_.metrics->remap_calls += 1;
   const CaptureContext& kept = remap_.kept();
   for (size_t i = 0; i < kept.size(); ++i) AddAcc(kept.key(i), kept.value(i));
+  return Status::OK();
 }
 
 void AntiCombiner::Reduce(const Slice& key, ValueIterator* values,
                           ReduceContext* ctx) {
-  (void)ctx;  // all output is emitted from Cleanup, already re-encoded
+  // All output is emitted from Cleanup, already re-encoded.
   (void)key;
   Slice payload;
   while (values->Next(&payload)) {
     // The record's own key, not the group key: with a grouping comparator
     // the two can differ.
-    DecodeValue(values->key(), payload);
+    const Status st = DecodeValue(values->key(), payload);
+    if (!st.ok()) {
+      ctx->Fail(st);
+      return;
+    }
   }
 }
 
@@ -321,6 +347,10 @@ void AntiCombiner::Cleanup(ReduceContext* ctx) {
     o_combiner_->Reduce(key, &it, &collect);
   }
   o_combiner_->Cleanup(&collect);
+  if (!collect.status().ok()) {
+    ctx->Fail(collect.status());
+    return;
+  }
   acc_.clear();
   acc_arena_.Clear();
 

@@ -51,6 +51,9 @@ class PartitionFilterContext : public MapContext {
 };
 
 /// \brief Decoding reducer.
+///
+/// Errors (a corrupt encoded record, a failed Shared spill) go to
+/// ReduceContext::Fail, which fails the reduce task with them.
 class AntiReducer : public Reducer {
  public:
   /// \param o_reducer_factory the original program's reducer
@@ -69,10 +72,15 @@ class AntiReducer : public Reducer {
   /// Run the original Reduce on the Shared groups strictly before `key`
   /// (the repeat-until loop of Algorithms 2 and 4). With `to_end` set,
   /// drains everything (the cleanup path).
-  void DrainShared(const Slice& key, bool to_end, ReduceContext* ctx);
+  Status DrainShared(const Slice& key, bool to_end, ReduceContext* ctx);
 
-  /// Decode one incoming record into Shared.
-  void DecodeValue(const Slice& rep_key, const Slice& payload);
+  /// Decode one incoming record into Shared. A malformed payload is
+  /// Corruption; Shared's spill errors keep their code.
+  Status DecodeValue(const Slice& rep_key, const Slice& payload);
+
+  /// The body of Reduce; its error goes to ctx->Fail.
+  Status ReduceGroup(const Slice& key, ValueIterator* values,
+                     ReduceContext* ctx);
 
   ReducerFactory o_reducer_factory_;
   MapperFactory o_mapper_factory_;
@@ -104,7 +112,8 @@ class AntiReducer : public Reducer {
 /// Runs in the map phase over *encoded* records: decodes the records of its
 /// partition, applies the original Combiner per key, and re-encodes the
 /// combined output with EagerSH (grouping by combined value across keys),
-/// emitting in key order so the segment stays merge-compatible.
+/// emitting in key order so the segment stays merge-compatible. A corrupt
+/// encoded record goes to ReduceContext::Fail as Corruption.
 class AntiCombiner : public Reducer {
  public:
   AntiCombiner(ReducerFactory o_combiner_factory,
@@ -116,7 +125,7 @@ class AntiCombiner : public Reducer {
   void Cleanup(ReduceContext* ctx) override;
 
  private:
-  void DecodeValue(const Slice& rep_key, const Slice& payload);
+  Status DecodeValue(const Slice& rep_key, const Slice& payload);
   /// Intern (key, value) into the accumulator; the arena owns all bytes.
   void AddAcc(const Slice& key, const Slice& value);
 

@@ -5,8 +5,8 @@
 
 #include "common/coding.h"
 #include "common/stopwatch.h"
-#include "io/run_file.h"
 #include "mr/reduce_task.h"
+#include "mr/shuffle.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 
@@ -132,19 +132,20 @@ Shared::~Shared() {
   }
 }
 
-void Shared::Add(const Slice& key, const Slice& value) {
+Status Shared::Add(const Slice& key, const Slice& value) {
   // Untimed: callers charge cpu.shared once per batch of Adds, so the clock
   // is not read twice per decoded value.
-  AddInternal(key, value, /*allow_combine=*/true);
+  ANTIMR_RETURN_NOT_OK(AddInternal(key, value, /*allow_combine=*/true));
   if (options_.metrics) options_.metrics->shared_insertions += 1;
   if (memory_bytes_ > options_.memory_limit_bytes) {
-    SpillToDisk();
-    MaybeMergeSpills();
+    ANTIMR_RETURN_NOT_OK(SpillToDisk());
+    return MaybeMergeSpills();
   }
+  return Status::OK();
 }
 
-void Shared::AddInternal(const Slice& key, const Slice& value,
-                         bool allow_combine) {
+Status Shared::AddInternal(const Slice& key, const Slice& value,
+                           bool allow_combine) {
   auto it = table_.find(key);
   if (it == table_.end()) {
     // First sighting of this key in memory: intern its bytes once, then
@@ -163,20 +164,22 @@ void Shared::AddInternal(const Slice& key, const Slice& value,
   memory_bytes_ += value.size();
   if (allow_combine && options_.combiner != nullptr &&
       list.count >= list.next_combine) {
-    CombineKey(it->first, &list);
+    ANTIMR_RETURN_NOT_OK(CombineKey(it->first, &list));
     list.next_combine = std::max<size_t>(2, 2 * list.count);
   }
+  return Status::OK();
 }
 
-void Shared::CombineKey(const Slice& key, ValueList* list) {
+Status Shared::CombineKey(const Slice& key, ValueList* list) {
   uint64_t combine_nanos = 0;
   std::vector<KV> combined;
+  CollectingContext ctx(&combined);
   {
     ScopedTimer t(&combine_nanos);
     PackedValueIterator it(list->packed);
-    CollectingContext ctx(&combined);
     options_.combiner->Reduce(key, &it, &ctx);
   }
+  ANTIMR_RETURN_NOT_OK(ctx.status());
   if (options_.metrics) {
     options_.metrics->cpu.combine += combine_nanos;
     options_.metrics->combine_input_records += list->count;
@@ -195,22 +198,44 @@ void Shared::CombineKey(const Slice& key, ValueList* list) {
     } else {
       // A combiner emitting a different key is unusual but legal; store it
       // without re-combining to guarantee termination.
-      AddInternal(kv.key, kv.value, /*allow_combine=*/false);
+      ANTIMR_RETURN_NOT_OK(
+          AddInternal(kv.key, kv.value, /*allow_combine=*/false));
     }
   }
+  return Status::OK();
 }
 
-void Shared::SpillToDisk() {
-  if (table_.empty()) return;
-  const std::string fname = options_.file_prefix + "_shared_spill_" +
-                            std::to_string(spill_counter_++);
+std::string Shared::NextSpillName() {
+  return options_.file_prefix + "_shared_spill_" +
+         std::to_string(spill_counter_++);
+}
+
+Status Shared::AdoptSpill(const std::string& fname, Status status) {
+  std::unique_ptr<BlockRunReader> reader;
+  if (status.ok()) {
+    status = OpenSegmentReader(options_.env, fname, GetCodec(options_.codec),
+                               {}, &reader);
+  }
+  if (!status.ok()) {
+    options_.env->DeleteFile(fname);  // best effort; the task is failing
+    return status;
+  }
+  SpillRun run;
+  run.fname = fname;
+  run.stream = std::move(reader);
+  spills_.push_back(std::move(run));
+  return Status::OK();
+}
+
+Status Shared::WriteSpill(const std::string& fname, uint64_t* bytes) {
   std::unique_ptr<WritableFile> file;
-  ANTIMR_CHECK_OK(options_.env->NewWritableFile(fname, &file));
-  RunWriter writer(std::move(file));
+  ANTIMR_RETURN_NOT_OK(options_.env->NewWritableFile(fname, &file));
+  BlockRunWriter writer(std::move(file), GetCodec(options_.codec),
+                        {options_.block_bytes});
   // Drain the heap to emit keys in sorted order, mirroring the map phase's
   // sorted spills (paper Section 5). heap_.top() is a view of the interned
   // key, which outlives both the pop and the table erase (the arena is only
-  // reclaimed below, once the drain finishes).
+  // reclaimed by the caller, once the drain finishes).
   while (!heap_.empty()) {
     const Slice key = heap_.top();
     heap_.pop();
@@ -218,65 +243,67 @@ void Shared::SpillToDisk() {
     if (it == table_.end()) continue;  // stale heap entry
     PackedValueIterator values(it->second.packed);
     Slice value;
-    while (values.Next(&value)) ANTIMR_CHECK_OK(writer.Add(key, value));
+    while (values.Next(&value)) {
+      ANTIMR_RETURN_NOT_OK(writer.Add(key, value));
+    }
     table_.erase(it);
   }
-  ANTIMR_CHECK_OK(writer.Close());
+  ANTIMR_RETURN_NOT_OK(writer.Finish());
+  *bytes = writer.stored_bytes();
+  return Status::OK();
+}
+
+Status Shared::SpillToDisk() {
+  if (table_.empty()) return Status::OK();
+  const std::string fname = NextSpillName();
+  uint64_t bytes = 0;
+  const Status written = WriteSpill(fname, &bytes);
   memory_bytes_ = 0;
   key_bytes_ = 0;
   MaybeReclaimKeys();
-
-  SpillRun run;
-  run.fname = fname;
-  std::unique_ptr<KVStream> stream;
-  ANTIMR_CHECK_OK(OpenRun(options_.env, fname, &stream));
-  run.stream = std::move(stream);
-  spills_.push_back(std::move(run));
+  ANTIMR_RETURN_NOT_OK(AdoptSpill(fname, written));
   if (options_.metrics) {
     options_.metrics->shared_spills += 1;
-    options_.metrics->shared_spill_bytes += writer.bytes_written();
+    options_.metrics->shared_spill_bytes += bytes;
   }
   // Spills are rare (one per memory_limit_bytes of Shared growth), so the
   // instant + histogram stay unconditional.
-  SpillBytesHistogram()->Observe(writer.bytes_written());
+  SpillBytesHistogram()->Observe(bytes);
   ANTIMR_TRACE_INSTANT("anticombine", "shared_spill",
                        obs::TraceArgs()
-                           .Add("bytes", writer.bytes_written())
+                           .Add("bytes", bytes)
                            .Add("spill", spill_counter_ - 1));
+  return Status::OK();
 }
 
-void Shared::MaybeMergeSpills() {
+Status Shared::MaybeMergeSpills() {
   if (spills_.size() <= static_cast<size_t>(options_.spill_merge_threshold)) {
-    return;
+    return Status::OK();
   }
-  const std::string fname = options_.file_prefix + "_shared_spill_" +
-                            std::to_string(spill_counter_++);
+  const std::string fname = NextSpillName();
+  Status written;
   {
     std::vector<std::unique_ptr<KVStream>> inputs;
     inputs.reserve(spills_.size());
     for (SpillRun& run : spills_) inputs.push_back(std::move(run.stream));
     MergingStream merged(std::move(inputs), options_.key_cmp);
-    std::unique_ptr<WritableFile> file;
-    ANTIMR_CHECK_OK(options_.env->NewWritableFile(fname, &file));
-    RunWriter writer(std::move(file));
-    while (merged.Valid()) {
-      ANTIMR_CHECK_OK(writer.Add(merged.key(), merged.value()));
-      ANTIMR_CHECK_OK(merged.Next());
-    }
-    ANTIMR_CHECK_OK(writer.Close());
+    written = WriteSegment(options_.env, fname, &merged,
+                           GetCodec(options_.codec), nullptr, nullptr,
+                           options_.block_bytes);
   }
+  // The merged-away files go whether or not the merge succeeded: their
+  // streams are spent, so nothing could read them again.
+  Status deleted;
   for (const SpillRun& run : spills_) {
-    ANTIMR_CHECK_OK(options_.env->DeleteFile(run.fname));
+    const Status st = options_.env->DeleteFile(run.fname);
+    if (deleted.ok()) deleted = st;
   }
   spills_.clear();
-  SpillRun run;
-  run.fname = fname;
-  std::unique_ptr<KVStream> stream;
-  ANTIMR_CHECK_OK(OpenRun(options_.env, fname, &stream));
-  run.stream = std::move(stream);
-  spills_.push_back(std::move(run));
+  ANTIMR_RETURN_NOT_OK(AdoptSpill(fname, written));
+  ANTIMR_RETURN_NOT_OK(deleted);
   if (options_.metrics) options_.metrics->shared_spill_merges += 1;
   ANTIMR_TRACE_INSTANT("anticombine", "shared_spill_merge");
+  return Status::OK();
 }
 
 bool Shared::FindMinKey(Slice* out) {
@@ -339,15 +366,15 @@ bool Shared::PeekMinKey(std::string* key) {
   return true;
 }
 
-bool Shared::PopMinKeyValues(std::string* group_key,
-                             std::vector<Slice>* values) {
+Status Shared::PopMinKeyValues(std::string* group_key,
+                               std::vector<Slice>* values) {
   uint64_t* shared_nanos =
       options_.metrics ? &options_.metrics->cpu.shared : nullptr;
   uint64_t local = 0;
   ScopedTimer t(shared_nanos ? shared_nanos : &local);
 
   Slice min_key;
-  if (!FindMinKey(&min_key)) return false;
+  if (!FindMinKey(&min_key)) return Status::NotFound("Shared is empty");
   // Materialize the group key once: the merge below advances spill streams,
   // which would invalidate a stream-head view mid-drain.
   group_key->assign(min_key.data(), min_key.size());
@@ -386,7 +413,7 @@ bool Shared::PopMinKeyValues(std::string* group_key,
     values->reserve(values->size() + count);
     for (const std::string& packed : pop_buffers_) AppendViews(packed, values);
     MaybeReclaimKeys();
-    return true;
+    return Status::OK();
   }
 
   // Merge the memory records with the group prefix of each spill stream,
@@ -401,12 +428,12 @@ bool Shared::PopMinKeyValues(std::string* group_key,
   MergingStream merged(std::move(inputs), options_.key_cmp);
   while (merged.Valid()) {
     AppendPacked(merged.value(), &pop_merged_);
-    ANTIMR_CHECK_OK(merged.Next());
+    ANTIMR_RETURN_NOT_OK(merged.Next());
   }
   // The merge read the popped keys' interned bytes; reclaim only now.
   MaybeReclaimKeys();
   AppendViews(pop_merged_, values);
-  return true;
+  return Status::OK();
 }
 
 }  // namespace anticombine

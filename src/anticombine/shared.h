@@ -6,6 +6,13 @@
 // groups, and optional reduce-phase Combining that collapses each key's
 // values as they arrive.
 //
+// Spills are block segments, the map side's sorted-run format
+// (io/run_file.h): CRC-checked per block and compressed with the job's
+// map-output codec. Spill I/O and corrupt spill blocks surface as the
+// Status of the call that hit them (Add or PopMinKeyValues); after a non-OK
+// Status the Shared holds an undefined subset of its records, and the only
+// valid operation left is destruction, which deletes its spill files.
+//
 // Ownership: each distinct key is interned once into a key arena; each key's
 // values are packed into one buffer (varint length + bytes per value, in
 // insertion order), so an Add allocates only when a key first appears or its
@@ -48,6 +55,10 @@ class Shared {
     /// Sections 5, 7.5).
     Reducer* combiner = nullptr;
     JobMetrics* metrics = nullptr;
+    /// Spill segment codec and block size (TaskInfo::spill_codec and
+    /// spill_block_bytes).
+    CodecType codec = CodecType::kNone;
+    size_t block_bytes = kDefaultBlockBytes;
   };
 
   explicit Shared(Options options);
@@ -57,7 +68,8 @@ class Shared {
   Shared& operator=(const Shared&) = delete;
 
   /// Insert one decoded record; may trigger combining and/or a spill.
-  void Add(const Slice& key, const Slice& value);
+  /// Fails with the spill's I/O error or the combiner's reported error.
+  Status Add(const Slice& key, const Slice& value);
 
   /// True when no records remain (memory and spills).
   bool Empty();
@@ -73,8 +85,9 @@ class Shared {
   /// from memory and spills) and append views of its values, in key order,
   /// to *values. *group_key gets the minimal key. The views stay valid until
   /// the next PopMinKeyValues call (or destruction); Add and PeekMinKey leave
-  /// them intact. Returns false when empty.
-  bool PopMinKeyValues(std::string* group_key, std::vector<Slice>* values);
+  /// them intact. Returns NotFound when empty, and the spill read's error
+  /// (Corruption naming the spill file for a bad block) when one fails.
+  Status PopMinKeyValues(std::string* group_key, std::vector<Slice>* values);
 
   size_t memory_usage() const { return memory_bytes_; }
 
@@ -100,10 +113,17 @@ class Shared {
     size_t next_combine = 2;
   };
 
-  void AddInternal(const Slice& key, const Slice& value, bool allow_combine);
-  void CombineKey(const Slice& key, ValueList* list);
-  void SpillToDisk();
-  void MaybeMergeSpills();
+  Status AddInternal(const Slice& key, const Slice& value,
+                     bool allow_combine);
+  Status CombineKey(const Slice& key, ValueList* list);
+  Status SpillToDisk();
+  /// Write the heap's drain, in key order, to `fname` as a block segment.
+  Status WriteSpill(const std::string& fname, uint64_t* bytes);
+  Status MaybeMergeSpills();
+  std::string NextSpillName();
+  /// Open spill `fname` and append it to spills_; deletes the file when the
+  /// write or the open failed (`status`).
+  Status AdoptSpill(const std::string& fname, Status status);
   /// Minimal key across the in-memory heap and spill stream heads; false
   /// when everything is empty. *out is a view (interned key or spill stream
   /// head) valid until the next mutation.

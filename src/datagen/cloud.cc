@@ -32,7 +32,8 @@ std::vector<KV> CloudGenerator::Generate() const {
       value.push_back(',');
       AppendDecimal(&value, uint64_t{rng.Uniform(1000)});
     }
-    key.assign("r");
+    key.clear();
+    key.push_back('r');
     AppendDecimal(&key, i);
     records.emplace_back(key, value);
   }

@@ -78,7 +78,8 @@ std::vector<KV> QLogGenerator::Generate() const {
       value.push_back('\t');
       AppendDecimal(&value, uint64_t{rng.Uniform(50)});
     }
-    key.assign("u");
+    key.clear();
+    key.push_back('u');
     AppendDecimal(&key, uint64_t{rng.Uniform(100000)});
     records.emplace_back(key, value);
   }

@@ -1,7 +1,5 @@
 #include "io/buffered_io.h"
 
-#include <cstring>
-
 namespace antimr {
 
 BufferedWriter::BufferedWriter(std::unique_ptr<WritableFile> file,
@@ -38,11 +36,6 @@ Status BufferedWriter::AppendVarint64(uint64_t v) {
   std::string tmp;
   PutVarint64(&tmp, v);
   return Append(tmp);
-}
-
-Status BufferedWriter::AppendLengthPrefixed(const Slice& data) {
-  ANTIMR_RETURN_NOT_OK(AppendVarint64(data.size()));
-  return Append(data);
 }
 
 Status BufferedWriter::Close() {
@@ -124,73 +117,6 @@ Status BufferedReader::ReadExact(size_t n, std::string* out) {
     bytes_consumed_ += take;
   }
   return Status::OK();
-}
-
-Status BufferedReader::ReadLengthPrefixed(std::string* out) {
-  uint64_t len;
-  ANTIMR_RETURN_NOT_OK(ReadVarint64(&len));
-  return ReadExact(static_cast<size_t>(len), out);
-}
-
-Status BufferedReader::ReadRecordViews(Slice* key, Slice* value) {
-  // Fast path: the whole record is already buffered. The views point at the
-  // buffered bytes directly — no copy, no allocation.
-  {
-    Slice in = avail_;
-    Slice k, v;
-    if (GetLengthPrefixed(&in, &k) && GetLengthPrefixed(&in, &v)) {
-      bytes_consumed_ += avail_.size() - in.size();
-      avail_ = in;
-      *key = k;
-      *value = v;
-      return Status::OK();
-    }
-  }
-
-  // Slow path: the record straddles the end of the buffered bytes. Compact
-  // the unconsumed tail to the front of scratch_ and append more from the
-  // file until the record parses from one contiguous range. memmove because
-  // avail_ usually aliases scratch_ (it can also view an external buffer,
-  // e.g. a SliceSource, which memmove handles the same way).
-  size_t have = avail_.size();
-  if (have > 0 && avail_.data() != scratch_.data()) {
-    std::memmove(scratch_.data(), avail_.data(), have);
-  }
-  avail_ = Slice();
-  while (true) {
-    Slice in(scratch_.data(), have);
-    Slice k, v;
-    if (GetLengthPrefixed(&in, &k) && GetLengthPrefixed(&in, &v)) {
-      bytes_consumed_ += have - in.size();
-      avail_ = in;
-      *key = k;
-      *value = v;
-      return Status::OK();
-    }
-    if (eof_) {
-      return Status::Corruption(have == 0 ? "unexpected EOF"
-                                          : "truncated record");
-    }
-    if (have == scratch_.size()) {
-      // One record larger than the buffer: grow (views are only promised
-      // until the next read call, so relocation here is fine).
-      scratch_.resize(scratch_.size() * 2);
-    }
-    Slice chunk;
-    Status st =
-        file_->Read(scratch_.size() - have, &chunk, scratch_.data() + have);
-    if (!st.ok() || chunk.empty()) {
-      eof_ = true;
-      continue;  // fall through to the truncation/EOF check above
-    }
-    // Sources that serve out of their own memory (SliceSource) return a view
-    // elsewhere instead of filling our scratch; bring the bytes in so the
-    // record is contiguous.
-    if (chunk.data() != scratch_.data() + have) {
-      std::memcpy(scratch_.data() + have, chunk.data(), chunk.size());
-    }
-    have += chunk.size();
-  }
 }
 
 }  // namespace antimr

@@ -1,6 +1,7 @@
-// Buffered adapters over the Env file handles, plus varint-aware record
-// reading. All spill/merge code paths go through these so reads and writes
-// are batched the way a real MapReduce runtime batches them.
+// Buffered adapters over the Env file handles, plus varint-aware reads of
+// the block-segment frame headers. All spill/merge code paths go through
+// these so reads and writes are batched the way a real MapReduce runtime
+// batches them.
 #ifndef ANTIMR_IO_BUFFERED_IO_H_
 #define ANTIMR_IO_BUFFERED_IO_H_
 
@@ -24,8 +25,6 @@ class BufferedWriter {
   Status Append(const Slice& data);
   Status AppendVarint32(uint32_t v);
   Status AppendVarint64(uint64_t v);
-  /// varint(length) + bytes.
-  Status AppendLengthPrefixed(const Slice& data);
 
   /// Flush the internal buffer and close the underlying file.
   Status Close();
@@ -57,16 +56,6 @@ class BufferedReader {
   /// Read exactly n bytes into *out (replacing its contents). Fails with
   /// Corruption on short read.
   Status ReadExact(size_t n, std::string* out);
-  /// Read varint(length)+bytes into *out.
-  Status ReadLengthPrefixed(std::string* out);
-
-  /// Read one record — varint(klen) key varint(vlen) value — as views,
-  /// without materializing either field. *key and *value stay valid until
-  /// the next read call on this reader. Both fields are parsed from a single
-  /// buffer generation: a record straddling the buffer boundary is compacted
-  /// to the buffer front (growing the buffer when one record exceeds it), so
-  /// reading the value can never invalidate the key's view.
-  Status ReadRecordViews(Slice* key, Slice* value);
 
   uint64_t bytes_consumed() const { return bytes_consumed_; }
 

@@ -73,61 +73,6 @@ Status ReadFileToString(Env* env, const std::string& fname, std::string* out) {
   return Status::OK();
 }
 
-RunWriter::RunWriter(std::unique_ptr<WritableFile> file)
-    : writer_(std::move(file)) {}
-
-Status RunWriter::Add(const Slice& key, const Slice& value) {
-  ANTIMR_RETURN_NOT_OK(writer_.AppendLengthPrefixed(key));
-  ANTIMR_RETURN_NOT_OK(writer_.AppendLengthPrefixed(value));
-  ++record_count_;
-  return Status::OK();
-}
-
-Status RunWriter::Close() { return writer_.Close(); }
-
-RunReader::RunReader(std::unique_ptr<SequentialFile> file)
-    : reader_(std::move(file)) {}
-
-Status RunReader::Open() { return Next(); }
-
-Status RunReader::Next() {
-  if (reader_.AtEof()) {
-    valid_ = false;
-    return Status::OK();
-  }
-  ANTIMR_RETURN_NOT_OK(reader_.ReadRecordViews(&key_, &value_));
-  valid_ = true;
-  return Status::OK();
-}
-
-Status StringRunStream::Next() {
-  Slice in(data_.data() + pos_, data_.size() - pos_);
-  if (in.empty()) {
-    valid_ = false;
-    return Status::OK();
-  }
-  Slice k, v;
-  if (!GetLengthPrefixed(&in, &k) || !GetLengthPrefixed(&in, &v)) {
-    valid_ = false;
-    return Status::Corruption("StringRunStream: truncated record");
-  }
-  key_ = k;
-  value_ = v;
-  pos_ = data_.size() - in.size();
-  valid_ = true;
-  return Status::OK();
-}
-
-Status StringRunStream::NextBatch(RecordBatch* batch,
-                                  const BatchOptions& opts) {
-  batch->clear();
-  while (valid_ && batch->size() < opts.max_records && opts.Admits(key_)) {
-    batch->emplace_back(key_, value_);
-    ANTIMR_RETURN_NOT_OK(Next());
-  }
-  return Status::OK();
-}
-
 BlockRunWriter::BlockRunWriter(std::unique_ptr<WritableFile> file,
                                const Codec* codec, Options options)
     : writer_(std::move(file)),
@@ -372,16 +317,6 @@ Status BlockRunReader::NextBatch(RecordBatch* batch,
     // here; the next call starts inside the new block.
     if (at_block_end) break;
   }
-  return Status::OK();
-}
-
-Status OpenRun(Env* env, const std::string& fname,
-               std::unique_ptr<KVStream>* stream) {
-  std::unique_ptr<SequentialFile> file;
-  ANTIMR_RETURN_NOT_OK(env->NewSequentialFile(fname, &file));
-  auto reader = std::make_unique<RunReader>(std::move(file));
-  ANTIMR_RETURN_NOT_OK(reader->Open());
-  *stream = std::move(reader);
   return Status::OK();
 }
 

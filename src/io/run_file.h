@@ -1,18 +1,17 @@
-// Sorted-run file format and streams. A "run" is a sequence of key/value
-// records sorted by key: varint(klen) key varint(vlen) value, repeated. Map
-// spills, merged map output partitions, and Shared spills all use this
-// format, mirroring Hadoop's IFile.
-//
-// Shuffle segments add a block layer on top (BlockRunWriter/BlockRunReader):
-// the run is cut into ~block_bytes chunks at record boundaries, and each
-// chunk is independently compressed and framed as
+// Sorted-run streams and the one on-disk sorted-run format. A run is a
+// sequence of key/value records sorted by key, serialized as
+// varint(klen) key varint(vlen) value, repeated, and stored as a block
+// segment (BlockRunWriter/BlockRunReader): the serialized run is cut into
+// ~block_bytes chunks at record boundaries, and each chunk is independently
+// compressed and framed as
 //
 //   varint(raw_len) varint(stored_len) fixed32(crc32 of stored bytes) payload
 //
-// after a 4-byte magic. Readers decompress one block at a time with a bounded
-// readahead window, so segment consumption needs O(block) memory instead of
-// O(segment), and corruption is caught per block by the CRC before any bytes
-// are decoded.
+// after a 4-byte magic. Map spill runs, merged map output segments and
+// Shared's spills (anticombine/shared.h) all use it, mirroring Hadoop's
+// IFile. Readers decompress one block at a time with a bounded readahead
+// window, so consuming a run needs O(block) memory instead of O(run), and
+// corruption is caught per block by the CRC before any bytes are decoded.
 #ifndef ANTIMR_IO_RUN_FILE_H_
 #define ANTIMR_IO_RUN_FILE_H_
 
@@ -68,46 +67,6 @@ class KVStream {
   bool batch_advance_pending_ = false;  ///< base NextBatch adapter state
 };
 
-/// \brief Appends key/value records to a run file.
-class RunWriter {
- public:
-  explicit RunWriter(std::unique_ptr<WritableFile> file);
-
-  Status Add(const Slice& key, const Slice& value);
-  Status Close();
-
-  uint64_t bytes_written() const { return writer_.bytes_written(); }
-  uint64_t record_count() const { return record_count_; }
-
- private:
-  BufferedWriter writer_;
-  uint64_t record_count_ = 0;
-};
-
-/// \brief KVStream over a run file.
-///
-/// Zero-copy: key()/value() view the reader's buffer (per the KVStream
-/// contract, valid until the next Next()); records are never materialized
-/// into owning strings on the read path.
-class RunReader : public KVStream {
- public:
-  explicit RunReader(std::unique_ptr<SequentialFile> file);
-
-  /// Position at the first record. Must be called once before use.
-  Status Open();
-
-  bool Valid() const override { return valid_; }
-  Slice key() const override { return key_; }
-  Slice value() const override { return value_; }
-  Status Next() override;
-
- private:
-  BufferedReader reader_;
-  Slice key_;
-  Slice value_;
-  bool valid_ = false;
-};
-
 /// \brief KVStream over an in-memory vector of records (borrowed).
 class VectorStream : public KVStream {
  public:
@@ -140,37 +99,8 @@ class VectorStream : public KVStream {
   size_t pos_ = 0;
 };
 
-/// \brief KVStream over an owned buffer of run-format bytes.
-///
-/// Used for decompressed spill segments: the segment is inflated into a
-/// string and parsed in place without further copies.
-class StringRunStream : public KVStream {
- public:
-  /// Takes ownership of `data`; call Open() before use.
-  explicit StringRunStream(std::string data) : data_(std::move(data)) {}
-
-  Status Open() { return Next(); }
-
-  bool Valid() const override { return valid_; }
-  Slice key() const override { return key_; }
-  Slice value() const override { return value_; }
-  Status Next() override;
-
-  /// Eager batches: views parse in place out of the owned buffer, which is
-  /// never touched after construction.
-  Status NextBatch(RecordBatch* batch, const BatchOptions& opts) override;
-  bool SupportsEagerBatches() const override { return true; }
-
- private:
-  std::string data_;
-  size_t pos_ = 0;
-  Slice key_;
-  Slice value_;
-  bool valid_ = false;
-};
-
 // ---------------------------------------------------------------------------
-// Block-framed compressed runs (shuffle segment format)
+// Block-framed compressed runs (the sorted-run format)
 // ---------------------------------------------------------------------------
 
 /// Default cut point for block-framed runs.
@@ -318,10 +248,6 @@ class BlockRunReader : public KVStream {
 /// Borrowing SequentialFile over a byte buffer; `data` must outlive the
 /// returned file.
 std::unique_ptr<SequentialFile> NewSliceSource(const Slice& data);
-
-/// Convenience: open a run file on `env` and return a positioned reader.
-Status OpenRun(Env* env, const std::string& fname,
-               std::unique_ptr<KVStream>* stream);
 
 /// Read an entire file into *out (counted as disk read by the Env).
 Status ReadFileToString(Env* env, const std::string& fname, std::string* out);

@@ -1,6 +1,6 @@
 // The user-facing MapReduce programming model: Mapper, Reducer (a Combiner is
 // a Reducer, as in Hadoop), Partitioner, and the contexts they emit into.
-// Records are opaque byte strings; typed layers serialize through
+// Records are opaque byte strings; programs serialize typed fields through
 // common/coding.h.
 #ifndef ANTIMR_MR_API_H_
 #define ANTIMR_MR_API_H_
@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "codec/codec.h"
 #include "common/arena.h"
 #include "common/record_batch.h"
 #include "common/slice.h"
@@ -107,6 +108,11 @@ struct TaskInfo {
   KeyComparator grouping_cmp;
   Env* env = nullptr;          ///< node-local disk for task-scoped files
   JobMetrics* metrics = nullptr;  ///< task-private; aggregated at job end
+  /// Format of the sorted runs a task spills to `env` (Shared's spills):
+  /// the job's map_output_codec and shuffle_block_bytes, so they are block
+  /// segments like the map side's.
+  CodecType spill_codec = CodecType::kNone;
+  size_t spill_block_bytes = kDefaultBlockBytes;
 };
 
 /// \brief Sink for Map output records.
@@ -187,11 +193,28 @@ class SliceVectorIterator : public ValueIterator {
   size_t pos_ = 0;
 };
 
-/// \brief Sink for Reduce output records.
+/// \brief Sink for Reduce output records, and the failure channel of the
+/// code that emits into it.
+///
+/// Reduce has no Status return, so a reducer that hits an error (a framework
+/// reducer's spill I/O, a corrupt encoded record) reports it with Fail and
+/// returns. The first error latches; the framework checks status() after
+/// Setup, after every Reduce call and after Cleanup, and fails the task with
+/// it, so an IOError is retried like any other transient task failure.
 class ReduceContext {
  public:
   virtual ~ReduceContext() = default;
   virtual void Emit(const Slice& key, const Slice& value) = 0;
+
+  /// Latch `status` if it is the first error; OK and later errors are
+  /// ignored.
+  void Fail(Status status) {
+    if (status_.ok()) status_ = std::move(status);
+  }
+  const Status& status() const { return status_; }
+
+ private:
+  Status status_;
 };
 
 /// \brief The Reduce primitive. One instance per reduce task. Also the

@@ -229,6 +229,8 @@ Status RunMapTask(const JobSpec& spec, const std::string& job_id, int task_id,
   info.grouping_cmp = spec.EffectiveGroupingCmp();
   info.env = env;
   info.metrics = &m;
+  info.spill_codec = spec.map_output_codec;
+  info.spill_block_bytes = spec.shuffle_block_bytes;
 
   MapTaskContext ctx(spec, job_id, task_id, info, env, &m);
   std::unique_ptr<Mapper> mapper = spec.mapper_factory();

@@ -77,6 +77,7 @@ Status RunGroups(KVStream* stream, const KeyComparator& grouping_cmp,
     stats->groups += 1;
     stats->records += values.consumed();
     ANTIMR_RETURN_NOT_OK(values.status());
+    ANTIMR_RETURN_NOT_OK(ctx->status());
   }
   return Status::OK();
 }
@@ -87,6 +88,7 @@ Status ApplyCombiner(const JobSpec& spec, const TaskInfo& info,
   std::unique_ptr<Reducer> combiner = spec.combiner_factory();
   CollectingContext ctx(out);
   combiner->Setup(info, &ctx);
+  ANTIMR_RETURN_NOT_OK(ctx.status());
   ANTIMR_RETURN_NOT_OK(
       RunGroups(stream, spec.EffectiveGroupingCmp(), combiner.get(), &ctx,
                 stats));
@@ -95,7 +97,7 @@ Status ApplyCombiner(const JobSpec& spec, const TaskInfo& info,
     ScopedTimer t(&stats->fn_nanos);
     combiner->Cleanup(&ctx);
   }
-  return Status::OK();
+  return ctx.status();
 }
 
 Status RunReduceTask(const JobSpec& spec, int partition,
@@ -177,11 +179,14 @@ Status RunReduceTask(const JobSpec& spec, int partition,
   info.grouping_cmp = spec.EffectiveGroupingCmp();
   info.env = env;
   info.metrics = &m;
+  info.spill_codec = spec.map_output_codec;
+  info.spill_block_bytes = spec.shuffle_block_bytes;
 
   std::unique_ptr<Reducer> reducer = spec.reducer_factory();
   std::vector<KV> sink;
   CollectingContext ctx(collect_output ? &result->output : &sink);
   reducer->Setup(info, &ctx);
+  ANTIMR_RETURN_NOT_OK(ctx.status());
   GroupRunStats stats;
   const uint64_t merge_start = NowNanos();
   ANTIMR_RETURN_NOT_OK(
@@ -192,6 +197,7 @@ Status RunReduceTask(const JobSpec& spec, int partition,
     ScopedTimer t(&stats.fn_nanos);
     reducer->Cleanup(&ctx);
   }
+  ANTIMR_RETURN_NOT_OK(ctx.status());
   m.shuffle_merge_nanos +=
       merge_wall > fn_in_merge ? merge_wall - fn_in_merge : 0;
   uint64_t task_peak_buffered = 0;

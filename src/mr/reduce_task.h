@@ -25,7 +25,8 @@ struct GroupRunStats {
 
 /// Drive `reducer` over `stream`: one Reduce call per group of
 /// grouping-comparator-equal keys, in stream order. Does not call
-/// Setup/Cleanup (the caller owns lifecycle).
+/// Setup/Cleanup (the caller owns lifecycle). Stops at the first stream
+/// error or the first error the reducer reported through ctx->Fail.
 Status RunGroups(KVStream* stream, const KeyComparator& grouping_cmp,
                  Reducer* reducer, ReduceContext* ctx, GroupRunStats* stats);
 

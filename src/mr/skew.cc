@@ -130,20 +130,27 @@ class SaltStrippingReducer : public Reducer {
   void Setup(const TaskInfo& info, ReduceContext* ctx) override {
     wrapped_ = std::make_unique<StrippingContext>(ctx, model_.get());
     base_->Setup(info, wrapped_.get());
+    ForwardFailure(ctx);
   }
 
   void Reduce(const Slice& key, ValueIterator* values,
               ReduceContext* ctx) override {
-    (void)ctx;
     base_->Reduce(key, values, wrapped_.get());
+    ForwardFailure(ctx);
   }
 
   void Cleanup(ReduceContext* ctx) override {
-    (void)ctx;
     base_->Cleanup(wrapped_.get());
+    ForwardFailure(ctx);
   }
 
  private:
+  /// The base reducer reports failures on the wrapping context; the
+  /// framework checks the outer one.
+  void ForwardFailure(ReduceContext* ctx) {
+    if (!wrapped_->status().ok()) ctx->Fail(wrapped_->status());
+  }
+
   std::unique_ptr<Reducer> base_;
   std::shared_ptr<const SkewModel> model_;
   std::unique_ptr<StrippingContext> wrapped_;

@@ -22,99 +22,12 @@ namespace {
 using anticombine::AntiCombineOptions;
 using anticombine::EnableAntiCombining;
 using testing::Canonicalize;
+using testing::DigestReducer;
 using testing::ExpectEquivalent;
 using testing::MustRun;
-
-// ---------------------------------------------------------------------------
-// A configurable synthetic program for property sweeps: Map's fan-out, key
-// spread, and value sharing are all tunable, and Reduce is a deterministic
-// order-insensitive digest, so equivalence checks are exact.
-
-struct SyntheticShape {
-  int fan_out;          // output records per input record
-  int key_spread;       // distinct keys ~ key_spread
-  bool shared_values;   // all outputs of one Map call share one value
-  bool with_combiner;
-};
-
-class SyntheticMapper : public Mapper {
- public:
-  explicit SyntheticMapper(SyntheticShape shape) : shape_(shape) {}
-
-  void Map(const Slice& key, const Slice& value, MapContext* ctx) override {
-    const uint64_t h = Hash64(key) ^ Hash64(value);
-    for (int i = 0; i < shape_.fan_out; ++i) {
-      const uint64_t k = (h + static_cast<uint64_t>(i) * 7919) %
-                         static_cast<uint64_t>(shape_.key_spread);
-      const std::string out_key = "k" + std::to_string(k);
-      const std::string out_value =
-          shape_.shared_values
-              ? "v" + std::to_string(h % 1000)
-              : "v" + std::to_string(h % 1000) + "_" + std::to_string(i);
-      ctx->Emit(out_key, out_value);
-    }
-  }
-
- private:
-  SyntheticShape shape_;
-};
-
-// Order-insensitive digest: XOR of value hashes plus a count.
-class DigestReducer : public Reducer {
- public:
-  void Reduce(const Slice& key, ValueIterator* values,
-              ReduceContext* ctx) override {
-    uint64_t digest = 0;
-    uint64_t count = 0;
-    Slice v;
-    while (values->Next(&v)) {
-      digest ^= HashMix64(Hash64(v));
-      ++count;
-    }
-    ctx->Emit(key, std::to_string(count) + ":" + std::to_string(digest));
-  }
-};
-
-// A combiner compatible with DigestReducer: re-emits every value unchanged
-// except identical values are deduplicated into (value, multiplicity)? No —
-// DigestReducer is XOR-based, so a safe combiner must preserve the value
-// multiset. This combiner just forwards values (a legal no-op combiner),
-// which still exercises the AntiCombiner decode/re-encode path.
-class ForwardingCombiner : public Reducer {
- public:
-  void Reduce(const Slice& key, ValueIterator* values,
-              ReduceContext* ctx) override {
-    Slice v;
-    while (values->Next(&v)) ctx->Emit(key, v);
-  }
-};
-
-JobSpec SyntheticJob(const SyntheticShape& shape, int reduce_tasks) {
-  JobSpec spec;
-  spec.name = "synthetic";
-  spec.mapper_factory = [shape]() {
-    return std::make_unique<SyntheticMapper>(shape);
-  };
-  spec.reducer_factory = []() { return std::make_unique<DigestReducer>(); };
-  if (shape.with_combiner) {
-    spec.combiner_factory = []() {
-      return std::make_unique<ForwardingCombiner>();
-    };
-  }
-  spec.num_reduce_tasks = reduce_tasks;
-  return spec;
-}
-
-std::vector<KV> SyntheticInput(int n, uint64_t seed) {
-  Random rng(seed);
-  std::vector<KV> input;
-  input.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    input.push_back({"in" + std::to_string(rng.Uniform(100000)),
-                     "payload" + std::to_string(rng.Uniform(1000))});
-  }
-  return input;
-}
+using testing::SyntheticInput;
+using testing::SyntheticJob;
+using testing::SyntheticShape;
 
 // ---------------------------------------------------------------------------
 // Parameterized equivalence sweep.

@@ -32,30 +32,26 @@ TEST_F(BufferedIoTest, RoundTripPrimitives) {
   auto writer = NewWriter("f");
   ASSERT_TRUE(writer->AppendVarint32(12345).ok());
   ASSERT_TRUE(writer->AppendVarint64(1ULL << 50).ok());
-  ASSERT_TRUE(writer->AppendLengthPrefixed(Slice("payload")).ok());
   ASSERT_TRUE(writer->Close().ok());
 
   auto reader = NewReader("f");
   uint32_t v32;
   uint64_t v64;
-  std::string s;
   ASSERT_TRUE(reader->ReadVarint32(&v32).ok());
   ASSERT_TRUE(reader->ReadVarint64(&v64).ok());
-  ASSERT_TRUE(reader->ReadLengthPrefixed(&s).ok());
   EXPECT_EQ(v32, 12345u);
   EXPECT_EQ(v64, 1ULL << 50);
-  EXPECT_EQ(s, "payload");
   EXPECT_TRUE(reader->AtEof());
 }
 
 TEST_F(BufferedIoTest, LargePayloadSpansBufferBoundaries) {
   const std::string big(10000, 'z');
   auto writer = NewWriter("f", /*buffer=*/32);
-  ASSERT_TRUE(writer->AppendLengthPrefixed(big).ok());
+  ASSERT_TRUE(writer->Append(big).ok());
   ASSERT_TRUE(writer->Close().ok());
   auto reader = NewReader("f", /*buffer=*/32);
   std::string out;
-  ASSERT_TRUE(reader->ReadLengthPrefixed(&out).ok());
+  ASSERT_TRUE(reader->ReadExact(big.size(), &out).ok());
   EXPECT_EQ(out, big);
 }
 

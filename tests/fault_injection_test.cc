@@ -1,6 +1,7 @@
 // Failure injection: storage faults at controlled points must surface as
 // Status errors from RunJob — never crashes, hangs, or silent data loss.
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,8 +12,10 @@
 #include "engine/executor.h"
 #include "engine/job_plan.h"
 #include "engine/job_registry.h"
+#include "engine/job_service.h"
 #include "engine/worker.h"
 #include "datagen/random_text.h"
+#include "mr/reduce_task.h"
 #include "net/transport.h"
 #include "obs/metrics_registry.h"
 #include "test_util.h"
@@ -44,6 +47,10 @@ class FaultyEnv : public Env {
     only_op_ = std::move(op);
     suffix_ = std::move(suffix);
   }
+
+  /// Sample only operations (of any kind) on files whose name contains
+  /// `part`.
+  void SampleOnlyContaining(std::string part) { part_ = std::move(part); }
 
   Status NewWritableFile(const std::string& fname,
                          std::unique_ptr<WritableFile>* file) override {
@@ -84,7 +91,8 @@ class FaultyEnv : public Env {
     if ((!only_op_.empty() && only_op_ != op) ||
         fname.size() < suffix_.size() ||
         fname.compare(fname.size() - suffix_.size(), suffix_.size(),
-                      suffix_) != 0) {
+                      suffix_) != 0 ||
+        fname.find(part_) == std::string::npos) {
       return Status::OK();
     }
     const int index = ops_.fetch_add(1);
@@ -105,6 +113,7 @@ class FaultyEnv : public Env {
   const Status::Code fault_code_;
   std::string only_op_;
   std::string suffix_;
+  std::string part_;
   std::atomic<int> ops_{0};
   std::atomic<int> injected_{0};
 };
@@ -426,6 +435,206 @@ TEST_F(FaultInjection, HardOutageExhaustsRetryBudget) {
   // The failed task burned its full budget: 3 attempts = 3 injected faults
   // at minimum (dependent tasks may add their own).
   EXPECT_GE(env.faults_injected(), 3);
+}
+
+// ---- Anti-combined jobs: Shared spills and record decoding -----------------
+
+constexpr char kSharedSpill[] = "_shared_spill_";
+
+/// An anti-combined SyntheticJob whose reducers spill Shared many times
+/// (2 KiB of Shared memory) and merge the spills.
+JobSpec SharedSpillingJob() {
+  anticombine::AntiCombineOptions options;
+  options.shared_memory_bytes = 2048;
+  return anticombine::EnableAntiCombining(
+      testing::SyntheticJob({16, 40, true, false}, 2), options);
+}
+
+std::vector<InputSplit> SharedSpillingInput() {
+  return MakeSplits(testing::SyntheticInput(800, 19), 2);
+}
+
+/// Fault-free run of SharedSpillingJob on `env`.
+JobResult RunSharedSpillingJob(Env* env) {
+  RunOptions options;
+  options.env = env;
+  JobResult result;
+  const Status st =
+      RunJob(SharedSpillingJob(), SharedSpillingInput(), options, &result);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return result;
+}
+
+// The sibling of EveryFaultPointSurfacesAsStatus over a job whose reduce
+// tasks spill and merge Shared: every I/O fault, including those on Shared's
+// spill files, fails the job with a clean Status instead of killing the
+// process.
+TEST(AntiCombinedFaults, EveryFaultPointSurfacesAsStatus) {
+  int total_ops = 0;
+  {
+    FaultyEnv env(NewMemEnv(), FaultyEnv::kForever);
+    const JobResult clean = RunSharedSpillingJob(&env);
+    ASSERT_GT(clean.metrics.shared_spills, 10u) << "premise: Shared spills";
+    ASSERT_GT(clean.metrics.shared_spill_merges, 0u)
+        << "premise: Shared merges its spills";
+    total_ops = env.operations_seen();
+  }
+  for (int fail_at = 0; fail_at < total_ops; ++fail_at) {
+    FaultyEnv env(NewMemEnv(), fail_at);
+    RunOptions options;
+    options.env = &env;
+    JobResult result;
+    const Status st =
+        RunJob(SharedSpillingJob(), SharedSpillingInput(), options, &result);
+    EXPECT_FALSE(st.ok()) << "fault at op " << fail_at << " was swallowed";
+    EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  }
+}
+
+// A transient fault on a Shared spill operation (write or read-back; every
+// fifth one is sampled) fails the reduce attempt, and the retry reproduces
+// the fault-free output.
+TEST(AntiCombinedFaults, SharedSpillFaultIsRetriedToIdenticalOutput) {
+  uint64_t clean_hash = 0;
+  int spill_ops = 0;
+  {
+    FaultyEnv env(NewMemEnv(), FaultyEnv::kForever);
+    env.SampleOnlyContaining(kSharedSpill);
+    clean_hash = engine::OutputMultisetHash(
+        RunSharedSpillingJob(&env).FlatOutput());
+    spill_ops = env.operations_seen();
+  }
+  ASSERT_GT(spill_ops, 20) << "premise: Shared spill files are written "
+                              "and read back";
+  for (int fail_at = 0; fail_at < spill_ops; fail_at += 5) {
+    FaultyEnv env(NewMemEnv(), fail_at, /*fail_times=*/1);
+    env.SampleOnlyContaining(kSharedSpill);
+    RunOptions options;
+    options.env = &env;
+    options.max_task_attempts = 3;
+    options.retry_backoff_nanos = 1000;  // keep the sweep fast
+    JobResult result;
+    const Status st =
+        RunJob(SharedSpillingJob(), SharedSpillingInput(), options, &result);
+    ASSERT_TRUE(st.ok()) << "fault at spill op " << fail_at
+                         << " not survived: " << st.ToString();
+    EXPECT_EQ(env.faults_injected(), 1) << "fault at spill op " << fail_at;
+    EXPECT_EQ(engine::OutputMultisetHash(result.FlatOutput()), clean_hash)
+        << "output diverged after retry, fault at spill op " << fail_at;
+  }
+}
+
+/// SequentialFile that flips the last byte of the file it reads.
+class LastByteFlippingFile : public SequentialFile {
+ public:
+  LastByteFlippingFile(std::unique_ptr<SequentialFile> base, uint64_t size)
+      : base_(std::move(base)), size_(size) {}
+
+  Status Read(size_t n, Slice* result, char* scratch) override {
+    ANTIMR_RETURN_NOT_OK(base_->Read(n, result, scratch));
+    if (pos_ < size_ && size_ <= pos_ + result->size()) {
+      if (result->data() != scratch) {
+        std::memcpy(scratch, result->data(), result->size());
+      }
+      scratch[size_ - 1 - pos_] ^= 0x20;
+      *result = Slice(scratch, result->size());
+    }
+    pos_ += result->size();
+    return Status::OK();
+  }
+  Status Skip(uint64_t n) override {
+    pos_ += n;
+    return base_->Skip(n);
+  }
+
+ private:
+  std::unique_ptr<SequentialFile> base_;
+  uint64_t size_;
+  uint64_t pos_ = 0;
+};
+
+/// MemEnv whose Shared spill files read back with their last byte flipped.
+class SpillFlippingEnv : public FaultyEnv {
+ public:
+  SpillFlippingEnv() : FaultyEnv(NewMemEnv(), kForever) {}
+
+  Status NewSequentialFile(const std::string& fname,
+                           std::unique_ptr<SequentialFile>* file) override {
+    ANTIMR_RETURN_NOT_OK(FaultyEnv::NewSequentialFile(fname, file));
+    uint64_t size = 0;
+    if (fname.find(kSharedSpill) != std::string::npos &&
+        GetFileSize(fname, &size).ok() && size > 0) {
+      *file = std::make_unique<LastByteFlippingFile>(std::move(*file), size);
+    }
+    return Status::OK();
+  }
+};
+
+// A flipped byte in a Shared spill is caught by the spill's block CRC and
+// fails the job with a permanent Corruption that names the spill file; it is
+// never read back as wrong output.
+TEST(AntiCombinedFaults, FlippedSharedSpillByteIsCorruption) {
+  JobSpec spec = SharedSpillingJob();
+  spec.shuffle_block_bytes = 512;  // several blocks per spill
+  SpillFlippingEnv env;
+  RunOptions options;
+  options.env = &env;
+  options.max_task_attempts = 3;
+  options.retry_backoff_nanos = 1000;
+  JobResult result;
+  const Status st = RunJob(spec, SharedSpillingInput(), options, &result);
+  ASSERT_FALSE(st.ok()) << "a corrupt Shared spill was read back as output";
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.message().find(kSharedSpill), std::string::npos)
+      << st.ToString();
+}
+
+// A malformed anti-combining payload (a bad flag byte, a truncated LazySH
+// record) fails the AntiCombiner's combine pass and the AntiReducer's task
+// with Corruption instead of aborting the process.
+TEST(AntiCombinedFaults, CorruptEncodedRecordIsCorruption) {
+  anticombine::AntiCombineOptions ac;
+  ac.map_phase_combiner = true;
+  const JobSpec spec = anticombine::EnableAntiCombining(
+      testing::SyntheticJob({4, 40, true, true}, 1), ac);
+  ASSERT_NE(spec.combiner_factory, nullptr);
+  auto env = NewMemEnv();
+  const std::vector<std::string> bad_payloads = {
+      std::string("\x07value", 6),          // unknown encoding flag
+      std::string("\x01\x09trunc", 7),      // LazySH key longer than payload
+  };
+  for (const std::string& payload : bad_payloads) {
+    const std::vector<KV> records = {{"k1", payload}};
+
+    TaskInfo info;
+    info.num_reduce_tasks = spec.num_reduce_tasks;
+    info.shuffle_partition = 0;
+    info.partitioner = spec.partitioner.get();
+    info.key_cmp = spec.key_cmp;
+    info.grouping_cmp = spec.EffectiveGroupingCmp();
+    info.env = env.get();
+    KVVectorStream stream(&records);
+    std::vector<KV> combined;
+    GroupRunStats stats;
+    const Status combine = ApplyCombiner(spec, info, &stream, &combined, &stats);
+    EXPECT_TRUE(combine.IsCorruption()) << combine.ToString();
+
+    KVVectorStream segment_records(&records);
+    FetchedSegment segment;
+    segment.file = "bad_segment";
+    ASSERT_TRUE(WriteSegment(env.get(), segment.file, &segment_records,
+                             nullptr, nullptr, nullptr)
+                    .ok());
+    ASSERT_TRUE(
+        ReadFileToString(env.get(), segment.file, &segment.frames).ok());
+    segment.fetched_bytes = segment.frames.size();
+    ReduceTaskInputs inputs;
+    inputs.fetched = {&segment};
+    ReduceTaskResult reduced;
+    const Status reduce = RunReduceTask(spec, /*partition=*/0, inputs,
+                                        env.get(), true, &reduced);
+    EXPECT_TRUE(reduce.IsCorruption()) << reduce.ToString();
+  }
 }
 
 // A worker whose local storage flakes transiently mid-job: the fault fails

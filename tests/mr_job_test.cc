@@ -258,6 +258,53 @@ TEST(JobRunner, CombinerReducesShuffledRecords) {
   EXPECT_GT(with_combiner.combine_input_records, 0u);
 }
 
+// Reports Corruption through ReduceContext::Fail from one lifecycle call.
+class FailingReducer : public Reducer {
+ public:
+  explicit FailingReducer(std::string phase) : phase_(std::move(phase)) {}
+
+  void Setup(const TaskInfo& info, ReduceContext* ctx) override {
+    (void)info;
+    MaybeFail("setup", ctx);
+  }
+  void Reduce(const Slice& key, ValueIterator* values,
+              ReduceContext* ctx) override {
+    Slice v;
+    while (values->Next(&v)) ctx->Emit(key, v);
+    MaybeFail("reduce", ctx);
+  }
+  void Cleanup(ReduceContext* ctx) override { MaybeFail("cleanup", ctx); }
+
+ private:
+  void MaybeFail(const std::string& phase, ReduceContext* ctx) {
+    if (phase == phase_) ctx->Fail(Status::Corruption("failed in " + phase));
+  }
+
+  std::string phase_;
+};
+
+// A reducer's reported failure fails its task, whichever lifecycle call
+// reported it, both as the job's Reducer and as a Combiner in map tasks.
+TEST(JobRunner, ReducerFailureFailsTheJob) {
+  for (const std::string phase : {"setup", "reduce", "cleanup"}) {
+    for (const bool as_combiner : {false, true}) {
+      JobSpec spec = EchoConcatJob();
+      ReducerFactory failing = [phase]() {
+        return std::make_unique<FailingReducer>(phase);
+      };
+      (as_combiner ? spec.combiner_factory : spec.reducer_factory) = failing;
+      JobResult result;
+      const Status st =
+          RunJob(spec, {MakeSplit({{"a", "1"}, {"b", "2"}})}, &result);
+      EXPECT_TRUE(st.IsCorruption())
+          << phase << (as_combiner ? " combiner: " : " reducer: ")
+          << st.ToString();
+      EXPECT_NE(st.message().find("failed in " + phase), std::string::npos)
+          << st.ToString();
+    }
+  }
+}
+
 TEST(JobRunner, MapOutputCompressionRoundTrips) {
   std::vector<KV> input;
   for (int i = 0; i < 300; ++i) {

@@ -246,6 +246,32 @@ TEST(HotKeySplitTest, Stage1RequiresPartialReducer) {
   EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
 }
 
+// The stage-1 reducer hands its partial reducer a salt-stripping context; a
+// failure the partial reducer reports there must still fail the task.
+TEST(HotKeySplitTest, Stage1ForwardsPartialReducerFailure) {
+  class FailingReducer : public Reducer {
+   public:
+    void Reduce(const Slice& key, ValueIterator* values,
+                ReduceContext* ctx) override {
+      (void)key;
+      (void)values;
+      ctx->Fail(Status::Corruption("partial reducer failed"));
+    }
+  };
+  workloads::WordCountConfig config;
+  JobSpec spec = workloads::MakeWordCountJob(config);
+  spec.partial_reducer_factory = []() {
+    return std::make_unique<FailingReducer>();
+  };
+  auto model = std::make_shared<SkewModel>(HotModel({"hot"}, 4));
+  JobSpec stage1;
+  ASSERT_TRUE(MakeSplitStage1Spec(spec, model, &stage1).ok());
+  JobResult result;
+  const Status st =
+      RunJob(stage1, MakeSplits({{"line", "hot cold"}}, 1), &result);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+}
+
 std::vector<KV> SortedMultiset(std::vector<KV> kvs) {
   std::sort(kvs.begin(), kvs.end(), [](const KV& a, const KV& b) {
     return a.key != b.key ? a.key < b.key : a.value < b.value;

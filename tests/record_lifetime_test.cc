@@ -34,15 +34,6 @@ class RecordLifetimeTest : public ::testing::Test {
  protected:
   void SetUp() override { env_ = NewMemEnv(); }
 
-  void WriteRun(const std::string& fname,
-                const std::vector<std::pair<std::string, std::string>>& kvs) {
-    std::unique_ptr<WritableFile> file;
-    ASSERT_TRUE(env_->NewWritableFile(fname, &file).ok());
-    RunWriter writer(std::move(file));
-    for (const auto& [k, v] : kvs) ASSERT_TRUE(writer.Add(k, v).ok());
-    ASSERT_TRUE(writer.Close().ok());
-  }
-
   void WriteBlockRun(const std::string& fname, size_t block_bytes,
                      const std::vector<std::pair<std::string, std::string>>& kvs,
                      uint64_t* blocks_out = nullptr) {
@@ -56,19 +47,31 @@ class RecordLifetimeTest : public ::testing::Test {
     if (blocks_out != nullptr) *blocks_out = writer.block_count();
   }
 
+  /// Open `fname` through a file source (the path Shared's spills and map
+  /// spill merges read), positioned at its first record.
+  std::unique_ptr<BlockRunReader> OpenBlockRun(const std::string& fname) {
+    std::unique_ptr<SequentialFile> file;
+    EXPECT_TRUE(env_->NewSequentialFile(fname, &file).ok());
+    BlockRunReader::Options ropts;
+    ropts.name = fname;
+    auto reader = std::make_unique<BlockRunReader>(
+        std::move(file), GetCodec(CodecType::kNone), ropts);
+    EXPECT_TRUE(reader->Open().ok());
+    return reader;
+  }
+
   std::unique_ptr<Env> env_;
 };
 
-// Both views of one record come from the same buffer generation: reading
-// the value (which may refill/compact the reader's buffer internally) must
-// never invalidate the key of the same record. Touch both views repeatedly
-// before advancing.
-TEST_F(RecordLifetimeTest, RunReaderRecordViewsCoherentUntilNext) {
-  // Values big enough that only a handful of records fit per refill.
+// Both views of one record come from the same decoded block: reading the
+// value must never invalidate the key of the same record, even while the
+// file source refills its buffer and the readahead window underneath. Touch
+// both views repeatedly before advancing.
+TEST_F(RecordLifetimeTest, BlockRunFileRecordViewsCoherentUntilNext) {
+  // ~60 KiB of records: several frames through the reader's file buffer.
   const auto kvs = MakeRecords(200, 300);
-  WriteRun("r", kvs);
-  std::unique_ptr<KVStream> stream;
-  ASSERT_TRUE(OpenRun(env_.get(), "r", &stream).ok());
+  WriteBlockRun("r", /*block_bytes=*/4096, kvs);
+  std::unique_ptr<KVStream> stream = OpenBlockRun("r");
   size_t i = 0;
   while (stream->Valid()) {
     const Slice key = stream->key();
@@ -84,17 +87,19 @@ TEST_F(RecordLifetimeTest, RunReaderRecordViewsCoherentUntilNext) {
   EXPECT_EQ(i, kvs.size());
 }
 
-// A record larger than the reader's internal buffer exercises the
-// grow-and-retry slow path; the views must still be coherent.
-TEST_F(RecordLifetimeTest, RunReaderViewsSurviveOversizedRecords) {
+// A record larger than block_bytes (and than the file source's 64 KiB
+// buffer) becomes a frame of its own, read across several buffer refills;
+// the views must still be coherent.
+TEST_F(RecordLifetimeTest, BlockRunFileViewsSurviveOversizedRecords) {
   std::vector<std::pair<std::string, std::string>> kvs = {
       {"small", "v"},
       {std::string(70 * 1024, 'K'), std::string(200 * 1024, 'V')},
       {"tail", std::string(90 * 1024, 't')},
   };
-  WriteRun("r", kvs);
-  std::unique_ptr<KVStream> stream;
-  ASSERT_TRUE(OpenRun(env_.get(), "r", &stream).ok());
+  uint64_t blocks = 0;
+  WriteBlockRun("r", kDefaultBlockBytes, kvs, &blocks);
+  ASSERT_EQ(blocks, 2u) << "each oversized record closes its block";
+  std::unique_ptr<KVStream> stream = OpenBlockRun("r");
   for (const auto& [k, v] : kvs) {
     ASSERT_TRUE(stream->Valid());
     EXPECT_EQ(stream->key().ToString(), k);

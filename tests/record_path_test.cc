@@ -1,13 +1,13 @@
 // Cost of the record path itself: the zero-copy path (arena-interned
-// RecordRefs in the map output buffer, slice views on the run-file read
+// RecordRefs in the map output buffer, slice views on the block-segment read
 // path, view-based grouping) against a re-creation of an owning-string path
 // (std::string copies at emit, at decode, and per grouped value) on the two
 // shuffle-heavy workload shapes: WordCount's many tiny records and the
 // theta-join's wide cloud reports.
 //
 // Both paths push the same records through the same partitioner, sort order
-// and run-file encode/decode; they differ only in how records are owned in
-// between. Two costs are charged per record:
+// and block-segment encode/decode; they differ only in how records are owned
+// in between. Two costs are charged per record:
 //   bytes copied — payload bytes materialized into owned storage, counted at
 //                  every copy site each design performs (including the
 //                  shared encode step both pay)
@@ -28,8 +28,8 @@
 #include "common/hash.h"
 #include "datagen/cloud.h"
 #include "datagen/random_text.h"
-#include "io/run_file.h"
 #include "mr/map_output_buffer.h"
+#include "mr/shuffle.h"
 
 namespace antimr {
 namespace {
@@ -86,19 +86,25 @@ struct PathStats {
 
 void WritePartitionRun(Env* env, const std::string& fname, KVStream* stream,
                        uint64_t* bytes_copied) {
-  std::unique_ptr<WritableFile> file;
-  ASSERT_TRUE(env->NewWritableFile(fname, &file).ok());
-  RunWriter writer(std::move(file));
-  while (stream->Valid()) {
-    // Encoding into the run buffer copies the payload; both paths pay it.
-    *bytes_copied += stream->key().size() + stream->value().size();
-    ASSERT_TRUE(writer.Add(stream->key(), stream->value()).ok());
-    ASSERT_TRUE(stream->Next().ok());
-  }
-  ASSERT_TRUE(writer.Close().ok());
+  SegmentWriteResult res;
+  ASSERT_TRUE(WriteSegment(env, fname, stream, GetCodec(CodecType::kNone),
+                           nullptr, &res)
+                  .ok());
+  // Encoding into the run's blocks copies the serialized records; both
+  // paths pay it.
+  *bytes_copied += res.raw_bytes;
 }
 
-/// MapOutputBuffer (arena-interned RecordRefs) -> run files -> RunReader
+std::unique_ptr<KVStream> OpenPartitionRun(Env* env,
+                                           const std::string& fname) {
+  std::unique_ptr<BlockRunReader> reader;
+  EXPECT_TRUE(OpenSegmentReader(env, fname, GetCodec(CodecType::kNone), {},
+                                &reader)
+                  .ok());
+  return reader;
+}
+
+/// MapOutputBuffer (arena-interned RecordRefs) -> run files -> block reader
 /// slice views -> view-based grouping (the group key is materialized once
 /// per group, values are consumed as views).
 void RunZeroCopyPath(const Records& records, PathStats* stats) {
@@ -122,8 +128,9 @@ void RunZeroCopyPath(const Records& records, PathStats* stats) {
 
   std::string group_key;
   for (int p = 0; p < kPartitions; ++p) {
-    std::unique_ptr<KVStream> stream;
-    ASSERT_TRUE(OpenRun(env.get(), "zc" + std::to_string(p), &stream).ok());
+    std::unique_ptr<KVStream> stream =
+        OpenPartitionRun(env.get(), "zc" + std::to_string(p));
+    ASSERT_NE(stream, nullptr);
     bool in_group = false;
     while (stream->Valid()) {
       const Slice key = stream->key();
@@ -170,8 +177,9 @@ void RunStringPath(const Records& records, PathStats* stats) {
   std::string key_buf;
   std::string value_buf;
   for (int p = 0; p < kPartitions; ++p) {
-    std::unique_ptr<KVStream> stream;
-    ASSERT_TRUE(OpenRun(env.get(), "sb" + std::to_string(p), &stream).ok());
+    std::unique_ptr<KVStream> stream =
+        OpenPartitionRun(env.get(), "sb" + std::to_string(p));
+    ASSERT_NE(stream, nullptr);
     std::string group_key;
     std::vector<std::string> group_values;
     bool in_group = false;

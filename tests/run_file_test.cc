@@ -13,9 +13,19 @@ class RunFileTest : public ::testing::Test {
                 const std::vector<std::pair<std::string, std::string>>& kvs) {
     std::unique_ptr<WritableFile> file;
     ASSERT_TRUE(env_->NewWritableFile(fname, &file).ok());
-    RunWriter writer(std::move(file));
+    BlockRunWriter writer(std::move(file), GetCodec(CodecType::kNone), {});
     for (const auto& [k, v] : kvs) ASSERT_TRUE(writer.Add(k, v).ok());
-    ASSERT_TRUE(writer.Close().ok());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+
+  /// Open `fname` as a block run reader positioned at its first record.
+  std::unique_ptr<BlockRunReader> OpenBlockRun(const std::string& fname) {
+    std::unique_ptr<SequentialFile> file;
+    EXPECT_TRUE(env_->NewSequentialFile(fname, &file).ok());
+    auto reader = std::make_unique<BlockRunReader>(
+        std::move(file), GetCodec(CodecType::kNone), BlockRunReader::Options{});
+    EXPECT_TRUE(reader->Open().ok());
+    return reader;
   }
 
   std::unique_ptr<Env> env_;
@@ -23,8 +33,7 @@ class RunFileTest : public ::testing::Test {
 
 TEST_F(RunFileTest, RoundTrip) {
   WriteRun("r", {{"a", "1"}, {"b", "2"}, {"c", "3"}});
-  std::unique_ptr<KVStream> stream;
-  ASSERT_TRUE(OpenRun(env_.get(), "r", &stream).ok());
+  std::unique_ptr<KVStream> stream = OpenBlockRun("r");
   std::vector<std::pair<std::string, std::string>> got;
   while (stream->Valid()) {
     got.emplace_back(stream->key().ToString(), stream->value().ToString());
@@ -37,15 +46,13 @@ TEST_F(RunFileTest, RoundTrip) {
 
 TEST_F(RunFileTest, EmptyRun) {
   WriteRun("r", {});
-  std::unique_ptr<KVStream> stream;
-  ASSERT_TRUE(OpenRun(env_.get(), "r", &stream).ok());
+  std::unique_ptr<KVStream> stream = OpenBlockRun("r");
   EXPECT_FALSE(stream->Valid());
 }
 
 TEST_F(RunFileTest, EmptyKeysAndValues) {
   WriteRun("r", {{"", ""}, {"k", ""}, {"", "v"}});
-  std::unique_ptr<KVStream> stream;
-  ASSERT_TRUE(OpenRun(env_.get(), "r", &stream).ok());
+  std::unique_ptr<KVStream> stream = OpenBlockRun("r");
   EXPECT_TRUE(stream->Valid());
   EXPECT_TRUE(stream->key().empty());
   EXPECT_TRUE(stream->value().empty());
@@ -61,8 +68,7 @@ TEST_F(RunFileTest, BinaryPayloads) {
   std::string key("\x00\x01\xff", 3);
   std::string value(300, '\0');
   WriteRun("r", {{key, value}});
-  std::unique_ptr<KVStream> stream;
-  ASSERT_TRUE(OpenRun(env_.get(), "r", &stream).ok());
+  std::unique_ptr<KVStream> stream = OpenBlockRun("r");
   EXPECT_EQ(stream->key().ToString(), key);
   EXPECT_EQ(stream->value().ToString(), value);
 }
@@ -70,34 +76,12 @@ TEST_F(RunFileTest, BinaryPayloads) {
 TEST_F(RunFileTest, RecordCountTracked) {
   std::unique_ptr<WritableFile> file;
   ASSERT_TRUE(env_->NewWritableFile("r", &file).ok());
-  RunWriter writer(std::move(file));
+  BlockRunWriter writer(std::move(file), GetCodec(CodecType::kNone), {});
   for (int i = 0; i < 17; ++i) {
     ASSERT_TRUE(writer.Add("k", "v").ok());
   }
   EXPECT_EQ(writer.record_count(), 17u);
-  ASSERT_TRUE(writer.Close().ok());
-}
-
-TEST_F(RunFileTest, StringRunStreamParsesOwnedBuffer) {
-  WriteRun("r", {{"x", "1"}, {"y", "2"}});
-  std::string raw;
-  ASSERT_TRUE(ReadFileToString(env_.get(), "r", &raw).ok());
-  StringRunStream stream(std::move(raw));
-  ASSERT_TRUE(stream.Open().ok());
-  EXPECT_EQ(stream.key().ToString(), "x");
-  ASSERT_TRUE(stream.Next().ok());
-  EXPECT_EQ(stream.key().ToString(), "y");
-  ASSERT_TRUE(stream.Next().ok());
-  EXPECT_FALSE(stream.Valid());
-}
-
-TEST_F(RunFileTest, StringRunStreamRejectsTruncation) {
-  WriteRun("r", {{"key", "value"}});
-  std::string raw;
-  ASSERT_TRUE(ReadFileToString(env_.get(), "r", &raw).ok());
-  raw.pop_back();
-  StringRunStream stream(std::move(raw));
-  EXPECT_TRUE(stream.Open().IsCorruption());
+  ASSERT_TRUE(writer.Finish().ok());
 }
 
 // ---- Torn writes -----------------------------------------------------------

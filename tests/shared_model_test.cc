@@ -55,21 +55,26 @@ TEST_P(SharedModelTest, MatchesReferenceModel) {
       const std::string key =
           "k" + std::to_string(rng.Uniform(static_cast<uint64_t>(p.key_space)));
       const std::string value = "v" + std::to_string(rng.Next() % 1000);
-      shared.Add(key, value);
+      ASSERT_TRUE(shared.Add(key, value).ok());
       model.emplace(key, value);
     } else if (op < 8) {
       // Peek: must agree on the minimal key (or emptiness).
       std::string min_key;
       const bool has = shared.PeekMinKey(&min_key);
       EXPECT_EQ(has, !model.empty());
-      if (has) EXPECT_EQ(min_key, model.begin()->first);
+      if (has) {
+        EXPECT_EQ(min_key, model.begin()->first);
+      }
     } else {
       // Pop: the minimal group, as a multiset of values.
       std::string group_key;
       std::vector<Slice> values;
-      const bool popped = shared.PopMinKeyValues(&group_key, &values);
-      EXPECT_EQ(popped, !model.empty());
-      if (!popped) continue;
+      const Status popped = shared.PopMinKeyValues(&group_key, &values);
+      EXPECT_EQ(popped.ok(), !model.empty()) << popped.ToString();
+      if (!popped.ok()) {
+        EXPECT_TRUE(popped.IsNotFound()) << popped.ToString();
+        continue;
+      }
       const std::string expected_key = model.begin()->first;
       EXPECT_EQ(group_key, expected_key);
       std::multiset<std::string> expected;
@@ -87,8 +92,10 @@ TEST_P(SharedModelTest, MatchesReferenceModel) {
   bool first = true;
   std::string group_key;
   std::vector<Slice> values;
-  while (shared.PopMinKeyValues(&group_key, &values)) {
-    if (!first) EXPECT_GT(group_key, last_key);
+  while (shared.PopMinKeyValues(&group_key, &values).ok()) {
+    if (!first) {
+      EXPECT_GT(group_key, last_key);
+    }
     first = false;
     last_key = group_key;
     std::multiset<std::string> expected;

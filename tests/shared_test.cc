@@ -59,7 +59,7 @@ class SharedTest : public ::testing::Test {
     while (shared->PeekMinKey(&key)) {
       values.clear();
       std::string group_key;
-      EXPECT_TRUE(shared->PopMinKeyValues(&group_key, &values));
+      EXPECT_TRUE(shared->PopMinKeyValues(&group_key, &values).ok());
       if (!first) {
         EXPECT_GT(group_key, last_key) << "groups must pop in key order";
       }
@@ -81,12 +81,12 @@ TEST_F(SharedTest, EmptyInitially) {
   std::string key;
   EXPECT_FALSE(shared.PeekMinKey(&key));
   std::vector<Slice> values;
-  EXPECT_FALSE(shared.PopMinKeyValues(&key, &values));
+  EXPECT_TRUE(shared.PopMinKeyValues(&key, &values).IsNotFound());
 }
 
 TEST_F(SharedTest, SingleRecord) {
   Shared shared(BaseOptions());
-  shared.Add("k", "v");
+  ASSERT_TRUE(shared.Add("k", "v").ok());
   std::string key;
   ASSERT_TRUE(shared.PeekMinKey(&key));
   EXPECT_EQ(key, "k");
@@ -97,19 +97,19 @@ TEST_F(SharedTest, SingleRecord) {
 
 TEST_F(SharedTest, PopsInKeyOrder) {
   Shared shared(BaseOptions());
-  shared.Add("delta", "4");
-  shared.Add("alpha", "1");
-  shared.Add("charlie", "3");
-  shared.Add("bravo", "2");
+  ASSERT_TRUE(shared.Add("delta", "4").ok());
+  ASSERT_TRUE(shared.Add("alpha", "1").ok());
+  ASSERT_TRUE(shared.Add("charlie", "3").ok());
+  ASSERT_TRUE(shared.Add("bravo", "2").ok());
   auto all = DrainAll(&shared);  // DrainAll asserts ordering
   EXPECT_EQ(all.size(), 4u);
 }
 
 TEST_F(SharedTest, MultipleValuesPerKey) {
   Shared shared(BaseOptions());
-  shared.Add("k", "1");
-  shared.Add("k", "2");
-  shared.Add("k", "3");
+  ASSERT_TRUE(shared.Add("k", "1").ok());
+  ASSERT_TRUE(shared.Add("k", "2").ok());
+  ASSERT_TRUE(shared.Add("k", "3").ok());
   auto all = DrainAll(&shared);
   EXPECT_EQ(all["k"], (std::vector<std::string>{"1", "2", "3"}));
 }
@@ -122,7 +122,7 @@ TEST_F(SharedTest, SpillsWhenOverBudget) {
   for (int i = 0; i < 200; ++i) {
     const std::string key = "key" + std::to_string(i % 37);
     const std::string value = "value_" + std::to_string(i);
-    shared.Add(key, value);
+    ASSERT_TRUE(shared.Add(key, value).ok());
     expected[key].push_back(value);
   }
   EXPECT_GT(metrics_.shared_spills, 0u);
@@ -145,7 +145,8 @@ TEST_F(SharedTest, SpillMergeKeepsData) {
   Shared shared(options);
   size_t total = 0;
   for (int i = 0; i < 400; ++i) {
-    shared.Add("k" + std::to_string(i % 50), std::string(20, 'x'));
+    ASSERT_TRUE(
+        shared.Add("k" + std::to_string(i % 50), std::string(20, 'x')).ok());
     ++total;
   }
   EXPECT_GT(metrics_.shared_spill_merges, 0u);
@@ -157,52 +158,52 @@ TEST_F(SharedTest, SpillMergeKeepsData) {
 
 TEST_F(SharedTest, InterleavedAddAndPop) {
   Shared shared(BaseOptions());
-  shared.Add("b", "b1");
-  shared.Add("d", "d1");
+  ASSERT_TRUE(shared.Add("b", "b1").ok());
+  ASSERT_TRUE(shared.Add("d", "d1").ok());
   std::string key;
   std::vector<Slice> values;
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
   EXPECT_EQ(key, "b");
   // Add keys after popping; they must surface in order.
-  shared.Add("c", "c1");
-  shared.Add("e", "e1");
+  ASSERT_TRUE(shared.Add("c", "c1").ok());
+  ASSERT_TRUE(shared.Add("e", "e1").ok());
   values.clear();
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
   EXPECT_EQ(key, "c");
   values.clear();
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
   EXPECT_EQ(key, "d");
   values.clear();
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
   EXPECT_EQ(key, "e");
   EXPECT_TRUE(shared.Empty());
 }
 
 TEST_F(SharedTest, ReAddingPoppedKeyWorks) {
   Shared shared(BaseOptions());
-  shared.Add("k", "1");
+  ASSERT_TRUE(shared.Add("k", "1").ok());
   std::string key;
   std::vector<Slice> values;
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
-  shared.Add("k", "2");
+  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
+  ASSERT_TRUE(shared.Add("k", "2").ok());
   values.clear();
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
   EXPECT_EQ(Strings(values), std::vector<std::string>{"2"});
 }
 
 TEST_F(SharedTest, GroupingComparatorMergesKeys) {
   Shared shared(FirstCharGrouping(BaseOptions()));
-  shared.Add("a2", "second");
-  shared.Add("a1", "first");
-  shared.Add("b1", "other");
+  ASSERT_TRUE(shared.Add("a2", "second").ok());
+  ASSERT_TRUE(shared.Add("a1", "first").ok());
+  ASSERT_TRUE(shared.Add("b1", "other").ok());
   std::string key;
   std::vector<Slice> values;
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
   EXPECT_EQ(key, "a1");
   // Values of a1 and a2, in key order.
   EXPECT_EQ(Strings(values), (std::vector<std::string>{"first", "second"}));
   values.clear();
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
   EXPECT_EQ(key, "b1");
 }
 
@@ -211,11 +212,12 @@ TEST_F(SharedTest, GroupSpansMemoryAndSpills) {
   options.memory_limit_bytes = 64;
   Shared shared(options);
   // First adds spill; later adds for the same key stay in memory.
-  shared.Add("k", std::string(100, 'a'));  // spills immediately
-  shared.Add("k", "b");
+  // Spills immediately.
+  ASSERT_TRUE(shared.Add("k", std::string(100, 'a')).ok());
+  ASSERT_TRUE(shared.Add("k", "b").ok());
   std::string key;
   std::vector<Slice> values;
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
   EXPECT_EQ(key, "k");
   ASSERT_EQ(values.size(), 2u);
 }
@@ -237,7 +239,7 @@ TEST_F(SharedTest, CombinerCollapsesValues) {
   Shared::Options options = BaseOptions();
   options.combiner = &combiner;
   Shared shared(options);
-  for (int i = 0; i < 100; ++i) shared.Add("k", "1");
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(shared.Add("k", "1").ok());
   // Reduce-phase combining keeps one value per key.
   EXPECT_LT(shared.memory_usage(), 64u);
   auto all = DrainAll(&shared);
@@ -253,7 +255,7 @@ TEST_F(SharedTest, CombinerPreventsSpills) {
   Shared shared(options);
   // 20 keys x 1000 values: without combining this would spill many times.
   for (int i = 0; i < 20000; ++i) {
-    shared.Add("key" + std::to_string(i % 20), "1");
+    ASSERT_TRUE(shared.Add("key" + std::to_string(i % 20), "1").ok());
   }
   EXPECT_EQ(metrics_.shared_spills, 0u);
   auto all = DrainAll(&shared);
@@ -269,7 +271,8 @@ TEST_F(SharedTest, SpillFilesRemovedOnDestruction) {
   {
     Shared shared(options);
     for (int i = 0; i < 50; ++i) {
-      shared.Add("k" + std::to_string(i), std::string(40, 'z'));
+      ASSERT_TRUE(
+          shared.Add("k" + std::to_string(i), std::string(40, 'z')).ok());
     }
     EXPECT_GT(metrics_.shared_spills, 0u);
   }
@@ -282,18 +285,18 @@ TEST_F(SharedTest, BinarySafeKeysAndValues) {
   Shared shared(BaseOptions());
   const std::string key("\x00\x01", 2);
   const std::string value("\xff\x00\xfe", 3);
-  shared.Add(key, value);
+  ASSERT_TRUE(shared.Add(key, value).ok());
   std::string popped;
   std::vector<Slice> values;
-  ASSERT_TRUE(shared.PopMinKeyValues(&popped, &values));
+  ASSERT_TRUE(shared.PopMinKeyValues(&popped, &values).ok());
   EXPECT_EQ(popped, key);
   EXPECT_EQ(Strings(values), std::vector<std::string>{value});
 }
 
 TEST_F(SharedTest, PeekMinKeySliceOverloadViewsInternedKey) {
   Shared shared(BaseOptions());
-  shared.Add(Slice("banana"), Slice("v1"));
-  shared.Add(Slice("apple"), Slice("v2"));
+  ASSERT_TRUE(shared.Add(Slice("banana"), Slice("v1")).ok());
+  ASSERT_TRUE(shared.Add(Slice("apple"), Slice("v2")).ok());
   Slice min;
   ASSERT_TRUE(shared.PeekMinKey(&min));
   EXPECT_EQ(min.ToString(), "apple");
@@ -317,11 +320,11 @@ TEST_F(SharedTest, AddToExistingKeyDoesNotCopyKey) {
   const std::string key(32, 'k');
   const std::string value(32, 'v');
   // Warm up: intern the key, size the containers.
-  for (int i = 0; i < 8; ++i) shared.Add(key, value);
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(shared.Add(key, value).ok());
 
   const uint64_t before = test_alloc::AllocationCount();
   constexpr int kAdds = 1000;
-  for (int i = 0; i < kAdds; ++i) shared.Add(key, value);
+  for (int i = 0; i < kAdds; ++i) ASSERT_TRUE(shared.Add(key, value).ok());
   const uint64_t allocs = test_alloc::AllocationCount() - before;
 
   // ~33 KB of packed values: about a dozen buffer doublings. A per-value
@@ -335,13 +338,13 @@ TEST_F(SharedTest, PopOfLargeGroupCostsConstantAllocations) {
   const std::string key(32, 'k');
   const std::string value(32, 'v');
   constexpr int kValues = 1000;
-  for (int i = 0; i < kValues; ++i) shared.Add(key, value);
+  for (int i = 0; i < kValues; ++i) ASSERT_TRUE(shared.Add(key, value).ok());
 
   std::string popped;
   popped.reserve(64);
   std::vector<Slice> values;
   const uint64_t before = test_alloc::AllocationCount();
-  ASSERT_TRUE(shared.PopMinKeyValues(&popped, &values));
+  ASSERT_TRUE(shared.PopMinKeyValues(&popped, &values).ok());
   const uint64_t allocs = test_alloc::AllocationCount() - before;
 
   ASSERT_EQ(values.size(), static_cast<size_t>(kValues));
@@ -356,17 +359,17 @@ TEST_F(SharedTest, KeyArenaStaysBoundedBehindParkedKey) {
   Shared::Options options = BaseOptions();
   options.memory_limit_bytes = 1 << 20;
   Shared shared(options);
-  shared.Add("zzzzzzzzzz", "v");
-  shared.Add("yyyy", "w");
+  ASSERT_TRUE(shared.Add("zzzzzzzzzz", "v").ok());
+  ASSERT_TRUE(shared.Add("yyyy", "w").ok());
   std::string key;
   std::vector<Slice> values;
   constexpr int kRounds = 20000;  // 1 MB of keys if nothing is reclaimed
   for (int i = 0; i < kRounds; ++i) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "k%049d", i);
-    shared.Add(Slice(buf, 50), "v");
+    ASSERT_TRUE(shared.Add(Slice(buf, 50), "v").ok());
     values.clear();
-    ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+    ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
     ASSERT_EQ(key, std::string(buf, 50));
     ASSERT_EQ(Strings(values), std::vector<std::string>{"v"});
   }
@@ -386,15 +389,15 @@ TEST_F(SharedTest, KeyArenaStaysBoundedBehindParkedKey) {
 // catch.
 TEST_F(SharedTest, PopViewsOfGroupSpanningManyKeys) {
   Shared shared(FirstCharGrouping(BaseOptions()));
-  shared.Add("a3", "v3");
-  shared.Add("a1", "v1a");
-  shared.Add("a4", "v4");
-  shared.Add("a2", "v2");
-  shared.Add("a1", "v1b");
-  shared.Add("b1", "other");
+  ASSERT_TRUE(shared.Add("a3", "v3").ok());
+  ASSERT_TRUE(shared.Add("a1", "v1a").ok());
+  ASSERT_TRUE(shared.Add("a4", "v4").ok());
+  ASSERT_TRUE(shared.Add("a2", "v2").ok());
+  ASSERT_TRUE(shared.Add("a1", "v1b").ok());
+  ASSERT_TRUE(shared.Add("b1", "other").ok());
   std::string key;
   std::vector<Slice> values;
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
   EXPECT_EQ(key, "a1");
   EXPECT_EQ(Strings(values),
             (std::vector<std::string>{"v1a", "v1b", "v2", "v3", "v4"}));
@@ -404,16 +407,16 @@ TEST_F(SharedTest, PopViewsOfGroupMergedFromMemoryAndSpills) {
   Shared::Options options = FirstCharGrouping(BaseOptions());
   options.memory_limit_bytes = 24;
   Shared shared(options);
-  shared.Add("a1", "s1-0123456");  // 12 bytes
-  shared.Add("a2", "s2-0123456");  // 24 bytes
-  shared.Add("a3", "s3-0");        // over budget: spills a1..a3
+  ASSERT_TRUE(shared.Add("a1", "s1-0123456").ok());  // 12 bytes
+  ASSERT_TRUE(shared.Add("a2", "s2-0123456").ok());  // 24 bytes
+  ASSERT_TRUE(shared.Add("a3", "s3-0").ok());  // over budget: spills a1..a3
   ASSERT_EQ(metrics_.shared_spills, 1u);
-  shared.Add("a1", "m1");
-  shared.Add("a4", "m4");
-  shared.Add("b1", "other");
+  ASSERT_TRUE(shared.Add("a1", "m1").ok());
+  ASSERT_TRUE(shared.Add("a4", "m4").ok());
+  ASSERT_TRUE(shared.Add("b1", "other").ok());
   std::string key;
   std::vector<Slice> values;
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
   EXPECT_EQ(key, "a1");
   std::vector<std::string> got = Strings(values);
   ASSERT_EQ(got.size(), 5u);
@@ -427,18 +430,19 @@ TEST_F(SharedTest, PopViewsSurviveLaterPeeksAndAdds) {
   Shared::Options options = FirstCharGrouping(BaseOptions());
   options.memory_limit_bytes = 64;
   Shared shared(options);
-  shared.Add("a2", "two");
-  shared.Add("a1", "one");
-  shared.Add("c1", "three");
+  ASSERT_TRUE(shared.Add("a2", "two").ok());
+  ASSERT_TRUE(shared.Add("a1", "one").ok());
+  ASSERT_TRUE(shared.Add("c1", "three").ok());
   std::string key;
   std::vector<Slice> values;
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
   ASSERT_EQ(key, "a1");
   const uint64_t spills_before = metrics_.shared_spills;
   Slice min;
   ASSERT_TRUE(shared.PeekMinKey(&min));
   for (int i = 0; i < 20; ++i) {
-    shared.Add("b" + std::to_string(i), "x" + std::to_string(i));
+    ASSERT_TRUE(
+        shared.Add("b" + std::to_string(i), "x" + std::to_string(i)).ok());
   }
   EXPECT_GT(metrics_.shared_spills, spills_before) << "no Add spilled";
   ASSERT_TRUE(shared.PeekMinKey(&min));

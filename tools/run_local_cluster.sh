@@ -47,6 +47,25 @@ trap cleanup EXIT INT TERM
 if [ "$WORKLOAD" = "serve" ]; then
   # --- Daemon mode: persistent job service, multi-tenant submissions. ---
   READY="$WORK_DIR/ready"
+
+  # Print the daemon's exit status after its output, so a start-up failure
+  # names its cause: a crash or a bind error (it exited), or a hang (it was
+  # still running at the timeout, so it is stopped here first).
+  report_daemon() {
+    cat "$WORK_DIR/coord.out" >&2
+    if kill -0 "$COORD_PID" 2>/dev/null; then
+      echo "run_local_cluster: serve daemon still running; stopping it" >&2
+      kill "$COORD_PID" 2>/dev/null || true
+    fi
+    DAEMON_STATUS=0
+    wait "$COORD_PID" || DAEMON_STATUS=$?
+    COORD_PID=""
+    echo "run_local_cluster: serve daemon exit status $DAEMON_STATUS" >&2
+  }
+
+  # Created before the launch: the polls below read it before the daemon's
+  # own redirection may have run.
+  : > "$WORK_DIR/coord.out"
   "$CLI" serve --dist=tcp --listen=127.0.0.1:0 --job-listen=127.0.0.1:0 \
       --status-listen=127.0.0.1:0 --local-workers=0 --workers="$WORKERS" \
       --pools=small:3:8,big:1:8 --max-concurrent-jobs=8 \
@@ -68,7 +87,7 @@ if [ "$WORKLOAD" = "serve" ]; then
   done
   if [ -z "$COORD_ADDR" ]; then
     echo "run_local_cluster: serve daemon never announced coordinator:" >&2
-    cat "$WORK_DIR/coord.out" >&2
+    report_daemon
     exit 1
   fi
 
@@ -91,7 +110,7 @@ if [ "$WORKLOAD" = "serve" ]; then
   done
   if [ ! -f "$READY" ]; then
     echo "run_local_cluster: serve daemon never became ready:" >&2
-    cat "$WORK_DIR/coord.out" >&2
+    report_daemon
     exit 1
   fi
   JOBS_ADDR=$(sed -n 's/^jobs=//p' "$READY")
