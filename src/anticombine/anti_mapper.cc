@@ -35,13 +35,14 @@ void AntiMapper::TraceDecision(bool lazy, int partition, size_t lazy_bytes,
 
 void AntiMapper::Setup(const TaskInfo& info, MapContext* ctx) {
   info_ = info;
+  key_order_ = KeyOrder(info.key_cmp);
   o_mapper_ = o_mapper_factory_();
   capture_.Clear();
   const uint64_t t0 = NowNanos();
   o_mapper_->Setup(info, &capture_);
-  const uint64_t cost = NowNanos() - t0;
+  const uint64_t t1 = NowNanos();
   if (!capture_.empty()) {
-    EncodeAndEmit(Slice(), Slice(), /*have_input=*/false, cost, ctx);
+    EncodeAndEmit(Slice(), Slice(), /*have_input=*/false, t1 - t0, t1, ctx);
   }
 }
 
@@ -50,9 +51,9 @@ void AntiMapper::Cleanup(MapContext* ctx) {
   capture_.Clear();
   const uint64_t t0 = NowNanos();
   o_mapper_->Cleanup(&capture_);
-  const uint64_t cost = NowNanos() - t0;
+  const uint64_t t1 = NowNanos();
   if (!capture_.empty()) {
-    EncodeAndEmit(Slice(), Slice(), /*have_input=*/false, cost, ctx);
+    EncodeAndEmit(Slice(), Slice(), /*have_input=*/false, t1 - t0, t1, ctx);
   }
 }
 
@@ -62,13 +63,94 @@ void AntiMapper::Map(const Slice& key, const Slice& value, MapContext* ctx) {
   // original map, measure cost").
   const uint64_t t0 = NowNanos();
   o_mapper_->Map(key, value, &capture_);
-  const uint64_t map_cost = NowNanos() - t0;
+  const uint64_t t1 = NowNanos();
+  const uint64_t map_cost = t1 - t0;
   if (info_.metrics != nullptr) info_.metrics->cpu.map_fn += map_cost;
   if (options_.cross_call_window > 1) {
     BufferCall(key, value, map_cost, ctx);
     return;
   }
-  EncodeAndEmit(key, value, /*have_input=*/true, map_cost, ctx);
+  EncodeAndEmit(key, value, /*have_input=*/true, map_cost, t1, ctx);
+}
+
+void AntiMapper::CountMapOutput(const CaptureContext& records) {
+  JobMetrics* m = info_.metrics;
+  if (m == nullptr) return;
+  m->map_output_records += records.size();
+  for (size_t i = 0; i < records.size(); ++i) {
+    m->map_output_bytes += records.key(i).size() + records.value(i).size();
+  }
+}
+
+void AntiMapper::SortByPartitionValueKey(const CaptureContext& records) {
+  const size_t n = records.size();
+  order_.resize(n);
+  for (size_t i = 0; i < n; ++i) order_[i] = i;
+  std::sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
+    if (partitions_[a] != partitions_[b]) return partitions_[a] < partitions_[b];
+    const int vc = records.value(a).compare(records.value(b));
+    if (vc != 0) return vc < 0;
+    return key_order_.Less(records.key(a), records.key(b));
+  });
+}
+
+void AntiMapper::PlanPartition(const CaptureContext& records, size_t* pos,
+                               PartitionPlan* plan) {
+  const size_t n = order_.size();
+  size_t p = *pos;
+  plan->partition = partitions_[order_[p]];
+  plan->groups_begin = groups_.size();
+  plan->eager_bytes = 0;
+  while (p < n && partitions_[order_[p]] == plan->partition) {
+    // One value group: a run of equal values, keys ascending.
+    EagerGroup g;
+    g.value = records.value(order_[p]);
+    g.rep_key = records.key(order_[p]);
+    g.keys_begin = group_keys_.size();
+    ++p;
+    while (p < n && partitions_[order_[p]] == plan->partition &&
+           records.value(order_[p]) == g.value) {
+      group_keys_.push_back(records.key(order_[p]));
+      ++p;
+    }
+    g.keys_end = group_keys_.size();
+    if (groups_.size() == plan->groups_begin ||
+        key_order_.Less(g.rep_key, plan->min_key)) {
+      plan->min_key = g.rep_key;
+    }
+    plan->eager_bytes +=
+        g.rep_key.size() +
+        EagerPayloadSize(std::span<const Slice>(group_keys_).subspan(
+                             g.keys_begin, g.keys_end - g.keys_begin),
+                         g.value);
+    groups_.push_back(g);
+  }
+  plan->groups_end = groups_.size();
+  *pos = p;
+}
+
+void AntiMapper::EmitEager(const PartitionPlan& plan, MapContext* ctx) {
+  JobMetrics* m = info_.metrics;
+  // Deterministic emission order: sort groups by representative key.
+  std::sort(groups_.begin() + plan.groups_begin,
+            groups_.begin() + plan.groups_end,
+            [this](const EagerGroup& a, const EagerGroup& b) {
+              return key_order_.Less(a.rep_key, b.rep_key);
+            });
+  for (size_t i = plan.groups_begin; i < plan.groups_end; ++i) {
+    const EagerGroup& g = groups_[i];
+    EncodeEagerPayload(std::span<const Slice>(group_keys_).subspan(
+                           g.keys_begin, g.keys_end - g.keys_begin),
+                       g.value, &payload_);
+    ctx->Emit(g.rep_key, payload_);
+    if (m != nullptr) {
+      if (g.keys_end == g.keys_begin) {
+        m->plain_records += 1;
+      } else {
+        m->eager_records += 1;
+      }
+    }
+  }
 }
 
 void AntiMapper::BufferCall(const Slice& input_key, const Slice& input_value,
@@ -108,20 +190,12 @@ void AntiMapper::FlushWindow(MapContext* ctx) {
     partitions_[i] = info_.partitioner->Partition(window_capture_.key(i),
                                                   info_.num_reduce_tasks);
   }
-  const uint64_t partition_cost = NowNanos() - p0;
+  // One clock read ends the Partition span and starts the encode span.
+  const uint64_t encode_start = NowNanos();
+  const uint64_t partition_cost = encode_start - p0;
   if (m != nullptr) m->cpu.partition_fn += partition_cost;
 
-  const uint64_t encode_start = NowNanos();
-  order_.resize(n);
-  for (size_t i = 0; i < n; ++i) order_[i] = i;
-  std::sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
-    if (partitions_[a] != partitions_[b]) {
-      return partitions_[a] < partitions_[b];
-    }
-    const int vc = window_capture_.value(a).compare(window_capture_.value(b));
-    if (vc != 0) return vc < 0;
-    return info_.key_cmp(window_capture_.key(a), window_capture_.key(b)) < 0;
-  });
+  SortByPartitionValueKey(window_capture_);
 
   // Per (partition, call) minimal key: the representative a LazySH record
   // for that call would use in that partition.
@@ -129,8 +203,7 @@ void AntiMapper::FlushWindow(MapContext* ctx) {
   for (size_t i = 0; i < n; ++i) {
     const auto pc = std::make_pair(partitions_[i], window_call_of_[i]);
     auto [it, inserted] = call_min_key.emplace(pc, window_capture_.key(i));
-    if (!inserted &&
-        info_.key_cmp(window_capture_.key(i), it->second) < 0) {
+    if (!inserted && key_order_.Less(window_capture_.key(i), it->second)) {
       it->second = window_capture_.key(i);
     }
   }
@@ -157,37 +230,19 @@ void AntiMapper::FlushWindow(MapContext* ctx) {
 
   // Walk partition ranges; inside each, value-group runs give the
   // cross-call EagerSH encoding.
-  struct EagerGroup {
-    Slice rep_key;
-    std::vector<Slice> other_keys;
-    Slice value;
-  };
   size_t pos = 0;
-  std::vector<EagerGroup> groups;
+  PartitionPlan plan;
   while (pos < n) {
-    const int partition = partitions_[order_[pos]];
-    groups.clear();
-    size_t eager_bytes = 0;
-    while (pos < n && partitions_[order_[pos]] == partition) {
-      EagerGroup g;
-      g.value = window_capture_.value(order_[pos]);
-      g.rep_key = window_capture_.key(order_[pos]);
-      ++pos;
-      while (pos < n && partitions_[order_[pos]] == partition &&
-             window_capture_.value(order_[pos]) == g.value) {
-        g.other_keys.push_back(window_capture_.key(order_[pos]));
-        ++pos;
-      }
-      eager_bytes += g.rep_key.size() + EagerPayloadSize(g.other_keys, g.value);
-      groups.push_back(std::move(g));
-    }
+    groups_.clear();
+    group_keys_.clear();
+    PlanPartition(window_capture_, &pos, &plan);
 
     // LazySH alternative: resend every buffered input that contributed to
     // this partition.
     size_t lazy_bytes = 0;
     size_t lazy_count = 0;
     for (size_t c = 0; c < window_inputs_.size(); ++c) {
-      auto it = call_min_key.find({partition, c});
+      auto it = call_min_key.find({plan.partition, c});
       if (it == call_min_key.end()) continue;
       lazy_bytes += it->second.size() +
                     LazyPayloadSize(window_inputs_[c].key,
@@ -196,11 +251,11 @@ void AntiMapper::FlushWindow(MapContext* ctx) {
     }
 
     const bool use_lazy = lazy_allowed && lazy_count > 0 &&
-                          (options_.force_lazy || lazy_bytes < eager_bytes);
-    TraceDecision(use_lazy, partition, lazy_bytes, eager_bytes);
+                          (options_.force_lazy || lazy_bytes < plan.eager_bytes);
+    TraceDecision(use_lazy, plan.partition, lazy_bytes, plan.eager_bytes);
     if (use_lazy) {
       for (size_t c = 0; c < window_inputs_.size(); ++c) {
-        auto it = call_min_key.find({partition, c});
+        auto it = call_min_key.find({plan.partition, c});
         if (it == call_min_key.end()) continue;
         EncodeLazyPayload(window_inputs_[c].key, window_inputs_[c].value,
                           &payload_);
@@ -209,21 +264,7 @@ void AntiMapper::FlushWindow(MapContext* ctx) {
       }
       continue;
     }
-    std::sort(groups.begin(), groups.end(),
-              [this](const EagerGroup& a, const EagerGroup& b) {
-                return info_.key_cmp(a.rep_key, b.rep_key) < 0;
-              });
-    for (const EagerGroup& g : groups) {
-      EncodeEagerPayload(g.other_keys, g.value, &payload_);
-      ctx->Emit(g.rep_key, payload_);
-      if (m != nullptr) {
-        if (g.other_keys.empty()) {
-          m->plain_records += 1;
-        } else {
-          m->eager_records += 1;
-        }
-      }
-    }
+    EmitEager(plan, ctx);
   }
   if (m != nullptr) m->cpu.encode += NowNanos() - encode_start;
 
@@ -236,15 +277,13 @@ void AntiMapper::FlushWindow(MapContext* ctx) {
 
 void AntiMapper::EncodeAndEmit(const Slice& input_key,
                                const Slice& input_value, bool have_input,
-                               uint64_t map_cost_nanos, MapContext* ctx) {
+                               uint64_t map_cost_nanos, uint64_t map_end,
+                               MapContext* ctx) {
   JobMetrics* m = info_.metrics;
   const size_t n = capture_.size();
-  if (m != nullptr) {
-    m->map_output_records += n;
-    for (size_t i = 0; i < n; ++i) {
-      m->map_output_bytes += capture_.key(i).size() + capture_.value(i).size();
-    }
-  }
+  // A multi-record batch is counted after the Partition span, so the count
+  // is charged to encode rather than to the user's Partition calls.
+  if (n <= 1) CountMapOutput(capture_);
   if (n == 0) return;
 
   // Fast path for fan-out 1 (e.g. Sort): no sharing is possible, so skip
@@ -255,9 +294,7 @@ void AntiMapper::EncodeAndEmit(const Slice& input_key,
   if (n == 1) {
     const Slice only_key = capture_.key(0);
     const Slice only_value = capture_.value(0);
-    static const std::vector<Slice> kNoKeys;
-    const size_t eager_bytes =
-        only_key.size() + EagerPayloadSize(kNoKeys, only_value);
+    const size_t eager_bytes = only_key.size() + EagerPayloadSize({}, only_value);
     const bool lazy_ok = allow_lazy_ && have_input &&
                          options_.lazy_threshold_nanos > 0 &&
                          map_cost_nanos <= options_.lazy_threshold_nanos;
@@ -271,7 +308,7 @@ void AntiMapper::EncodeAndEmit(const Slice& input_key,
       ctx->Emit(only_key, payload_);
       if (m != nullptr) m->lazy_records += 1;
     } else {
-      EncodeEagerPayload(kNoKeys, only_value, &payload_);
+      EncodeEagerPayload({}, only_value, &payload_);
       ctx->Emit(only_key, payload_);
       if (m != nullptr) m->plain_records += 1;
     }
@@ -279,81 +316,40 @@ void AntiMapper::EncodeAndEmit(const Slice& input_key,
   }
 
   // Partition every output record, measuring the Partitioner's cost
-  // (Figure 7: "Call Partitioner, measure cost").
+  // (Figure 7: "Call Partitioner, measure cost"). The clock read that ended
+  // the Map call starts this span, and the one that ends it starts the
+  // encode span.
   partitions_.resize(n);
-  const uint64_t p0 = NowNanos();
   for (size_t i = 0; i < n; ++i) {
     partitions_[i] =
         info_.partitioner->Partition(capture_.key(i), info_.num_reduce_tasks);
   }
-  const uint64_t partition_cost = NowNanos() - p0;
-  if (m != nullptr) m->cpu.partition_fn += partition_cost;
-
   const uint64_t encode_start = NowNanos();
+  const uint64_t partition_cost = encode_start - map_end;
+  if (m != nullptr) m->cpu.partition_fn += partition_cost;
+  CountMapOutput(capture_);
 
-  // One sort by (partition, value, key) replaces the per-call hash maps:
-  // after it, each partition is a contiguous range, each value group a
-  // contiguous run inside it, and the run's first record carries the
-  // minimal (representative) key.
-  order_.resize(n);
-  for (size_t i = 0; i < n; ++i) order_[i] = i;
-  std::sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
-    if (partitions_[a] != partitions_[b]) return partitions_[a] < partitions_[b];
-    const int vc = capture_.value(a).compare(capture_.value(b));
-    if (vc != 0) return vc < 0;
-    return info_.key_cmp(capture_.key(a), capture_.key(b)) < 0;
-  });
-
-  struct EagerGroup {
-    Slice rep_key;
-    std::vector<Slice> other_keys;
-    Slice value;
-  };
-  struct PartitionPlan {
-    int partition = 0;
-    std::vector<EagerGroup> groups;
-    size_t eager_bytes = 0;
-    Slice min_key;
-    size_t lazy_bytes = 0;
-  };
+  // One sort by (partition, value, key) replaces per-call hash maps.
+  SortByPartitionValueKey(capture_);
 
   // Phase 1: build each partition's EagerSH encoding and size both options.
-  std::vector<PartitionPlan> plans;
+  plans_.clear();
+  groups_.clear();
+  group_keys_.clear();
   size_t pos = 0;
-  while (pos < order_.size()) {
-    const int partition = partitions_[order_[pos]];
-    PartitionPlan plan;
-    plan.partition = partition;
-    while (pos < order_.size() && partitions_[order_[pos]] == partition) {
-      // One value group: a run of equal values, keys ascending.
-      EagerGroup g;
-      g.value = capture_.value(order_[pos]);
-      g.rep_key = capture_.key(order_[pos]);
-      ++pos;
-      while (pos < order_.size() && partitions_[order_[pos]] == partition &&
-             capture_.value(order_[pos]) == g.value) {
-        g.other_keys.push_back(capture_.key(order_[pos]));
-        ++pos;
-      }
-      if (plan.groups.empty() ||
-          info_.key_cmp(g.rep_key, plan.min_key) < 0) {
-        plan.min_key = g.rep_key;
-      }
-      plan.eager_bytes +=
-          g.rep_key.size() + EagerPayloadSize(g.other_keys, g.value);
-      plan.groups.push_back(std::move(g));
-    }
+  while (pos < n) {
+    PartitionPlan& plan = plans_.emplace_back();
+    PlanPartition(capture_, &pos, &plan);
     // LazySH resends the input record keyed by this partition's minimal key.
     plan.lazy_bytes =
         plan.min_key.size() + LazyPayloadSize(input_key, input_value);
-    plans.push_back(std::move(plan));
   }
 
   // Figure 7's threshold test: if re-executing this Map call (plus its
   // Partition calls) on every receiving reduce task would exceed T, fall
   // back to EagerSH for all partitions.
   const uint64_t re_exec_cost =
-      (map_cost_nanos + partition_cost) * static_cast<uint64_t>(plans.size());
+      (map_cost_nanos + partition_cost) * static_cast<uint64_t>(plans_.size());
   const bool lazy_allowed = allow_lazy_ && have_input &&
                             options_.lazy_threshold_nanos > 0 &&
                             re_exec_cost <= options_.lazy_threshold_nanos;
@@ -363,14 +359,14 @@ void AntiMapper::EncodeAndEmit(const Slice& input_key,
   bool global_lazy = false;
   if (!options_.per_partition_choice && lazy_allowed) {
     size_t eager_total = 0, lazy_total = 0;
-    for (const PartitionPlan& plan : plans) {
+    for (const PartitionPlan& plan : plans_) {
       eager_total += plan.eager_bytes;
       lazy_total += plan.lazy_bytes;
     }
     global_lazy = options_.force_lazy || lazy_total < eager_total;
   }
 
-  for (PartitionPlan& plan : plans) {
+  for (const PartitionPlan& plan : plans_) {
     bool use_lazy = false;
     if (lazy_allowed) {
       use_lazy = options_.per_partition_choice
@@ -385,22 +381,7 @@ void AntiMapper::EncodeAndEmit(const Slice& input_key,
       if (m != nullptr) m->lazy_records += 1;
       continue;
     }
-    // Deterministic emission order: sort groups by representative key.
-    std::sort(plan.groups.begin(), plan.groups.end(),
-              [this](const EagerGroup& a, const EagerGroup& b) {
-                return info_.key_cmp(a.rep_key, b.rep_key) < 0;
-              });
-    for (const EagerGroup& g : plan.groups) {
-      EncodeEagerPayload(g.other_keys, g.value, &payload_);
-      ctx->Emit(g.rep_key, payload_);
-      if (m != nullptr) {
-        if (g.other_keys.empty()) {
-          m->plain_records += 1;
-        } else {
-          m->eager_records += 1;
-        }
-      }
-    }
+    EmitEager(plan, ctx);
   }
 
   if (m != nullptr) m->cpu.encode += NowNanos() - encode_start;

@@ -12,6 +12,7 @@
 
 #include "anticombine/options.h"
 #include "common/arena.h"
+#include "io/merger.h"
 #include "mr/api.h"
 
 namespace antimr {
@@ -61,12 +62,51 @@ class AntiMapper : public Mapper {
   void Cleanup(MapContext* ctx) override;
 
  private:
+  /// One EagerSH value group of the batch being encoded: its non-
+  /// representative keys are group_keys_[keys_begin, keys_end).
+  struct EagerGroup {
+    Slice rep_key;
+    Slice value;
+    size_t keys_begin = 0;
+    size_t keys_end = 0;
+  };
+  /// One target partition's two encodings: EagerSH as
+  /// groups_[groups_begin, groups_end), LazySH as the input keyed by
+  /// min_key.
+  struct PartitionPlan {
+    int partition = 0;
+    size_t groups_begin = 0;
+    size_t groups_end = 0;
+    size_t eager_bytes = 0;
+    Slice min_key;
+    size_t lazy_bytes = 0;
+  };
+
   /// Encode and emit the captured batch. `have_input` is false for batches
   /// captured outside a Map call (Setup/Cleanup emissions), which cannot be
-  /// Lazy-encoded because there is no input record to resend.
+  /// Lazy-encoded because there is no input record to resend. `map_end` is
+  /// the clock read that ended the Map call; it starts the Partition span.
   void EncodeAndEmit(const Slice& input_key, const Slice& input_value,
                      bool have_input, uint64_t map_cost_nanos,
-                     MapContext* ctx);
+                     uint64_t map_end, MapContext* ctx);
+
+  /// Count `records` as the wrapped Map's logical output.
+  void CountMapOutput(const CaptureContext& records);
+
+  /// Sort order_ (indexes into `records`, partitions in partitions_) by
+  /// (partition, value, key): each partition becomes a contiguous range,
+  /// each value group a contiguous run inside it, and the run's first
+  /// record carries the minimal (representative) key.
+  void SortByPartitionValueKey(const CaptureContext& records);
+
+  /// Append the value groups of the partition range starting at
+  /// order_[*pos] to groups_ and group_keys_, size its EagerSH encoding into
+  /// *plan, and advance *pos past the range.
+  void PlanPartition(const CaptureContext& records, size_t* pos,
+                     PartitionPlan* plan);
+
+  /// Emit a plan's EagerSH groups in representative-key order.
+  void EmitEager(const PartitionPlan& plan, MapContext* ctx);
 
   /// Cross-call mode (options_.cross_call_window > 1): stash one Map
   /// call's capture into the window buffers, flushing when full.
@@ -94,8 +134,14 @@ class AntiMapper : public Mapper {
   CaptureContext capture_;
   TaskInfo info_;
   std::string payload_;         // scratch reused across emissions
-  std::vector<int> partitions_;  // scratch per-record partition assignment
-  std::vector<size_t> order_;    // scratch index sort for grouping
+  KeyOrder key_order_;           // info_.key_cmp, inline when bytewise
+  // Encoder scratch, reused across calls: after warm-up a Map call makes
+  // no heap allocation of its own.
+  std::vector<int> partitions_;  // per-record partition assignment
+  std::vector<size_t> order_;    // index sort for grouping
+  std::vector<EagerGroup> groups_;
+  std::vector<Slice> group_keys_;  // every group's non-representative keys
+  std::vector<PartitionPlan> plans_;
 
   // Cross-call window state (only used when cross_call_window > 1).
   CaptureContext window_capture_;     // records of all buffered calls

@@ -114,13 +114,10 @@ Status AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
   // dropped uncopied; the kept ones reach Shared after Map returns, which
   // keeps Shared's work out of the remap span.
   Slice input_key, input_value;
-  {
-    const uint64_t t0 = NowNanos();
-    ANTIMR_RETURN_NOT_OK(DecodeLazyPayload(rest, &input_key, &input_value));
-    if (m != nullptr) m->cpu.decode += NowNanos() - t0;
-  }
   remap_.Clear();
   const uint64_t t0 = NowNanos();
+  ANTIMR_RETURN_NOT_OK(DecodeLazyPayload(rest, &input_key, &input_value));
+  const uint64_t t1 = NowNanos();
   o_mapper_->Map(input_key, input_value, &remap_);
   // One Inc per Lazy record is dwarfed by the Map re-execution it tallies.
   static obs::Counter* const remap_counter =
@@ -128,15 +125,16 @@ Status AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
           "antimr_remap_calls_total",
           "LazySH decodes that re-executed the original Map");
   remap_counter->Inc();
-  const uint64_t t1 = NowNanos();
+  const uint64_t t2 = NowNanos();
   const CaptureContext& kept = remap_.kept();
   for (size_t i = 0; i < kept.size(); ++i) {
     ANTIMR_RETURN_NOT_OK(shared_->Add(kept.key(i), kept.value(i)));
   }
   if (m != nullptr) {
-    m->cpu.remap += t1 - t0;
+    m->cpu.decode += t1 - t0;
+    m->cpu.remap += t2 - t1;
     m->remap_calls += 1;
-    m->cpu.shared += NowNanos() - t1;
+    m->cpu.shared += NowNanos() - t2;
   }
   return Status::OK();
 }
@@ -295,11 +293,10 @@ Status AntiCombiner::DecodeValue(const Slice& rep_key, const Slice& payload) {
   Slice rest;
   ANTIMR_RETURN_NOT_OK(GetEncoding(payload, &encoding, &rest));
   if (encoding == Encoding::kEager) {
-    std::vector<Slice> other_keys;
     Slice value;
-    ANTIMR_RETURN_NOT_OK(DecodeEagerPayload(rest, &other_keys, &value));
+    ANTIMR_RETURN_NOT_OK(DecodeEagerPayload(rest, &decode_keys_, &value));
     AddAcc(rep_key, value);
-    for (const Slice& key : other_keys) {
+    for (const Slice& key : decode_keys_) {
       AddAcc(key, value);
     }
     return Status::OK();

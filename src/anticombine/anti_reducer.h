@@ -136,6 +136,7 @@ class AntiCombiner : public Reducer {
   std::unique_ptr<Reducer> o_combiner_;
   std::unique_ptr<Mapper> o_mapper_;
   PartitionFilterContext remap_;
+  std::vector<Slice> decode_keys_;  // scratch for each Eager record's keys
 
   /// Decoded records accumulated across the whole combine pass; sorted by
   /// the key comparator once, in Cleanup (cheaper than an ordered map for

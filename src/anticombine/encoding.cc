@@ -3,7 +3,7 @@
 namespace antimr {
 namespace anticombine {
 
-void EncodeEagerPayload(const std::vector<Slice>& other_keys,
+void EncodeEagerPayload(std::span<const Slice> other_keys,
                         const Slice& value, std::string* out) {
   out->clear();
   out->push_back(static_cast<char>(Encoding::kEager));
@@ -12,7 +12,7 @@ void EncodeEagerPayload(const std::vector<Slice>& other_keys,
   out->append(value.data(), value.size());
 }
 
-size_t EagerPayloadSize(const std::vector<Slice>& other_keys,
+size_t EagerPayloadSize(std::span<const Slice> other_keys,
                         const Slice& value) {
   size_t size = 1 + static_cast<size_t>(VarintLength(other_keys.size()));
   for (const Slice& key : other_keys) {

@@ -24,6 +24,7 @@
 #define ANTIMR_ANTICOMBINE_ENCODING_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,11 +41,11 @@ enum class Encoding : uint8_t {
 };
 
 /// Build an EagerSH payload. `other_keys` excludes the representative.
-void EncodeEagerPayload(const std::vector<Slice>& other_keys,
+void EncodeEagerPayload(std::span<const Slice> other_keys,
                         const Slice& value, std::string* out);
 
 /// Bytes EncodeEagerPayload would produce, without building it.
-size_t EagerPayloadSize(const std::vector<Slice>& other_keys,
+size_t EagerPayloadSize(std::span<const Slice> other_keys,
                         const Slice& value);
 
 /// Build a LazySH payload from the original Map *input* record.

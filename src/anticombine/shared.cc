@@ -20,12 +20,11 @@ namespace {
 class GroupBoundedStream : public KVStream {
  public:
   GroupBoundedStream(KVStream* inner, const std::string* bound,
-                     const KeyComparator* grouping_cmp)
-      : inner_(inner), bound_(bound), grouping_cmp_(grouping_cmp) {}
+                     const KeyOrder* grouping)
+      : inner_(inner), bound_(bound), grouping_(grouping) {}
 
   bool Valid() const override {
-    return inner_->Valid() &&
-           (*grouping_cmp_)(inner_->key(), Slice(*bound_)) == 0;
+    return inner_->Valid() && (*grouping_)(inner_->key(), Slice(*bound_)) == 0;
   }
   Slice key() const override { return inner_->key(); }
   Slice value() const override { return inner_->value(); }
@@ -34,7 +33,7 @@ class GroupBoundedStream : public KVStream {
  private:
   KVStream* inner_;
   const std::string* bound_;
-  const KeyComparator* grouping_cmp_;
+  const KeyOrder* grouping_;
 };
 
 // Walks a ValueList's packed buffer (varint32 length + bytes per value).
@@ -119,7 +118,8 @@ obs::Histogram* SpillBytesHistogram() {
 
 Shared::Shared(Options options)
     : options_(std::move(options)),
-      heap_(HeapCmp{&options_.key_cmp}) {
+      key_order_(options_.key_cmp),
+      grouping_order_(options_.grouping_cmp) {
   assert(options_.key_cmp);
   assert(options_.grouping_cmp);
   assert(options_.env != nullptr);
@@ -144,56 +144,150 @@ Status Shared::Add(const Slice& key, const Slice& value) {
   return Status::OK();
 }
 
+uint32_t Shared::Find(const Slice& key, uint64_t hash, size_t* slot) const {
+  const size_t mask = index_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const uint32_t id = index_[i];
+    if (id == kNoEntry ||
+        (entries_[id].hash == hash && entries_[id].key == key)) {
+      *slot = i;
+      return id;
+    }
+  }
+}
+
+void Shared::GrowIndex() {
+  std::vector<uint32_t> old(std::max<size_t>(16, 2 * index_.size()),
+                            kNoEntry);
+  old.swap(index_);
+  const size_t mask = index_.size() - 1;
+  for (const uint32_t id : old) {
+    if (id == kNoEntry) continue;
+    size_t i = entries_[id].hash & mask;
+    while (index_[i] != kNoEntry) i = (i + 1) & mask;
+    index_[i] = id;
+  }
+}
+
+uint32_t Shared::FindOrInsert(const Slice& key) {
+  const uint64_t hash = SliceHash()(key);
+  size_t slot = 0;
+  if (!index_.empty()) {
+    const uint32_t id = Find(key, hash, &slot);
+    if (id != kNoEntry) return id;
+  }
+  if (4 * (live_entries_ + 1) > 3 * index_.size()) {
+    GrowIndex();
+    Find(key, hash, &slot);
+  }
+  // First sighting of this key in memory: intern its bytes once, then
+  // register its entry in the min-heap (the paper's "inserting the key into
+  // the min-heap requires logarithmic time") and the index.
+  uint32_t id = free_head_;
+  if (id != kNoEntry) {
+    free_head_ = static_cast<uint32_t>(entries_[id].hash);
+    entries_[id].values = ValueList();
+  } else {
+    id = static_cast<uint32_t>(entries_.size());
+    entries_.emplace_back();
+  }
+  Entry& e = entries_[id];
+  e.key = key_arena_->Intern(key);
+  e.hash = hash;
+  index_[slot] = id;
+  ++live_entries_;
+  HeapPush(id);
+  memory_bytes_ += key.size();
+  key_bytes_ += key.size();
+  return id;
+}
+
+void Shared::Erase(uint32_t id) {
+  const size_t mask = index_.size() - 1;
+  size_t hole = entries_[id].hash & mask;
+  while (index_[hole] != id) hole = (hole + 1) & mask;
+  // Backward shift: pull later members of the probe run into the hole
+  // unless that would move one in front of its home slot.
+  for (size_t j = (hole + 1) & mask; index_[j] != kNoEntry;
+       j = (j + 1) & mask) {
+    const size_t home = entries_[index_[j]].hash & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole] = kNoEntry;
+  entries_[id].hash = free_head_;
+  free_head_ = id;
+  --live_entries_;
+}
+
+void Shared::ResetTable() {
+  // Erase empties the index as the last entry goes; only a spill, which
+  // drops live entries without erasing them, leaves slots to clear.
+  if (live_entries_ > 0) std::fill(index_.begin(), index_.end(), kNoEntry);
+  entries_.clear();
+  heap_.clear();
+  free_head_ = kNoEntry;
+  live_entries_ = 0;
+}
+
+void Shared::HeapPush(uint32_t id) {
+  heap_.push_back(id);
+  std::push_heap(heap_.begin(), heap_.end(),
+                 [this](uint32_t a, uint32_t b) { return HeapAfter(a, b); });
+}
+
+void Shared::HeapPop() {
+  std::pop_heap(heap_.begin(), heap_.end(),
+                [this](uint32_t a, uint32_t b) { return HeapAfter(a, b); });
+  heap_.pop_back();
+}
+
 Status Shared::AddInternal(const Slice& key, const Slice& value,
                            bool allow_combine) {
-  auto it = table_.find(key);
-  if (it == table_.end()) {
-    // First sighting of this key in memory: intern its bytes once, then
-    // register that single copy in the min-heap (the paper's "inserting the
-    // key into the min-heap requires logarithmic time") and the table.
-    const Slice interned = key_arena_->Intern(key);
-    heap_.push(interned);
-    it = table_.emplace(interned, ValueList()).first;
-    memory_bytes_ += key.size();
-    key_bytes_ += key.size();
-  }
-  ValueList& list = it->second;
+  const uint32_t id = FindOrInsert(key);
+  ValueList& list = entries_[id].values;
   AppendPacked(value, &list.packed);
   list.count += 1;
   list.value_bytes += value.size();
   memory_bytes_ += value.size();
   if (allow_combine && options_.combiner != nullptr &&
       list.count >= list.next_combine) {
-    ANTIMR_RETURN_NOT_OK(CombineKey(it->first, &list));
-    list.next_combine = std::max<size_t>(2, 2 * list.count);
+    ANTIMR_RETURN_NOT_OK(CombineKey(id));
+    ValueList& combined = entries_[id].values;  // the slab may have grown
+    combined.next_combine = std::max<size_t>(2, 2 * combined.count);
   }
   return Status::OK();
 }
 
-Status Shared::CombineKey(const Slice& key, ValueList* list) {
+Status Shared::CombineKey(uint32_t id) {
+  const Slice key = entries_[id].key;  // arena bytes: stable across growth
   uint64_t combine_nanos = 0;
   std::vector<KV> combined;
   CollectingContext ctx(&combined);
   {
     ScopedTimer t(&combine_nanos);
-    PackedValueIterator it(list->packed);
+    PackedValueIterator it(entries_[id].values.packed);
     options_.combiner->Reduce(key, &it, &ctx);
   }
   ANTIMR_RETURN_NOT_OK(ctx.status());
+  ValueList& list = entries_[id].values;
   if (options_.metrics) {
     options_.metrics->cpu.combine += combine_nanos;
-    options_.metrics->combine_input_records += list->count;
+    options_.metrics->combine_input_records += list.count;
     options_.metrics->combine_output_records += combined.size();
   }
-  memory_bytes_ -= list->value_bytes;
-  list->packed.clear();
-  list->count = 0;
-  list->value_bytes = 0;
+  memory_bytes_ -= list.value_bytes;
+  list.packed.clear();
+  list.count = 0;
+  list.value_bytes = 0;
   for (KV& kv : combined) {
     if (Slice(kv.key) == key) {
-      AppendPacked(kv.value, &list->packed);
-      list->count += 1;
-      list->value_bytes += kv.value.size();
+      ValueList& own = entries_[id].values;
+      AppendPacked(kv.value, &own.packed);
+      own.count += 1;
+      own.value_bytes += kv.value.size();
       memory_bytes_ += kv.value.size();
     } else {
       // A combiner emitting a different key is unusual but legal; store it
@@ -233,20 +327,16 @@ Status Shared::WriteSpill(const std::string& fname, uint64_t* bytes) {
   BlockRunWriter writer(std::move(file), GetCodec(options_.codec),
                         {options_.block_bytes});
   // Drain the heap to emit keys in sorted order, mirroring the map phase's
-  // sorted spills (paper Section 5). heap_.top() is a view of the interned
-  // key, which outlives both the pop and the table erase (the arena is only
-  // reclaimed by the caller, once the drain finishes).
+  // sorted spills (paper Section 5). The caller resets the table and the
+  // key arena once the drain finishes.
   while (!heap_.empty()) {
-    const Slice key = heap_.top();
-    heap_.pop();
-    auto it = table_.find(key);
-    if (it == table_.end()) continue;  // stale heap entry
-    PackedValueIterator values(it->second.packed);
+    const Entry& e = entries_[heap_.front()];
+    PackedValueIterator values(e.values.packed);
     Slice value;
     while (values.Next(&value)) {
-      ANTIMR_RETURN_NOT_OK(writer.Add(key, value));
+      ANTIMR_RETURN_NOT_OK(writer.Add(e.key, value));
     }
-    table_.erase(it);
+    HeapPop();
   }
   ANTIMR_RETURN_NOT_OK(writer.Finish());
   *bytes = writer.stored_bytes();
@@ -254,13 +344,14 @@ Status Shared::WriteSpill(const std::string& fname, uint64_t* bytes) {
 }
 
 Status Shared::SpillToDisk() {
-  if (table_.empty()) return Status::OK();
+  if (live_entries_ == 0) return Status::OK();
   const std::string fname = NextSpillName();
   uint64_t bytes = 0;
   const Status written = WriteSpill(fname, &bytes);
   memory_bytes_ = 0;
   key_bytes_ = 0;
-  MaybeReclaimKeys();
+  ResetTable();
+  key_arena_->Clear();
   ANTIMR_RETURN_NOT_OK(AdoptSpill(fname, written));
   if (options_.metrics) {
     options_.metrics->shared_spills += 1;
@@ -308,17 +399,13 @@ Status Shared::MaybeMergeSpills() {
 
 bool Shared::FindMinKey(Slice* out) {
   bool found = false;
-  // Drop stale heap entries (keys whose table entry was spilled away).
-  while (!heap_.empty() && table_.find(heap_.top()) == table_.end()) {
-    heap_.pop();
-  }
   if (!heap_.empty()) {
-    *out = heap_.top();
+    *out = entries_[heap_.front()].key;
     found = true;
   }
   for (const SpillRun& run : spills_) {
     if (!run.stream->Valid()) continue;
-    if (!found || options_.key_cmp(run.stream->key(), *out) < 0) {
+    if (!found || key_order_(run.stream->key(), *out) < 0) {
       *out = run.stream->key();
       found = true;
     }
@@ -327,7 +414,8 @@ bool Shared::FindMinKey(Slice* out) {
 }
 
 void Shared::MaybeReclaimKeys() {
-  if (table_.empty() && heap_.empty()) {
+  if (live_entries_ == 0) {
+    ResetTable();
     key_arena_->Clear();
   } else if (key_arena_->bytes_used() >
              2 * key_bytes_ + Arena::kDefaultChunkBytes) {
@@ -336,19 +424,12 @@ void Shared::MaybeReclaimKeys() {
 }
 
 void Shared::CompactKeys() {
+  // Entries keep their ids, hashes and heap positions; only the key bytes
+  // move. Every live entry is in the heap exactly once.
   auto fresh = std::make_unique<Arena>();
-  std::vector<decltype(table_)::node_type> nodes;
-  nodes.reserve(table_.size());
-  while (!table_.empty()) nodes.push_back(table_.extract(table_.begin()));
-  std::vector<Slice> keys;
-  keys.reserve(nodes.size());
-  for (auto& node : nodes) {
-    node.key() = fresh->Intern(node.key());
-    keys.push_back(node.key());
-    table_.insert(std::move(node));
+  for (const uint32_t id : heap_) {
+    entries_[id].key = fresh->Intern(entries_[id].key);
   }
-  // Every resident key is in the table; heap entries without one were stale.
-  heap_ = decltype(heap_)(HeapCmp{&options_.key_cmp}, std::move(keys));
   key_arena_ = std::move(fresh);
 }
 
@@ -387,23 +468,23 @@ Status Shared::PopMinKeyValues(std::string* group_key,
   pop_merged_.clear();
   size_t count = 0;
   while (!heap_.empty() &&
-         options_.grouping_cmp(heap_.top(), Slice(*group_key)) == 0) {
-    const Slice key = heap_.top();  // interned view; survives the pop
-    heap_.pop();
-    auto it = table_.find(key);
-    if (it == table_.end()) continue;  // stale
-    count += it->second.count;
-    memory_bytes_ -= key.size() + it->second.value_bytes;
-    key_bytes_ -= key.size();
-    pop_keys_.push_back(key);
-    pop_buffers_.push_back(std::move(it->second.packed));
-    table_.erase(it);
+         grouping_order_(entries_[heap_.front()].key, Slice(*group_key)) ==
+             0) {
+    const uint32_t id = heap_.front();
+    HeapPop();
+    Entry& e = entries_[id];
+    count += e.values.count;
+    memory_bytes_ -= e.key.size() + e.values.value_bytes;
+    key_bytes_ -= e.key.size();
+    pop_keys_.push_back(e.key);  // interned view; survives the erase
+    pop_buffers_.push_back(std::move(e.values.packed));
+    Erase(id);
   }
 
   bool spilled_group = false;
   for (SpillRun& run : spills_) {
     if (run.stream->Valid() &&
-        options_.grouping_cmp(run.stream->key(), Slice(*group_key)) == 0) {
+        grouping_order_(run.stream->key(), Slice(*group_key)) == 0) {
       spilled_group = true;
       break;
     }
@@ -423,7 +504,7 @@ Status Shared::PopMinKeyValues(std::string* group_key,
       std::make_unique<PackedGroupStream>(&pop_keys_, &pop_buffers_));
   for (SpillRun& run : spills_) {
     inputs.push_back(std::make_unique<GroupBoundedStream>(
-        run.stream.get(), group_key, &options_.grouping_cmp));
+        run.stream.get(), group_key, &grouping_order_));
   }
   MergingStream merged(std::move(inputs), options_.key_cmp);
   while (merged.Valid()) {

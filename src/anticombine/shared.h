@@ -13,6 +13,15 @@
 // Status the Shared holds an undefined subset of its records, and the only
 // valid operation left is destruction, which deletes its spill files.
 //
+// Table layout: each distinct in-memory key is one entry in a slab (a
+// vector of {interned key, cached hash, value list}, freed slots chained
+// for reuse). An open-addressed, linearly probed index of entry ids finds a
+// key's entry, with backward-shift deletion so erased slots leave no
+// tombstones; the min-heap holds entry ids, so a pop or a spill reaches its
+// entry without hashing the key again. The index hashes with SliceHash, a
+// word-at-a-time hash whose values stay in the process; Hash64, which
+// decides partitions, is not involved.
+//
 // Ownership: each distinct key is interned once into a key arena; each key's
 // values are packed into one buffer (varint length + bytes per value, in
 // insertion order), so an Add allocates only when a key first appears or its
@@ -23,10 +32,9 @@
 #ifndef ANTIMR_ANTICOMBINE_SHARED_H_
 #define ANTIMR_ANTICOMBINE_SHARED_H_
 
+#include <cstdint>
 #include <memory>
-#include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/arena.h"
@@ -95,13 +103,6 @@ class Shared {
   size_t key_arena_bytes() const { return key_arena_->bytes_allocated(); }
 
  private:
-  struct HeapCmp {
-    const KeyComparator* cmp;
-    bool operator()(const Slice& a, const Slice& b) const {
-      return (*cmp)(a, b) > 0;  // min-heap
-    }
-  };
-
   /// A key's pending values, packed into one buffer, plus the count at
   /// which the next combine fires. The doubling threshold keeps combining
   /// amortized-linear even when the combiner cannot shrink a key's values
@@ -113,9 +114,42 @@ class Shared {
     size_t next_combine = 2;
   };
 
+  /// One distinct in-memory key. A free entry's `hash` holds the id of the
+  /// next free entry.
+  struct Entry {
+    Slice key;          ///< interned in key_arena_
+    uint64_t hash = 0;  ///< SliceHash of key
+    ValueList values;
+  };
+
+  static constexpr uint32_t kNoEntry = UINT32_MAX;
+
+  /// Entry id of `key` (kNoEntry when absent); *slot gets its index slot,
+  /// or the empty slot where it would go.
+  uint32_t Find(const Slice& key, uint64_t hash, size_t* slot) const;
+  /// Entry id of `key`, creating an empty entry (interned key, heap and
+  /// index registration) on first sighting.
+  uint32_t FindOrInsert(const Slice& key);
+  /// Unlink entry `id` from the index (backward-shift deletion) and put it
+  /// on the free list. The heap must no longer hold it.
+  void Erase(uint32_t id);
+  /// Double the index (at least 16 slots) and re-seat every entry.
+  void GrowIndex();
+  /// Drop every entry and empty the index, keeping their capacity.
+  void ResetTable();
+  /// Min-heap order over entry ids: the minimal key at heap_.front().
+  bool HeapAfter(uint32_t a, uint32_t b) const {
+    return key_order_(entries_[a].key, entries_[b].key) > 0;
+  }
+  void HeapPush(uint32_t id);
+  void HeapPop();
+
   Status AddInternal(const Slice& key, const Slice& value,
                      bool allow_combine);
-  Status CombineKey(const Slice& key, ValueList* list);
+  /// Combine entry `id`'s values. A combiner output under another key is
+  /// added as a new record, which may grow the slab: entries are re-fetched
+  /// by id after every AddInternal.
+  Status CombineKey(uint32_t id);
   Status SpillToDisk();
   /// Write the heap's drain, in key order, to `fname` as a block segment.
   Status WriteSpill(const std::string& fname, uint64_t* bytes);
@@ -128,22 +162,29 @@ class Shared {
   /// when everything is empty. *out is a view (interned key or spill stream
   /// head) valid until the next mutation.
   bool FindMinKey(Slice* out);
-  /// Clear the key arena once nothing references it (table and heap empty),
-  /// or compact it once popped keys dominate its bytes.
+  /// Clear the key arena and the slab once no key is resident, or compact
+  /// the arena once popped keys dominate its bytes.
   void MaybeReclaimKeys();
-  /// Re-intern the resident keys into a fresh arena, re-key the table nodes
-  /// and rebuild the heap; the old arena's chunks are freed.
+  /// Re-intern the resident keys into a fresh arena and re-point their
+  /// entries; the old arena's chunks are freed.
   void CompactKeys();
 
   Options options_;
-  /// Each distinct key's bytes are interned once into key_arena_; the table
-  /// key and the heap entry are both views of that single copy. The arena is
-  /// cleared when table and heap drain (spill, or the last group popped) and
-  /// compacted when its bytes exceed twice the resident keys plus a chunk.
+  KeyOrder key_order_;       ///< options_.key_cmp, inline when bytewise
+  KeyOrder grouping_order_;  ///< options_.grouping_cmp, likewise
+  /// Each distinct key's bytes are interned once into key_arena_; its entry
+  /// is the only reference. The arena is cleared when the table drains
+  /// (spill, or the last group popped) and compacted when its bytes exceed
+  /// twice the resident keys plus a chunk.
   std::unique_ptr<Arena> key_arena_ = std::make_unique<Arena>();
-  size_t key_bytes_ = 0;  ///< bytes of the keys resident in table_
-  std::unordered_map<Slice, ValueList, SliceHash> table_;
-  std::priority_queue<Slice, std::vector<Slice>, HeapCmp> heap_;
+  size_t key_bytes_ = 0;  ///< bytes of the resident keys
+  std::vector<Entry> entries_;  ///< the slab; ids index it
+  uint32_t free_head_ = kNoEntry;  ///< first free entry id
+  size_t live_entries_ = 0;
+  /// Open-addressed index: entry id per slot (kNoEntry = empty); its size
+  /// is a power of two, at most 3/4 full.
+  std::vector<uint32_t> index_;
+  std::vector<uint32_t> heap_;  ///< every live entry id, once
   struct SpillRun {
     std::string fname;
     std::unique_ptr<KVStream> stream;

@@ -4,18 +4,17 @@ namespace antimr {
 
 int BytewiseCompare(const Slice& a, const Slice& b) { return a.compare(b); }
 
-MergingStream::MergingStream(std::vector<std::unique_ptr<KVStream>> inputs,
-                             KeyComparator cmp)
-    : inputs_(std::move(inputs)), cmp_(std::move(cmp)) {
-  // Most jobs merge with a plain-function comparator (byte order above
-  // all); skipping the std::function dispatch for that case matters in
-  // HeapLess and in producers' Admits checks, which run several times per
-  // record.
+KeyOrder::KeyOrder(KeyComparator cmp) : cmp_(std::move(cmp)) {
   if (const auto* target =
           cmp_.target<int (*)(const Slice&, const Slice&)>()) {
-    raw_cmp_ = *target;
-    bytewise_ = raw_cmp_ == &BytewiseCompare;
+    raw_ = *target;
+    bytewise_ = raw_ == &BytewiseCompare;
   }
+}
+
+MergingStream::MergingStream(std::vector<std::unique_ptr<KVStream>> inputs,
+                             KeyComparator cmp)
+    : inputs_(std::move(inputs)), order_(std::move(cmp)) {
   eager_inputs_ = true;
   for (const auto& input : inputs_) {
     if (!input->SupportsEagerBatches()) {
@@ -44,7 +43,7 @@ void MergingStream::InitHeap() {
 bool MergingStream::HeapLess(int a, int b) const {
   const Slice ka = inputs_[a]->key();
   const Slice kb = inputs_[b]->key();
-  const int c = bytewise_ ? ka.compare(kb) : cmp_(ka, kb);
+  const int c = order_(ka, kb);
   if (c != 0) return c < 0;
   return a < b;  // stability tie-break
 }
@@ -107,8 +106,8 @@ Status MergingStream::NextBatch(RecordBatch* batch, const BatchOptions& opts) {
     // same tie-break HeapLess applies) without changing merge order.
     BatchOptions inner;
     inner.max_records = opts.max_records - batch->size();
-    inner.cmp = &cmp_;
-    inner.raw_cmp = raw_cmp_;
+    inner.cmp = &order_.comparator();
+    inner.raw_cmp = order_.raw();
     Slice second_key;
     if (heap_.size() >= 2) {
       int second = heap_[1];
@@ -123,7 +122,7 @@ Status MergingStream::NextBatch(RecordBatch* batch, const BatchOptions& opts) {
         inner.stop_key = opts.stop_key;
         inner.take_equal = opts.take_equal;
       } else {
-        const int c = cmp_(*opts.stop_key, *inner.stop_key);
+        const int c = order_(*opts.stop_key, *inner.stop_key);
         if (c < 0 || (c == 0 && !opts.take_equal)) {
           inner.stop_key = opts.stop_key;
           inner.take_equal = opts.take_equal;

@@ -18,6 +18,32 @@ using KeyComparator = std::function<int(const Slice&, const Slice&)>;
 /// Bytewise comparison; the default key order.
 int BytewiseCompare(const Slice& a, const Slice& b);
 
+/// \brief A KeyComparator for per-record compare loops.
+///
+/// Compares inline, without the std::function dispatch, when the comparator
+/// is BytewiseCompare (the default key order, and most jobs'). The merge
+/// heap, the map-output sort, Shared's heap and the AntiMapper's grouping
+/// sort all compare through one.
+class KeyOrder {
+ public:
+  KeyOrder() = default;
+  explicit KeyOrder(KeyComparator cmp);
+
+  int operator()(const Slice& a, const Slice& b) const {
+    return bytewise_ ? a.compare(b) : cmp_(a, b);
+  }
+  bool Less(const Slice& a, const Slice& b) const { return (*this)(a, b) < 0; }
+
+  const KeyComparator& comparator() const { return cmp_; }
+  /// Plain-function form of the comparator; null when it wraps a closure.
+  int (*raw())(const Slice&, const Slice&) const { return raw_; }
+
+ private:
+  KeyComparator cmp_;
+  int (*raw_)(const Slice&, const Slice&) = nullptr;
+  bool bytewise_ = false;
+};
+
 /// \brief Heap-based k-way merging stream.
 ///
 /// Stable across inputs: on equal keys, records from lower-indexed input
@@ -49,15 +75,11 @@ class MergingStream : public KVStream {
   void InitHeap();
 
   std::vector<std::unique_ptr<KVStream>> inputs_;
-  KeyComparator cmp_;
+  // Its raw() form is handed to producers via BatchOptions::raw_cmp.
+  KeyOrder order_;
   std::vector<int> heap_;  // indexes into inputs_
   int current_ = -1;       // stream whose head is the current record
   bool eager_inputs_ = false;
-  // Plain-function form of cmp_ (null when cmp_ wraps a closure), handed to
-  // producers via BatchOptions::raw_cmp; bytewise_ additionally marks the
-  // default byte order so HeapLess can compare inline.
-  int (*raw_cmp_)(const Slice&, const Slice&) = nullptr;
-  bool bytewise_ = false;
   // NextBatch scratch: the current winner's run, and per-input marks of the
   // merged-batch generation that last drained it.
   RecordBatch run_;

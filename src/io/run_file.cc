@@ -101,19 +101,22 @@ Status BlockRunWriter::Add(const Slice& key, const Slice& value) {
 Status BlockRunWriter::FlushBlock() {
   if (block_.empty()) return Status::OK();
   ANTIMR_RETURN_NOT_OK(EnsureMagic());
-  {
+  // Uncompressed blocks are framed as they are, without a copy.
+  Slice stored(block_);
+  if (codec_->type() != CodecType::kNone) {
     ScopedTimer t(&compress_nanos_);
     ANTIMR_RETURN_NOT_OK(codec_->Compress(block_, &compressed_));
+    stored = Slice(compressed_);
   }
-  const uint32_t crc = Crc32(0, compressed_);
+  const uint32_t crc = Crc32(0, stored);
   ANTIMR_RETURN_NOT_OK(
       writer_.AppendVarint32(static_cast<uint32_t>(block_.size())));
   ANTIMR_RETURN_NOT_OK(
-      writer_.AppendVarint32(static_cast<uint32_t>(compressed_.size())));
+      writer_.AppendVarint32(static_cast<uint32_t>(stored.size())));
   std::string crc_buf;
   PutFixed32(&crc_buf, crc);
   ANTIMR_RETURN_NOT_OK(writer_.Append(crc_buf));
-  ANTIMR_RETURN_NOT_OK(writer_.Append(compressed_));
+  ANTIMR_RETURN_NOT_OK(writer_.Append(stored));
   raw_bytes_ += block_.size();
   ++block_count_;
   block_.clear();
@@ -242,7 +245,7 @@ Status BlockRunReader::ReadFrame(Frame* frame) {
 }
 
 Status BlockRunReader::DecodeNextBlock() {
-  const Frame& frame = readahead_.front();
+  Frame& frame = readahead_.front();
   ++block_index_;
   {
     ScopedTimer t(&stats_.decode_nanos);
@@ -252,13 +255,21 @@ Status BlockRunReader::DecodeNextBlock() {
       return CorruptionAt("crc mismatch (stored " + std::to_string(frame.crc) +
                           ", computed " + std::to_string(actual) + ")");
     }
-    if (file_ == nullptr && codec_->type() == CodecType::kNone) {
-      // In place and uncompressed: the payload is the block.
-      block_ = frame.payload;
+    if (codec_->type() == CodecType::kNone) {
+      // Uncompressed: the payload is the block. In place it is a view; from
+      // a file, the frame's own copy moves into block_buf_, after the
+      // just-finished block moves aside (it must survive this decode so a
+      // batch returned up to its tail stays valid across the advance).
+      if (file_ == nullptr) {
+        block_ = frame.payload;
+      } else {
+        std::swap(block_buf_, prev_block_);
+        block_buf_.swap(frame.owned);
+        block_ = Slice(block_buf_);
+      }
     } else {
-      // Decode into the generation-before-last's buffer: the just-finished
-      // block (block_buf_ before the swap) must survive this decode so a
-      // batch returned up to its tail stays valid across the advance.
+      // Decode into the generation-before-last's buffer, for the same
+      // reason.
       std::swap(block_buf_, prev_block_);
       Status st = codec_->Decompress(frame.payload, &block_buf_);
       if (!st.ok()) {

@@ -141,7 +141,7 @@ class BlockRunWriter {
   const Codec* codec_;
   size_t block_bytes_;
   std::string block_;       // raw records accumulating toward the cut point
-  std::string compressed_;  // scratch for the framed payload
+  std::string compressed_;  // scratch for a compressed payload
   bool wrote_magic_ = false;
   uint64_t raw_bytes_ = 0;
   uint64_t record_count_ = 0;
@@ -234,7 +234,7 @@ class BlockRunReader : public KVStream {
   std::deque<Frame> readahead_;
   uint64_t readahead_bytes_ = 0;
   Slice block_;             // current block: block_buf_ or a frame view
-  std::string block_buf_;   // decompressed current block
+  std::string block_buf_;   // decoded block, or a file frame's moved payload
   std::string prev_block_;  // previous generation, kept for batch views
   size_t pos_ = 0;          // parse position within block_
   Slice key_;

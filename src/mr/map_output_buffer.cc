@@ -41,7 +41,7 @@ class MapOutputBuffer::BufferStream : public KVStream {
 };
 
 MapOutputBuffer::MapOutputBuffer(int num_partitions, KeyComparator key_cmp)
-    : num_partitions_(num_partitions), key_cmp_(std::move(key_cmp)) {
+    : num_partitions_(num_partitions), key_order_(std::move(key_cmp)) {
   assert(num_partitions_ > 0);
 }
 
@@ -77,7 +77,7 @@ void MapOutputBuffer::Sort() {
                      if (a.partition != b.partition) {
                        return a.partition < b.partition;
                      }
-                     return key_cmp_(KeyOf(a), KeyOf(b)) < 0;
+                     return key_order_.Less(KeyOf(a), KeyOf(b));
                    });
   partition_begin_.assign(static_cast<size_t>(num_partitions_) + 1, 0);
   // entries_ sorted by partition: record the first index of each partition.

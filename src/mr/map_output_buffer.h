@@ -72,7 +72,7 @@ class MapOutputBuffer {
   }
 
   int num_partitions_;
-  KeyComparator key_cmp_;
+  KeyOrder key_order_;
   Arena arena_;
   std::vector<Entry> entries_;
   std::vector<size_t> partition_begin_;  // boundaries after Sort

@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "anticombine/encoding.h"
+#include "common/hash.h"
+#include "datagen/qlog.h"
+#include "mr/job_spec.h"
 #include "mr/metrics.h"
+#include "workloads/query_suggestion.h"
 
 namespace antimr {
 namespace anticombine {
@@ -254,6 +259,86 @@ TEST_F(AntiMapperTest, MetricsCountLogicalOutput) {
   EXPECT_EQ(metrics_.eager_records, 1u);  // {1a,1b} collapse
   EXPECT_EQ(metrics_.plain_records, 1u);  // 2c stands alone
   EXPECT_EQ(metrics_.lazy_records, 0u);
+}
+
+// Folds every emission, in order, into one hash; allocates nothing.
+class HashingCollector : public MapContext {
+ public:
+  void Emit(const Slice& key, const Slice& value) override {
+    hash = Hash64(key, HashMix64(hash ^ key.size()));
+    hash = Hash64(value, HashMix64(hash ^ value.size()));
+    ++records;
+  }
+  uint64_t hash = 0;
+  uint64_t records = 0;
+};
+
+// Query-Suggestion with the Prefix-5 partitioner, driven through one
+// AdaptiveSH AntiMapper (unrestricted T, so every choice is by size).
+class QuerySuggestionAntiMapperTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    workloads::QuerySuggestionConfig qc;
+    qc.scheme = workloads::QuerySuggestionConfig::Scheme::kPrefix5;
+    qc.num_reduce_tasks = 8;
+    spec_ = workloads::MakeQuerySuggestionJob(qc);
+    info_.num_reduce_tasks = qc.num_reduce_tasks;
+    info_.partitioner = spec_.partitioner.get();
+    info_.key_cmp = spec_.key_cmp;
+    info_.grouping_cmp = spec_.EffectiveGroupingCmp();
+    info_.metrics = &metrics_;
+    QLogConfig lc;
+    lc.num_records = 20000;
+    lc.seed = 42;
+    input_ = QLogGenerator(lc).Generate();
+  }
+
+  JobSpec spec_;
+  TaskInfo info_;
+  JobMetrics metrics_;
+  std::vector<KV> input_;
+};
+
+// The encoder's output is pinned byte for byte: the record counts and the
+// hash of the emitted (key, payload) sequence were recorded before the
+// encoder's scratch reuse and inline key compares, which must not move a
+// byte.
+TEST_F(QuerySuggestionAntiMapperTest, EmissionsMatchGolden) {
+  AntiMapper anti(spec_.mapper_factory, AntiCombineOptions::Unrestricted(),
+                  /*allow_lazy=*/true);
+  HashingCollector out;
+  anti.Setup(info_, &out);
+  for (const KV& kv : input_) anti.Map(kv.key, kv.value, &out);
+  anti.Cleanup(&out);
+  EXPECT_EQ(metrics_.map_output_records, 408627u);
+  EXPECT_EQ(metrics_.plain_records, 59346u);
+  EXPECT_EQ(metrics_.eager_records, 5191u);
+  EXPECT_EQ(metrics_.lazy_records, 20474u);
+  EXPECT_EQ(out.records, 85011u);
+  EXPECT_EQ(out.hash, 0xe53720603e32984dULL);
+}
+
+// Once warmed up, a Map call reuses the capture arena and the encoder's
+// plan, group and key scratch: it allocates at most a small constant,
+// whatever its fan-out.
+TEST_F(QuerySuggestionAntiMapperTest, WarmMapCallAllocatesAtMostAConstant) {
+  AntiMapper anti(spec_.mapper_factory, AntiCombineOptions::Unrestricted(),
+                  /*allow_lazy=*/true);
+  HashingCollector out;
+  anti.Setup(info_, &out);
+  for (size_t i = 0; i < 2000; ++i) {
+    anti.Map(input_[i].key, input_[i].value, &out);
+  }
+  const uint64_t records_before = out.records;
+  const uint64_t before = test_alloc::AllocationCount();
+  constexpr size_t kCalls = 1000;
+  for (size_t i = 0; i < kCalls; ++i) {
+    anti.Map(input_[i].key, input_[i].value, &out);
+  }
+  const uint64_t allocs = test_alloc::AllocationCount() - before;
+  ASSERT_GT(out.records - records_before, kCalls) << "no fan-out exercised";
+  EXPECT_LE(allocs, 4u) << "AntiMapper::Map allocates per call";
+  anti.Cleanup(&out);
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ TEST(Encoding, EagerEmptyKeySetIsPlain) {
 
 TEST(Encoding, EagerEmptyValue) {
   std::string payload;
-  EncodeEagerPayload({Slice("k2")}, Slice(""), &payload);
+  EncodeEagerPayload(std::vector<Slice>{Slice("k2")}, Slice(""), &payload);
   Encoding encoding;
   Slice rest;
   ASSERT_TRUE(GetEncoding(payload, &encoding, &rest).ok());
@@ -90,7 +90,7 @@ TEST(Encoding, BinarySafety) {
   const std::string key2("\xff\xfe", 2);
   const std::string value("\x80\x00\x7f", 3);
   std::string payload;
-  EncodeEagerPayload({Slice(key1), Slice(key2)}, value, &payload);
+  EncodeEagerPayload(std::vector<Slice>{Slice(key1), Slice(key2)}, value, &payload);
   Encoding encoding;
   Slice rest;
   ASSERT_TRUE(GetEncoding(payload, &encoding, &rest).ok());
@@ -127,7 +127,7 @@ TEST(Encoding, RejectsFlagTwo) {
 
 TEST(Encoding, RejectsTruncatedEagerKeys) {
   std::string payload;
-  EncodeEagerPayload({Slice("a-long-key-name")}, Slice("v"), &payload);
+  EncodeEagerPayload(std::vector<Slice>{Slice("a-long-key-name")}, Slice("v"), &payload);
   Encoding encoding;
   Slice rest;
   ASSERT_TRUE(

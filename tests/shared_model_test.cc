@@ -2,6 +2,7 @@
 // of Add / PeekMinKey / PopMinKeyValues, under varying memory limits and
 // merge thresholds, compared against a trivial reference model
 // (std::multimap). Any divergence in contents or drain order is a bug.
+#include <cstdio>
 #include <map>
 #include <set>
 
@@ -20,6 +21,28 @@ struct ModelParam {
   size_t memory_limit;
   int merge_threshold;
   int key_space;
+  /// Reverse byte order, grouping keys on all but their last byte: a
+  /// closure comparator, so Shared's heap takes the std::function path
+  /// instead of the inline bytewise one.
+  bool closure_order = false;
+};
+
+int ReverseBytewise(const Slice& a, const Slice& b) { return b.compare(a); }
+
+// Drops the last byte ("k0012" and "k0013" share group "k001").
+Slice GroupPrefix(const Slice& key) {
+  return key.empty() ? key : Slice(key.data(), key.size() - 1);
+}
+
+// The reference model's key order and group equality, for either mode.
+struct ModelOrder {
+  bool closure;
+  bool operator()(const std::string& a, const std::string& b) const {
+    return closure ? ReverseBytewise(a, b) < 0 : a < b;
+  }
+  std::string Group(const std::string& key) const {
+    return closure ? GroupPrefix(key).ToString() : key;
+  }
 };
 
 class SharedModelTest : public ::testing::TestWithParam<ModelParam> {};
@@ -32,11 +55,20 @@ std::multiset<std::string> AsMultiset(const std::vector<Slice>& values) {
 
 TEST_P(SharedModelTest, MatchesReferenceModel) {
   const ModelParam& p = GetParam();
+  const ModelOrder order{p.closure_order};
   auto env = NewMemEnv();
   JobMetrics metrics;
   Shared::Options options;
   options.key_cmp = BytewiseCompare;
   options.grouping_cmp = BytewiseCompare;
+  if (p.closure_order) {
+    options.key_cmp = [](const Slice& a, const Slice& b) {
+      return ReverseBytewise(a, b);
+    };
+    options.grouping_cmp = [](const Slice& a, const Slice& b) {
+      return ReverseBytewise(GroupPrefix(a), GroupPrefix(b));
+    };
+  }
   options.env = env.get();
   options.file_prefix = "model";
   options.memory_limit_bytes = p.memory_limit;
@@ -45,15 +77,32 @@ TEST_P(SharedModelTest, MatchesReferenceModel) {
   Shared shared(options);
 
   // Reference: multiset of (key, value) pairs, drained in key order.
-  std::multimap<std::string, std::string> model;
+  std::multimap<std::string, std::string, ModelOrder> model(order);
+  // Removes the model's minimal group; returns its values and its minimal
+  // key.
+  auto pop_model_group = [&](std::multiset<std::string>* values) {
+    const std::string min_key = model.begin()->first;
+    const std::string group = order.Group(min_key);
+    while (!model.empty() && order.Group(model.begin()->first) == group) {
+      values->insert(model.begin()->second);
+      model.erase(model.begin());
+    }
+    return min_key;
+  };
 
   Random rng(p.seed);
   for (int step = 0; step < 3000; ++step) {
     const uint64_t op = rng.Uniform(10);
     if (op < 7) {
       // Add.
-      const std::string key =
-          "k" + std::to_string(rng.Uniform(static_cast<uint64_t>(p.key_space)));
+      const uint64_t k = rng.Uniform(static_cast<uint64_t>(p.key_space));
+      // Fixed-width keys under the closure order, so each prefix group is
+      // one contiguous key range.
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "k%04llu",
+                    static_cast<unsigned long long>(k));
+      const std::string key = p.closure_order ? std::string(buf)
+                                              : "k" + std::to_string(k);
       const std::string value = "v" + std::to_string(rng.Next() % 1000);
       ASSERT_TRUE(shared.Add(key, value).ok());
       model.emplace(key, value);
@@ -75,36 +124,20 @@ TEST_P(SharedModelTest, MatchesReferenceModel) {
         EXPECT_TRUE(popped.IsNotFound()) << popped.ToString();
         continue;
       }
-      const std::string expected_key = model.begin()->first;
-      EXPECT_EQ(group_key, expected_key);
       std::multiset<std::string> expected;
-      auto range = model.equal_range(expected_key);
-      for (auto it = range.first; it != range.second; ++it) {
-        expected.insert(it->second);
-      }
-      model.erase(expected_key);
+      EXPECT_EQ(group_key, pop_model_group(&expected));
       EXPECT_EQ(AsMultiset(values), expected) << "group " << group_key;
     }
   }
 
   // Final drain must produce the remaining model contents in key order.
-  std::string last_key;
-  bool first = true;
   std::string group_key;
   std::vector<Slice> values;
   while (shared.PopMinKeyValues(&group_key, &values).ok()) {
-    if (!first) {
-      EXPECT_GT(group_key, last_key);
-    }
-    first = false;
-    last_key = group_key;
+    ASSERT_FALSE(model.empty()) << "extra group " << group_key;
     std::multiset<std::string> expected;
-    auto range = model.equal_range(group_key);
-    for (auto it = range.first; it != range.second; ++it) {
-      expected.insert(it->second);
-    }
+    EXPECT_EQ(group_key, pop_model_group(&expected));
     EXPECT_EQ(AsMultiset(values), expected);
-    model.erase(group_key);
     values.clear();
   }
   EXPECT_TRUE(model.empty());
@@ -119,9 +152,13 @@ INSTANTIATE_TEST_SUITE_P(
         ModelParam{3, 256, 2, 50},                 // spills + merges
         ModelParam{4, 1024, 10, 5},                // few hot keys
         ModelParam{5, 512, 3, 500},                // wide key space
-        ModelParam{6, 64, 2, 20}),                 // pathological memory
+        ModelParam{6, 64, 2, 20},                  // pathological memory
+        ModelParam{7, size_t{1} << 30, 10, 500, true},  // closure order
+        ModelParam{8, 512, 3, 500, true},          // closure + spills
+        ModelParam{9, 128, 2, 50, true}),          // closure + merges
     [](const ::testing::TestParamInfo<ModelParam>& info) {
-      return "seed" + std::to_string(info.param.seed);
+      return "seed" + std::to_string(info.param.seed) +
+             (info.param.closure_order ? "_closure" : "");
     });
 
 }  // namespace

@@ -449,6 +449,52 @@ TEST_F(SharedTest, PopViewsSurviveLaterPeeksAndAdds) {
   EXPECT_EQ(Strings(values), (std::vector<std::string>{"one", "two"}));
 }
 
+// Drives the index through several growths (16 slots up to thousands) with
+// pops, spills and re-adds of popped keys in between, so freed slab entries
+// are reused and backward-shift deletion runs inside long probe runs. Every
+// value must come back once, under its key, in key order.
+TEST_F(SharedTest, IndexGrowthWithInterleavedPopsSpillsAndReAdds) {
+  Shared::Options options = BaseOptions();
+  options.memory_limit_bytes = 48 * 1024;
+  Shared shared(options);
+  std::map<std::string, std::vector<std::string>> expected;
+  auto add = [&](int k, int round) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "key%05d", k);
+    const std::string value = "v" + std::to_string(round);
+    ASSERT_TRUE(shared.Add(key, value).ok());
+    expected[key].push_back(value);
+  };
+  std::string key;
+  std::vector<Slice> values;
+  for (int round = 0; round < 6; ++round) {
+    // Each round adds more keys than the last, in a scattered order, then
+    // pops a few groups from the front; the popped keys reappear next round.
+    const int keys = 500 << round;
+    for (int i = 0; i < keys; ++i) add((i * 7919) % keys, round);
+    for (int i = 0; i < 50; ++i) {
+      values.clear();
+      ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
+      ASSERT_EQ(key, expected.begin()->first);
+      std::vector<std::string> got = Strings(values);
+      std::vector<std::string> want = expected.begin()->second;
+      std::sort(got.begin(), got.end());
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(got, want) << key;
+      expected.erase(expected.begin());
+    }
+  }
+  EXPECT_GE(metrics_.shared_spills, 3u) << "never spilled";
+  auto all = DrainAll(&shared);
+  ASSERT_EQ(all.size(), expected.size());
+  for (auto& [k, want] : expected) {
+    std::vector<std::string> got = all[k];
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(got, want) << k;
+  }
+}
+
 }  // namespace
 }  // namespace anticombine
 }  // namespace antimr
