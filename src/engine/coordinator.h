@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "mr/api.h"
-#include "mr/local_cluster.h"
+#include "mr/task_graph.h"
 #include "mr/metrics.h"
 #include "net/http.h"
 #include "net/transport.h"

@@ -12,7 +12,7 @@
 
 #include "engine/dataset_catalog.h"
 #include "engine/job_plan.h"
-#include "mr/local_cluster.h"
+#include "mr/task_graph.h"
 #include "mr/metrics.h"
 #include "mr/shuffle.h"
 #include "net/transport.h"

@@ -21,7 +21,7 @@
 #include "engine/dataset_catalog.h"
 #include "engine/executor.h"
 #include "engine/job_plan.h"
-#include "mr/local_cluster.h"
+#include "mr/task_graph.h"
 #include "mr/map_task.h"
 #include "mr/reduce_task.h"
 #include "net/shuffle_service.h"

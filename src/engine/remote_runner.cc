@@ -18,9 +18,9 @@ namespace {
 /// Drain `split` and encode its records for a TaskAssign.
 void EncodeSplit(const InputSplit& split, std::string* out) {
   std::vector<KV> records;
-  KV kv;
-  for (auto source = split.open(); source->Next(&kv);) {
-    records.push_back(std::move(kv));
+  RecordRef ref;
+  for (auto source = split.open(); source->NextRef(&ref);) {
+    records.emplace_back(ref);
   }
   net::EncodeKVList(records, out);
 }

@@ -22,7 +22,7 @@
 #include <thread>
 
 #include "io/env.h"
-#include "mr/local_cluster.h"
+#include "mr/task_graph.h"
 #include "mr/task_control.h"
 #include "net/shuffle_service.h"
 #include "net/transport.h"

@@ -41,22 +41,6 @@ std::unique_ptr<SequentialFile> NewSliceSource(const Slice& data) {
   return std::make_unique<SliceSource>(data);
 }
 
-Status KVStream::NextBatch(RecordBatch* batch, const BatchOptions& opts) {
-  batch->clear();
-  // Deferred-advance adapter: the record handed out by the previous call
-  // had to stay alive for its consumer, so its Next() happens here.
-  if (batch_advance_pending_) {
-    batch_advance_pending_ = false;
-    ANTIMR_RETURN_NOT_OK(Next());
-  }
-  if (!Valid() || opts.max_records == 0 || !opts.Admits(key())) {
-    return Status::OK();
-  }
-  batch->emplace_back(key(), value());
-  batch_advance_pending_ = true;
-  return Status::OK();
-}
-
 Status ReadFileToString(Env* env, const std::string& fname, std::string* out) {
   std::unique_ptr<SequentialFile> file;
   ANTIMR_RETURN_NOT_OK(env->NewSequentialFile(fname, &file));
@@ -257,20 +241,14 @@ Status BlockRunReader::DecodeNextBlock() {
     }
     if (codec_->type() == CodecType::kNone) {
       // Uncompressed: the payload is the block. In place it is a view; from
-      // a file, the frame's own copy moves into block_buf_, after the
-      // just-finished block moves aside (it must survive this decode so a
-      // batch returned up to its tail stays valid across the advance).
+      // a file, the frame's own copy moves into block_buf_.
       if (file_ == nullptr) {
         block_ = frame.payload;
       } else {
-        std::swap(block_buf_, prev_block_);
         block_buf_.swap(frame.owned);
         block_ = Slice(block_buf_);
       }
     } else {
-      // Decode into the generation-before-last's buffer, for the same
-      // reason.
-      std::swap(block_buf_, prev_block_);
       Status st = codec_->Decompress(frame.payload, &block_buf_);
       if (!st.ok()) {
         valid_ = false;
@@ -313,21 +291,6 @@ Status BlockRunReader::Next() {
   pos_ = block_.size() - in.size();
   ++stats_.records;
   valid_ = true;
-  return Status::OK();
-}
-
-Status BlockRunReader::NextBatch(RecordBatch* batch,
-                                 const BatchOptions& opts) {
-  batch->clear();
-  while (valid_ && batch->size() < opts.max_records && opts.Admits(key_)) {
-    batch->emplace_back(key_, value_);
-    const bool at_block_end = pos_ >= block_.size();
-    ANTIMR_RETURN_NOT_OK(Next());
-    // Crossing a block boundary decoded a fresh block. The batch's views
-    // (all in the block just finished) survive exactly one decode, so stop
-    // here; the next call starts inside the new block.
-    if (at_block_end) break;
-  }
   return Status::OK();
 }
 

@@ -18,11 +18,8 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "codec/codec.h"
-#include "common/record_batch.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "io/buffered_io.h"
@@ -34,15 +31,9 @@ namespace antimr {
 ///
 /// A freshly constructed stream is positioned at its first record; Valid()
 /// is false when exhausted. key()/value() views are valid until the next
-/// call to Next().
-///
-/// Batch consumption: NextBatch drains up to opts.max_records (within the
-/// optional key bound) into `batch`; every view in the batch is valid until
-/// the NEXT call on this stream, and an empty batch means exhaustion (or a
-/// bound that excludes the head). A stream is consumed either record-wise
-/// or batch-wise — interleaving the two is undefined, because the default
-/// adapter defers the underlying Next() to the start of the following call
-/// so the single record it returned stays alive for the caller.
+/// call to Next(): a consumer that needs a record past that copies it.
+/// This is the one way records are drained, by the merge heap, segment
+/// writes, grouped Reduce calls and Shared alike.
 class KVStream {
  public:
   virtual ~KVStream() = default;
@@ -50,53 +41,6 @@ class KVStream {
   virtual Slice key() const = 0;
   virtual Slice value() const = 0;
   virtual Status Next() = 0;
-
-  /// Fill `batch` (cleared first) with the next records. The base
-  /// implementation returns one record per call via the deferred-advance
-  /// adapter; stable-storage streams override it to return real batches.
-  virtual Status NextBatch(RecordBatch* batch, const BatchOptions& opts);
-
-  /// True when NextBatch advances the stream eagerly: after the call,
-  /// Valid()/key() describe the first record NOT in the batch, and batch
-  /// views survive that advance. The k-way merge requires this of its
-  /// inputs to vectorize; deferred-advance streams (the base adapter)
-  /// return false and merge record-wise.
-  virtual bool SupportsEagerBatches() const { return false; }
-
- private:
-  bool batch_advance_pending_ = false;  ///< base NextBatch adapter state
-};
-
-/// \brief KVStream over an in-memory vector of records (borrowed).
-class VectorStream : public KVStream {
- public:
-  explicit VectorStream(const std::vector<std::pair<std::string, std::string>>* records)
-      : records_(records) {}
-
-  bool Valid() const override { return pos_ < records_->size(); }
-  Slice key() const override { return (*records_)[pos_].first; }
-  Slice value() const override { return (*records_)[pos_].second; }
-  Status Next() override {
-    ++pos_;
-    return Status::OK();
-  }
-
-  /// Eager batches: the borrowed vector outlives the stream, so views
-  /// survive any number of advances.
-  Status NextBatch(RecordBatch* batch, const BatchOptions& opts) override {
-    batch->clear();
-    while (Valid() && batch->size() < opts.max_records &&
-           opts.Admits(key())) {
-      batch->emplace_back(key(), value());
-      ++pos_;
-    }
-    return Status::OK();
-  }
-  bool SupportsEagerBatches() const override { return true; }
-
- private:
-  const std::vector<std::pair<std::string, std::string>>* records_;
-  size_t pos_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -171,11 +115,9 @@ struct BlockReadStats {
 /// memory (a fetched segment), read in place: queued frames are views into
 /// the buffer, and with the none codec so is the current block.
 ///
-/// Block storage is double-buffered: decoding block N+1 reuses the buffer
-/// block N-1 occupied, never block N's, so a NextBatch result (whose views
-/// live in one block) survives the advance onto the next block and dies
-/// only at the following call, per the batch contract. Views into an
-/// in-place buffer live as long as the buffer.
+/// Record views follow the KVStream contract: valid until the next Next().
+/// The reader holds one decoded block, so the Next() that crosses into a
+/// new block overwrites the bytes the previous record's views point at.
 class BlockRunReader : public KVStream {
  public:
   struct Options {
@@ -198,12 +140,6 @@ class BlockRunReader : public KVStream {
   Slice key() const override { return key_; }
   Slice value() const override { return value_; }
   Status Next() override;
-
-  /// Eager batches, capped at the current block's tail: the batch stops
-  /// after the first block-boundary crossing so all its views share one
-  /// buffer generation (see the double-buffering note above).
-  Status NextBatch(RecordBatch* batch, const BatchOptions& opts) override;
-  bool SupportsEagerBatches() const override { return true; }
 
   const BlockReadStats& stats() const { return stats_; }
 
@@ -235,7 +171,6 @@ class BlockRunReader : public KVStream {
   uint64_t readahead_bytes_ = 0;
   Slice block_;             // current block: block_buf_ or a frame view
   std::string block_buf_;   // decoded block, or a file frame's moved payload
-  std::string prev_block_;  // previous generation, kept for batch views
   size_t pos_ = 0;          // parse position within block_
   Slice key_;
   Slice value_;

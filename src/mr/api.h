@@ -1,7 +1,10 @@
 // The user-facing MapReduce programming model: Mapper, Reducer (a Combiner is
 // a Reducer, as in Hadoop), Partitioner, and the contexts they emit into.
 // Records are opaque byte strings; programs serialize typed fields through
-// common/coding.h.
+// common/coding.h. Records move one at a time, as views: a RecordSource
+// hands the map loop one record per NextRef, Map emits one per Emit, and
+// Reduce reads one value per ValueIterator::Next; every view is valid until
+// the next call on whatever produced it.
 #ifndef ANTIMR_MR_API_H_
 #define ANTIMR_MR_API_H_
 
@@ -13,7 +16,6 @@
 
 #include "codec/codec.h"
 #include "common/arena.h"
-#include "common/record_batch.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "io/env.h"
@@ -115,15 +117,16 @@ struct TaskInfo {
   size_t spill_block_bytes = kDefaultBlockBytes;
 };
 
+/// Several borrowed records, the argument of MapContext::EmitBatch.
+using RecordBatch = std::vector<RecordRef>;
+
 /// \brief Sink for Map output records.
 class MapContext {
  public:
   virtual ~MapContext() = default;
   virtual void Emit(const Slice& key, const Slice& value) = 0;
 
-  /// Emit several records at once. Identical to calling Emit per record;
-  /// batch-aware sinks (MapOutputBuffer) override it to amortize partition
-  /// dispatch and buffer bookkeeping.
+  /// Emit per record. Kept only for perfbench's EmitSpanMapContext override.
   virtual void EmitBatch(const RecordBatch& batch) {
     for (const RecordRef& r : batch) Emit(r.key, r.value);
   }
@@ -239,35 +242,10 @@ using ReducerFactory = std::function<std::unique_ptr<Reducer>()>;
 class RecordSource {
  public:
   virtual ~RecordSource() = default;
-  /// Produce the next record; returns false at end of split.
-  virtual bool Next(KV* record) = 0;
-
-  /// View-based variant the map loop drives: *ref stays valid until the
-  /// next NextRef/Next call. The default adapter materializes through
-  /// Next(); sources that already own stable storage (VectorSource,
-  /// dataset partitions) override it to hand out views copy-free.
-  virtual bool NextRef(RecordRef* ref) {
-    if (!Next(&scratch_)) return false;
-    *ref = scratch_.ref();
-    return true;
-  }
-
-  /// Fill `batch` (cleared first) with up to `max_records` records and
-  /// return the count; 0 means end of split. Views obey the batch contract
-  /// (common/record_batch.h): valid until the next call on this source. The
-  /// default adapter returns one record per call through NextRef; sources
-  /// with stable storage override it to return real batches.
-  virtual size_t NextBatch(RecordBatch* batch,
-                           size_t max_records = kDefaultBatchRecords) {
-    batch->clear();
-    RecordRef ref;
-    if (max_records == 0 || !NextRef(&ref)) return 0;
-    batch->push_back(ref);
-    return 1;
-  }
-
- private:
-  KV scratch_;  ///< backing for the default NextRef adapter only
+  /// Produce the next record as views; returns false at end of split. *ref
+  /// stays valid until the next call: a caller that keeps a record copies
+  /// it (KV(ref)).
+  virtual bool NextRef(RecordRef* ref) = 0;
 };
 
 /// \brief An input split: a factory so each map task opens its own reader.
@@ -282,28 +260,11 @@ class VectorSource : public RecordSource {
   explicit VectorSource(std::shared_ptr<const std::vector<KV>> records)
       : records_(std::move(records)) {}
 
-  bool Next(KV* record) override {
-    if (pos_ >= records_->size()) return false;
-    *record = (*records_)[pos_++];
-    return true;
-  }
-
   /// Zero-copy: views into the shared vector, which outlives the source.
   bool NextRef(RecordRef* ref) override {
     if (pos_ >= records_->size()) return false;
     *ref = (*records_)[pos_++].ref();
     return true;
-  }
-
-  /// Eager batches: the shared vector outlives the source, so views survive
-  /// any number of advances.
-  size_t NextBatch(RecordBatch* batch,
-                   size_t max_records = kDefaultBatchRecords) override {
-    batch->clear();
-    while (pos_ < records_->size() && batch->size() < max_records) {
-      batch->push_back((*records_)[pos_++].ref());
-    }
-    return batch->size();
   }
 
  private:

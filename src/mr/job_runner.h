@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "mr/job_spec.h"
-#include "mr/local_cluster.h"
+#include "mr/task_graph.h"
 #include "mr/metrics.h"
 #include "mr/shuffle.h"
 

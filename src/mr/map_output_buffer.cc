@@ -20,20 +20,6 @@ class MapOutputBuffer::BufferStream : public KVStream {
     return Status::OK();
   }
 
-  /// Eager batches: entries view arena storage that outlives the stream.
-  Status NextBatch(RecordBatch* batch, const BatchOptions& opts) override {
-    batch->clear();
-    while (pos_ < end_ && batch->size() < opts.max_records) {
-      const Entry& e = buffer_->entries_[pos_];
-      const Slice k = buffer_->KeyOf(e);
-      if (!opts.Admits(k)) break;
-      batch->emplace_back(k, buffer_->ValueOf(e));
-      ++pos_;
-    }
-    return Status::OK();
-  }
-  bool SupportsEagerBatches() const override { return true; }
-
  private:
   const MapOutputBuffer* buffer_;
   size_t pos_;
@@ -56,15 +42,6 @@ void MapOutputBuffer::Add(int partition, const Slice& key,
   e.partition = partition;
   entries_.push_back(e);
   sorted_ = false;
-}
-
-void MapOutputBuffer::AddBatch(const RecordBatch& batch,
-                               const std::vector<int>& partitions) {
-  assert(batch.size() == partitions.size());
-  entries_.reserve(entries_.size() + batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    Add(partitions[i], batch[i].key, batch[i].value);
-  }
 }
 
 size_t MapOutputBuffer::memory_usage() const {

@@ -26,11 +26,6 @@ class MapOutputBuffer {
   /// Append one record destined for `partition`.
   void Add(int partition, const Slice& key, const Slice& value);
 
-  /// Append a whole batch, with `partitions[i]` the target of `batch[i]`.
-  /// One index reservation for the lot; bytes are interned record by record
-  /// as in Add.
-  void AddBatch(const RecordBatch& batch, const std::vector<int>& partitions);
-
   /// Approximate bytes held (payload + per-record index overhead).
   size_t memory_usage() const;
   size_t record_count() const { return entries_.size(); }

@@ -43,23 +43,6 @@ class MapTaskContext : public MapContext {
     metrics_->emitted_bytes += key.size() + value.size();
   }
 
-  /// Batched emit: one partition-timing scope and one buffer reservation
-  /// for the whole batch instead of per record.
-  void EmitBatch(const RecordBatch& batch) override {
-    if (batch.empty()) return;
-    partition_scratch_.resize(batch.size());
-    {
-      ScopedTimer t(&metrics_->cpu.partition_fn);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        partition_scratch_[i] = spec_.partitioner->Partition(
-            batch[i].key, spec_.num_reduce_tasks);
-      }
-    }
-    buffer_.AddBatch(batch, partition_scratch_);
-    metrics_->emitted_records += batch.size();
-    for (const RecordRef& r : batch) metrics_->emitted_bytes += r.bytes();
-  }
-
   /// Spill when over budget. Called between Map invocations (not from Emit)
   /// so sort/combine/compress cost is not attributed to map_fn.
   Status MaybeSpill() {
@@ -202,7 +185,6 @@ class MapTaskContext : public MapContext {
   Env* env_;
   JobMetrics* metrics_;
   MapOutputBuffer buffer_;
-  std::vector<int> partition_scratch_;  // EmitBatch partition targets
   /// Per partition, the run files written so far, in run order.
   std::vector<std::vector<std::string>> run_files_;
   /// Every file name this task has started writing, for failure cleanup.
@@ -242,14 +224,8 @@ Status RunMapTask(const JobSpec& spec, const std::string& job_id, int task_id,
 
   const Status status = [&]() -> Status {
     std::unique_ptr<RecordSource> source = split.open();
-    RecordBatch batch;
-    // Batched input drive: sources with stable storage (dataset partitions,
-    // vectors) hand out whole batches of views, so the input hop costs no
-    // allocation and no per-record virtual dispatch; other sources fall
-    // back to one record per NextBatch. Map and the spill check stay
-    // per-record, so spill points (and therefore job output) are identical
-    // to the record-wise loop.
-    while (source->NextBatch(&batch) > 0) {
+    RecordRef record;
+    while (source->NextRef(&record)) {
       if (control != nullptr) {
         if (control->cancelled()) {
           // Transient, so retry machinery treats the loser of a speculative
@@ -259,17 +235,15 @@ Status RunMapTask(const JobSpec& spec, const std::string& job_id, int task_id,
         }
         control->SetProgress(m.input_records, total_records);
       }
-      for (const RecordRef& record : batch) {
-        m.input_records += 1;
-        m.input_bytes += record.bytes();
-        if (outer_times_map) {
-          ScopedTimer t(&m.cpu.map_fn);
-          mapper->Map(record.key, record.value, &ctx);
-        } else {
-          mapper->Map(record.key, record.value, &ctx);
-        }
-        ANTIMR_RETURN_NOT_OK(ctx.MaybeSpill());
+      m.input_records += 1;
+      m.input_bytes += record.bytes();
+      if (outer_times_map) {
+        ScopedTimer t(&m.cpu.map_fn);
+        mapper->Map(record.key, record.value, &ctx);
+      } else {
+        mapper->Map(record.key, record.value, &ctx);
       }
+      ANTIMR_RETURN_NOT_OK(ctx.MaybeSpill());
     }
     if (outer_times_map) {
       ScopedTimer t(&m.cpu.map_fn);

@@ -61,19 +61,6 @@ class KVVectorStream : public KVStream {
     return Status::OK();
   }
 
-  /// Eager batches: the borrowed vector outlives the stream.
-  Status NextBatch(RecordBatch* batch, const BatchOptions& opts) override {
-    batch->clear();
-    while (pos_ < records_->size() && batch->size() < opts.max_records) {
-      const KV& r = (*records_)[pos_];
-      if (!opts.Admits(r.key)) break;
-      batch->emplace_back(Slice(r.key), Slice(r.value));
-      ++pos_;
-    }
-    return Status::OK();
-  }
-  bool SupportsEagerBatches() const override { return true; }
-
  private:
   const std::vector<KV>* records_;
   size_t pos_ = 0;

@@ -7,14 +7,9 @@ namespace antimr {
 namespace {
 
 Status DrainIntoRowWriter(KVStream* stream, BlockRunWriter* writer) {
-  RecordBatch batch;
-  const BatchOptions opts;
-  while (true) {
-    ANTIMR_RETURN_NOT_OK(stream->NextBatch(&batch, opts));
-    if (batch.empty()) break;
-    for (const RecordRef& r : batch) {
-      ANTIMR_RETURN_NOT_OK(writer->Add(r.key, r.value));
-    }
+  while (stream->Valid()) {
+    ANTIMR_RETURN_NOT_OK(writer->Add(stream->key(), stream->value()));
+    ANTIMR_RETURN_NOT_OK(stream->Next());
   }
   return Status::OK();
 }

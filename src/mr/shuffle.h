@@ -48,9 +48,8 @@ struct SegmentWriteResult {
 
 /// Serialize `stream` (already key-sorted) into block-framed runs of
 /// ~`block_bytes` raw bytes, each compressed with `codec` (null = kNone),
-/// and write them to `fname`. Streaming and batched: records drain via
-/// NextBatch, memory use is O(block). Compression CPU is added to
-/// *compress_nanos.
+/// and write them to `fname`. Streaming: records drain one at a time, so
+/// memory use is O(block). Compression CPU is added to *compress_nanos.
 Status WriteSegment(Env* env, const std::string& fname, KVStream* stream,
                     const Codec* codec, uint64_t* compress_nanos,
                     SegmentWriteResult* out,

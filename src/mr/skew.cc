@@ -204,15 +204,15 @@ Status BuildSkewModel(const JobSpec& spec,
     std::vector<KV> reservoir;
     reservoir.reserve(options.sample_per_split);
     std::unique_ptr<RecordSource> source = splits[s].open();
-    KV record;
+    RecordRef record;
     uint64_t seen = 0;
-    while (source->Next(&record)) {
+    while (source->NextRef(&record)) {
       ++seen;
       if (reservoir.size() < options.sample_per_split) {
-        reservoir.push_back(std::move(record));
+        reservoir.emplace_back(record);
       } else {
         const uint64_t slot = rng.Uniform(seen);
-        if (slot < reservoir.size()) reservoir[slot] = std::move(record);
+        if (slot < reservoir.size()) reservoir[slot] = KV(record);
       }
     }
     for (KV& kv : reservoir) sample.push_back(std::move(kv));

@@ -14,7 +14,7 @@ namespace antimr {
 
 struct TaskControl {
   std::atomic<bool> cancel{false};
-  /// 0..1000; coarse (per input batch for maps, per fetched segment for
+  /// 0..1000 (per input record for maps, per fetched segment for
   /// reduces). Monotone within one attempt.
   std::atomic<uint32_t> progress_permille{0};
 

@@ -9,8 +9,8 @@
 // dependency-aware scheduling on top: a task becomes runnable the moment its
 // dependencies complete, which is what lets shuffle fetches start while the
 // map wave is still in flight.
-#ifndef ANTIMR_MR_LOCAL_CLUSTER_H_
-#define ANTIMR_MR_LOCAL_CLUSTER_H_
+#ifndef ANTIMR_MR_TASK_GRAPH_H_
+#define ANTIMR_MR_TASK_GRAPH_H_
 
 #include <condition_variable>
 #include <deque>
@@ -190,4 +190,4 @@ class TaskGraph {
 
 }  // namespace antimr
 
-#endif  // ANTIMR_MR_LOCAL_CLUSTER_H_
+#endif  // ANTIMR_MR_TASK_GRAPH_H_

@@ -56,8 +56,8 @@ TEST(QLog, SplitsCoverAllRecords) {
   size_t total = 0;
   for (const auto& split : splits) {
     auto source = split.open();
-    KV kv;
-    while (source->Next(&kv)) ++total;
+    RecordRef ref;
+    while (source->NextRef(&ref)) ++total;
   }
   EXPECT_EQ(total, 1003u);
 }

@@ -39,11 +39,16 @@ TEST(MapOutputBuffer, SortsWithinPartition) {
   EXPECT_EQ(buffer.PartitionRecords(1), 2u);
 }
 
+// Add interns: every record is added from one caller buffer that is
+// overwritten after each call, as a mapper formatting into scratch does.
 TEST(MapOutputBuffer, StableForEqualKeys) {
   MapOutputBuffer buffer(1, BytewiseCompare);
-  buffer.Add(0, "k", "first");
-  buffer.Add(0, "k", "second");
-  buffer.Add(0, "k", "third");
+  std::string scratch;
+  for (const char* value : {"first", "second", "third"}) {
+    scratch = value;
+    buffer.Add(0, "k", scratch);
+    scratch.assign(scratch.size(), '?');
+  }
   buffer.Sort();
   auto stream = buffer.PartitionStream(0);
   EXPECT_EQ(stream->value().ToString(), "first");
@@ -100,84 +105,6 @@ TEST(MapOutputBuffer, SparsePartitions) {
   for (int p = 0; p < 10; ++p) {
     EXPECT_EQ(buffer.PartitionRecords(p), (p == 2 || p == 7) ? 1u : 0u);
   }
-}
-
-// AddBatch must be byte-equivalent to record-wise Add: same partition
-// contents, same sort, same stability for equal keys (batch order = Add
-// order). The batch references caller storage; the buffer must intern.
-TEST(MapOutputBuffer, AddBatchMatchesRecordWiseAdd) {
-  const std::vector<std::pair<std::string, std::string>> records = {
-      {"c", "3"}, {"a", "1"}, {"a", "1b"}, {"b", "2"}, {"z", "26"}};
-  const std::vector<int> partitions = {0, 1, 0, 1, 0};
-
-  MapOutputBuffer record_wise(2, BytewiseCompare);
-  for (size_t i = 0; i < records.size(); ++i) {
-    record_wise.Add(partitions[i], records[i].first, records[i].second);
-  }
-  record_wise.Sort();
-
-  MapOutputBuffer batched(2, BytewiseCompare);
-  {
-    // Batch storage is scoped: after AddBatch returns, the buffer must not
-    // reference it.
-    std::vector<std::pair<std::string, std::string>> storage = records;
-    RecordBatch batch;
-    for (const auto& [k, v] : storage) batch.emplace_back(Slice(k), Slice(v));
-    batched.AddBatch(batch, partitions);
-    for (auto& [k, v] : storage) {
-      k.assign(k.size(), '?');
-      v.assign(v.size(), '?');
-    }
-    batched.Sort();
-  }
-
-  EXPECT_EQ(batched.record_count(), record_wise.record_count());
-  for (int p = 0; p < 2; ++p) {
-    ASSERT_EQ(batched.PartitionRecords(p), record_wise.PartitionRecords(p));
-    auto want = record_wise.PartitionStream(p);
-    auto got = batched.PartitionStream(p);
-    while (want->Valid()) {
-      ASSERT_TRUE(got->Valid());
-      EXPECT_EQ(got->key().ToString(), want->key().ToString());
-      EXPECT_EQ(got->value().ToString(), want->value().ToString());
-      ASSERT_TRUE(want->Next().ok());
-      ASSERT_TRUE(got->Next().ok());
-    }
-    EXPECT_FALSE(got->Valid());
-  }
-}
-
-// The partition streams a sorted buffer serves support eager batches; the
-// batched view must equal the record-wise walk.
-TEST(MapOutputBuffer, PartitionStreamBatchesMatch) {
-  MapOutputBuffer buffer(1, BytewiseCompare);
-  for (int i = 0; i < 100; ++i) {
-    buffer.Add(0, "k" + std::to_string(i % 10), "v" + std::to_string(i));
-  }
-  buffer.Sort();
-
-  std::vector<std::pair<std::string, std::string>> want;
-  auto record_stream = buffer.PartitionStream(0);
-  while (record_stream->Valid()) {
-    want.emplace_back(record_stream->key().ToString(),
-                      record_stream->value().ToString());
-    ASSERT_TRUE(record_stream->Next().ok());
-  }
-
-  auto batch_stream = buffer.PartitionStream(0);
-  ASSERT_TRUE(batch_stream->SupportsEagerBatches());
-  std::vector<std::pair<std::string, std::string>> got;
-  RecordBatch batch;
-  BatchOptions opts;
-  opts.max_records = 17;
-  while (true) {
-    ASSERT_TRUE(batch_stream->NextBatch(&batch, opts).ok());
-    if (batch.empty()) break;
-    for (const RecordRef& r : batch) {
-      got.emplace_back(r.key.ToString(), r.value.ToString());
-    }
-  }
-  EXPECT_EQ(got, want);
 }
 
 TEST(MapOutputBuffer, BinarySafePayloads) {

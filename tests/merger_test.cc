@@ -5,15 +5,18 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "mr/reduce_task.h"
 
 namespace antimr {
 namespace {
 
-using Records = std::vector<std::pair<std::string, std::string>>;
+using Records = std::vector<KV>;
 
 std::unique_ptr<KVStream> Stream(const Records* records) {
-  return std::make_unique<VectorStream>(records);
+  return std::make_unique<KVVectorStream>(records);
 }
+
+bool KeyLess(const KV& a, const KV& b) { return a.key < b.key; }
 
 Records Drain(MergingStream* stream) {
   Records out;
@@ -34,7 +37,7 @@ TEST(Merger, MergesSortedInputs) {
   Records out = Drain(&merged);
   ASSERT_EQ(out.size(), 5u);
   for (size_t i = 1; i < out.size(); ++i) {
-    EXPECT_LT(out[i - 1].first, out[i].first);
+    EXPECT_LT(out[i - 1].key, out[i].key);
   }
 }
 
@@ -62,9 +65,9 @@ TEST(Merger, StableOnEqualKeys) {
   MergingStream merged(std::move(inputs), BytewiseCompare);
   Records out = Drain(&merged);
   ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].second, "from_a1");
-  EXPECT_EQ(out[1].second, "from_a2");
-  EXPECT_EQ(out[2].second, "from_b");
+  EXPECT_EQ(out[0].value, "from_a1");
+  EXPECT_EQ(out[1].value, "from_a2");
+  EXPECT_EQ(out[2].value, "from_b");
 }
 
 TEST(Merger, CustomComparator) {
@@ -81,117 +84,38 @@ TEST(Merger, CustomComparator) {
   Records out = Drain(&merged);
   ASSERT_EQ(out.size(), 5u);
   for (size_t i = 1; i < out.size(); ++i) {
-    EXPECT_GT(out[i - 1].first, out[i].first);
+    EXPECT_GT(out[i - 1].key, out[i].key);
   }
 }
 
+// The merge must equal a stable sort by key of the inputs concatenated in
+// input order: records with equal keys come out by input index, and within
+// one input in the input's own order. The narrow key space puts duplicates
+// within and across inputs, so the stream-index tie-break decides most of
+// the output.
 TEST(Merger, ManyStreamsRandomized) {
   Random rng(99);
-  std::vector<Records> sources(17);
-  Records expected;
-  for (auto& source : sources) {
-    const size_t n = rng.Uniform(30);
-    for (size_t i = 0; i < n; ++i) {
-      source.emplace_back("key" + std::to_string(rng.Uniform(1000)),
-                          std::to_string(rng.Next()));
-    }
-    std::sort(source.begin(), source.end());
-    expected.insert(expected.end(), source.begin(), source.end());
-  }
-  std::sort(expected.begin(), expected.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<std::unique_ptr<KVStream>> inputs;
-  for (const auto& source : sources) inputs.push_back(Stream(&source));
-  MergingStream merged(std::move(inputs), BytewiseCompare);
-  Records out = Drain(&merged);
-  ASSERT_EQ(out.size(), expected.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].first, expected[i].first);
-  }
-}
-
-Records DrainBatched(MergingStream* stream, size_t max_records = 1024) {
-  Records out;
-  RecordBatch batch;
-  BatchOptions opts;
-  opts.max_records = max_records;
-  while (true) {
-    EXPECT_TRUE(stream->NextBatch(&batch, opts).ok());
-    if (batch.empty()) break;
-    for (const RecordRef& r : batch) {
-      out.emplace_back(r.key.ToString(), r.value.ToString());
-    }
-  }
-  return out;
-}
-
-// The vectorized winner-drain (batches bounded by the second-best head key)
-// must produce byte-identical output to the record-wise merge, including
-// the stream-index tie-break on equal keys.
-TEST(Merger, BatchedDrainMatchesRecordDrain) {
-  Random rng(1234);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<Records> sources(1 + rng.Uniform(9));
-    for (auto& source : sources) {
-      const size_t n = rng.Uniform(200);
-      for (size_t i = 0; i < n; ++i) {
-        // Narrow key space: plenty of duplicates across (and within)
-        // streams, exercising the take_equal tie-break.
-        source.emplace_back("k" + std::to_string(rng.Uniform(25)),
-                            std::to_string(rng.Next()));
+  for (const uint64_t key_space : {uint64_t{1000}, uint64_t{25}}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<Records> sources(1 + rng.Uniform(17));
+      Records expected;
+      for (auto& source : sources) {
+        const size_t n = rng.Uniform(200);
+        for (size_t i = 0; i < n; ++i) {
+          source.emplace_back("key" + std::to_string(rng.Uniform(key_space)),
+                              std::to_string(rng.Next()));
+        }
+        std::stable_sort(source.begin(), source.end(), KeyLess);
+        expected.insert(expected.end(), source.begin(), source.end());
       }
-      std::sort(source.begin(), source.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-    }
-    auto make_merge = [&]() {
+      std::stable_sort(expected.begin(), expected.end(), KeyLess);
       std::vector<std::unique_ptr<KVStream>> inputs;
       for (const auto& source : sources) inputs.push_back(Stream(&source));
-      return std::make_unique<MergingStream>(std::move(inputs),
-                                             BytewiseCompare);
-    };
-    auto record_merge = make_merge();
-    const Records expected = Drain(record_merge.get());
-    for (const size_t max_records : {size_t{1}, size_t{7}, size_t{1024}}) {
-      auto batch_merge = make_merge();
-      EXPECT_EQ(DrainBatched(batch_merge.get(), max_records), expected)
-          << "trial " << trial << " max_records " << max_records;
+      MergingStream merged(std::move(inputs), BytewiseCompare);
+      EXPECT_EQ(Drain(&merged), expected)
+          << "key space " << key_space << " trial " << trial;
     }
   }
-}
-
-// A caller-supplied stop_key must combine with the internal second-best
-// bound: the batch never crosses the caller's bound, and the stream head
-// lands exactly on the first excluded record.
-TEST(Merger, BatchedDrainHonorsCallerBound) {
-  Records a = {{"a", "1"}, {"c", "3"}, {"e", "5"}, {"g", "7"}};
-  Records b = {{"b", "2"}, {"d", "4"}, {"f", "6"}};
-  std::vector<std::unique_ptr<KVStream>> inputs;
-  inputs.push_back(Stream(&a));
-  inputs.push_back(Stream(&b));
-  MergingStream merged(std::move(inputs), BytewiseCompare);
-
-  const Slice stop("d");
-  const KeyComparator cmp = BytewiseCompare;
-  BatchOptions opts;
-  opts.stop_key = &stop;
-  opts.take_equal = false;
-  opts.cmp = &cmp;
-  Records out;
-  RecordBatch batch;
-  while (true) {
-    EXPECT_TRUE(merged.NextBatch(&batch, opts).ok());
-    if (batch.empty()) break;
-    for (const RecordRef& r : batch) {
-      out.emplace_back(r.key.ToString(), r.value.ToString());
-    }
-  }
-  const Records expected = {{"a", "1"}, {"b", "2"}, {"c", "3"}};
-  EXPECT_EQ(out, expected);
-  ASSERT_TRUE(merged.Valid());
-  EXPECT_EQ(merged.key().ToString(), "d");
-  // The remainder is still intact once the bound is lifted.
-  EXPECT_EQ(Drain(&merged),
-            (Records{{"d", "4"}, {"e", "5"}, {"f", "6"}, {"g", "7"}}));
 }
 
 TEST(Merger, SingleStreamPassesThrough) {

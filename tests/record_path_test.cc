@@ -29,6 +29,7 @@
 #include "datagen/cloud.h"
 #include "datagen/random_text.h"
 #include "mr/map_output_buffer.h"
+#include "mr/reduce_task.h"
 #include "mr/shuffle.h"
 
 namespace antimr {
@@ -154,20 +155,20 @@ void RunStringPath(const Records& records, PathStats* stats) {
   std::unique_ptr<Env> env = NewMemEnv();
   const uint64_t alloc_start = test_alloc::AllocationCount();
 
-  std::vector<Records> parts(kPartitions);
+  std::vector<std::vector<KV>> parts(kPartitions);
   for (const auto& [k, v] : records) {
     parts[PartitionOf(k)].emplace_back(k, v);  // owning copies at emit
     stats->bytes_copied += k.size() + v.size();
     ++stats->records;
   }
-  for (Records& part : parts) {
+  for (std::vector<KV>& part : parts) {
     std::stable_sort(part.begin(), part.end(),
-                     [](const auto& a, const auto& b) {
-                       return BytewiseCompare(a.first, b.first) < 0;
+                     [](const KV& a, const KV& b) {
+                       return BytewiseCompare(a.key, b.key) < 0;
                      });
   }
   for (int p = 0; p < kPartitions; ++p) {
-    VectorStream stream(&parts[p]);
+    KVVectorStream stream(&parts[p]);
     WritePartitionRun(env.get(), "sb" + std::to_string(p), &stream,
                       &stats->bytes_copied);
     parts[p].clear();

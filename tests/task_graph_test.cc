@@ -1,4 +1,4 @@
-#include "mr/local_cluster.h"
+#include "mr/task_graph.h"
 
 #include <atomic>
 #include <chrono>
