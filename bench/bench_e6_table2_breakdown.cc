@@ -3,7 +3,9 @@
 // -CP (with gzip compression). Columns: total CPU, disk read, disk write.
 // Expected shape: AdaptiveSH cuts CPU and disk by integer factors;
 // AdaptiveSH-CB eliminates Shared spilling; AdaptiveSH-CP has the smallest
-// disk footprint of all.
+// disk footprint of all. A second table splits each row's task time into
+// the exclusive phases of the phase clock plus `other`, summed over tasks
+// (they add up to the row's task wall time).
 #include "bench_util.h"
 #include "datagen/qlog.h"
 #include "workloads/query_suggestion.h"
@@ -36,6 +38,7 @@ int main() {
 
   std::printf("%-16s %14s %14s %14s %14s\n", "algorithm", "total CPU",
               "disk read", "disk write", "Shared spills");
+  std::vector<JobMetrics> measured;
   for (const Row& r : rows) {
     workloads::QuerySuggestionConfig cfg;
     cfg.scheme = workloads::QuerySuggestionConfig::Scheme::kPrefix5;
@@ -51,7 +54,26 @@ int main() {
                 FormatBytes(m.disk_bytes_read).c_str(),
                 FormatBytes(m.disk_bytes_written).c_str(),
                 static_cast<unsigned long long>(m.shared_spills));
+    measured.push_back(m);
   }
+
+  std::printf("\nexclusive task time per phase, ms summed over tasks\n");
+  std::printf("%-13s", "phase");
+  for (const Row& r : rows) std::printf(" %14s", r.label);
+  std::printf("\n");
+#define ANTIMR_PHASE_ROW(name)                                      \
+  std::printf("%-13s", #name);                                     \
+  for (const JobMetrics& m : measured) {                           \
+    std::printf(" %14.1f", static_cast<double>(m.cpu.name) / 1e6); \
+  }                                                                \
+  std::printf("\n");
+  ANTIMR_PHASE_CPU_FIELDS(ANTIMR_PHASE_ROW)
+#undef ANTIMR_PHASE_ROW
+  std::printf("%-13s", "task wall");
+  for (const JobMetrics& m : measured) {
+    std::printf(" %14.1f", static_cast<double>(m.task_wall_nanos) / 1e6);
+  }
+  std::printf("\n\n");
 
   PaperNote("Table 2 (1000 sec / GB / GB): Original 168.8/566.1/741.5, "
             "Original-CB 172.9/510.4/664.6, Original-CP 125.2/64.5/82.3, "

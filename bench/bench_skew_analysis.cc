@@ -31,8 +31,8 @@ TaskStats ReduceTaskStats(const JobResult& result) {
   int count = 0;
   for (const TaskMetrics& t : result.task_metrics) {
     if (t.is_map) continue;
-    total += t.cpu_nanos;
-    s.max_cpu = std::max(s.max_cpu, t.cpu_nanos);
+    total += t.metrics.total_cpu_nanos;
+    s.max_cpu = std::max(s.max_cpu, t.metrics.total_cpu_nanos);
     s.max_remaps = std::max(s.max_remaps, t.metrics.remap_calls);
     s.total_remaps += t.metrics.remap_calls;
     ++count;

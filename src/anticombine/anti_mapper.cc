@@ -38,39 +38,30 @@ void AntiMapper::Setup(const TaskInfo& info, MapContext* ctx) {
   key_order_ = KeyOrder(info.key_cmp);
   o_mapper_ = o_mapper_factory_();
   capture_.Clear();
-  const uint64_t t0 = NowNanos();
   o_mapper_->Setup(info, &capture_);
-  const uint64_t t1 = NowNanos();
-  if (!capture_.empty()) {
-    EncodeAndEmit(Slice(), Slice(), /*have_input=*/false, t1 - t0, t1, ctx);
-  }
+  EncodeAndEmit(Slice(), Slice(), /*have_input=*/false, ctx);
 }
 
 void AntiMapper::Cleanup(MapContext* ctx) {
-  if (options_.cross_call_window > 1) FlushWindow(ctx);
-  capture_.Clear();
-  const uint64_t t0 = NowNanos();
-  o_mapper_->Cleanup(&capture_);
-  const uint64_t t1 = NowNanos();
-  if (!capture_.empty()) {
-    EncodeAndEmit(Slice(), Slice(), /*have_input=*/false, t1 - t0, t1, ctx);
+  if (options_.cross_call_window > 1) {
+    FlushWindow(ctx);
+    SwitchPhase(Phase::map_fn);
   }
+  capture_.Clear();
+  o_mapper_->Cleanup(&capture_);
+  EncodeAndEmit(Slice(), Slice(), /*have_input=*/false, ctx);
 }
 
 void AntiMapper::Map(const Slice& key, const Slice& value, MapContext* ctx) {
   capture_.Clear();
-  // Run the original Map, measuring its exact cost (Figure 7: "Call
-  // original map, measure cost").
-  const uint64_t t0 = NowNanos();
+  // Run the original Map in Phase::map_fn; the switch that ends it returns
+  // its exact cost (Figure 7: "Call original map, measure cost").
   o_mapper_->Map(key, value, &capture_);
-  const uint64_t t1 = NowNanos();
-  const uint64_t map_cost = t1 - t0;
-  if (info_.metrics != nullptr) info_.metrics->cpu.map_fn += map_cost;
   if (options_.cross_call_window > 1) {
-    BufferCall(key, value, map_cost, ctx);
+    BufferCall(key, value, SwitchPhase(Phase::encode), ctx);
     return;
   }
-  EncodeAndEmit(key, value, /*have_input=*/true, map_cost, t1, ctx);
+  EncodeAndEmit(key, value, /*have_input=*/true, ctx);
 }
 
 void AntiMapper::CountMapOutput(const CaptureContext& records) {
@@ -185,15 +176,13 @@ void AntiMapper::FlushWindow(MapContext* ctx) {
   }
 
   partitions_.resize(n);
-  const uint64_t p0 = NowNanos();
+  SwitchPhase(Phase::partition_fn);
   for (size_t i = 0; i < n; ++i) {
     partitions_[i] = info_.partitioner->Partition(window_capture_.key(i),
                                                   info_.num_reduce_tasks);
   }
   // One clock read ends the Partition span and starts the encode span.
-  const uint64_t encode_start = NowNanos();
-  const uint64_t partition_cost = encode_start - p0;
-  if (m != nullptr) m->cpu.partition_fn += partition_cost;
+  const uint64_t partition_cost = SwitchPhase(Phase::encode);
 
   SortByPartitionValueKey(window_capture_);
 
@@ -266,7 +255,6 @@ void AntiMapper::FlushWindow(MapContext* ctx) {
     }
     EmitEager(plan, ctx);
   }
-  if (m != nullptr) m->cpu.encode += NowNanos() - encode_start;
 
   window_capture_.Clear();
   window_call_of_.clear();
@@ -277,7 +265,6 @@ void AntiMapper::FlushWindow(MapContext* ctx) {
 
 void AntiMapper::EncodeAndEmit(const Slice& input_key,
                                const Slice& input_value, bool have_input,
-                               uint64_t map_cost_nanos, uint64_t map_end,
                                MapContext* ctx) {
   JobMetrics* m = info_.metrics;
   const size_t n = capture_.size();
@@ -292,6 +279,7 @@ void AntiMapper::EncodeAndEmit(const Slice& input_key,
   // degenerates to a single comparison). Keeps the Section 7.1 overhead to
   // the flag bytes plus one size comparison.
   if (n == 1) {
+    const uint64_t map_cost_nanos = SwitchPhase(Phase::encode);
     const Slice only_key = capture_.key(0);
     const Slice only_value = capture_.value(0);
     const size_t eager_bytes = only_key.size() + EagerPayloadSize({}, only_value);
@@ -316,17 +304,16 @@ void AntiMapper::EncodeAndEmit(const Slice& input_key,
   }
 
   // Partition every output record, measuring the Partitioner's cost
-  // (Figure 7: "Call Partitioner, measure cost"). The clock read that ended
+  // (Figure 7: "Call Partitioner, measure cost"). The clock read that ends
   // the Map call starts this span, and the one that ends it starts the
   // encode span.
+  const uint64_t map_cost_nanos = SwitchPhase(Phase::partition_fn);
   partitions_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     partitions_[i] =
         info_.partitioner->Partition(capture_.key(i), info_.num_reduce_tasks);
   }
-  const uint64_t encode_start = NowNanos();
-  const uint64_t partition_cost = encode_start - map_end;
-  if (m != nullptr) m->cpu.partition_fn += partition_cost;
+  const uint64_t partition_cost = SwitchPhase(Phase::encode);
   CountMapOutput(capture_);
 
   // One sort by (partition, value, key) replaces per-call hash maps.
@@ -383,8 +370,6 @@ void AntiMapper::EncodeAndEmit(const Slice& input_key,
     }
     EmitEager(plan, ctx);
   }
-
-  if (m != nullptr) m->cpu.encode += NowNanos() - encode_start;
 }
 
 }  // namespace anticombine

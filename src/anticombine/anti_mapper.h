@@ -3,6 +3,8 @@
 // call's output through a capturing context, measures the call's Map +
 // Partition cost, and — independently per target partition — emits the
 // cheaper of the EagerSH and LazySH encodings, constrained by threshold T.
+// The costs are the values of the phase switches (common/stopwatch.h) that
+// end the original Map call and its Partition calls.
 #ifndef ANTIMR_ANTICOMBINE_ANTI_MAPPER_H_
 #define ANTIMR_ANTICOMBINE_ANTI_MAPPER_H_
 
@@ -82,13 +84,12 @@ class AntiMapper : public Mapper {
     size_t lazy_bytes = 0;
   };
 
-  /// Encode and emit the captured batch. `have_input` is false for batches
-  /// captured outside a Map call (Setup/Cleanup emissions), which cannot be
-  /// Lazy-encoded because there is no input record to resend. `map_end` is
-  /// the clock read that ended the Map call; it starts the Partition span.
+  /// Encode and emit the batch captured in Phase::map_fn, leaving the clock
+  /// in Phase::encode. `have_input` is false for batches captured outside a
+  /// Map call (Setup/Cleanup emissions), which cannot be Lazy-encoded
+  /// because there is no input record to resend.
   void EncodeAndEmit(const Slice& input_key, const Slice& input_value,
-                     bool have_input, uint64_t map_cost_nanos,
-                     uint64_t map_end, MapContext* ctx);
+                     bool have_input, MapContext* ctx);
 
   /// Count `records` as the wrapped Map's logical output.
   void CountMapOutput(const CaptureContext& records);
@@ -114,7 +115,8 @@ class AntiMapper : public Mapper {
                   uint64_t map_cost_nanos, MapContext* ctx);
 
   /// Encode and emit the whole buffered window: EagerSH value groups span
-  /// calls; LazySH records still resend individual inputs.
+  /// calls; LazySH records still resend individual inputs. Leaves the clock
+  /// in Phase::encode.
   void FlushWindow(MapContext* ctx);
 
   /// Record one AdaptiveSH Eager/Lazy choice as a trace instant. Decisions

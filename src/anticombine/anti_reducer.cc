@@ -8,7 +8,6 @@
 #include "common/stopwatch.h"
 #include "mr/metrics.h"
 #include "mr/reduce_task.h"
-#include "obs/metrics_registry.h"
 
 namespace antimr {
 namespace anticombine {
@@ -89,21 +88,17 @@ Status AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
   Slice rest;
   ANTIMR_RETURN_NOT_OK(GetEncoding(payload, &encoding, &rest));
 
-  // Each phase ends with one clock read that also starts the next, and the
-  // record's Adds are charged to cpu.shared as one span.
+  // Each phase switch is one clock read that ends the previous phase, and
+  // the record's Adds are charged to Phase::shared as one span.
+  ScopedPhase phase(Phase::decode);
   if (encoding == Encoding::kEager) {
-    const uint64_t t0 = NowNanos();
     decode_keys_.clear();
     Slice value;
     ANTIMR_RETURN_NOT_OK(DecodeEagerPayload(rest, &decode_keys_, &value));
-    const uint64_t t1 = NowNanos();
+    SwitchPhase(Phase::shared);
     ANTIMR_RETURN_NOT_OK(shared_->Add(rep_key, value));
     for (const Slice& key : decode_keys_) {
       ANTIMR_RETURN_NOT_OK(shared_->Add(key, value));
-    }
-    if (m != nullptr) {
-      m->cpu.decode += t1 - t0;
-      m->cpu.shared += NowNanos() - t1;
     }
     return Status::OK();
   }
@@ -115,26 +110,14 @@ Status AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
   // keeps Shared's work out of the remap span.
   Slice input_key, input_value;
   remap_.Clear();
-  const uint64_t t0 = NowNanos();
   ANTIMR_RETURN_NOT_OK(DecodeLazyPayload(rest, &input_key, &input_value));
-  const uint64_t t1 = NowNanos();
+  SwitchPhase(Phase::remap);
   o_mapper_->Map(input_key, input_value, &remap_);
-  // One Inc per Lazy record is dwarfed by the Map re-execution it tallies.
-  static obs::Counter* const remap_counter =
-      obs::MetricsRegistry::Global().GetCounter(
-          "antimr_remap_calls_total",
-          "LazySH decodes that re-executed the original Map");
-  remap_counter->Inc();
-  const uint64_t t2 = NowNanos();
+  if (m != nullptr) m->remap_calls += 1;
+  SwitchPhase(Phase::shared);
   const CaptureContext& kept = remap_.kept();
   for (size_t i = 0; i < kept.size(); ++i) {
     ANTIMR_RETURN_NOT_OK(shared_->Add(kept.key(i), kept.value(i)));
-  }
-  if (m != nullptr) {
-    m->cpu.decode += t1 - t0;
-    m->cpu.remap += t2 - t1;
-    m->remap_calls += 1;
-    m->cpu.shared += NowNanos() - t2;
   }
   return Status::OK();
 }
@@ -164,11 +147,10 @@ Status AntiReducer::ReduceGroup(const Slice& key, ValueIterator* values,
   local_arena_.Clear();
   bool use_shared = false;
   auto flush_locals = [&]() -> Status {
-    const uint64_t t0 = NowNanos();
+    ScopedPhase phase(Phase::shared);
     for (const RecordRef& rec : local_group_) {
       ANTIMR_RETURN_NOT_OK(shared_->Add(rec.key, rec.value));
     }
-    if (info_.metrics != nullptr) info_.metrics->cpu.shared += NowNanos() - t0;
     local_group_.clear();
     local_arena_.Clear();
     return Status::OK();
@@ -292,19 +274,28 @@ Status AntiCombiner::DecodeValue(const Slice& rep_key, const Slice& payload) {
   Encoding encoding;
   Slice rest;
   ANTIMR_RETURN_NOT_OK(GetEncoding(payload, &encoding, &rest));
+  // Decoding and re-execution leave the combine phase the enclosing
+  // RunGroups runs this in; the accumulator's inserts stay in it.
   if (encoding == Encoding::kEager) {
     Slice value;
-    ANTIMR_RETURN_NOT_OK(DecodeEagerPayload(rest, &decode_keys_, &value));
+    {
+      ScopedPhase phase(Phase::decode);
+      ANTIMR_RETURN_NOT_OK(DecodeEagerPayload(rest, &decode_keys_, &value));
+    }
     AddAcc(rep_key, value);
     for (const Slice& key : decode_keys_) {
       AddAcc(key, value);
     }
     return Status::OK();
   }
-  Slice input_key, input_value;
-  ANTIMR_RETURN_NOT_OK(DecodeLazyPayload(rest, &input_key, &input_value));
-  remap_.Clear();
-  o_mapper_->Map(input_key, input_value, &remap_);
+  {
+    ScopedPhase phase(Phase::decode);
+    Slice input_key, input_value;
+    ANTIMR_RETURN_NOT_OK(DecodeLazyPayload(rest, &input_key, &input_value));
+    SwitchPhase(Phase::remap);
+    remap_.Clear();
+    o_mapper_->Map(input_key, input_value, &remap_);
+  }
   if (info_.metrics != nullptr) info_.metrics->remap_calls += 1;
   const CaptureContext& kept = remap_.kept();
   for (size_t i = 0; i < kept.size(); ++i) AddAcc(kept.key(i), kept.value(i));

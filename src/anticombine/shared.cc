@@ -133,7 +133,7 @@ Shared::~Shared() {
 }
 
 Status Shared::Add(const Slice& key, const Slice& value) {
-  // Untimed: callers charge cpu.shared once per batch of Adds, so the clock
+  // Untimed: callers enter Phase::shared once per batch of Adds, so the clock
   // is not read twice per decoded value.
   ANTIMR_RETURN_NOT_OK(AddInternal(key, value, /*allow_combine=*/true));
   if (options_.metrics) options_.metrics->shared_insertions += 1;
@@ -263,18 +263,16 @@ Status Shared::AddInternal(const Slice& key, const Slice& value,
 
 Status Shared::CombineKey(uint32_t id) {
   const Slice key = entries_[id].key;  // arena bytes: stable across growth
-  uint64_t combine_nanos = 0;
   std::vector<KV> combined;
   CollectingContext ctx(&combined);
   {
-    ScopedTimer t(&combine_nanos);
+    ScopedPhase phase(Phase::combine);
     PackedValueIterator it(entries_[id].values.packed);
     options_.combiner->Reduce(key, &it, &ctx);
   }
   ANTIMR_RETURN_NOT_OK(ctx.status());
   ValueList& list = entries_[id].values;
   if (options_.metrics) {
-    options_.metrics->cpu.combine += combine_nanos;
     options_.metrics->combine_input_records += list.count;
     options_.metrics->combine_output_records += combined.size();
   }
@@ -379,7 +377,7 @@ Status Shared::MaybeMergeSpills() {
     for (SpillRun& run : spills_) inputs.push_back(std::move(run.stream));
     MergingStream merged(std::move(inputs), options_.key_cmp);
     written = WriteSegment(options_.env, fname, &merged,
-                           GetCodec(options_.codec), nullptr, nullptr,
+                           GetCodec(options_.codec), nullptr,
                            options_.block_bytes);
   }
   // The merged-away files go whether or not the merge succeeded: their
@@ -449,10 +447,7 @@ bool Shared::PeekMinKey(std::string* key) {
 
 Status Shared::PopMinKeyValues(std::string* group_key,
                                std::vector<Slice>* values) {
-  uint64_t* shared_nanos =
-      options_.metrics ? &options_.metrics->cpu.shared : nullptr;
-  uint64_t local = 0;
-  ScopedTimer t(shared_nanos ? shared_nanos : &local);
+  ScopedPhase phase(Phase::shared);
 
   Slice min_key;
   if (!FindMinKey(&min_key)) return Status::NotFound("Shared is empty");

@@ -13,6 +13,9 @@
 // Status the Shared holds an undefined subset of its records, and the only
 // valid operation left is destruction, which deletes its spill files.
 //
+// Pops run in Phase::shared (common/stopwatch.h), as callers' Adds do; the
+// Combiner and spill compression inside are combine and compress time.
+//
 // Table layout: each distinct in-memory key is one entry in a slab (a
 // vector of {interned key, cached hash, value list}, freed slots chained
 // for reuse). An open-addressed, linearly probed index of entry ids finds a

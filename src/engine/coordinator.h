@@ -275,6 +275,8 @@ struct DistJobResult {
   /// Summed task metrics (latest attempt of each map, so healed maps are
   /// not double-counted) plus driver wall time.
   JobMetrics metrics;
+  /// Per-task breakdown of every stage (the winning attempt of each task).
+  std::vector<TaskMetrics> tasks;
   /// Map task executions beyond the first num_maps (retries + heals).
   uint64_t map_reruns = 0;
   /// Per reduce partition of the plan's first stage: transport bytes

@@ -48,12 +48,8 @@ struct LocalRunner : public TaskRunner {
     const std::string job_id =
         attempt == 0 ? st->job_id
                      : st->job_id + "_r" + std::to_string(attempt);
-    const uint64_t cpu_start = ThreadCpuNanos();
-    Status status = RunMapTask(st->run_spec, job_id, static_cast<int>(m),
-                               st->map_inputs[m].split, task_env,
-                               &st->map_results[m]);
-    st->map_cpu[m] = ThreadCpuNanos() - cpu_start;
-    return status;
+    return RunMapTask(st->run_spec, job_id, static_cast<int>(m),
+                      st->map_inputs[m].split, task_env, &st->map_results[m]);
   }
 
   Status Fetch(StageExec* st, size_t p, size_t m) override {
@@ -91,12 +87,12 @@ struct LocalRunner : public TaskRunner {
     for (const std::vector<FetchedSegment>& runs : st->fetched[p]) {
       for (const FetchedSegment& fs : runs) inputs.fetched.push_back(&fs);
     }
-    const uint64_t cpu_start = ThreadCpuNanos();
     Status status =
         RunReduceTask(st->run_spec, static_cast<int>(p), inputs, task_env,
                       st->publish_output, &st->reduce_results[p]);
-    st->reduce_cpu[p] = ThreadCpuNanos() - cpu_start +
-                        st->fetch_cpu[p].load(std::memory_order_relaxed);
+    // The fetch tasks ran for this reduce; their CPU is its CPU.
+    st->reduce_results[p].metrics.total_cpu_nanos +=
+        st->fetch_cpu[p].load(std::memory_order_relaxed);
     if (status.ok()) {
       // Success is terminal: drop the fetched frames now (not at stage
       // teardown) to keep shuffle memory bounded per live reduce.

@@ -99,9 +99,7 @@ Status LowerPlan(const PlannerContext& ctx, DatasetCatalog* catalog,
     const size_t num_reduce =
         static_cast<size_t>(st->run_spec.num_reduce_tasks);
     st->map_results.resize(num_maps);
-    st->map_cpu.assign(num_maps, 0);
     st->reduce_results.resize(num_reduce);
-    st->reduce_cpu.assign(num_reduce, 0);
     st->maps_remaining.store(num_maps, std::memory_order_relaxed);
 
     std::vector<int> map_ids(num_maps, -1);
@@ -218,18 +216,16 @@ Status RunPlan(const PlannerContext& ctx, PlanResult* result) {
     sr.output = stage.output;
     for (size_t m = 0; m < st.map_inputs.size(); ++m) {
       sr.metrics.Add(st.map_results[m].metrics);
-      sr.metrics.total_cpu_nanos += st.map_cpu[m];
       if (ctx.collect_task_metrics) {
         sr.tasks.push_back({/*is_map=*/true, static_cast<int>(m),
-                            st.map_cpu[m], st.map_results[m].metrics});
+                            st.map_results[m].metrics});
       }
     }
     for (size_t p = 0; p < st.reduce_results.size(); ++p) {
       sr.metrics.Add(st.reduce_results[p].metrics);
-      sr.metrics.total_cpu_nanos += st.reduce_cpu[p];
       if (ctx.collect_task_metrics) {
         sr.tasks.push_back({/*is_map=*/false, static_cast<int>(p),
-                            st.reduce_cpu[p], st.reduce_results[p].metrics});
+                            st.reduce_results[p].metrics});
       }
     }
     sr.metrics.shuffle_overlapped_fetches =

@@ -54,9 +54,7 @@ struct StageExec {
 
   std::vector<MapInput> map_inputs;  ///< one per map task
   std::vector<MapTaskResult> map_results;
-  std::vector<uint64_t> map_cpu;
   std::vector<ReduceTaskResult> reduce_results;
-  std::vector<uint64_t> reduce_cpu;
   /// fetched[p][i]: map i's segments for partition p, in run order.
   std::vector<std::vector<std::vector<FetchedSegment>>> fetched;
   std::vector<std::atomic<uint64_t>> fetch_cpu;  ///< per reduce partition
@@ -87,7 +85,7 @@ class TaskRunner {
   /// reduce tasks fetch their own segments (no fetch tasks are lowered).
   virtual TaskPool* fetch_pool() { return nullptr; }
 
-  /// Attempt `attempt` of map `m`: fill map_results[m] and map_cpu[m].
+  /// Attempt `attempt` of map `m`: fill map_results[m].
   virtual Status Map(StageExec* st, size_t m, int attempt) = 0;
 
   /// Pull map `m`'s segments for partition `p` into fetched[p][m] (only

@@ -300,6 +300,10 @@ Status RemoteRunner::Run(const JobPlan& plan, DistJobResult* result) {
   if (!run_status.ok()) return run_status;
 
   result->metrics = plan_result.metrics;
+  for (const StageResult& stage : plan_result.stages) {
+    result->tasks.insert(result->tasks.end(), stage.tasks.begin(),
+                         stage.tasks.end());
+  }
   for (const TaskMetrics& task : plan_result.stages.front().tasks) {
     if (task.is_map) continue;
     result->reduce_shuffle_bytes.push_back(task.metrics.shuffle_bytes);
@@ -388,7 +392,6 @@ Status RemoteRunner::RunMapOnce(StageExec* st, size_t m) {
       net::DecodeJobMetrics(res.metrics, &st->map_results[m].metrics));
   loc.worker = winner_worker;
   st->map_results[m].segment_files = std::move(res.segment_files);
-  st->map_cpu[m] = res.cpu_nanos;
   map_runs_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -454,7 +457,6 @@ Status RemoteRunner::Reduce(StageExec* st, size_t p, int attempt) {
   ReduceTaskResult& out = st->reduce_results[p];
   ANTIMR_RETURN_NOT_OK(net::DecodeKVList(res.output_records, &out.output));
   ANTIMR_RETURN_NOT_OK(net::DecodeJobMetrics(res.metrics, &out.metrics));
-  st->reduce_cpu[p] = res.cpu_nanos;
   reduces_done_.fetch_add(1, std::memory_order_relaxed);
   PublishStatus("running");
   return Status::OK();

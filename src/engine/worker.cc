@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/stopwatch.h"
 #include "engine/job_registry.h"
 #include "mr/map_task.h"
 #include "mr/reduce_task.h"
@@ -256,7 +255,6 @@ Status Worker::ExecuteTask(const net::TaskAssignMsg& assign,
   ANTIMR_RETURN_NOT_OK(
       BuildRegisteredJob(assign.job_name, assign.params, &spec));
   const int index = static_cast<int>(assign.task_index);
-  const uint64_t cpu_start = ThreadCpuNanos();
 
   const bool is_map = assign.kind == net::TaskKind::kMap;
   ANTIMR_TRACE_SPAN_DYN("task", (is_map ? "dist_map:" : "dist_reduce:") +
@@ -313,7 +311,6 @@ Status Worker::ExecuteTask(const net::TaskAssignMsg& assign,
     net::EncodeKVList(reduce_result.output, &result->output_records);
     net::EncodeJobMetrics(reduce_result.metrics, &result->metrics);
   }
-  result->cpu_nanos = ThreadCpuNanos() - cpu_start;
   return Status::OK();
 }
 

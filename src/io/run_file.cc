@@ -88,7 +88,7 @@ Status BlockRunWriter::FlushBlock() {
   // Uncompressed blocks are framed as they are, without a copy.
   Slice stored(block_);
   if (codec_->type() != CodecType::kNone) {
-    ScopedTimer t(&compress_nanos_);
+    ScopedPhase phase(Phase::compress);
     ANTIMR_RETURN_NOT_OK(codec_->Compress(block_, &compressed_));
     stored = Slice(compressed_);
   }
@@ -232,7 +232,7 @@ Status BlockRunReader::DecodeNextBlock() {
   Frame& frame = readahead_.front();
   ++block_index_;
   {
-    ScopedTimer t(&stats_.decode_nanos);
+    ScopedPhase phase(Phase::decompress);
     const uint32_t actual = Crc32(0, frame.payload);
     if (actual != frame.crc) {
       valid_ = false;

@@ -46,6 +46,8 @@ class KVStream {
 // ---------------------------------------------------------------------------
 // Block-framed compressed runs (the sorted-run format)
 // ---------------------------------------------------------------------------
+// Compression runs in Phase::compress, CRC checks and decompression in
+// Phase::decompress (common/stopwatch.h).
 
 /// Default cut point for block-framed runs.
 constexpr size_t kDefaultBlockBytes = 64 * 1024;
@@ -75,7 +77,6 @@ class BlockRunWriter {
   uint64_t stored_bytes() const { return writer_.bytes_written(); }
   uint64_t record_count() const { return record_count_; }
   uint64_t block_count() const { return block_count_; }
-  uint64_t compress_nanos() const { return compress_nanos_; }
 
  private:
   Status EnsureMagic();
@@ -90,13 +91,11 @@ class BlockRunWriter {
   uint64_t raw_bytes_ = 0;
   uint64_t record_count_ = 0;
   uint64_t block_count_ = 0;
-  uint64_t compress_nanos_ = 0;
 };
 
 /// Cost/volume counters for one BlockRunReader, split the way the shuffle
 /// metrics report them.
 struct BlockReadStats {
-  uint64_t decode_nanos = 0;  ///< CRC verification + decompression
   uint64_t bytes_read = 0;    ///< stored bytes consumed from the source
   uint64_t blocks = 0;        ///< frames decoded
   uint64_t records = 0;       ///< records served

@@ -5,7 +5,7 @@
 #include "common/stopwatch.h"
 #include "mr/map_output_buffer.h"
 #include "mr/reduce_task.h"
-#include "mr/task_trace.h"
+#include "obs/trace.h"
 
 namespace antimr {
 
@@ -34,7 +34,7 @@ class MapTaskContext : public MapContext {
   void Emit(const Slice& key, const Slice& value) override {
     int partition;
     {
-      ScopedTimer t(&metrics_->cpu.partition_fn);
+      ScopedPhase phase(Phase::partition_fn);
       partition =
           spec_.partitioner->Partition(key, spec_.num_reduce_tasks);
     }
@@ -58,7 +58,7 @@ class MapTaskContext : public MapContext {
   Status WriteRun(bool spill) {
     if (buffer_.empty()) return Status::OK();
     {
-      ScopedTimer t(&metrics_->cpu.sort);
+      ScopedPhase phase(Phase::sort);
       buffer_.Sort();
     }
     const Codec* codec = GetCodec(spec_.map_output_codec);
@@ -67,9 +67,8 @@ class MapTaskContext : public MapContext {
       std::unique_ptr<KVStream> stream = buffer_.PartitionStream(p);
       const std::string fname = RunFileName(job_id_, task_id_, p, runs_);
       created_files_.push_back(fname);
-      SegmentWriteResult res;
       ANTIMR_RETURN_NOT_OK(
-          WritePossiblyCombined(stream.get(), p, fname, codec, &res));
+          WritePossiblyCombined(stream.get(), p, fname, codec));
       run_files_[static_cast<size_t>(p)].push_back(fname);
     }
     ++runs_;
@@ -103,29 +102,19 @@ class MapTaskContext : public MapContext {
       // Stream each run through a block reader: the merge holds O(block)
       // memory per run instead of inflating every run up front.
       std::vector<std::unique_ptr<KVStream>> inputs;
-      std::vector<std::unique_ptr<BlockRunReader>> empty_runs;
-      std::vector<const BlockReadStats*> run_stats;
       inputs.reserve(runs.size());
       for (const std::string& fname : runs) {
         std::unique_ptr<BlockRunReader> reader;
         ANTIMR_RETURN_NOT_OK(
             OpenSegmentReader(env_, fname, codec, {}, &reader));
-        run_stats.push_back(&reader->stats());
-        if (reader->Valid()) {
-          inputs.push_back(std::move(reader));
-        } else {
-          empty_runs.push_back(std::move(reader));
-        }
+        if (reader->Valid()) inputs.push_back(std::move(reader));
       }
-      uint64_t merge_start = NowNanos();
-      MergingStream merged(std::move(inputs), spec_.key_cmp);
-      metrics_->cpu.merge += NowNanos() - merge_start;
       const std::string fname = SegmentFileName(job_id_, task_id_, p);
       created_files_.push_back(fname);
-      SegmentWriteResult res;
-      ANTIMR_RETURN_NOT_OK(WriteCombined(&merged, p, fname, codec, &res));
-      for (const BlockReadStats* s : run_stats) {
-        metrics_->cpu.decompress += s->decode_nanos;
+      {
+        ScopedPhase phase(Phase::merge);
+        MergingStream merged(std::move(inputs), spec_.key_cmp);
+        ANTIMR_RETURN_NOT_OK(WriteCombined(&merged, p, fname, codec));
       }
       result->segment_files[static_cast<size_t>(p)] = {fname};
       for (const std::string& rf : runs) {
@@ -152,29 +141,26 @@ class MapTaskContext : public MapContext {
 
  private:
   Status WritePossiblyCombined(KVStream* stream, int partition,
-                               const std::string& fname, const Codec* codec,
-                               SegmentWriteResult* res) {
+                               const std::string& fname, const Codec* codec) {
     if (spec_.combiner_factory != nullptr) {
-      return WriteCombined(stream, partition, fname, codec, res);
+      return WriteCombined(stream, partition, fname, codec);
     }
-    return WriteSegment(env_, fname, stream, codec, &metrics_->cpu.compress,
-                        res, spec_.shuffle_block_bytes);
+    return WriteSegment(env_, fname, stream, codec, nullptr,
+                        spec_.shuffle_block_bytes);
   }
 
   Status WriteCombined(KVStream* stream, int partition,
-                       const std::string& fname, const Codec* codec,
-                       SegmentWriteResult* res) {
+                       const std::string& fname, const Codec* codec) {
     TaskInfo info = info_;
     info.shuffle_partition = partition;
     std::vector<KV> combined;
     GroupRunStats stats;
     ANTIMR_RETURN_NOT_OK(
         ApplyCombiner(spec_, info, stream, &combined, &stats));
-    metrics_->cpu.combine += stats.fn_nanos;
     metrics_->combine_input_records += stats.records;
     metrics_->combine_output_records += combined.size();
     KVVectorStream out(&combined);
-    return WriteSegment(env_, fname, &out, codec, &metrics_->cpu.compress, res,
+    return WriteSegment(env_, fname, &out, codec, nullptr,
                         spec_.shuffle_block_bytes);
   }
 
@@ -200,7 +186,7 @@ Status RunMapTask(const JobSpec& spec, const std::string& job_id, int task_id,
   JobMetrics& m = result->metrics;
   ANTIMR_TRACE_SPAN_DYN("task",
                         "map:" + spec.name + " #" + std::to_string(task_id));
-  const uint64_t trace_start = NowNanos();
+  const uint64_t clock_start = StartPhaseClock();
 
   TaskInfo info;
   info.task_id = task_id;
@@ -216,11 +202,10 @@ Status RunMapTask(const JobSpec& spec, const std::string& job_id, int task_id,
 
   MapTaskContext ctx(spec, job_id, task_id, info, env, &m);
   std::unique_ptr<Mapper> mapper = spec.mapper_factory();
-  mapper->Setup(info, &ctx);
-
-  // Anti-Combining mappers attribute their own map_fn/encode/partition
-  // phases; timing them again here would double-count inside PhaseCpu.
-  const bool outer_times_map = !spec.mapper_reports_logical_output;
+  {
+    ScopedPhase phase(Phase::map_fn);
+    mapper->Setup(info, &ctx);
+  }
 
   const Status status = [&]() -> Status {
     std::unique_ptr<RecordSource> source = split.open();
@@ -237,18 +222,16 @@ Status RunMapTask(const JobSpec& spec, const std::string& job_id, int task_id,
       }
       m.input_records += 1;
       m.input_bytes += record.bytes();
-      if (outer_times_map) {
-        ScopedTimer t(&m.cpu.map_fn);
-        mapper->Map(record.key, record.value, &ctx);
-      } else {
+      {
+        // An Anti-Combining mapper switches on to partition_fn and encode
+        // inside; the scope's exit read charges whichever phase it left.
+        ScopedPhase phase(Phase::map_fn);
         mapper->Map(record.key, record.value, &ctx);
       }
       ANTIMR_RETURN_NOT_OK(ctx.MaybeSpill());
     }
-    if (outer_times_map) {
-      ScopedTimer t(&m.cpu.map_fn);
-      mapper->Cleanup(&ctx);
-    } else {
+    {
+      ScopedPhase phase(Phase::map_fn);
       mapper->Cleanup(&ctx);
     }
     return ctx.Finish(result);
@@ -265,7 +248,7 @@ Status RunMapTask(const JobSpec& spec, const std::string& job_id, int task_id,
     m.map_output_records = m.emitted_records;
     m.map_output_bytes = m.emitted_bytes;
   }
-  EmitTaskPhaseSpans(trace_start, m.cpu);
+  FinishTaskClock(clock_start, &m);
   return Status::OK();
 }
 

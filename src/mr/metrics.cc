@@ -4,6 +4,9 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "obs/metrics_registry.h"
+#include "obs/trace.h"
+
 namespace antimr {
 
 uint64_t PhaseCpu::Total() const {
@@ -14,10 +17,32 @@ uint64_t PhaseCpu::Total() const {
   return total;
 }
 
-void PhaseCpu::Add(const PhaseCpu& other) {
-#define ANTIMR_ADD_FIELD(name) name += other.name;
+void PhaseCpu::Add(const PhaseCpu& rhs) {
+#define ANTIMR_ADD_FIELD(name) name += rhs.name;
   ANTIMR_PHASE_CPU_FIELDS(ANTIMR_ADD_FIELD)
 #undef ANTIMR_ADD_FIELD
+}
+
+void FinishTaskClock(uint64_t start_nanos, JobMetrics* m) {
+  const PhaseClock& clock = StopPhaseClock();
+  m->task_wall_nanos += clock.last - clock.start;
+  m->total_cpu_nanos += ThreadCpuNanos() - clock.cpu_start;
+  // Map-side (AntiCombiner) and reduce-side re-executions alike.
+  static obs::Counter* const remap_counter =
+      obs::MetricsRegistry::Global().GetCounter(
+          "antimr_remap_calls_total",
+          "LazySH decodes that re-executed the original Map");
+  if (m->remap_calls > 0) remap_counter->Inc(m->remap_calls);
+  const bool trace = obs::kTraceCompiled && obs::TraceEnabled();
+  uint64_t t = start_nanos;
+#define ANTIMR_FINISH_PHASE(name)                                          \
+  if (const uint64_t n = clock.nanos[static_cast<size_t>(Phase::name)]) { \
+    m->cpu.name += n;                                                      \
+    if (trace) obs::Tracer::Global().Complete("phase", #name, t, n);      \
+    t += n;                                                                \
+  }
+  ANTIMR_PHASE_CPU_FIELDS(ANTIMR_FINISH_PHASE)
+#undef ANTIMR_FINISH_PHASE
 }
 
 void JobMetrics::Add(const JobMetrics& other) {
@@ -28,7 +53,6 @@ void JobMetrics::Add(const JobMetrics& other) {
   ANTIMR_JOB_MAX_FIELDS(ANTIMR_MAX_FIELD)
 #undef ANTIMR_MAX_FIELD
   cpu.Add(other.cpu);
-  total_cpu_nanos += other.total_cpu_nanos;
 }
 
 std::string JobMetrics::ToJson() const {
@@ -48,7 +72,6 @@ std::string JobMetrics::ToJson() const {
 #define ANTIMR_JSON_FIELD(name) field("cpu_" #name "_nanos", cpu.name);
   ANTIMR_PHASE_CPU_FIELDS(ANTIMR_JSON_FIELD)
 #undef ANTIMR_JSON_FIELD
-  field("total_cpu_nanos", total_cpu_nanos);
   field("wall_nanos", wall_nanos);
   out += "}";
   return out;
@@ -95,14 +118,14 @@ std::string JobMetrics::ToString() const {
       "combine:         %" PRIu64 " -> %" PRIu64 " records\n"
       "map spills:      %" PRIu64 "\n"
       "shuffle:         %s (%" PRIu64
-      " blocks, peak buffered %s, %" PRIu64 " overlapped fetches)\n"
-      "shuffle phases:  fetch wait %s, decode %s, merge %s\n"
+      " blocks, peak buffered %s, %" PRIu64 " overlapped fetches,"
+      " fetch wait %s)\n"
       "reduce input:    %" PRIu64 " records in %" PRIu64 " groups\n"
       "shared:          %" PRIu64 " inserts, %" PRIu64 " spills (%s), %" PRIu64
       " remap calls\n"
       "output:          %" PRIu64 " records, %s\n"
       "disk:            read %s, written %s\n"
-      "cpu (phases):    %s   wall: %s\n",
+      "task time:       %s (phases), %s thread cpu   wall: %s\n",
       input_records, FormatBytes(input_bytes).c_str(), map_output_records,
       FormatBytes(map_output_bytes).c_str(), emitted_records,
       FormatBytes(emitted_bytes).c_str(), eager_records, lazy_records,
@@ -110,15 +133,14 @@ std::string JobMetrics::ToString() const {
       FormatBytes(shuffle_bytes).c_str(), shuffle_blocks,
       FormatBytes(shuffle_peak_buffered_bytes).c_str(),
       shuffle_overlapped_fetches,
-      FormatNanos(shuffle_fetch_wait_nanos).c_str(),
-      FormatNanos(shuffle_decode_nanos).c_str(),
-      FormatNanos(shuffle_merge_nanos).c_str(), reduce_input_records,
+      FormatNanos(shuffle_fetch_wait_nanos).c_str(), reduce_input_records,
       reduce_groups,
       shared_insertions, shared_spills, FormatBytes(shared_spill_bytes).c_str(),
       remap_calls, output_records, FormatBytes(output_bytes).c_str(),
       FormatBytes(disk_bytes_read).c_str(),
       FormatBytes(disk_bytes_written).c_str(),
-      FormatNanos(cpu.Total()).c_str(), FormatNanos(wall_nanos).c_str());
+      FormatNanos(cpu.Total()).c_str(), FormatNanos(total_cpu_nanos).c_str(),
+      FormatNanos(wall_nanos).c_str());
   return buf;
 }
 
@@ -147,7 +169,7 @@ std::string TopTasksReport(const std::vector<TaskMetrics>& tasks,
   for (const TaskMetrics& t : tasks) sorted.push_back(&t);
   std::sort(sorted.begin(), sorted.end(),
             [](const TaskMetrics* a, const TaskMetrics* b) {
-              return a->cpu_nanos > b->cpu_nanos;
+              return a->metrics.total_cpu_nanos > b->metrics.total_cpu_nanos;
             });
   if (sorted.size() > top_n) sorted.resize(top_n);
 
@@ -168,7 +190,7 @@ std::string TopTasksReport(const std::vector<TaskMetrics>& tasks,
     std::snprintf(buf, sizeof(buf),
                   "  %-6s %4d  cpu %-12s dominant %-12s %-12s (%4.1f%%)\n",
                   t->is_map ? "map" : "reduce", t->task_id,
-                  FormatNanos(t->cpu_nanos).c_str(), phase_name,
+                  FormatNanos(t->metrics.total_cpu_nanos).c_str(), phase_name,
                   FormatNanos(phase_nanos).c_str(), share);
     out.append(buf);
   }

@@ -1,13 +1,15 @@
 // Per-job cost accounting. The benchmark harness reads these counters to
 // reproduce the paper's reported columns: total map output size, shuffle
-// (network) bytes, local disk read/write, per-phase CPU time, wall time, and
+// (network) bytes, local disk read/write, per-phase time, wall time, and
 // the Anti-Combining-specific counters (encoding mix, Shared spills, Map
 // re-executions on reducers).
 //
 // Counter fields are declared through X-macro lists so Add and ToJson
 // iterate one authoritative field set — adding a counter means adding one
 // line to a list, and it shows up everywhere (metrics_test asserts ToJson
-// covers every field).
+// covers every field). The phase list, ANTIMR_PHASE_CPU_FIELDS, lives with
+// the phase clock that fills it (common/stopwatch.h); FinishTaskClock below
+// is a task's one exit into these counters for time.
 #ifndef ANTIMR_MR_METRICS_H_
 #define ANTIMR_MR_METRICS_H_
 
@@ -15,38 +17,9 @@
 #include <string>
 #include <vector>
 
-namespace antimr {
+#include "common/stopwatch.h"
 
-// CPU nanoseconds per pipeline phase, in pipeline order. These names are
-// also the trace span names and the "dominant phase" vocabulary of
-// TopTasksReport, mirroring the paper's Table 2 phase breakdown.
-//   map_fn       user Map function
-//   partition_fn Partitioner calls
-//   encode       Anti-Combining encoding (mapper side)
-//   sort         map-side buffer sorts
-//   combine      Combiner calls (map or reduce phase)
-//   compress     codec compression
-//   decompress   codec decompression
-//   merge        spill / segment merging
-//   decode       Anti-Combining decoding (reducer side)
-//   remap        LazySH Map re-execution on reducers, with the
-//                Partitioner that filters its output as it is emitted;
-//                the kept records' Shared inserts are charged to shared
-//   shared       Shared structure maintenance incl. spills
-//   reduce_fn    user Reduce function
-#define ANTIMR_PHASE_CPU_FIELDS(X) \
-  X(map_fn)                        \
-  X(partition_fn)                  \
-  X(encode)                        \
-  X(sort)                          \
-  X(combine)                       \
-  X(compress)                      \
-  X(decompress)                    \
-  X(merge)                         \
-  X(decode)                        \
-  X(remap)                         \
-  X(shared)                        \
-  X(reduce_fn)
+namespace antimr {
 
 // JobMetrics counters that aggregate by summation. Grouping and intent:
 // --- volume ---
@@ -62,14 +35,13 @@ namespace antimr {
 //   shuffle_bytes                  bytes fetched by reducers from map output
 //                                  files (post-compression): the paper's
 //                                  mapper->reducer "data transfer"
-// --- shuffle pipeline phases ---
-//   shuffle_fetch_wait_nanos       reduce-side wall time of segment
-//                                  transfer (FetchedSegment::fetch_nanos of
-//                                  every fetched segment, including
-//                                  simulated disk/network transfer time)
-//   shuffle_decode_nanos           reduce-side CRC verify + decompression
-//   shuffle_merge_nanos            reduce-side merge/consume wall time
-//                                  (RunGroups minus the user Reduce fn)
+// --- shuffle pipeline ---
+//   shuffle_fetch_wait_nanos       wall time of segment transfer
+//                                  (FetchedSegment::fetch_nanos of every
+//                                  fetched segment, including simulated
+//                                  disk/network transfer time); the local
+//                                  engine's fetch tasks run outside the
+//                                  reduce task, so this is not a phase
 //   shuffle_blocks                 segment blocks decoded by reduce tasks
 //   shuffle_overlapped_fetches     fetch tasks started while the map wave
 //                                  was still running (the scheduler's
@@ -85,6 +57,12 @@ namespace antimr {
 //   remap_calls                    Map re-executions during LazySH decode
 // --- environment ---
 //   disk_bytes_read/written        simulated local disk traffic
+// --- time ---
+//   task_wall_nanos                task wall time, phase clock start to end
+//                                  read; equals cpu.Total() task by task
+//   total_cpu_nanos                task thread CPU time, read by the clock
+//                                  at the same boundaries (plus, locally,
+//                                  the CPU of each reduce's fetch tasks)
 #define ANTIMR_JOB_SUM_FIELDS(X) \
   X(input_records)               \
   X(input_bytes)                 \
@@ -97,8 +75,6 @@ namespace antimr {
   X(map_spills)                  \
   X(shuffle_bytes)               \
   X(shuffle_fetch_wait_nanos)    \
-  X(shuffle_decode_nanos)        \
-  X(shuffle_merge_nanos)         \
   X(shuffle_blocks)              \
   X(shuffle_overlapped_fetches)  \
   X(reduce_input_records)        \
@@ -114,7 +90,9 @@ namespace antimr {
   X(shared_spill_merges)         \
   X(remap_calls)                 \
   X(disk_bytes_read)             \
-  X(disk_bytes_written)
+  X(disk_bytes_written)          \
+  X(task_wall_nanos)             \
+  X(total_cpu_nanos)
 
 // Counters that aggregate by MAX across tasks:
 //   shuffle_peak_buffered_bytes   peak bytes buffered by any single task's
@@ -123,16 +101,16 @@ namespace antimr {
 //                                 the task's merge inputs)
 #define ANTIMR_JOB_MAX_FIELDS(X) X(shuffle_peak_buffered_bytes)
 
-/// CPU nanoseconds attributed to each pipeline phase. Task sections are
-/// single-threaded pure CPU, so scoped wall time is used as the CPU proxy,
-/// matching the paper's "total CPU time" (summed across all tasks).
+/// Exclusive task time per phase (common/stopwatch.h), summed over tasks.
+/// A task is one thread, so its phases plus `other` are its wall time; the
+/// paper's "total CPU time" column is total_cpu_nanos.
 struct PhaseCpu {
 #define ANTIMR_DECLARE_FIELD(name) uint64_t name = 0;
   ANTIMR_PHASE_CPU_FIELDS(ANTIMR_DECLARE_FIELD)
 #undef ANTIMR_DECLARE_FIELD
 
   uint64_t Total() const;
-  void Add(const PhaseCpu& other);
+  void Add(const PhaseCpu& rhs);
 };
 
 /// \brief Aggregated counters for one job execution. See the X-macro lists
@@ -146,8 +124,7 @@ class JobMetrics {
 
   // --- time (aggregated specially, not in the X-lists) --------------------
   PhaseCpu cpu;
-  uint64_t total_cpu_nanos = 0;  ///< thread CPU time summed over all tasks
-  uint64_t wall_nanos = 0;       ///< job wall-clock time
+  uint64_t wall_nanos = 0;  ///< job wall-clock time
 
   /// Merge `other` (a task's metrics) into this job aggregate: sum fields
   /// are summed, max fields maxed, wall_nanos left alone (the runner sets
@@ -159,7 +136,7 @@ class JobMetrics {
 
   /// Flat JSON object (all counters in base units) for external tooling.
   /// Emits every X-list field, every phase as "cpu_<phase>_nanos", plus
-  /// total_cpu_nanos and wall_nanos.
+  /// wall_nanos.
   std::string ToJson() const;
 };
 
@@ -168,9 +145,14 @@ class JobMetrics {
 struct TaskMetrics {
   bool is_map = false;
   int task_id = 0;
-  uint64_t cpu_nanos = 0;  ///< thread CPU time of the task
-  JobMetrics metrics;
+  JobMetrics metrics;  ///< the task's own; CPU time is total_cpu_nanos
 };
+
+/// End the task whose StartPhaseClock returned `start_nanos`: add its phase
+/// totals, wall and thread CPU time to *m, publish its remap count, and
+/// when tracing lay the phases out from the start as "phase" X events that
+/// tile the task's span like Table 2 (only their order is synthetic).
+void FinishTaskClock(uint64_t start_nanos, JobMetrics* m);
 
 /// Table of the `top_n` slowest tasks (by per-task CPU time) with each
 /// task's dominant phase and that phase's share — the paper's Table 2

@@ -1,8 +1,8 @@
 #include "mr/reduce_task.h"
 
 #include "common/stopwatch.h"
-#include "mr/task_trace.h"
 #include "obs/metrics_registry.h"
+#include "obs/trace.h"
 
 namespace antimr {
 
@@ -64,13 +64,14 @@ class GroupValueIterator : public ValueIterator {
 }  // namespace
 
 Status RunGroups(KVStream* stream, const KeyComparator& grouping_cmp,
-                 Reducer* reducer, ReduceContext* ctx, GroupRunStats* stats) {
+                 Reducer* reducer, Phase fn_phase, ReduceContext* ctx,
+                 GroupRunStats* stats) {
   std::string group_key;
   while (stream->Valid()) {
     group_key.assign(stream->key().data(), stream->key().size());
     GroupValueIterator values(stream, &group_key, &grouping_cmp);
     {
-      ScopedTimer t(&stats->fn_nanos);
+      ScopedPhase phase(fn_phase);
       reducer->Reduce(group_key, &values, ctx);
     }
     values.Drain();
@@ -89,12 +90,11 @@ Status ApplyCombiner(const JobSpec& spec, const TaskInfo& info,
   CollectingContext ctx(out);
   combiner->Setup(info, &ctx);
   ANTIMR_RETURN_NOT_OK(ctx.status());
-  ANTIMR_RETURN_NOT_OK(
-      RunGroups(stream, spec.EffectiveGroupingCmp(), combiner.get(), &ctx,
-                stats));
+  ANTIMR_RETURN_NOT_OK(RunGroups(stream, spec.EffectiveGroupingCmp(),
+                                 combiner.get(), Phase::combine, &ctx, stats));
   {
     // AntiCombiner does its combining and re-encoding work in Cleanup.
-    ScopedTimer t(&stats->fn_nanos);
+    ScopedPhase phase(Phase::combine);
     combiner->Cleanup(&ctx);
   }
   return ctx.status();
@@ -106,17 +106,17 @@ Status RunReduceTask(const JobSpec& spec, int partition,
   JobMetrics& m = result->metrics;
   ANTIMR_TRACE_SPAN_DYN("task", "reduce:" + spec.name + " #" +
                                     std::to_string(partition));
-  const uint64_t trace_start = NowNanos();
+  const uint64_t clock_start = StartPhaseClock();
   const Codec* codec = GetCodec(spec.map_output_codec);
 
   // Open every segment of every map task for this partition, in (map, run)
   // order, as a streaming block reader over the fetched bytes in place. The
   // transfer wait is FetchedSegment::fetch_nanos: reading the fetched frames
   // is an in-memory scan, not a wait.
+  // Empty segments join the merge too (it skips them). Raw stats pointers
+  // stay valid while `merged` owns the readers; stats are harvested after
+  // the merge completes.
   std::vector<std::unique_ptr<KVStream>> segments;
-  std::vector<std::unique_ptr<BlockRunReader>> empty_readers;
-  // Raw stats pointers stay valid while `merged` / `empty_readers` own the
-  // readers; stats are harvested after the merge completes.
   std::vector<const BlockReadStats*> reader_stats;
   // Remote segments are pulled through the transport now, before any reader
   // opens: their bytes (FetchedSegment::fetched_bytes = stored segment
@@ -154,11 +154,7 @@ Status RunReduceTask(const JobSpec& spec, int partition,
     ANTIMR_RETURN_NOT_OK(
         OpenFetchedSegment(fs, codec, kShuffleReadaheadBlocks, &reader));
     reader_stats.push_back(&reader->stats());
-    if (reader->Valid()) {
-      segments.push_back(std::move(reader));
-    } else {
-      empty_readers.push_back(std::move(reader));
-    }
+    segments.push_back(std::move(reader));
     return Status::OK();
   };
   for (const FetchedSegment& fs : remote_storage) {
@@ -185,32 +181,30 @@ Status RunReduceTask(const JobSpec& spec, int partition,
   std::unique_ptr<Reducer> reducer = spec.reducer_factory();
   std::vector<KV> sink;
   CollectingContext ctx(collect_output ? &result->output : &sink);
-  reducer->Setup(info, &ctx);
+  {
+    ScopedPhase phase(Phase::reduce_fn);
+    reducer->Setup(info, &ctx);
+  }
   ANTIMR_RETURN_NOT_OK(ctx.status());
   GroupRunStats stats;
-  const uint64_t merge_start = NowNanos();
-  ANTIMR_RETURN_NOT_OK(
-      RunGroups(&merged, info.grouping_cmp, reducer.get(), &ctx, &stats));
-  const uint64_t merge_wall = NowNanos() - merge_start;
-  const uint64_t fn_in_merge = stats.fn_nanos;
   {
-    ScopedTimer t(&stats.fn_nanos);
+    ScopedPhase phase(Phase::merge);
+    ANTIMR_RETURN_NOT_OK(RunGroups(&merged, info.grouping_cmp, reducer.get(),
+                                   Phase::reduce_fn, &ctx, &stats));
+  }
+  {
+    ScopedPhase phase(Phase::reduce_fn);
     reducer->Cleanup(&ctx);
   }
   ANTIMR_RETURN_NOT_OK(ctx.status());
-  m.shuffle_merge_nanos +=
-      merge_wall > fn_in_merge ? merge_wall - fn_in_merge : 0;
   uint64_t task_peak_buffered = 0;
   for (const BlockReadStats* rstats : reader_stats) {
-    m.shuffle_decode_nanos += rstats->decode_nanos;
-    m.cpu.decompress += rstats->decode_nanos;
     m.shuffle_blocks += rstats->blocks;
     task_peak_buffered += rstats->peak_buffered_bytes;
   }
   if (task_peak_buffered > m.shuffle_peak_buffered_bytes) {
     m.shuffle_peak_buffered_bytes = task_peak_buffered;
   }
-  m.cpu.reduce_fn += stats.fn_nanos;
   m.reduce_groups += stats.groups;
   m.reduce_input_records += stats.records;
   m.output_records +=
@@ -231,7 +225,7 @@ Status RunReduceTask(const JobSpec& spec, int partition,
   input_records_hist->Observe(stats.records);
   fetch_wait_hist->Observe(m.shuffle_fetch_wait_nanos);
 
-  EmitTaskPhaseSpans(trace_start, m.cpu);
+  FinishTaskClock(clock_start, &m);
   return Status::OK();
 }
 

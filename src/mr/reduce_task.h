@@ -20,15 +20,16 @@ namespace antimr {
 struct GroupRunStats {
   uint64_t groups = 0;
   uint64_t records = 0;
-  uint64_t fn_nanos = 0;  ///< time inside the user function
 };
 
 /// Drive `reducer` over `stream`: one Reduce call per group of
-/// grouping-comparator-equal keys, in stream order. Does not call
-/// Setup/Cleanup (the caller owns lifecycle). Stops at the first stream
-/// error or the first error the reducer reported through ctx->Fail.
+/// grouping-comparator-equal keys, in stream order, each in `fn_phase`.
+/// Does not call Setup/Cleanup (the caller owns lifecycle). Stops at the
+/// first stream error or the first error the reducer reported through
+/// ctx->Fail.
 Status RunGroups(KVStream* stream, const KeyComparator& grouping_cmp,
-                 Reducer* reducer, ReduceContext* ctx, GroupRunStats* stats);
+                 Reducer* reducer, Phase fn_phase, ReduceContext* ctx,
+                 GroupRunStats* stats);
 
 /// \brief ReduceContext that appends records to a vector.
 class CollectingContext : public ReduceContext {

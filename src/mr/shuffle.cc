@@ -37,15 +37,14 @@ std::string RunFileName(const std::string& job_id, int map_task,
 }
 
 Status WriteSegment(Env* env, const std::string& fname, KVStream* stream,
-                    const Codec* codec, uint64_t* compress_nanos,
-                    SegmentWriteResult* out, size_t block_bytes) {
+                    const Codec* codec, SegmentWriteResult* out,
+                    size_t block_bytes) {
   if (codec == nullptr) codec = GetCodec(CodecType::kNone);
   std::unique_ptr<WritableFile> file;
   ANTIMR_RETURN_NOT_OK(env->NewWritableFile(fname, &file));
   BlockRunWriter writer(std::move(file), codec, {block_bytes});
   ANTIMR_RETURN_NOT_OK(DrainIntoRowWriter(stream, &writer));
   ANTIMR_RETURN_NOT_OK(writer.Finish());
-  if (compress_nanos != nullptr) *compress_nanos += writer.compress_nanos();
   if (out != nullptr) {
     out->raw_bytes = writer.raw_bytes();
     out->stored_bytes = writer.stored_bytes();

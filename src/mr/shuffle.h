@@ -49,10 +49,9 @@ struct SegmentWriteResult {
 /// Serialize `stream` (already key-sorted) into block-framed runs of
 /// ~`block_bytes` raw bytes, each compressed with `codec` (null = kNone),
 /// and write them to `fname`. Streaming: records drain one at a time, so
-/// memory use is O(block). Compression CPU is added to *compress_nanos.
+/// memory use is O(block). Compression is charged to Phase::compress.
 Status WriteSegment(Env* env, const std::string& fname, KVStream* stream,
-                    const Codec* codec, uint64_t* compress_nanos,
-                    SegmentWriteResult* out,
+                    const Codec* codec, SegmentWriteResult* out,
                     size_t block_bytes = kShuffleBlockBytes);
 
 struct SegmentReadOptions {

@@ -103,7 +103,7 @@ ShuffleClient::~ShuffleClient() {
 Status ShuffleClient::Fetch(const std::string& addr, const std::string& file,
                             FetchedSegment* out) {
   *out = FetchedSegment();
-  ScopedTimer t(&out->fetch_nanos);
+  const uint64_t start = NowNanos();
   out->file = file;
   ANTIMR_TRACE_SPAN_DYN("rpc", "fetch_segment:" + file);
   uint64_t flow_id = 0;
@@ -147,6 +147,7 @@ Status ShuffleClient::Fetch(const std::string& addr, const std::string& file,
     return st.IsTransient() ? st : Status::IOError(st.ToString());
   }
   out->fetched_bytes = out->frames.size();
+  out->fetch_nanos = NowNanos() - start;
   {
     std::lock_guard<std::mutex> lock(mu_);
     idle_[addr].push_back(std::move(conn));

@@ -199,7 +199,6 @@ void EncodeTaskResult(const TaskResultMsg& msg, std::string* out) {
   }
   PutString(out, msg.output_records);
   PutString(out, msg.metrics);
-  PutVarint64(out, msg.cpu_nanos);
   PutString(out, msg.trace_chunk);
 }
 
@@ -226,7 +225,6 @@ Status DecodeTaskResult(const std::string& payload, TaskResultMsg* msg) {
   }
   if (!GetString(&in, &msg->output_records) ||
       !GetString(&in, &msg->metrics) ||
-      !GetVarint64(&in, &msg->cpu_nanos) ||
       !GetString(&in, &msg->trace_chunk)) {
     return Malformed("TaskResult tail");
   }
@@ -510,7 +508,6 @@ void EncodeJobMetrics(const JobMetrics& metrics, std::string* out) {
 #define ANTIMR_PUT_PHASE(name) PutVarint64(out, metrics.cpu.name);
   ANTIMR_PHASE_CPU_FIELDS(ANTIMR_PUT_PHASE)
 #undef ANTIMR_PUT_PHASE
-  PutVarint64(out, metrics.total_cpu_nanos);
   PutVarint64(out, metrics.wall_nanos);
 }
 
@@ -530,8 +527,7 @@ Status DecodeJobMetrics(const std::string& payload, JobMetrics* metrics) {
   }
   ANTIMR_PHASE_CPU_FIELDS(ANTIMR_GET_PHASE)
 #undef ANTIMR_GET_PHASE
-  if (!GetVarint64(&in, &metrics->total_cpu_nanos) ||
-      !GetVarint64(&in, &metrics->wall_nanos)) {
+  if (!GetVarint64(&in, &metrics->wall_nanos)) {
     return Malformed("JobMetrics tail");
   }
   return Status::OK();

@@ -150,7 +150,6 @@ struct TaskResultMsg {
   // Reduce tasks: the partition's output, encoded with EncodeKVList.
   std::string output_records;
   std::string metrics;  ///< EncodeJobMetrics of the task's JobMetrics
-  uint64_t cpu_nanos = 0;
   /// Serialized trace lane blocks recorded while running this task (see
   /// Tracer::DrainThisThread). Empty when the assignment had trace off.
   std::string trace_chunk;
@@ -312,7 +311,7 @@ void EncodeKVList(const std::vector<KV>& records, std::string* out);
 Status DecodeKVList(const std::string& payload, std::vector<KV>* records);
 
 /// JobMetrics codec: every X-macro sum/max field, the per-phase CPU fields,
-/// and total_cpu_nanos/wall_nanos, as varint64s in declaration order.
+/// and wall_nanos, as varint64s in declaration order.
 void EncodeJobMetrics(const JobMetrics& metrics, std::string* out);
 Status DecodeJobMetrics(const std::string& payload, JobMetrics* metrics);
 

@@ -234,13 +234,17 @@ TEST_F(AntiReducerTest, SharedSpillsDoNotChangeResults) {
 }
 
 // Shared::Add is untimed; AntiReducer charges each decoded record's Adds to
-// cpu.shared in one span next to its decode and remap spans. Pin that every
-// phase still gets time and every decoded record reaches Shared.
+// Phase::shared in one span next to its decode and remap spans. Pin that
+// every phase still gets time and every decoded record reaches Shared. The
+// phases are the thread's phase clock's, which a reduce task starts and
+// stops; driven directly, the test does both.
 TEST_F(AntiReducerTest, PhaseCountersCoverDecodeRemapAndShared) {
   auto reducer = MakeReducer();
+  const uint64_t clock_start = StartPhaseClock();
   Call(reducer.get(), {{"1a", EagerValue({"1b", "1c"}, "eager")},
                        {"1a", LazyValue("ik", "1a:x 2b:y 1d:z")}});
   reducer->Cleanup(&ctx_);
+  FinishTaskClock(clock_start, &metrics_);
   EXPECT_GT(metrics_.cpu.decode, 0u);
   EXPECT_GT(metrics_.cpu.remap, 0u);
   EXPECT_GT(metrics_.cpu.shared, 0u);

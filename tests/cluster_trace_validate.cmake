@@ -1,8 +1,8 @@
 # ctest script behind the cluster_trace_validate test: run a distributed
 # wordcount on the in-process loopback cluster with --cluster-trace, then
 # validate the merged trace — one named pid lane per process (coordinator +
-# 2 workers), dispatch flow arrows with matched s/f pairs, and task spans
-# from both the map and reduce sides.
+# 2 workers), dispatch flow arrows with matched s/f pairs, task spans from
+# both the map and reduce sides, and phase spans inside their task spans.
 set(TRACE_FILE ${WORK_DIR}/cluster_trace_validate.json)
 
 execute_process(
@@ -21,6 +21,7 @@ execute_process(
   COMMAND ${PYTHON} ${VALIDATOR} ${TRACE_FILE}
           --expect-pids 3 --expect-flows 2
           --expect-span dist_map --expect-span dist_reduce
+          --expect-phases-within-tasks
   RESULT_VARIABLE validate_rc
   OUTPUT_VARIABLE validate_out
   ERROR_VARIABLE validate_err)

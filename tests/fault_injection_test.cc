@@ -623,7 +623,7 @@ TEST(AntiCombinedFaults, CorruptEncodedRecordIsCorruption) {
     FetchedSegment segment;
     segment.file = "bad_segment";
     ASSERT_TRUE(WriteSegment(env.get(), segment.file, &segment_records,
-                             nullptr, nullptr, nullptr)
+                             nullptr, nullptr)
                     .ok());
     ASSERT_TRUE(
         ReadFileToString(env.get(), segment.file, &segment.frames).ok());

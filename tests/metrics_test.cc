@@ -113,15 +113,15 @@ TEST(Metrics, TopTasksReportRanksByCpuAndNamesTheDominantPhase) {
   std::vector<TaskMetrics> tasks(3);
   tasks[0].is_map = true;
   tasks[0].task_id = 0;
-  tasks[0].cpu_nanos = 1000;
+  tasks[0].metrics.total_cpu_nanos = 1000;
   tasks[0].metrics.cpu.map_fn = 900;
   tasks[1].is_map = false;
   tasks[1].task_id = 4;
-  tasks[1].cpu_nanos = 9000;
+  tasks[1].metrics.total_cpu_nanos = 9000;
   tasks[1].metrics.cpu.reduce_fn = 6000;
   tasks[2].is_map = true;
   tasks[2].task_id = 2;
-  tasks[2].cpu_nanos = 500;
+  tasks[2].metrics.total_cpu_nanos = 500;
   tasks[2].metrics.cpu.sort = 400;
 
   const std::string report = TopTasksReport(tasks, 2);

@@ -89,7 +89,7 @@ void WritePartitionRun(Env* env, const std::string& fname, KVStream* stream,
                        uint64_t* bytes_copied) {
   SegmentWriteResult res;
   ASSERT_TRUE(WriteSegment(env, fname, stream, GetCodec(CodecType::kNone),
-                           nullptr, &res)
+                           &res)
                   .ok());
   // Encoding into the run's blocks copies the serialized records; both
   // paths pay it.

@@ -37,8 +37,7 @@ Status WriteTestSegment(Env* env, const std::string& fname,
                         const std::vector<KV>& records, const Codec* codec,
                         size_t block_bytes, SegmentWriteResult* result) {
   KVVectorStream in(&records);
-  uint64_t nanos = 0;
-  return WriteSegment(env, fname, &in, codec, &nanos, result, block_bytes);
+  return WriteSegment(env, fname, &in, codec, result, block_bytes);
 }
 
 class BlockSegmentTest : public ::testing::TestWithParam<CodecType> {
@@ -355,8 +354,8 @@ TEST(PipelinedShuffle, ShufflePhaseMetricsArePopulated) {
   JobResult result;
   ASSERT_TRUE(RunJob(spec, MakeSplits(input, 4), RunOptions(), &result).ok());
   EXPECT_GT(result.metrics.shuffle_blocks, 0u);
-  EXPECT_GT(result.metrics.shuffle_decode_nanos, 0u);
-  EXPECT_GT(result.metrics.shuffle_merge_nanos, 0u);
+  EXPECT_GT(result.metrics.cpu.decompress, 0u);
+  EXPECT_GT(result.metrics.cpu.merge, 0u);
   EXPECT_GT(result.metrics.shuffle_peak_buffered_bytes, 0u);
 }
 

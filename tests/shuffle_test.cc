@@ -23,10 +23,8 @@ TEST_P(ShuffleTest, SegmentRoundTrip) {
                        "value value value " + std::to_string(i)});
   }
   KVVectorStream in(&records);
-  uint64_t compress_nanos = 0;
   SegmentWriteResult write_result;
-  ASSERT_TRUE(WriteSegment(env_.get(), "seg", &in, codec, &compress_nanos,
-                           &write_result)
+  ASSERT_TRUE(WriteSegment(env_.get(), "seg", &in, codec, &write_result)
                   .ok());
   EXPECT_EQ(write_result.records, 500u);
   EXPECT_GT(write_result.raw_bytes, 0u);
@@ -56,10 +54,8 @@ TEST_P(ShuffleTest, FetchedSegmentRoundTrip) {
     records.push_back({"k" + std::to_string(i), "v" + std::to_string(i)});
   }
   KVVectorStream in(&records);
-  uint64_t nanos = 0;
   SegmentWriteResult write_result;
-  ASSERT_TRUE(
-      WriteSegment(env_.get(), "seg", &in, codec, &nanos, &write_result).ok());
+  ASSERT_TRUE(WriteSegment(env_.get(), "seg", &in, codec, &write_result).ok());
 
   std::unique_ptr<net::Transport> transport = net::NewLoopbackTransport();
   net::SegmentServer server(transport.get(), env_.get());
@@ -88,10 +84,9 @@ TEST_P(ShuffleTest, EmptySegment) {
   const Codec* codec = GetCodec(GetParam());
   std::vector<KV> records;
   KVVectorStream in(&records);
-  uint64_t nanos = 0;
   SegmentWriteResult result;
   ASSERT_TRUE(
-      WriteSegment(env_.get(), "empty", &in, codec, &nanos, &result).ok());
+      WriteSegment(env_.get(), "empty", &in, codec, &result).ok());
   EXPECT_EQ(result.records, 0u);
   std::unique_ptr<BlockRunReader> out;
   ASSERT_TRUE(OpenSegmentReader(env_.get(), "empty", codec, {}, &out).ok());
@@ -185,7 +180,7 @@ std::string SmallMultiBlockSegment(std::vector<KV>* records) {
   KVVectorStream in(records);
   SegmentWriteResult wr;
   EXPECT_TRUE(WriteSegment(env.get(), "seg", &in,
-                           GetCodec(CodecType::kSnappyLike), nullptr, &wr,
+                           GetCodec(CodecType::kSnappyLike), &wr,
                            /*block_bytes=*/256)
                   .ok());
   EXPECT_GE(wr.blocks, 4u) << "test needs a multi-block segment";

@@ -1,7 +1,8 @@
 # ctest script behind the trace_validate test: run a small two-stage
 # pipeline (wordcount -> sort) with a trace sink, then validate the trace
 # structurally and against the observability acceptance bar (spans from both
-# stages, at least one anti-combining instant).
+# stages, at least one anti-combining instant, every task's phase spans
+# inside the task's span).
 set(TRACE_FILE ${WORK_DIR}/trace_validate.json)
 
 execute_process(
@@ -18,6 +19,7 @@ endif()
 execute_process(
   COMMAND ${PYTHON} ${VALIDATOR} ${TRACE_FILE}
           --expect-stages 2 --expect-anticombine
+          --expect-phases-within-tasks
   RESULT_VARIABLE validate_rc
   OUTPUT_VARIABLE validate_out
   ERROR_VARIABLE validate_err)

@@ -342,7 +342,6 @@ TEST(WireTest, TaskResultCarriesPerPartitionRunLists) {
                        {"j/map_3_p3"}};
   msg.output_records = "out";
   msg.metrics = "metrics";
-  msg.cpu_nanos = 77;
   msg.trace_chunk = "trace";
   std::string payload;
   EncodeTaskResult(msg, &payload);
@@ -352,7 +351,6 @@ TEST(WireTest, TaskResultCarriesPerPartitionRunLists) {
   // The fields after the run lists still line up.
   EXPECT_EQ(got.output_records, "out");
   EXPECT_EQ(got.metrics, "metrics");
-  EXPECT_EQ(got.cpu_nanos, 77u);
   EXPECT_EQ(got.trace_chunk, "trace");
 
   // No partitions at all (a failed map) round-trips too.

@@ -21,6 +21,11 @@ Acceptance checks (opt-in flags, used by the ctest suites):
                              legitimately strands its arrows) but counted
   * --expect-span SUBSTR     some B or X event name contains SUBSTR
                              (repeatable; all must match)
+  * --expect-phases-within-tasks
+                             at least one "phase" X event; each lies inside
+                             a "task" B/E span on its own lane, and the
+                             phases of one task span sum to no more than
+                             its duration
 
 Exits 0 when every requested check passes, 1 otherwise. Stdlib only.
 """
@@ -49,6 +54,37 @@ def fail(msg):
     return 1
 
 
+# Timestamps are microseconds printed with three decimals: allow one
+# rounding step per comparison, and one per summed duration.
+TS_EPS = 0.0015
+
+
+def check_phases_within_tasks(phase_events, task_spans):
+    """Each phase event inside the innermost task span on its lane that
+    contains it; per task span, the phase durations sum to at most the
+    span's duration."""
+    if not phase_events:
+        return fail("expected phase X events, found none")
+    phase_sums = {}  # (lane, begin, end) -> (summed dur, event count)
+    for lane, ts, dur in phase_events:
+        enclosing = [(b, e) for b, e in task_spans.get(lane, [])
+                     if b - TS_EPS <= ts and ts + dur <= e + TS_EPS]
+        if not enclosing:
+            return fail("phase span at ts %s (dur %s) in lane %s lies in no "
+                        "task span" % (ts, dur, lane))
+        begin, end = max(enclosing)  # innermost: the latest begin
+        total, count = phase_sums.get((lane, begin, end), (0.0, 0))
+        phase_sums[(lane, begin, end)] = (total + dur, count + 1)
+    for (lane, begin, end), (total, count) in phase_sums.items():
+        if total > end - begin + TS_EPS * (count + 1):
+            return fail("phase spans of the task at ts %s in lane %s sum to "
+                        "%s, beyond its duration %s"
+                        % (begin, lane, total, end - begin))
+    print("validate_trace: %d phase spans inside %d task spans"
+          % (len(phase_events), len(phase_sums)))
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace", help="trace JSON file to validate")
@@ -65,6 +101,9 @@ def main():
                         metavar="SUBSTR",
                         help="require a B/X span name containing SUBSTR "
                              "(repeatable)")
+    parser.add_argument("--expect-phases-within-tasks", action="store_true",
+                        help="require phase X events, each inside its "
+                             "task's span, summing to at most its duration")
     args = parser.parse_args()
 
     try:
@@ -78,7 +117,9 @@ def main():
         return fail("missing or non-list traceEvents")
 
     last_ts = {}      # (pid, tid) -> last seen ts
-    open_spans = {}   # (pid, tid) -> stack of open B names
+    open_spans = {}   # (pid, tid) -> stack of open B (name, cat, ts)
+    task_spans = {}   # (pid, tid) -> [(begin ts, end ts)] of "task" spans
+    phase_events = []  # (lane, ts, dur) of "phase" X events
     stage_tracks = set()
     anticombine_instants = 0
     named_pids = set()       # pids with a process_name metadata event
@@ -107,15 +148,20 @@ def main():
                         % (i, ts, lane))
         last_ts[lane] = ts
         if ph == "B":
-            open_spans.setdefault(lane, []).append(ev["name"])
+            open_spans.setdefault(lane, []).append(
+                (ev["name"], ev["cat"], ts))
             span_names.add(ev["name"])
         elif ph == "E":
             if not open_spans.get(lane):
                 return fail("event %d: E with no open span in lane %s"
                             % (i, lane))
-            open_spans[lane].pop()
+            _, cat, begin = open_spans[lane].pop()
+            if cat == "task":
+                task_spans.setdefault(lane, []).append((begin, ts))
         elif ph == "X":
             span_names.add(ev["name"])
+            if ev["cat"] == "phase":
+                phase_events.append((lane, ts, ev["dur"]))
         elif ph == "b" and ev["name"].startswith("stage:"):
             stage_tracks.add(ev["name"])
         elif ph == "i" and ev["name"] in ("shared_spill", "adaptive_decision"):
@@ -158,6 +204,10 @@ def main():
     for substr in args.expect_span:
         if not any(substr in name for name in span_names):
             return fail("no B/X span name contains %r" % substr)
+    if args.expect_phases_within_tasks:
+        rc = check_phases_within_tasks(phase_events, task_spans)
+        if rc:
+            return rc
 
     print("validate_trace: OK: %d events, %d lanes, %d named pids, "
           "%d stage tracks, %d matched flows (%d orphans), "
