@@ -9,6 +9,7 @@
 #define ANTIMR_ANTICOMBINE_ANTI_MAPPER_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,7 @@ class CaptureContext : public MapContext {
   /// (the cross-call window relies on this).
   Slice key(size_t i) const { return entries_[i].key; }
   Slice value(size_t i) const { return entries_[i].value; }
+  std::span<const RecordRef> records() const { return entries_; }
 
   void Clear() {
     arena_.Clear();

@@ -92,22 +92,24 @@ Status AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
   // the record's Adds are charged to Phase::shared as one span.
   ScopedPhase phase(Phase::decode);
   if (encoding == Encoding::kEager) {
-    decode_keys_.clear();
     Slice value;
     ANTIMR_RETURN_NOT_OK(DecodeEagerPayload(rest, &decode_keys_, &value));
-    SwitchPhase(Phase::shared);
-    ANTIMR_RETURN_NOT_OK(shared_->Add(rep_key, value));
+    // One decode call: Shared stores the value once for all its keys.
+    decode_records_.clear();
+    decode_records_.emplace_back(rep_key, value);
     for (const Slice& key : decode_keys_) {
-      ANTIMR_RETURN_NOT_OK(shared_->Add(key, value));
+      decode_records_.emplace_back(key, value);
     }
-    return Status::OK();
+    SwitchPhase(Phase::shared);
+    return shared_->Add(decode_records_);
   }
 
   // LazySH: re-execute the original Map and Partition, keeping only the
   // records assigned to this reduce task (Algorithm 4, lines 6-10). The
   // Partitioner runs inside Emit, so the other partitions' records are
-  // dropped uncopied; the kept ones reach Shared after Map returns, which
-  // keeps Shared's work out of the remap span.
+  // dropped uncopied; the kept ones reach Shared after Map returns, as one
+  // decode call (equal values among them are stored once), which keeps
+  // Shared's work out of the remap span.
   Slice input_key, input_value;
   remap_.Clear();
   ANTIMR_RETURN_NOT_OK(DecodeLazyPayload(rest, &input_key, &input_value));
@@ -115,11 +117,7 @@ Status AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
   o_mapper_->Map(input_key, input_value, &remap_);
   if (m != nullptr) m->remap_calls += 1;
   SwitchPhase(Phase::shared);
-  const CaptureContext& kept = remap_.kept();
-  for (size_t i = 0; i < kept.size(); ++i) {
-    ANTIMR_RETURN_NOT_OK(shared_->Add(kept.key(i), kept.value(i)));
-  }
-  return Status::OK();
+  return shared_->Add(remap_.kept().records());
 }
 
 void AntiReducer::Reduce(const Slice& key, ValueIterator* values,

@@ -103,6 +103,7 @@ class AntiReducer : public Reducer {
   std::vector<RecordRef> local_group_;
   std::vector<Slice> local_values_;
   std::vector<Slice> decode_keys_;
+  std::vector<RecordRef> decode_records_;  // an EagerSH record's keys
   std::string group_key_;
   std::vector<Slice> group_values_;  // views into Shared's latest pop
 };

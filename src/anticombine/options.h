@@ -28,7 +28,10 @@ struct AntiCombineOptions {
   /// (reduce-phase combining, Sections 5 and 7.5).
   bool combine_in_shared = true;
 
-  /// Shared's in-memory budget before spilling to local disk.
+  /// Shared's in-memory budget before spilling to local disk. It counts
+  /// each distinct key's bytes once, each decoded value once per decode
+  /// call plus its slot, and a fixed cost per (key, value) reference: an
+  /// EagerSH value under many keys is charged once (anticombine/shared.h).
   size_t shared_memory_bytes = 8 * 1024 * 1024;
 
   /// Force LazySH for every partition that has an input record to resend

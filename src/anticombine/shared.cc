@@ -36,10 +36,9 @@ class GroupBoundedStream : public KVStream {
   const KeyOrder* grouping_;
 };
 
-// Walks a ValueList's packed buffer (varint32 length + bytes per value).
+// Walks a packed buffer (varint32 length + bytes per value).
 class PackedValueIterator : public ValueIterator {
  public:
-  PackedValueIterator() = default;
   explicit PackedValueIterator(const std::string& packed)
       : p_(packed.data()), end_(packed.data() + packed.size()) {}
 
@@ -54,8 +53,8 @@ class PackedValueIterator : public ValueIterator {
   }
 
  private:
-  const char* p_ = nullptr;
-  const char* end_ = nullptr;
+  const char* p_;
+  const char* end_;
 };
 
 void AppendPacked(const Slice& value, std::string* packed) {
@@ -64,44 +63,23 @@ void AppendPacked(const Slice& value, std::string* packed) {
   packed->append(value.data(), value.size());
 }
 
-void AppendViews(const std::string& packed, std::vector<Slice>* values) {
-  PackedValueIterator it(packed);
-  Slice value;
-  while (it.Next(&value)) values->push_back(value);
-}
-
-// The popped in-memory keys of one group, in key order, each paired with its
-// packed values: the memory side of the merge with the spill streams.
-class PackedGroupStream : public KVStream {
+// The popped in-memory records of one group, in key order: the memory side
+// of the merge with the spill streams.
+class RecordRefStream : public KVStream {
  public:
-  PackedGroupStream(const std::vector<Slice>* keys,
-                    const std::vector<std::string>* buffers)
-      : keys_(keys), buffers_(buffers) {
-    if (!keys_->empty()) it_ = PackedValueIterator(buffers_->front());
-    Advance();
-  }
+  explicit RecordRefStream(const std::vector<RecordRef>* records)
+      : records_(records) {}
 
-  bool Valid() const override { return pos_ < keys_->size(); }
-  Slice key() const override { return (*keys_)[pos_]; }
-  Slice value() const override { return value_; }
+  bool Valid() const override { return pos_ < records_->size(); }
+  Slice key() const override { return (*records_)[pos_].key; }
+  Slice value() const override { return (*records_)[pos_].value; }
   Status Next() override {
-    Advance();
+    ++pos_;
     return Status::OK();
   }
 
  private:
-  // Step to the next value, moving past keys whose values ran out.
-  void Advance() {
-    while (!it_.Next(&value_)) {
-      if (++pos_ >= keys_->size()) return;
-      it_ = PackedValueIterator((*buffers_)[pos_]);
-    }
-  }
-
-  const std::vector<Slice>* keys_;
-  const std::vector<std::string>* buffers_;
-  PackedValueIterator it_;
-  Slice value_;
+  const std::vector<RecordRef>* records_;
   size_t pos_ = 0;
 };
 
@@ -132,16 +110,70 @@ Shared::~Shared() {
   }
 }
 
-Status Shared::Add(const Slice& key, const Slice& value) {
+Status Shared::Add(std::span<const RecordRef> records) {
   // Untimed: callers enter Phase::shared once per batch of Adds, so the clock
   // is not read twice per decoded value.
-  ANTIMR_RETURN_NOT_OK(AddInternal(key, value, /*allow_combine=*/true));
-  if (options_.metrics) options_.metrics->shared_insertions += 1;
+  Status status;
+  for (const RecordRef& record : records) {
+    status = AddInternal(record.key, CallValueId(record.value),
+                         /*allow_combine=*/true);
+    if (!status.ok()) break;
+  }
+  // The call's values lose the reference that kept them findable.
+  for (const CallValue& cv : call_values_) Unref(cv.id);
+  call_values_.clear();
+  ANTIMR_RETURN_NOT_OK(status);
+  if (options_.metrics) options_.metrics->shared_insertions += records.size();
   if (memory_bytes_ > options_.memory_limit_bytes) {
     ANTIMR_RETURN_NOT_OK(SpillToDisk());
     return MaybeMergeSpills();
   }
+  // A combine replaces a key's values between pops.
+  MaybeCompactValues();
   return Status::OK();
+}
+
+uint32_t Shared::StoreValue(const Slice& value) {
+  uint32_t id = free_slot_;
+  if (id != kNoEntry) {
+    free_slot_ = slots_[id].size;
+  } else {
+    id = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  ValueSlot& slot = slots_[id];
+  slot.data = value_arena_->Intern(value).data();
+  slot.size = static_cast<uint32_t>(value.size());
+  slot.refs = 0;
+  live_value_bytes_ += value.size();
+  memory_bytes_ += value.size() + kValueSlotBytes;
+  return id;
+}
+
+void Shared::Unref(uint32_t id) {
+  ValueSlot& slot = slots_[id];
+  assert(slot.refs > 0);
+  if (--slot.refs > 0) return;
+  live_value_bytes_ -= slot.size;
+  memory_bytes_ -= slot.size + kValueSlotBytes;
+  slot.size = free_slot_;
+  free_slot_ = id;
+}
+
+uint32_t Shared::CallValueId(const Slice& value) {
+  for (const CallValue& cv : call_values_) {
+    // An EagerSH record hands every key the same view.
+    if ((cv.value.data() == value.data() && cv.value.size() == value.size()) ||
+        cv.value == value) {
+      return cv.id;
+    }
+  }
+  const uint32_t id = StoreValue(value);
+  if (call_values_.size() < kCallValues) {
+    slots_[id].refs = 1;
+    call_values_.push_back({value, id});
+  }
+  return id;
 }
 
 uint32_t Shared::Find(const Slice& key, uint64_t hash, size_t* slot) const {
@@ -244,19 +276,16 @@ void Shared::HeapPop() {
   heap_.pop_back();
 }
 
-Status Shared::AddInternal(const Slice& key, const Slice& value,
+Status Shared::AddInternal(const Slice& key, uint32_t value_id,
                            bool allow_combine) {
   const uint32_t id = FindOrInsert(key);
-  ValueList& list = entries_[id].values;
-  AppendPacked(value, &list.packed);
-  list.count += 1;
-  list.value_bytes += value.size();
-  memory_bytes_ += value.size();
+  AddRef(id, value_id);
+  const ValueList& list = entries_[id].values;
   if (allow_combine && options_.combiner != nullptr &&
-      list.count >= list.next_combine) {
+      list.ids.size() >= list.next_combine) {
     ANTIMR_RETURN_NOT_OK(CombineKey(id));
     ValueList& combined = entries_[id].values;  // the slab may have grown
-    combined.next_combine = std::max<size_t>(2, 2 * combined.count);
+    combined.next_combine = std::max<size_t>(2, 2 * combined.ids.size());
   }
   return Status::OK();
 }
@@ -267,34 +296,40 @@ Status Shared::CombineKey(uint32_t id) {
   CollectingContext ctx(&combined);
   {
     ScopedPhase phase(Phase::combine);
-    PackedValueIterator it(entries_[id].values.packed);
+    combine_views_.clear();
+    for (const uint32_t v : entries_[id].values.ids) {
+      combine_views_.push_back(ValueAt(v));
+    }
+    SliceVectorIterator it(&combine_views_);
     options_.combiner->Reduce(key, &it, &ctx);
   }
   ANTIMR_RETURN_NOT_OK(ctx.status());
   ValueList& list = entries_[id].values;
   if (options_.metrics) {
-    options_.metrics->combine_input_records += list.count;
+    options_.metrics->combine_input_records += list.ids.size();
     options_.metrics->combine_output_records += combined.size();
   }
-  memory_bytes_ -= list.value_bytes;
-  list.packed.clear();
-  list.count = 0;
-  list.value_bytes = 0;
-  for (KV& kv : combined) {
+  for (const uint32_t v : list.ids) Unref(v);
+  memory_bytes_ -= kReferenceBytes * list.ids.size();
+  list.ids.clear();
+  for (const KV& kv : combined) {
+    const uint32_t value_id = StoreValue(kv.value);
     if (Slice(kv.key) == key) {
-      ValueList& own = entries_[id].values;
-      AppendPacked(kv.value, &own.packed);
-      own.count += 1;
-      own.value_bytes += kv.value.size();
-      memory_bytes_ += kv.value.size();
+      AddRef(id, value_id);
     } else {
       // A combiner emitting a different key is unusual but legal; store it
       // without re-combining to guarantee termination.
       ANTIMR_RETURN_NOT_OK(
-          AddInternal(kv.key, kv.value, /*allow_combine=*/false));
+          AddInternal(kv.key, value_id, /*allow_combine=*/false));
     }
   }
   return Status::OK();
+}
+
+void Shared::AddRef(uint32_t id, uint32_t value_id) {
+  entries_[id].values.ids.push_back(value_id);
+  slots_[value_id].refs += 1;
+  memory_bytes_ += kReferenceBytes;
 }
 
 std::string Shared::NextSpillName() {
@@ -325,14 +360,13 @@ Status Shared::WriteSpill(const std::string& fname, uint64_t* bytes) {
   BlockRunWriter writer(std::move(file), GetCodec(options_.codec),
                         {options_.block_bytes});
   // Drain the heap to emit keys in sorted order, mirroring the map phase's
-  // sorted spills (paper Section 5). The caller resets the table and the
-  // key arena once the drain finishes.
+  // sorted spills (paper Section 5): one record per reference, so a value
+  // shared by several keys is written under each. The caller resets the
+  // table, the key arena and the value store once the drain finishes.
   while (!heap_.empty()) {
     const Entry& e = entries_[heap_.front()];
-    PackedValueIterator values(e.values.packed);
-    Slice value;
-    while (values.Next(&value)) {
-      ANTIMR_RETURN_NOT_OK(writer.Add(e.key, value));
+    for (const uint32_t id : e.values.ids) {
+      ANTIMR_RETURN_NOT_OK(writer.Add(e.key, ValueAt(id)));
     }
     HeapPop();
   }
@@ -350,6 +384,7 @@ Status Shared::SpillToDisk() {
   key_bytes_ = 0;
   ResetTable();
   key_arena_->Clear();
+  ResetValues();
   ANTIMR_RETURN_NOT_OK(AdoptSpill(fname, written));
   if (options_.metrics) {
     options_.metrics->shared_spills += 1;
@@ -411,7 +446,7 @@ bool Shared::FindMinKey(Slice* out) {
   return found;
 }
 
-void Shared::MaybeReclaimKeys() {
+void Shared::MaybeReclaim() {
   if (live_entries_ == 0) {
     ResetTable();
     key_arena_->Clear();
@@ -419,6 +454,7 @@ void Shared::MaybeReclaimKeys() {
              2 * key_bytes_ + Arena::kDefaultChunkBytes) {
     CompactKeys();
   }
+  MaybeCompactValues();
 }
 
 void Shared::CompactKeys() {
@@ -429,6 +465,52 @@ void Shared::CompactKeys() {
     entries_[id].key = fresh->Intern(entries_[id].key);
   }
   key_arena_ = std::move(fresh);
+}
+
+void Shared::MaybeCompactValues() {
+  if (value_arena_->bytes_used() <=
+      2 * live_value_bytes_ + Arena::kDefaultChunkBytes) {
+    return;
+  }
+  // Slots keep their ids; only the bytes of referenced values move. The
+  // arena the latest pop's views point into survives until the next pop:
+  // it is retired to the spare, unless the spare already holds those views
+  // (a compaction or spill since that pop), and then nothing points into
+  // value_arena_ but the slots.
+  const bool retire = !spare_has_pop_views_;
+  std::unique_ptr<Arena> fresh =
+      retire ? std::move(spare_arena_) : std::make_unique<Arena>();
+  for (ValueSlot& slot : slots_) {
+    if (slot.refs == 0) continue;
+    slot.data = fresh->Intern(Slice(slot.data, slot.size)).data();
+  }
+  if (retire) {
+    spare_arena_ = std::move(value_arena_);
+    spare_has_pop_views_ = true;
+  }
+  value_arena_ = std::move(fresh);
+}
+
+void Shared::ResetValues() {
+  // The latest pop's views may point into value_arena_: unless a compaction
+  // already retired that arena, retire it now, to the spare that its pop
+  // cleared.
+  if (!spare_has_pop_views_) {
+    std::swap(value_arena_, spare_arena_);
+    spare_has_pop_views_ = true;
+  }
+  value_arena_->Clear();
+  slots_.clear();
+  free_slot_ = kNoEntry;
+  live_value_bytes_ = 0;
+}
+
+size_t Shared::reference_bytes() const {
+  size_t bytes = 0;
+  for (const uint32_t id : heap_) {
+    bytes += entries_[id].values.ids.capacity() * sizeof(uint32_t);
+  }
+  return bytes;
 }
 
 bool Shared::Empty() {
@@ -448,6 +530,13 @@ bool Shared::PeekMinKey(std::string* key) {
 Status Shared::PopMinKeyValues(std::string* group_key,
                                std::vector<Slice>* values) {
   ScopedPhase phase(Phase::shared);
+  // The previous pop's views die here: release the arena a compaction or a
+  // spill retired while they were alive.
+  if (spare_has_pop_views_) {
+    spare_arena_->Clear();
+    spare_has_pop_views_ = false;
+  }
+  pop_merged_.clear();
 
   Slice min_key;
   if (!FindMinKey(&min_key)) return Status::NotFound("Shared is empty");
@@ -455,25 +544,15 @@ Status Shared::PopMinKeyValues(std::string* group_key,
   // which would invalidate a stream-head view mid-drain.
   group_key->assign(min_key.data(), min_key.size());
 
-  // Move the group's in-memory buffers (heap pops ascend in key order) into
-  // pop storage. Views are taken only once every buffer has moved: moving a
-  // short string relocates its inline bytes.
-  pop_buffers_.clear();
-  pop_keys_.clear();
-  pop_merged_.clear();
+  // The group's in-memory entries, in key order (heap pops ascend).
+  pop_entries_.clear();
   size_t count = 0;
   while (!heap_.empty() &&
          grouping_order_(entries_[heap_.front()].key, Slice(*group_key)) ==
              0) {
-    const uint32_t id = heap_.front();
+    pop_entries_.push_back(heap_.front());
+    count += entries_[heap_.front()].values.ids.size();
     HeapPop();
-    Entry& e = entries_[id];
-    count += e.values.count;
-    memory_bytes_ -= e.key.size() + e.values.value_bytes;
-    key_bytes_ -= e.key.size();
-    pop_keys_.push_back(e.key);  // interned view; survives the erase
-    pop_buffers_.push_back(std::move(e.values.packed));
-    Erase(id);
   }
 
   bool spilled_group = false;
@@ -484,31 +563,54 @@ Status Shared::PopMinKeyValues(std::string* group_key,
       break;
     }
   }
-  if (!spilled_group) {
-    // Fast path: the group lives entirely in memory, already in key order.
+
+  // Views of the popped values go straight out when the group lives
+  // entirely in memory (already in key order), else into the merge below.
+  // Either way they point into the value arena, whose bytes outlive the
+  // references dropped here until the next pop.
+  if (spilled_group) {
+    pop_records_.clear();
+    pop_records_.reserve(count);
+  } else {
     values->reserve(values->size() + count);
-    for (const std::string& packed : pop_buffers_) AppendViews(packed, values);
-    MaybeReclaimKeys();
-    return Status::OK();
+  }
+  for (const uint32_t id : pop_entries_) {
+    Entry& e = entries_[id];
+    for (const uint32_t v : e.values.ids) {
+      // The interned key survives the erase, until MaybeReclaim.
+      if (spilled_group) {
+        pop_records_.emplace_back(e.key, ValueAt(v));
+      } else {
+        values->push_back(ValueAt(v));
+      }
+      Unref(v);
+    }
+    memory_bytes_ -= e.key.size() + kReferenceBytes * e.values.ids.size();
+    key_bytes_ -= e.key.size();
+    e.values = ValueList();
+    Erase(id);
   }
 
-  // Merge the memory records with the group prefix of each spill stream,
-  // repacking the values (spill stream views die as the streams advance).
-  std::vector<std::unique_ptr<KVStream>> inputs;
-  inputs.push_back(
-      std::make_unique<PackedGroupStream>(&pop_keys_, &pop_buffers_));
-  for (SpillRun& run : spills_) {
-    inputs.push_back(std::make_unique<GroupBoundedStream>(
-        run.stream.get(), group_key, &grouping_order_));
-  }
-  MergingStream merged(std::move(inputs), options_.key_cmp);
-  while (merged.Valid()) {
-    AppendPacked(merged.value(), &pop_merged_);
-    ANTIMR_RETURN_NOT_OK(merged.Next());
+  if (spilled_group) {
+    // Merge the memory records with the group prefix of each spill stream,
+    // repacking the values (spill stream views die as the streams advance).
+    std::vector<std::unique_ptr<KVStream>> inputs;
+    inputs.push_back(std::make_unique<RecordRefStream>(&pop_records_));
+    for (SpillRun& run : spills_) {
+      inputs.push_back(std::make_unique<GroupBoundedStream>(
+          run.stream.get(), group_key, &grouping_order_));
+    }
+    MergingStream merged(std::move(inputs), options_.key_cmp);
+    while (merged.Valid()) {
+      AppendPacked(merged.value(), &pop_merged_);
+      ANTIMR_RETURN_NOT_OK(merged.Next());
+    }
+    PackedValueIterator it(pop_merged_);
+    Slice value;
+    while (it.Next(&value)) values->push_back(value);
   }
   // The merge read the popped keys' interned bytes; reclaim only now.
-  MaybeReclaimKeys();
-  AppendViews(pop_merged_, values);
+  MaybeReclaim();
   return Status::OK();
 }
 

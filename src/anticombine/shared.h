@@ -25,18 +25,33 @@
 // word-at-a-time hash whose values stay in the process; Hash64, which
 // decides partitions, is not involved.
 //
-// Ownership: each distinct key is interned once into a key arena; each key's
-// values are packed into one buffer (varint length + bytes per value, in
-// insertion order), so an Add allocates only when a key first appears or its
-// buffer grows. A pop moves the group's buffers into pop storage and hands
-// out views into them, valid until the next PopMinKeyValues. The key arena
-// is compacted once popped keys dominate it, so a key parked far ahead of
-// the drain cursor cannot pin the bytes of every key popped since.
+// Ownership: each distinct key is interned once into a key arena. Values
+// live in a value store: their bytes in a value arena, and one slot per
+// stored value holding its view and a reference count. One Add call is one
+// decode call (an EagerSH record's keys, or the kept records of one LazySH
+// re-execution), and values equal within it are stored once: every key that
+// got the value holds its id, and a key's ValueList is a vector of ids. A
+// pop hands out views into the value arena, valid until the next
+// PopMinKeyValues. A value whose last reference goes leaves the accounting
+// at once; its bytes go with the next compaction or spill, and an arena
+// that holds the latest pop's views is kept as the spare until the next
+// pop. The key arena (at the end of a pop) and the value arena (at the end
+// of a pop or of an Add whose combines replaced values) are compacted once
+// dead bytes dominate them, so a key parked far ahead of the drain cursor
+// pins neither the keys nor the values popped since.
+//
+// Memory accounting (memory_usage(), against memory_limit_bytes): key
+// bytes once per distinct key, each stored value's bytes plus its slot
+// (kValueSlotBytes), and kReferenceBytes per (key, value id) reference.
+// Spills write one (key, value) record per reference into the block
+// segments above: a spill with its own value dictionary would write fewer
+// bytes but need the dictionary resident to be merged back.
 #ifndef ANTIMR_ANTICOMBINE_SHARED_H_
 #define ANTIMR_ANTICOMBINE_SHARED_H_
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,9 +93,18 @@ class Shared {
   Shared(const Shared&) = delete;
   Shared& operator=(const Shared&) = delete;
 
-  /// Insert one decoded record; may trigger combining and/or a spill.
-  /// Fails with the spill's I/O error or the combiner's reported error.
-  Status Add(const Slice& key, const Slice& value);
+  /// Insert the records of one decode call; may trigger combining and/or a
+  /// spill, which is checked once the whole call is in. Values equal within
+  /// the call are stored once (each value is compared with the first
+  /// kCallValues distinct values of the call). Fails with the spill's I/O
+  /// error or the combiner's reported error.
+  Status Add(std::span<const RecordRef> records);
+
+  /// Insert one decoded record: a decode call of one.
+  Status Add(const Slice& key, const Slice& value) {
+    const RecordRef record(key, value);
+    return Add(std::span<const RecordRef>(&record, 1));
+  }
 
   /// True when no records remain (memory and spills).
   bool Empty();
@@ -100,20 +124,42 @@ class Shared {
   /// (Corruption naming the spill file for a bad block) when one fails.
   Status PopMinKeyValues(std::string* group_key, std::vector<Slice>* values);
 
+  /// Charged per stored value beyond its bytes: its slot.
+  static constexpr size_t kValueSlotBytes = 16;
+  /// Charged per (key, value id) reference: a 4-byte id in a vector that
+  /// grows by doubling, so at most twice its size.
+  static constexpr size_t kReferenceBytes = 2 * sizeof(uint32_t);
   size_t memory_usage() const { return memory_bytes_; }
 
   /// Chunk capacity held by the key arena (the retained key footprint).
   size_t key_arena_bytes() const { return key_arena_->bytes_allocated(); }
 
+  /// Capacity held by the value store: both value arenas and the slots.
+  size_t value_store_bytes() const {
+    return value_arena_->bytes_allocated() + spare_arena_->bytes_allocated() +
+           slots_.capacity() * sizeof(ValueSlot);
+  }
+
+  /// Capacity of the resident keys' value-id vectors (walks the table).
+  size_t reference_bytes() const;
+
  private:
-  /// A key's pending values, packed into one buffer, plus the count at
-  /// which the next combine fires. The doubling threshold keeps combining
-  /// amortized-linear even when the combiner cannot shrink a key's values
-  /// below 2 (e.g. top-k style aggregates over many distinct sub-values).
+  /// One stored value. A free slot has no references; its `size` holds the
+  /// id of the next free slot.
+  struct ValueSlot {
+    const char* data = nullptr;  ///< in value_arena_
+    uint32_t size = 0;
+    uint32_t refs = 0;
+  };
+  static_assert(sizeof(ValueSlot) == kValueSlotBytes);
+
+  /// A key's pending values as value ids, in insertion order, plus the
+  /// count at which the next combine fires. The doubling threshold keeps
+  /// combining amortized-linear even when the combiner cannot shrink a key's
+  /// values below 2 (e.g. top-k style aggregates over many distinct
+  /// sub-values).
   struct ValueList {
-    std::string packed;  ///< varint32 length + bytes per value
-    size_t count = 0;
-    size_t value_bytes = 0;  ///< sum of value sizes (memory accounting)
+    std::vector<uint32_t> ids;
     size_t next_combine = 2;
   };
 
@@ -126,6 +172,9 @@ class Shared {
   };
 
   static constexpr uint32_t kNoEntry = UINT32_MAX;
+  /// Distinct values of one decode call that later values are compared
+  /// with; beyond them a value is stored without looking for a twin.
+  static constexpr size_t kCallValues = 8;
 
   /// Entry id of `key` (kNoEntry when absent); *slot gets its index slot,
   /// or the empty slot where it would go.
@@ -147,9 +196,24 @@ class Shared {
   void HeapPush(uint32_t id);
   void HeapPop();
 
-  Status AddInternal(const Slice& key, const Slice& value,
-                     bool allow_combine);
-  /// Combine entry `id`'s values. A combiner output under another key is
+  Slice ValueAt(uint32_t id) const {
+    return Slice(slots_[id].data, slots_[id].size);
+  }
+  /// Copy `value` into the value store; the new slot has no references.
+  uint32_t StoreValue(const Slice& value);
+  /// Drop one reference to value `id`, freeing its slot at the last one
+  /// (its bytes stay in the arena until a compaction or a spill).
+  void Unref(uint32_t id);
+  /// Id of `value` for the decode call under way: a value equal to one
+  /// already stored for the call shares its id.
+  uint32_t CallValueId(const Slice& value);
+
+  /// Add a reference to value `value_id` under `key`.
+  Status AddInternal(const Slice& key, uint32_t value_id, bool allow_combine);
+  /// Append value `value_id` to entry `id`'s list, taking a reference.
+  void AddRef(uint32_t id, uint32_t value_id);
+  /// Combine entry `id`'s values; its references are replaced by the
+  /// combiner's outputs, one reference each. An output under another key is
   /// added as a new record, which may grow the slab: entries are re-fetched
   /// by id after every AddInternal.
   Status CombineKey(uint32_t id);
@@ -166,11 +230,17 @@ class Shared {
   /// head) valid until the next mutation.
   bool FindMinKey(Slice* out);
   /// Clear the key arena and the slab once no key is resident, or compact
-  /// the arena once popped keys dominate its bytes.
-  void MaybeReclaimKeys();
+  /// the arena once popped keys dominate its bytes; compact the value arena
+  /// likewise. Runs at the end of a pop.
+  void MaybeReclaim();
   /// Re-intern the resident keys into a fresh arena and re-point their
   /// entries; the old arena's chunks are freed.
   void CompactKeys();
+  /// Copy the live values into a fresh arena once dead bytes dominate
+  /// value_arena_ (after a pop, or combines in an Add).
+  void MaybeCompactValues();
+  /// Forget every stored value (a spill took their references).
+  void ResetValues();
 
   Options options_;
   KeyOrder key_order_;       ///< options_.key_cmp, inline when bytewise
@@ -196,12 +266,31 @@ class Shared {
   size_t memory_bytes_ = 0;
   int spill_counter_ = 0;
 
-  /// Storage behind the latest pop's views: the popped keys' packed
-  /// buffers, and (when the group also lived in spills) the merged values
-  /// repacked in merge order. Cleared at the start of the next pop.
-  std::vector<std::string> pop_buffers_;
-  std::vector<Slice> pop_keys_;  ///< popped keys, for the spill merge
+  /// The value store. Stored values live in value_arena_; spare_arena_ is
+  /// either empty or (spare_has_pop_views_) the arena the latest pop's
+  /// views point into, retired by a compaction or a spill after that pop
+  /// and cleared at the start of the next one.
+  std::unique_ptr<Arena> value_arena_ = std::make_unique<Arena>();
+  std::unique_ptr<Arena> spare_arena_ = std::make_unique<Arena>();
+  bool spare_has_pop_views_ = false;
+  std::vector<ValueSlot> slots_;  ///< value ids index it
+  uint32_t free_slot_ = UINT32_MAX;  ///< first free slot id
+  size_t live_value_bytes_ = 0;  ///< bytes of the referenced values
+  /// The decode call under way: its first distinct values and their ids,
+  /// each holding one reference until the call ends.
+  struct CallValue {
+    Slice value;
+    uint32_t id;
+  };
+  std::vector<CallValue> call_values_;
+
+  /// Storage behind the latest pop: the popped entries, and (when the group
+  /// also lived in spills) the memory side's records for the merge and the
+  /// merged values repacked in merge order.
+  std::vector<uint32_t> pop_entries_;
+  std::vector<RecordRef> pop_records_;
   std::string pop_merged_;
+  std::vector<Slice> combine_views_;  ///< CombineKey's input
 };
 
 }  // namespace anticombine

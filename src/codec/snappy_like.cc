@@ -19,30 +19,55 @@ Status LzDecompress(const Slice& input, std::string* output) {
   if (raw_size > in.size() / 2 * kMaxMatch) {
     return Status::Corruption("lz: size header exceeds stream");
   }
-  output->clear();
-  output->reserve(static_cast<size_t>(raw_size));
-  while (output->size() < raw_size) {
-    if (in.empty()) return Status::Corruption("lz: truncated stream");
-    const unsigned char c = static_cast<unsigned char>(in[0]);
-    in.RemovePrefix(1);
+  // Sized once; the slack lets a match copy whole 8-byte words past its
+  // end. Trimmed to raw_size at the end.
+  constexpr size_t kSlack = 16;
+  output->resize(static_cast<size_t>(raw_size) + kSlack);
+  char* const base = output->data();
+  char* op = base;
+  char* const op_end = base + raw_size;
+  const char* ip = in.data();
+  const char* const ip_end = ip + in.size();
+  while (op < op_end) {
+    if (ip == ip_end) return Status::Corruption("lz: truncated stream");
+    const unsigned char c = static_cast<unsigned char>(*ip++);
+    size_t len;
     if (c < 0x80) {
-      const size_t len = static_cast<size_t>(c) + 1;
-      if (in.size() < len) return Status::Corruption("lz: truncated literal");
-      output->append(in.data(), len);
-      in.RemovePrefix(len);
+      len = static_cast<size_t>(c) + 1;
+      if (static_cast<size_t>(ip_end - ip) < len) {
+        return Status::Corruption("lz: truncated literal");
+      }
+      if (len > static_cast<size_t>(op_end - op)) break;
+      std::memcpy(op, ip, len);
+      ip += len;
     } else {
-      const size_t len = (c & 0x7f) + kMinMatch;
-      uint32_t dist;
-      if (!GetVarint32(&in, &dist) || dist == 0 || dist > output->size()) {
+      len = (c & 0x7f) + kMinMatch;
+      uint32_t dist = 0;
+      const char* next = GetVarint32Ptr(ip, ip_end, &dist);
+      // A fifth varint byte above 0x0f carries bits beyond 32, which
+      // GetVarint32Ptr drops.
+      if (next == nullptr ||
+          (next - ip == 5 && static_cast<unsigned char>(next[-1]) > 0x0f) ||
+          dist == 0 || dist > static_cast<size_t>(op - base)) {
         return Status::Corruption("lz: bad match distance");
       }
-      // Byte-by-byte copy: overlapping matches (dist < len) are legal and
-      // reproduce run-length behaviour.
-      size_t src = output->size() - dist;
-      for (size_t i = 0; i < len; ++i) output->push_back((*output)[src + i]);
+      ip = next;
+      if (len > static_cast<size_t>(op_end - op)) break;
+      const char* src = op - dist;
+      if (dist >= 8) {
+        // Each word reads only bytes already final; the last may write up
+        // to 7 bytes past the match, into the next op's room or the slack.
+        for (size_t i = 0; i < len; i += 8) std::memcpy(op + i, src + i, 8);
+      } else {
+        // Overlapping match (dist < 8): byte by byte reproduces the
+        // run-length behaviour.
+        for (size_t i = 0; i < len; ++i) op[i] = src[i];
+      }
     }
+    op += len;
   }
-  if (output->size() != raw_size) return Status::Corruption("lz: size mismatch");
+  if (op != op_end) return Status::Corruption("lz: size mismatch");
+  output->resize(static_cast<size_t>(raw_size));
   return Status::OK();
 }
 

@@ -231,6 +231,30 @@ TEST(AntiCombining, SharedSpillsWhenMemoryTight) {
   EXPECT_GT(anti_m.shared_spills, 0u);
 }
 
+// The local disk ledger of a Query-Suggestion Prefix-5 job whose Shared
+// spills and whose maps never spill (so no map-side merge): every byte
+// written is a shuffle segment or a Shared spill, and each is read back
+// exactly once.
+TEST(AntiCombining, DiskLedgerIsShuffleBytesPlusSharedSpills) {
+  QLogConfig qc;
+  qc.num_records = 4000;
+  qc.num_distinct = 1000;
+  workloads::QuerySuggestionConfig cfg;
+  cfg.scheme = workloads::QuerySuggestionConfig::Scheme::kPrefix5;
+  cfg.num_reduce_tasks = 4;
+  AntiCombineOptions options;
+  options.shared_memory_bytes = 64 * 1024;
+  JobMetrics m;
+  MustRun(EnableAntiCombining(workloads::MakeQuerySuggestionJob(cfg), options),
+          QLogGenerator(qc).MakeSplits(4), &m);
+  ASSERT_GT(m.shared_spills, 0u) << "Shared never spilled";
+  ASSERT_EQ(m.map_spills, 0u) << "a map spilled; its runs join the ledger";
+  ASSERT_EQ(m.shared_spill_merges, 0u)
+      << "a spill merge's segment joins the ledger";
+  EXPECT_EQ(m.disk_bytes_written, m.shuffle_bytes + m.shared_spill_bytes);
+  EXPECT_EQ(m.disk_bytes_read, m.disk_bytes_written);
+}
+
 TEST(AntiCombining, SecondarySortGroupingComparator) {
   // Fixed-width keys "gg|ss": sort on the full key, group and partition on
   // the first two characters (a grouping comparator must be consistent with

@@ -2,6 +2,8 @@
 // codec-specific ratio/behaviour checks.
 #include "codec/codec.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "common/coding.h"
@@ -153,6 +155,68 @@ TEST(Codec, LzRejectsTruncatedStream) {
       codec->Decompress(Slice(compressed.data(), compressed.size() / 2),
                         &restored)
           .IsCorruption());
+}
+
+// Every truncation and every single-byte flip of a small LZ stream (raw,
+// deflate-like, or gzip-framed) either fails as Corruption or decodes to
+// exactly the size its header claims; run under ASan, no damaged stream may
+// read or write out of bounds.
+TEST(Codec, LzDecoderSurvivesDamagedStreams) {
+  std::string input;
+  Random rng(3);
+  static const char* words[] = {"map", "reduce", "shuffle", "sharedvalue"};
+  while (input.size() < 400) {
+    input += words[rng.Uniform(4)];
+    input += std::string(rng.Uniform(3), 'z');  // short overlapping matches
+  }
+  for (const CodecType type : {CodecType::kSnappyLike,
+                               CodecType::kDeflateLike, CodecType::kGzip}) {
+    const Codec* codec = GetCodec(type);
+    // The LZ stream starts after gzip's 10-byte header.
+    const size_t lz_start = type == CodecType::kGzip ? 10 : 0;
+    std::string compressed;
+    ASSERT_TRUE(codec->Compress(input, &compressed).ok());
+    auto check = [&](const std::string& damaged, const std::string& what) {
+      std::string restored;
+      const Status st = codec->Decompress(damaged, &restored);
+      if (!st.ok()) {
+        EXPECT_TRUE(st.IsCorruption()) << codec->name() << " " << what << ": "
+                                       << st.ToString();
+        return;
+      }
+      Slice header(damaged);
+      header.RemovePrefix(std::min(lz_start, header.size()));
+      uint64_t raw_size = 0;
+      ASSERT_TRUE(GetVarint64(&header, &raw_size)) << codec->name() << what;
+      EXPECT_EQ(restored.size(), raw_size) << codec->name() << " " << what;
+    };
+    for (size_t n = 0; n < compressed.size(); ++n) {
+      check(compressed.substr(0, n), "truncated to " + std::to_string(n));
+    }
+    for (size_t i = 0; i < compressed.size(); ++i) {
+      for (const unsigned char mask : {0x01, 0x10, 0x80, 0xff}) {
+        std::string damaged = compressed;
+        damaged[i] = static_cast<char>(damaged[i] ^ mask);
+        check(damaged, "byte " + std::to_string(i) + " ^ " +
+                           std::to_string(mask));
+      }
+    }
+  }
+}
+
+// A five-byte distance varint whose last byte carries bits beyond 32 is
+// Corruption, not the distance its low 32 bits spell (here 1).
+TEST(Codec, LzDistanceBeyond32BitsIsCorruption) {
+  std::string s;
+  PutVarint64(&s, 12);
+  s += std::string("\x07" "abcdefgh", 9);              // 8-byte literal
+  s += std::string("\x80" "\x81\x80\x80\x80\x10", 6);  // len 4, 2^32 + 1
+  std::string restored;
+  for (const CodecType type : {CodecType::kSnappyLike,
+                               CodecType::kDeflateLike}) {
+    EXPECT_TRUE(GetCodec(type)->Decompress(s, &restored).IsCorruption())
+        << CodecTypeName(type);
+  }
 }
 
 TEST(Codec, Bzip2RejectsGarbage) {

@@ -265,6 +265,30 @@ TEST_F(SharedTest, CombinerPreventsSpills) {
   }
 }
 
+// Each combine replaces a key's values with new ones; with no pop in
+// between, the dead ones must still be compacted away, or the value arena
+// would grow with every Add while memory_usage() stays small.
+TEST_F(SharedTest, CombinerGarbageIsCompactedBetweenPops) {
+  SumCombiner combiner;
+  Shared::Options options = BaseOptions();
+  options.combiner = &combiner;
+  Shared shared(options);
+  constexpr int kAdds = 200000;  // 1.2 MB of combiner outputs
+  for (int i = 0; i < kAdds; ++i) {
+    ASSERT_TRUE(shared.Add("key" + std::to_string(i % 20), "1").ok());
+  }
+  EXPECT_EQ(metrics_.shared_spills, 0u);
+  EXPECT_LE(shared.value_store_bytes(), 4 * Arena::kDefaultChunkBytes + 4096)
+      << "dead combiner inputs stay in the value arena";
+  auto all = DrainAll(&shared);
+  ASSERT_EQ(all.size(), 20u);
+  for (const auto& [key, values] : all) {
+    long total = 0;
+    for (const std::string& v : values) total += std::stol(v);
+    EXPECT_EQ(total, kAdds / 20) << key;
+  }
+}
+
 TEST_F(SharedTest, SpillFilesRemovedOnDestruction) {
   Shared::Options options = BaseOptions();
   options.memory_limit_bytes = 64;
@@ -373,7 +397,9 @@ TEST_F(SharedTest, KeyArenaStaysBoundedBehindParkedKey) {
     ASSERT_EQ(key, std::string(buf, 50));
     ASSERT_EQ(Strings(values), std::vector<std::string>{"v"});
   }
-  EXPECT_EQ(shared.memory_usage(), 16u);  // the two parked keys + values
+  // The two parked keys and values, each value with its slot and reference.
+  EXPECT_EQ(shared.memory_usage(),
+            16u + 2 * (Shared::kValueSlotBytes + Shared::kReferenceBytes));
   EXPECT_EQ(metrics_.shared_spills, 0u);
   EXPECT_LE(shared.key_arena_bytes(), 4 * Arena::kDefaultChunkBytes)
       << "popped keys stay pinned in the key arena";
@@ -382,6 +408,86 @@ TEST_F(SharedTest, KeyArenaStaysBoundedBehindParkedKey) {
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all["yyyy"], std::vector<std::string>{"w"});
   EXPECT_EQ(all["zzzzzzzzzz"], std::vector<std::string>{"v"});
+}
+
+// The value-store twin of KeyArenaStaysBoundedBehindParkedKey: a value
+// still referenced by a parked key must not pin the values popped since.
+// The parked value is shared with a key popped at once, as an EagerSH
+// record's value is.
+TEST_F(SharedTest, ValueStoreStaysBoundedBehindParkedValue) {
+  Shared::Options options = BaseOptions();
+  options.memory_limit_bytes = 1 << 20;
+  Shared shared(options);
+  const std::string parked_value(40, 'p');
+  const RecordRef eager[] = {{"a", parked_value}, {"zzzz", parked_value}};
+  ASSERT_TRUE(shared.Add(eager).ok());
+  std::string key;
+  std::vector<Slice> values;
+  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
+  ASSERT_EQ(key, "a");
+  constexpr int kRounds = 20000;  // 1 MB of values if nothing is reclaimed
+  for (int i = 0; i < kRounds; ++i) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "v%049d", i);
+    ASSERT_TRUE(shared.Add("k", Slice(buf, 50)).ok());
+    values.clear();
+    ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
+    ASSERT_EQ(key, "k");
+    ASSERT_EQ(Strings(values), std::vector<std::string>{std::string(buf, 50)});
+  }
+  // The parked key, its value (stored once), its slot and one reference.
+  EXPECT_EQ(shared.memory_usage(),
+            4 + 40 + Shared::kValueSlotBytes + Shared::kReferenceBytes);
+  EXPECT_EQ(metrics_.shared_spills, 0u);
+  // Two value arenas of at most two chunks each, and two slots.
+  EXPECT_LE(shared.value_store_bytes(),
+            4 * Arena::kDefaultChunkBytes + 2 * Shared::kValueSlotBytes)
+      << "popped values stay pinned in the value arena";
+  auto all = DrainAll(&shared);
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all["zzzz"], std::vector<std::string>{parked_value});
+}
+
+// memory_usage() is what Shared spills on, so it must track what Shared
+// really holds: the key arena, the value store (arenas and slots) and the
+// value-id vectors. Filled with EagerSH-shaped calls (a value under six
+// keys) and single records, the resident bytes stay within the charged
+// bytes plus the slack of arena chunks and of vectors that grow by doubling.
+TEST_F(SharedTest, ResidentBytesTrackMemoryUsage) {
+  Shared::Options options = BaseOptions();
+  options.memory_limit_bytes = size_t{1} << 30;
+  Shared shared(options);
+  constexpr size_t kCalls = 20000;
+  for (size_t i = 0; i < kCalls; ++i) {
+    char value[64];
+    std::snprintf(value, sizeof(value), "value-%040zu", i);
+    std::vector<std::string> keys;
+    for (size_t k = 0; k < 6; ++k) {
+      keys.push_back("key" + std::to_string((i * 7 + k * 131) % 5000));
+    }
+    std::vector<RecordRef> records;
+    for (const std::string& k : keys) records.emplace_back(k, Slice(value));
+    ASSERT_TRUE(shared.Add(records).ok());
+    ASSERT_TRUE(shared.Add(keys[0], Slice(value, 20)).ok());
+  }
+  ASSERT_EQ(metrics_.shared_spills, 0u);
+  const size_t stored_values = 2 * kCalls;
+  const size_t references = 7 * kCalls;
+  const size_t resident = shared.key_arena_bytes() +
+                          shared.value_store_bytes() +
+                          shared.reference_bytes();
+  const size_t charged = shared.memory_usage();
+  // Resident beyond the charge: a partly used chunk per arena, and slots
+  // the slot vector reserved by doubling.
+  EXPECT_LE(resident, charged + 3 * Arena::kDefaultChunkBytes +
+                          stored_values * Shared::kValueSlotBytes)
+      << "resident " << resident << " charged " << charged;
+  // Charged beyond resident: at most the 4 bytes per reference an id
+  // vector has not yet reserved.
+  EXPECT_LE(charged, resident + references * sizeof(uint32_t))
+      << "resident " << resident << " charged " << charged;
+  // One copy per decode call: 46 + 20 value bytes per call, not 6 x 46 + 20.
+  EXPECT_LT(charged, kCalls * (6 * 46 + 20));
 }
 
 // Pop views over short (inline-stored) values: a relocated small string
@@ -405,10 +511,12 @@ TEST_F(SharedTest, PopViewsOfGroupSpanningManyKeys) {
 
 TEST_F(SharedTest, PopViewsOfGroupMergedFromMemoryAndSpills) {
   Shared::Options options = FirstCharGrouping(BaseOptions());
-  options.memory_limit_bytes = 24;
+  // A record costs its key and value bytes plus a slot and a reference.
+  const size_t per_record = Shared::kValueSlotBytes + Shared::kReferenceBytes;
+  options.memory_limit_bytes = 2 * (12 + per_record) + (6 + per_record) - 1;
   Shared shared(options);
-  ASSERT_TRUE(shared.Add("a1", "s1-0123456").ok());  // 12 bytes
-  ASSERT_TRUE(shared.Add("a2", "s2-0123456").ok());  // 24 bytes
+  ASSERT_TRUE(shared.Add("a1", "s1-0123456").ok());  // 12 + per_record
+  ASSERT_TRUE(shared.Add("a2", "s2-0123456").ok());
   ASSERT_TRUE(shared.Add("a3", "s3-0").ok());  // over budget: spills a1..a3
   ASSERT_EQ(metrics_.shared_spills, 1u);
   ASSERT_TRUE(shared.Add("a1", "m1").ok());
@@ -428,11 +536,13 @@ TEST_F(SharedTest, PopViewsOfGroupMergedFromMemoryAndSpills) {
 
 TEST_F(SharedTest, PopViewsSurviveLaterPeeksAndAdds) {
   Shared::Options options = FirstCharGrouping(BaseOptions());
-  options.memory_limit_bytes = 64;
+  options.memory_limit_bytes = 128;
   Shared shared(options);
   ASSERT_TRUE(shared.Add("a2", "two").ok());
   ASSERT_TRUE(shared.Add("a1", "one").ok());
   ASSERT_TRUE(shared.Add("c1", "three").ok());
+  // The popped views must point into Shared's memory, not a spill merge.
+  ASSERT_EQ(metrics_.shared_spills, 0u);
   std::string key;
   std::vector<Slice> values;
   ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
@@ -447,6 +557,34 @@ TEST_F(SharedTest, PopViewsSurviveLaterPeeksAndAdds) {
   EXPECT_GT(metrics_.shared_spills, spills_before) << "no Add spilled";
   ASSERT_TRUE(shared.PeekMinKey(&min));
   EXPECT_EQ(Strings(values), (std::vector<std::string>{"one", "two"}));
+}
+
+// A pop that compacts the value arena retires the arena its views point
+// into; a spill before the next pop must not clear that arena and refill
+// it.
+TEST_F(SharedTest, PopViewsSurviveCompactionThenSpill) {
+  Shared::Options options = BaseOptions();
+  options.memory_limit_bytes = 128 * 1024;
+  Shared shared(options);
+  ASSERT_TRUE(shared.Add("zzzz", "parked").ok());
+  std::string key;
+  std::vector<Slice> values;
+  // 60 KiB of dead value bytes: not yet worth a compaction.
+  ASSERT_TRUE(shared.Add("k", std::string(60 * 1024, 'a')).ok());
+  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
+  // Another 10 KiB dead after this pop: it compacts.
+  const std::string popped(10 * 1024, 'b');
+  ASSERT_TRUE(shared.Add("k", popped).ok());
+  values.clear();
+  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values).ok());
+  // Over budget: spills, then refills the value arena.
+  ASSERT_TRUE(shared.Add("m", std::string(130 * 1024, 'c')).ok());
+  ASSERT_EQ(metrics_.shared_spills, 1u);
+  ASSERT_TRUE(shared.Add("n", std::string(60 * 1024, 'd')).ok());
+  ASSERT_TRUE(shared.Add("o", std::string(20 * 1024, 'e')).ok());
+  ASSERT_EQ(metrics_.shared_spills, 1u);
+  ASSERT_EQ(values.size(), 1u);
+  EXPECT_TRUE(values[0] == Slice(popped)) << "a pop view was overwritten";
 }
 
 // Drives the index through several growths (16 slots up to thousands) with
