@@ -1,6 +1,7 @@
 // Ablation — the paper's Section 9 future-work extension, implemented here:
 // EagerSH value-sharing across all Map calls in a window, instead of only
-// within one call. Sweeps the window size on two workloads:
+// within one call. Sweeps the window size on two workloads, printing the
+// emitted volume and the AntiMapper's summed encode phase time:
 //  * WordCount (all values identical): cross-call grouping collapses the
 //    per-word duplication the single-call algorithm cannot see.
 //  * Query-Suggestion: values are (1, query), distinct across calls, so a
@@ -18,8 +19,8 @@ namespace {
 
 void Sweep(const char* label, const JobSpec& spec,
            const std::vector<InputSplit>& splits) {
-  std::printf("%s\n%-8s %14s %14s %12s\n", label, "window", "emitted recs",
-              "emitted bytes", "vs window=1");
+  std::printf("%s\n%-8s %14s %14s %12s %12s\n", label, "window",
+              "emitted recs", "emitted bytes", "vs window=1", "encode");
   uint64_t base = 0;
   for (int window : {1, 4, 16, 64, 256}) {
     anticombine::AntiCombineOptions options;
@@ -27,10 +28,11 @@ void Sweep(const char* label, const JobSpec& spec,
     const JobMetrics m =
         RunStrategy(spec, Strategy::kAdaptiveSH, splits, options);
     if (window == 1) base = m.emitted_bytes;
-    std::printf("%-8d %14llu %14s %12s\n", window,
+    std::printf("%-8d %14llu %14s %12s %12s\n", window,
                 static_cast<unsigned long long>(m.emitted_records),
                 FormatBytes(m.emitted_bytes).c_str(),
-                Ratio(base, m.emitted_bytes).c_str());
+                Ratio(base, m.emitted_bytes).c_str(),
+                FormatNanos(m.cpu.encode).c_str());
   }
   std::printf("\n");
 }

@@ -1,10 +1,13 @@
 // AntiMapper: the mapper-side half of the syntactic transformation (paper
-// Figure 7). Wraps the original Mapper as a black box, intercepts each Map
-// call's output through a capturing context, measures the call's Map +
-// Partition cost, and — independently per target partition — emits the
-// cheaper of the EagerSH and LazySH encodings, constrained by threshold T.
-// The costs are the values of the phase switches (common/stopwatch.h) that
-// end the original Map call and its Partition calls.
+// Figure 7). Wraps the original Mapper as a black box, intercepts its output
+// through a capturing context, measures the Map + Partition cost, and —
+// independently per target partition — emits the cheaper of the EagerSH and
+// LazySH encodings, constrained by threshold T. The unit it encodes is a
+// batch of Map calls: one call in the paper's algorithm, W calls with the
+// Section 9 cross-call window. The costs are the values of the phase
+// switches (common/stopwatch.h) that end the original Map calls and their
+// Partition calls. BatchEncoder is the grouping and emission half of that
+// encoder; the map-side AntiCombiner re-encodes its combined output with it.
 #ifndef ANTIMR_ANTICOMBINE_ANTI_MAPPER_H_
 #define ANTIMR_ANTICOMBINE_ANTI_MAPPER_H_
 
@@ -23,7 +26,7 @@ namespace anticombine {
 
 /// \brief MapContext that records emissions instead of forwarding them.
 ///
-/// Arena-backed: one Map call's output lands in a single reused buffer, so
+/// Arena-backed: one batch's output lands in a single reused buffer, so
 /// interception costs no per-record allocations after warm-up.
 class CaptureContext : public MapContext {
  public:
@@ -51,6 +54,85 @@ class CaptureContext : public MapContext {
   std::vector<RecordRef> entries_;
 };
 
+/// One Map call of a batch: its input record (kept for LazySH) and the end
+/// of its records in the batch's capture.
+struct MapCall {
+  RecordRef input;
+  size_t records_end = 0;
+};
+
+/// \brief Figure 7's plan and emit steps over one batch of records.
+///
+/// Plan sorts the batch by (partition, value, key) and, per partition,
+/// builds both encodings in one walk: the EagerSH value groups, and one
+/// LazySH record per Map call that contributed to the partition, keyed by
+/// that call's minimal key there. The caller chooses per plan and emits.
+/// Views point into the planned records and inputs; scratch is reused
+/// across batches, so a warm batch allocates nothing.
+class BatchEncoder {
+ public:
+  /// One target partition's two encodings and their encoded sizes.
+  struct PartitionPlan {
+    int partition = 0;
+    size_t groups_begin = 0;
+    size_t groups_end = 0;
+    size_t eager_bytes = 0;
+    size_t lazy_begin = 0;
+    size_t lazy_end = 0;
+    size_t lazy_bytes = 0;
+  };
+
+  void Bind(const KeyComparator& key_cmp) { key_order_ = KeyOrder(key_cmp); }
+
+  /// Plan `records`, record i bound for `partitions[i]`. `calls` partition
+  /// the records in capture order; with no calls (records emitted outside
+  /// Map) the plans have no LazySH records.
+  void Plan(std::span<const RecordRef> records, std::span<const int> partitions,
+            std::span<const MapCall> calls);
+  std::span<const PartitionPlan> plans() const { return plans_; }
+
+  /// Emit a plan's EagerSH groups ordered by representative key, then by
+  /// value. Counts plain and eager records into `metrics` when non-null.
+  void EmitEager(const PartitionPlan& plan, MapContext* ctx,
+                 JobMetrics* metrics);
+  /// Emit a plan's LazySH records in call order, counting them into
+  /// `metrics` when non-null.
+  void EmitLazy(const PartitionPlan& plan, std::span<const MapCall> calls,
+                MapContext* ctx, JobMetrics* metrics);
+
+ private:
+  /// One EagerSH value group: its non-representative keys are
+  /// group_keys_[keys_begin, keys_end).
+  struct EagerGroup {
+    Slice rep_key;
+    Slice value;
+    size_t keys_begin = 0;
+    size_t keys_end = 0;
+  };
+  /// One LazySH record: calls[call].input keyed by `key`.
+  struct LazyRecord {
+    Slice key;
+    size_t call = 0;
+  };
+
+  /// Append the plan of the partition range starting at order_[*pos] and
+  /// advance *pos past it.
+  void PlanPartition(std::span<const RecordRef> records,
+                     std::span<const int> partitions,
+                     std::span<const MapCall> calls, size_t* pos);
+
+  KeyOrder key_order_;  // inline when bytewise
+  std::string payload_;
+  std::vector<size_t> order_;  // index sort for grouping
+  std::vector<EagerGroup> groups_;
+  std::vector<Slice> group_keys_;  // every group's non-representative keys
+  std::vector<LazyRecord> lazy_;
+  std::vector<PartitionPlan> plans_;
+  std::vector<size_t> call_of_;    // record index -> call
+  std::vector<size_t> call_plan_;  // call -> last plan it contributed to
+  std::vector<Slice> call_min_;    // call -> minimal key in that plan
+};
+
 /// \brief Adaptive encoding mapper.
 ///
 /// `allow_lazy` must be false when the original Map or Partition function is
@@ -66,63 +148,17 @@ class AntiMapper : public Mapper {
   void Cleanup(MapContext* ctx) override;
 
  private:
-  /// One EagerSH value group of the batch being encoded: its non-
-  /// representative keys are group_keys_[keys_begin, keys_end).
-  struct EagerGroup {
-    Slice rep_key;
-    Slice value;
-    size_t keys_begin = 0;
-    size_t keys_end = 0;
-  };
-  /// One target partition's two encodings: EagerSH as
-  /// groups_[groups_begin, groups_end), LazySH as the input keyed by
-  /// min_key.
-  struct PartitionPlan {
-    int partition = 0;
-    size_t groups_begin = 0;
-    size_t groups_end = 0;
-    size_t eager_bytes = 0;
-    Slice min_key;
-    size_t lazy_bytes = 0;
-  };
-
   /// Encode and emit the batch captured in Phase::map_fn, leaving the clock
-  /// in Phase::encode. `have_input` is false for batches captured outside a
-  /// Map call (Setup/Cleanup emissions), which cannot be Lazy-encoded
-  /// because there is no input record to resend.
-  void EncodeAndEmit(const Slice& input_key, const Slice& input_value,
-                     bool have_input, MapContext* ctx);
+  /// in Phase::encode, and start an empty batch. A batch with no calls
+  /// (Setup/Cleanup emissions) cannot be Lazy-encoded because there is no
+  /// input record to resend.
+  void EncodeBatch(MapContext* ctx);
 
   /// Count `records` as the wrapped Map's logical output.
   void CountMapOutput(const CaptureContext& records);
 
-  /// Sort order_ (indexes into `records`, partitions in partitions_) by
-  /// (partition, value, key): each partition becomes a contiguous range,
-  /// each value group a contiguous run inside it, and the run's first
-  /// record carries the minimal (representative) key.
-  void SortByPartitionValueKey(const CaptureContext& records);
-
-  /// Append the value groups of the partition range starting at
-  /// order_[*pos] to groups_ and group_keys_, size its EagerSH encoding into
-  /// *plan, and advance *pos past the range.
-  void PlanPartition(const CaptureContext& records, size_t* pos,
-                     PartitionPlan* plan);
-
-  /// Emit a plan's EagerSH groups in representative-key order.
-  void EmitEager(const PartitionPlan& plan, MapContext* ctx);
-
-  /// Cross-call mode (options_.cross_call_window > 1): stash one Map
-  /// call's capture into the window buffers, flushing when full.
-  void BufferCall(const Slice& input_key, const Slice& input_value,
-                  uint64_t map_cost_nanos, MapContext* ctx);
-
-  /// Encode and emit the whole buffered window: EagerSH value groups span
-  /// calls; LazySH records still resend individual inputs. Leaves the clock
-  /// in Phase::encode.
-  void FlushWindow(MapContext* ctx);
-
   /// Record one AdaptiveSH Eager/Lazy choice as a trace instant. Decisions
-  /// happen per partition per Map call — far too many to record all — so
+  /// happen per partition per batch — far too many to record all — so
   /// only the first few per mapper instance are emitted, enough to see in a
   /// trace which way each stage's mappers lean. `partition` is -1 when the
   /// fan-out-1 fast path decides without partitioning.
@@ -135,24 +171,19 @@ class AntiMapper : public Mapper {
   int trace_decisions_left_ = 32;  ///< sampling budget for TraceDecision
 
   std::unique_ptr<Mapper> o_mapper_;
-  CaptureContext capture_;
   TaskInfo info_;
-  std::string payload_;         // scratch reused across emissions
-  KeyOrder key_order_;           // info_.key_cmp, inline when bytewise
-  // Encoder scratch, reused across calls: after warm-up a Map call makes
+  std::string payload_;  // fast-path scratch
+  // The open batch: the records of its calls, the calls, and their summed
+  // Map cost. An earlier call's input is interned in input_arena_; the
+  // last call's input is alive while the batch is encoded inside it.
+  CaptureContext capture_;
+  std::vector<MapCall> calls_;
+  Arena input_arena_;
+  uint64_t batch_cost_nanos_ = 0;
+  // Encoder scratch, reused across batches: after warm-up a Map call makes
   // no heap allocation of its own.
   std::vector<int> partitions_;  // per-record partition assignment
-  std::vector<size_t> order_;    // index sort for grouping
-  std::vector<EagerGroup> groups_;
-  std::vector<Slice> group_keys_;  // every group's non-representative keys
-  std::vector<PartitionPlan> plans_;
-
-  // Cross-call window state (only used when cross_call_window > 1).
-  CaptureContext window_capture_;     // records of all buffered calls
-  std::vector<size_t> window_call_of_;  // record index -> buffered call
-  Arena window_input_arena_;            // backs window_inputs_'s views
-  std::vector<RecordRef> window_inputs_;  // buffered calls' input records
-  uint64_t window_cost_nanos_ = 0;    // summed Map cost of buffered calls
+  BatchEncoder encoder_;
 };
 
 }  // namespace anticombine

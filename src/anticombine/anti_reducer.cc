@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
 
 #include "anticombine/encoding.h"
 #include "common/stopwatch.h"
@@ -13,11 +12,34 @@ namespace antimr {
 namespace anticombine {
 
 namespace {
+
 std::string UniqueSharedPrefix(int task_id) {
   static std::atomic<uint64_t> counter{0};
   return "shared_r" + std::to_string(task_id) + "_" +
          std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
 }
+
+// Captures the original Combiner's output into an arena.
+class CaptureReduceContext : public ReduceContext {
+ public:
+  void Emit(const Slice& key, const Slice& value) override {
+    records.Emit(key, value);
+  }
+  CaptureContext records;
+};
+
+// Forwards the encoder's emissions to the combine pass's output.
+class ReduceEmitContext : public MapContext {
+ public:
+  explicit ReduceEmitContext(ReduceContext* ctx) : ctx_(ctx) {}
+  void Emit(const Slice& key, const Slice& value) override {
+    ctx_->Emit(key, value);
+  }
+
+ private:
+  ReduceContext* ctx_;
+};
+
 }  // namespace
 
 void PartitionFilterContext::Bind(const TaskInfo& info) {
@@ -27,26 +49,65 @@ void PartitionFilterContext::Bind(const TaskInfo& info) {
   kept_.Clear();
 }
 
+void RecordDecoder::Setup(const TaskInfo& info) {
+  metrics_ = info.metrics;
+  o_mapper_ = o_mapper_factory_();
+  remap_.Bind(info);
+  o_mapper_->Setup(info, &remap_);
+  remap_.Clear();
+}
+
+void RecordDecoder::Cleanup() {
+  remap_.Clear();
+  o_mapper_->Cleanup(&remap_);
+  remap_.Clear();
+}
+
+Status RecordDecoder::Decode(const Slice& rep_key, const Slice& payload,
+                             std::span<const RecordRef>* records) {
+  Encoding encoding;
+  Slice rest;
+  ANTIMR_RETURN_NOT_OK(GetEncoding(payload, &encoding, &rest));
+  if (encoding == Encoding::kEager) {
+    Slice value;
+    ANTIMR_RETURN_NOT_OK(DecodeEagerPayload(rest, &keys_, &value));
+    eager_records_.clear();
+    eager_records_.emplace_back(rep_key, value);
+    for (const Slice& key : keys_) eager_records_.emplace_back(key, value);
+    *records = eager_records_;
+    return Status::OK();
+  }
+
+  // LazySH: re-execute the original Map and Partition, keeping only the
+  // records assigned to this task's partition (Algorithm 4, lines 6-10).
+  // The Partitioner runs inside Emit, so the other partitions' records are
+  // dropped uncopied.
+  Slice input_key, input_value;
+  ANTIMR_RETURN_NOT_OK(DecodeLazyPayload(rest, &input_key, &input_value));
+  remap_.Clear();
+  SwitchPhase(Phase::remap);
+  o_mapper_->Map(input_key, input_value, &remap_);
+  if (metrics_ != nullptr) metrics_->remap_calls += 1;
+  *records = remap_.kept().records();
+  return Status::OK();
+}
+
 AntiReducer::AntiReducer(ReducerFactory o_reducer_factory,
                          MapperFactory o_mapper_factory,
                          ReducerFactory o_combiner_factory,
                          AntiCombineOptions options)
     : o_reducer_factory_(std::move(o_reducer_factory)),
-      o_mapper_factory_(std::move(o_mapper_factory)),
       o_combiner_factory_(std::move(o_combiner_factory)),
-      options_(options) {}
+      options_(options),
+      decoder_(std::move(o_mapper_factory)) {}
 
 void AntiReducer::Setup(const TaskInfo& info, ReduceContext* ctx) {
   info_ = info;
   o_reducer_ = o_reducer_factory_();
   o_reducer_->Setup(info, ctx);
 
-  // The original mapper is needed to decode LazySH records. Setup-time
-  // emissions (rare, and already shipped by the map phase) are discarded.
-  o_mapper_ = o_mapper_factory_();
-  remap_.Bind(info);
-  o_mapper_->Setup(info, &remap_);
-  remap_.Clear();
+  // The original mapper is needed to decode LazySH records.
+  decoder_.Setup(info);
 
   if (o_combiner_factory_ && options_.combine_in_shared) {
     o_combiner_ = o_combiner_factory_();
@@ -82,42 +143,17 @@ Status AntiReducer::DrainShared(const Slice& key, bool to_end,
   return Status::OK();
 }
 
-Status AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
-  JobMetrics* m = info_.metrics;
-  Encoding encoding;
-  Slice rest;
-  ANTIMR_RETURN_NOT_OK(GetEncoding(payload, &encoding, &rest));
-
+Status AntiReducer::DecodeIntoShared(const Slice& rep_key,
+                                     const Slice& payload) {
   // Each phase switch is one clock read that ends the previous phase, and
-  // the record's Adds are charged to Phase::shared as one span.
+  // the record's Adds are charged to Phase::shared as one span: one decode
+  // call, so Shared stores each distinct value among the records once,
+  // and Shared's work stays out of the remap span.
   ScopedPhase phase(Phase::decode);
-  if (encoding == Encoding::kEager) {
-    Slice value;
-    ANTIMR_RETURN_NOT_OK(DecodeEagerPayload(rest, &decode_keys_, &value));
-    // One decode call: Shared stores the value once for all its keys.
-    decode_records_.clear();
-    decode_records_.emplace_back(rep_key, value);
-    for (const Slice& key : decode_keys_) {
-      decode_records_.emplace_back(key, value);
-    }
-    SwitchPhase(Phase::shared);
-    return shared_->Add(decode_records_);
-  }
-
-  // LazySH: re-execute the original Map and Partition, keeping only the
-  // records assigned to this reduce task (Algorithm 4, lines 6-10). The
-  // Partitioner runs inside Emit, so the other partitions' records are
-  // dropped uncopied; the kept ones reach Shared after Map returns, as one
-  // decode call (equal values among them are stored once), which keeps
-  // Shared's work out of the remap span.
-  Slice input_key, input_value;
-  remap_.Clear();
-  ANTIMR_RETURN_NOT_OK(DecodeLazyPayload(rest, &input_key, &input_value));
-  SwitchPhase(Phase::remap);
-  o_mapper_->Map(input_key, input_value, &remap_);
-  if (m != nullptr) m->remap_calls += 1;
+  std::span<const RecordRef> records;
+  ANTIMR_RETURN_NOT_OK(decoder_.Decode(rep_key, payload, &records));
   SwitchPhase(Phase::shared);
-  return shared_->Add(remap_.kept().records());
+  return shared_->Add(records);
 }
 
 void AntiReducer::Reduce(const Slice& key, ValueIterator* values,
@@ -173,7 +209,7 @@ Status AntiReducer::ReduceGroup(const Slice& key, ValueIterator* values,
       use_shared = true;
       ANTIMR_RETURN_NOT_OK(flush_locals());
     }
-    ANTIMR_RETURN_NOT_OK(DecodeValue(record_key, payload));
+    ANTIMR_RETURN_NOT_OK(DecodeIntoShared(record_key, payload));
   }
 
   if (!use_shared) {
@@ -222,9 +258,7 @@ void AntiReducer::Cleanup(ReduceContext* ctx) {
     return;
   }
   o_reducer_->Cleanup(ctx);
-  remap_.Clear();
-  o_mapper_->Cleanup(&remap_);
-  remap_.Clear();
+  decoder_.Cleanup();
   if (o_combiner_ != nullptr) {
     CollectingContext discard_ctx(&discard_);
     o_combiner_->Cleanup(&discard_ctx);
@@ -239,7 +273,7 @@ void AntiReducer::Cleanup(ReduceContext* ctx) {
 AntiCombiner::AntiCombiner(ReducerFactory o_combiner_factory,
                            MapperFactory o_mapper_factory)
     : o_combiner_factory_(std::move(o_combiner_factory)),
-      o_mapper_factory_(std::move(o_mapper_factory)) {}
+      decoder_(std::move(o_mapper_factory)) {}
 
 void AntiCombiner::Setup(const TaskInfo& info, ReduceContext* ctx) {
   info_ = info;
@@ -248,12 +282,7 @@ void AntiCombiner::Setup(const TaskInfo& info, ReduceContext* ctx) {
   CollectingContext discard_ctx(&discard);
   o_combiner_->Setup(info, &discard_ctx);
   if (!discard_ctx.status().ok()) ctx->Fail(discard_ctx.status());
-
-  o_mapper_ = o_mapper_factory_();
-  remap_.Bind(info);
-  o_mapper_->Setup(info, &remap_);
-  remap_.Clear();
-
+  decoder_.Setup(info);
   acc_.clear();
   acc_arena_.Clear();
 }
@@ -268,51 +297,27 @@ void AntiCombiner::AddAcc(const Slice& key, const Slice& value) {
   it->second.push_back(acc_arena_.Intern(value));
 }
 
-Status AntiCombiner::DecodeValue(const Slice& rep_key, const Slice& payload) {
-  Encoding encoding;
-  Slice rest;
-  ANTIMR_RETURN_NOT_OK(GetEncoding(payload, &encoding, &rest));
-  // Decoding and re-execution leave the combine phase the enclosing
-  // RunGroups runs this in; the accumulator's inserts stay in it.
-  if (encoding == Encoding::kEager) {
-    Slice value;
-    {
-      ScopedPhase phase(Phase::decode);
-      ANTIMR_RETURN_NOT_OK(DecodeEagerPayload(rest, &decode_keys_, &value));
-    }
-    AddAcc(rep_key, value);
-    for (const Slice& key : decode_keys_) {
-      AddAcc(key, value);
-    }
-    return Status::OK();
-  }
-  {
-    ScopedPhase phase(Phase::decode);
-    Slice input_key, input_value;
-    ANTIMR_RETURN_NOT_OK(DecodeLazyPayload(rest, &input_key, &input_value));
-    SwitchPhase(Phase::remap);
-    remap_.Clear();
-    o_mapper_->Map(input_key, input_value, &remap_);
-  }
-  if (info_.metrics != nullptr) info_.metrics->remap_calls += 1;
-  const CaptureContext& kept = remap_.kept();
-  for (size_t i = 0; i < kept.size(); ++i) AddAcc(kept.key(i), kept.value(i));
-  return Status::OK();
-}
-
 void AntiCombiner::Reduce(const Slice& key, ValueIterator* values,
                           ReduceContext* ctx) {
   // All output is emitted from Cleanup, already re-encoded.
   (void)key;
   Slice payload;
   while (values->Next(&payload)) {
-    // The record's own key, not the group key: with a grouping comparator
-    // the two can differ.
-    const Status st = DecodeValue(values->key(), payload);
+    // Decoding and re-execution leave the combine phase the enclosing
+    // RunGroups runs this in; the accumulator's inserts stay in it. The
+    // record's own key, not the group key: with a grouping comparator the
+    // two can differ.
+    std::span<const RecordRef> records;
+    Status st;
+    {
+      ScopedPhase phase(Phase::decode);
+      st = decoder_.Decode(values->key(), payload, &records);
+    }
     if (!st.ok()) {
       ctx->Fail(st);
       return;
     }
+    for (const RecordRef& r : records) AddAcc(r.key, r.value);
   }
 }
 
@@ -326,65 +331,32 @@ void AntiCombiner::Cleanup(ReduceContext* ctx) {
   std::sort(keys.begin(), keys.end(), [this](const Slice& a, const Slice& b) {
     return info_.key_cmp(a, b) < 0;
   });
-  std::vector<KV> combined;
-  CollectingContext collect(&combined);
+  CaptureReduceContext combined;
   for (const Slice& key : keys) {
     SliceVectorIterator it(&acc_[key]);
-    o_combiner_->Reduce(key, &it, &collect);
+    o_combiner_->Reduce(key, &it, &combined);
   }
-  o_combiner_->Cleanup(&collect);
-  if (!collect.status().ok()) {
-    ctx->Fail(collect.status());
+  o_combiner_->Cleanup(&combined);
+  decoder_.Cleanup();
+  if (!combined.status().ok()) {
+    ctx->Fail(combined.status());
     return;
+  }
+
+  // Re-encode with EagerSH: every record is this combine's partition, so
+  // the encoder's one plan groups keys sharing a combined value into one
+  // record, and emits the groups in key order.
+  const std::span<const RecordRef> records = combined.records.records();
+  const std::vector<int> partitions(records.size(), info_.shuffle_partition);
+  BatchEncoder encoder;
+  encoder.Bind(info_.key_cmp);
+  encoder.Plan(records, partitions, {});
+  ReduceEmitContext out(ctx);
+  for (const BatchEncoder::PartitionPlan& plan : encoder.plans()) {
+    encoder.EmitEager(plan, &out, /*metrics=*/nullptr);
   }
   acc_.clear();
   acc_arena_.Clear();
-
-  // Re-encode with EagerSH: group the combined records by value so keys
-  // sharing a combined value collapse into one record.
-  std::unordered_map<std::string_view, std::vector<size_t>> by_value;
-  for (size_t i = 0; i < combined.size(); ++i) {
-    by_value[combined[i].value].push_back(i);
-  }
-  struct Group {
-    Slice rep_key;
-    std::vector<Slice> other_keys;
-    Slice value;
-  };
-  std::vector<Group> groups;
-  groups.reserve(by_value.size());
-  for (auto& [value, indexes] : by_value) {
-    Group g;
-    g.value = Slice(value.data(), value.size());
-    size_t min_pos = 0;
-    for (size_t j = 1; j < indexes.size(); ++j) {
-      if (info_.key_cmp(combined[indexes[j]].key,
-                        combined[indexes[min_pos]].key) < 0) {
-        min_pos = j;
-      }
-    }
-    g.rep_key = combined[indexes[min_pos]].key;
-    for (size_t j = 0; j < indexes.size(); ++j) {
-      if (j == min_pos) continue;
-      g.other_keys.push_back(Slice(combined[indexes[j]].key));
-    }
-    std::sort(g.other_keys.begin(), g.other_keys.end(),
-              [this](const Slice& a, const Slice& b) {
-                return info_.key_cmp(a, b) < 0;
-              });
-    groups.push_back(std::move(g));
-  }
-  // The segment this combiner feeds must stay key-sorted for later merges.
-  std::sort(groups.begin(), groups.end(),
-            [this](const Group& a, const Group& b) {
-              return info_.key_cmp(a.rep_key, b.rep_key) < 0;
-            });
-  std::string payload;
-  for (const Group& g : groups) {
-    EncodeEagerPayload(g.other_keys, g.value, &payload);
-    ctx->Emit(g.rep_key, payload);
-  }
-
 }
 
 }  // namespace anticombine

@@ -3,13 +3,16 @@
 // re-executes the original Map + Partition for LazySH records, and drives the
 // original Reduce over the merged stream of regular input and Shared, in key
 // order. AntiCombiner applies the same treatment to a Combiner so map-phase
-// combining can run over encoded records (paper Section 6.1).
+// combining can run over encoded records (paper Section 6.1). Both decode
+// through one RecordDecoder; the AntiCombiner re-encodes through the
+// AntiMapper's BatchEncoder.
 #ifndef ANTIMR_ANTICOMBINE_ANTI_REDUCER_H_
 #define ANTIMR_ANTICOMBINE_ANTI_REDUCER_H_
 
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "anticombine/anti_mapper.h"
@@ -50,6 +53,40 @@ class PartitionFilterContext : public MapContext {
   CaptureContext kept_;
 };
 
+/// \brief Algorithms 2 and 4's decode of one encoded record, shared by the
+/// AntiReducer and the map-side AntiCombiner.
+///
+/// An EagerSH record decodes to its keys with its one value; a LazySH record
+/// re-executes the original Map and decodes to the records it emits for
+/// `info.shuffle_partition`. Owns the re-executed mapper from Setup to
+/// Cleanup.
+class RecordDecoder {
+ public:
+  explicit RecordDecoder(MapperFactory o_mapper_factory)
+      : o_mapper_factory_(std::move(o_mapper_factory)) {}
+
+  /// Create the original mapper and run its Setup, discarding emissions
+  /// (they were already shipped by the map phase).
+  void Setup(const TaskInfo& info);
+  /// Run the original mapper's Cleanup, discarding emissions.
+  void Cleanup();
+
+  /// Decode `payload`, the value of the record keyed `rep_key`, into
+  /// *records, which stays valid until the next Decode. Called in
+  /// Phase::decode; a LazySH record leaves the clock in Phase::remap. A
+  /// malformed payload is Corruption.
+  Status Decode(const Slice& rep_key, const Slice& payload,
+                std::span<const RecordRef>* records);
+
+ private:
+  MapperFactory o_mapper_factory_;
+  std::unique_ptr<Mapper> o_mapper_;
+  JobMetrics* metrics_ = nullptr;
+  PartitionFilterContext remap_;
+  std::vector<Slice> keys_;
+  std::vector<RecordRef> eager_records_;  // an EagerSH record's keys
+};
+
 /// \brief Decoding reducer.
 ///
 /// Errors (a corrupt encoded record, a failed Shared spill) go to
@@ -76,23 +113,21 @@ class AntiReducer : public Reducer {
 
   /// Decode one incoming record into Shared. A malformed payload is
   /// Corruption; Shared's spill errors keep their code.
-  Status DecodeValue(const Slice& rep_key, const Slice& payload);
+  Status DecodeIntoShared(const Slice& rep_key, const Slice& payload);
 
   /// The body of Reduce; its error goes to ctx->Fail.
   Status ReduceGroup(const Slice& key, ValueIterator* values,
                      ReduceContext* ctx);
 
   ReducerFactory o_reducer_factory_;
-  MapperFactory o_mapper_factory_;
   ReducerFactory o_combiner_factory_;
   AntiCombineOptions options_;
 
   TaskInfo info_;
   std::unique_ptr<Reducer> o_reducer_;
-  std::unique_ptr<Mapper> o_mapper_;
+  RecordDecoder decoder_;
   std::unique_ptr<Reducer> o_combiner_;
   std::unique_ptr<Shared> shared_;
-  PartitionFilterContext remap_;
   std::vector<KV> discard_;  // sink for Setup-time emissions of sub-objects
 
   // Scratch reused across Reduce calls to avoid per-group allocations. The
@@ -103,18 +138,18 @@ class AntiReducer : public Reducer {
   std::vector<RecordRef> local_group_;
   std::vector<Slice> local_values_;
   std::vector<Slice> decode_keys_;
-  std::vector<RecordRef> decode_records_;  // an EagerSH record's keys
   std::string group_key_;
   std::vector<Slice> group_values_;  // views into Shared's latest pop
 };
 
 /// \brief Anti-Combining-aware Combiner wrapper.
 ///
-/// Runs in the map phase over *encoded* records: decodes the records of its
-/// partition, applies the original Combiner per key, and re-encodes the
-/// combined output with EagerSH (grouping by combined value across keys),
-/// emitting in key order so the segment stays merge-compatible. A corrupt
-/// encoded record goes to ReduceContext::Fail as Corruption.
+/// Runs in the map phase over *encoded* records of one partition: decodes
+/// them, applies the original Combiner per key, and re-encodes the combined
+/// output with EagerSH through BatchEncoder (grouping by combined value
+/// across keys), emitting in key order so the segment stays
+/// merge-compatible. A corrupt encoded record goes to ReduceContext::Fail
+/// as Corruption.
 class AntiCombiner : public Reducer {
  public:
   AntiCombiner(ReducerFactory o_combiner_factory,
@@ -126,18 +161,14 @@ class AntiCombiner : public Reducer {
   void Cleanup(ReduceContext* ctx) override;
 
  private:
-  Status DecodeValue(const Slice& rep_key, const Slice& payload);
   /// Intern (key, value) into the accumulator; the arena owns all bytes.
   void AddAcc(const Slice& key, const Slice& value);
 
   ReducerFactory o_combiner_factory_;
-  MapperFactory o_mapper_factory_;
 
   TaskInfo info_;
   std::unique_ptr<Reducer> o_combiner_;
-  std::unique_ptr<Mapper> o_mapper_;
-  PartitionFilterContext remap_;
-  std::vector<Slice> decode_keys_;  // scratch for each Eager record's keys
+  RecordDecoder decoder_;
 
   /// Decoded records accumulated across the whole combine pass; sorted by
   /// the key comparator once, in Cleanup (cheaper than an ordered map for

@@ -55,6 +55,12 @@ Status DecodeEagerPayload(const Slice& rest, std::vector<Slice>* other_keys,
     return Status::Corruption("anti-combining: bad eager key count");
   }
   other_keys->clear();
+  // The count is untrusted: every key takes at least its length byte, so a
+  // count above the remaining bytes is corrupt, and is rejected before it
+  // sizes anything.
+  if (n > in.size()) {
+    return Status::Corruption("anti-combining: eager key count exceeds payload");
+  }
   other_keys->reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     Slice key;

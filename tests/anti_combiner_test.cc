@@ -8,9 +8,15 @@
 
 #include "anticombine/anti_reducer.h"
 #include "anticombine/encoding.h"
+#include "anticombine/transform.h"
+#include "datagen/qlog.h"
+#include "datagen/random_text.h"
+#include "engine/job_service.h"
 #include "mr/metrics.h"
 #include "mr/reduce_task.h"
 #include "test_util.h"
+#include "workloads/query_suggestion.h"
+#include "workloads/wordcount.h"
 
 namespace antimr {
 namespace anticombine {
@@ -189,6 +195,113 @@ TEST_F(AntiCombinerTest, LazyRemapCombinesOnlyThisPartitionCopiedAtEmit) {
 
 TEST_F(AntiCombinerTest, EmptyPassEmitsNothing) {
   EXPECT_TRUE(Run({}).empty());
+}
+
+// What a map-side combine pass produced over every partition of one map
+// task's encoded output.
+struct CombinedSegments {
+  uint64_t records = 0;
+  uint64_t multiset_hash = 0;  ///< order-free hash of (key, payload)
+  uint64_t ordered_hash = 0;   ///< hash of the emitted sequence, in order
+  JobMetrics metrics;          ///< what the combine passes counted
+};
+
+// Encode `input` as one AdaptiveSH map task of `original`, key-sort each
+// partition's records as the map-output buffer does, and run the job's
+// AntiCombiner over each partition's segment through ApplyCombiner.
+CombinedSegments CombineEncodedSegments(const JobSpec& original,
+                                        const std::vector<KV>& input) {
+  const JobSpec spec =
+      EnableAntiCombining(original, AntiCombineOptions::Unrestricted());
+  const int partitions = spec.num_reduce_tasks;
+  CombinedSegments result;
+  JobMetrics map_metrics;
+  TaskInfo info;
+  info.num_reduce_tasks = partitions;
+  info.partitioner = spec.partitioner.get();
+  info.key_cmp = spec.key_cmp;
+  info.grouping_cmp = spec.EffectiveGroupingCmp();
+  info.metrics = &map_metrics;
+
+  // Routes each encoded record to its partition's segment.
+  class SegmentCollector : public MapContext {
+   public:
+    SegmentCollector(const Partitioner* partitioner, int partitions)
+        : partitioner_(partitioner), segments(partitions) {}
+    void Emit(const Slice& key, const Slice& value) override {
+      segments[partitioner_->Partition(key, static_cast<int>(
+                                                segments.size()))]
+          .push_back({key.ToString(), value.ToString()});
+    }
+    const Partitioner* partitioner_;
+    std::vector<std::vector<KV>> segments;
+  };
+  SegmentCollector collect(spec.partitioner.get(), partitions);
+  std::unique_ptr<Mapper> mapper = spec.mapper_factory();
+  mapper->Setup(info, &collect);
+  for (const KV& kv : input) mapper->Map(kv.key, kv.value, &collect);
+  mapper->Cleanup(&collect);
+  std::vector<std::vector<KV>>& segments = collect.segments;
+
+  info.metrics = &result.metrics;
+  for (int p = 0; p < partitions; ++p) {
+    std::stable_sort(segments[p].begin(), segments[p].end(),
+                     [&](const KV& a, const KV& b) {
+                       return spec.key_cmp(a.key, b.key) < 0;
+                     });
+    info.shuffle_partition = p;
+    KVVectorStream stream(&segments[p]);
+    std::vector<KV> combined;
+    GroupRunStats stats;
+    const Status st = ApplyCombiner(spec, info, &stream, &combined, &stats);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    result.records += combined.size();
+    result.multiset_hash += engine::OutputMultisetHash(combined);
+    for (const KV& kv : combined) {
+      result.ordered_hash = Hash64(
+          kv.key, HashMix64(result.ordered_hash ^ kv.key.size()));
+      result.ordered_hash = Hash64(
+          kv.value, HashMix64(result.ordered_hash ^ kv.value.size()));
+    }
+  }
+  return result;
+}
+
+// The map-side combine's output over a real encoded segment, pinned so a
+// change to the AntiCombiner's code moves no record. Query-Suggestion's
+// combiner emits several records per key, so groups with equal
+// representative keys occur; the multiset is pinned.
+TEST(AntiCombinerGolden, QuerySuggestionPrefix5) {
+  workloads::QuerySuggestionConfig qc;
+  qc.scheme = workloads::QuerySuggestionConfig::Scheme::kPrefix5;
+  qc.with_combiner = true;
+  QLogConfig lc;
+  lc.num_records = 5000;
+  lc.seed = 42;
+  const CombinedSegments out = CombineEncodedSegments(
+      workloads::MakeQuerySuggestionJob(qc), QLogGenerator(lc).Generate());
+  EXPECT_EQ(out.records, 8439u);
+  EXPECT_EQ(out.multiset_hash, 0x5e16b5f32825885aULL);
+  EXPECT_EQ(out.metrics.remap_calls, 5119u);
+  EXPECT_EQ(out.metrics.plain_records, 0u);
+  EXPECT_EQ(out.metrics.eager_records, 0u);
+}
+
+// WordCount's combiner emits one record per key, so every EagerSH group
+// has its own representative key and the emission order is pinned too.
+TEST(AntiCombinerGolden, WordCount) {
+  RandomTextConfig rc;
+  rc.num_lines = 2000;
+  rc.seed = 42;
+  const CombinedSegments out =
+      CombineEncodedSegments(workloads::MakeWordCountJob({}),
+                             RandomTextGenerator(rc).Generate());
+  EXPECT_EQ(out.records, 237u);
+  EXPECT_EQ(out.multiset_hash, 0xcb94acbabb1b3574ULL);
+  EXPECT_EQ(out.ordered_hash, 0x024ebf27ae3779f8ULL);
+  EXPECT_EQ(out.metrics.remap_calls, 0u);
+  EXPECT_EQ(out.metrics.plain_records, 0u);
+  EXPECT_EQ(out.metrics.eager_records, 0u);
 }
 
 }  // namespace

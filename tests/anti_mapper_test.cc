@@ -9,10 +9,12 @@
 #include "alloc_counter.h"
 #include "anticombine/encoding.h"
 #include "common/hash.h"
+#include "datagen/cloud.h"
 #include "datagen/qlog.h"
 #include "mr/job_spec.h"
 #include "mr/metrics.h"
 #include "workloads/query_suggestion.h"
+#include "workloads/theta_join.h"
 
 namespace antimr {
 namespace anticombine {
@@ -226,6 +228,42 @@ TEST_F(AntiMapperTest, PerPartitionChoiceIsIndependent) {
   EXPECT_EQ(lazy, 1);
 }
 
+// The global-choice ablation makes one Eager/Lazy choice per encoded batch,
+// and a cross-call window is one batch: the same script that splits per
+// partition above must encode all-Eager or all-Lazy across a W = 4 window.
+TEST_F(AntiMapperTest, GlobalChoiceHoldsForAWholeWindow) {
+  std::vector<KV> script = {{"1a", "s"}, {"1b", "s"}, {"1c", "s"}};
+  for (int i = 0; i < 6; ++i) {
+    script.push_back({"2k" + std::to_string(i),
+                      "distinct" + std::to_string(i) + std::string(60, 'q')});
+  }
+  AntiCombineOptions options = AntiCombineOptions::Unrestricted();
+  options.per_partition_choice = false;
+  options.cross_call_window = 4;
+  AntiMapper anti(
+      [script]() { return std::make_unique<ScriptedMapper>(script); },
+      options, /*allow_lazy=*/true);
+  TaskInfo info;
+  info.num_reduce_tasks = 4;
+  info.partitioner = &partitioner_;
+  info.key_cmp = BytewiseCompare;
+  info.grouping_cmp = BytewiseCompare;
+  info.metrics = &metrics_;
+  EmitCollector collector;
+  anti.Setup(info, &collector);
+  for (int call = 0; call < 4; ++call) {
+    anti.Map("ik" + std::to_string(call), std::string(30, 'i'), &collector);
+  }
+  anti.Cleanup(&collector);
+  ASSERT_FALSE(collector.emitted.empty());
+  int eager = 0, lazy = 0;
+  for (const KV& kv : collector.emitted) {
+    (Decode(kv).encoding == Encoding::kEager ? eager : lazy) += 1;
+  }
+  EXPECT_TRUE(eager == 0 || lazy == 0)
+      << eager << " Eager and " << lazy << " Lazy records in one window";
+}
+
 TEST_F(AntiMapperTest, SetupEmissionsAreEagerOnly) {
   // A mapper that emits during Setup has no input record to resend; even
   // with force_lazy the batch must be Eager-encoded.
@@ -299,24 +337,124 @@ class QuerySuggestionAntiMapperTest : public ::testing::Test {
   std::vector<KV> input_;
 };
 
-// The encoder's output is pinned byte for byte: the record counts and the
-// hash of the emitted (key, payload) sequence were recorded before the
-// encoder's scratch reuse and inline key compares, which must not move a
-// byte.
-TEST_F(QuerySuggestionAntiMapperTest, EmissionsMatchGolden) {
-  AntiMapper anti(spec_.mapper_factory, AntiCombineOptions::Unrestricted(),
-                  /*allow_lazy=*/true);
+// One encoder configuration's output, pinned byte for byte: the record
+// counts and the hash of the emitted (key, payload) sequence. A change to
+// the encoder's code must not move a byte of them.
+struct EncoderGolden {
+  const char* name;
+  AntiCombineOptions options;
+  uint64_t plain_records;
+  uint64_t eager_records;
+  uint64_t lazy_records;
+  uint64_t emitted;
+  uint64_t hash;
+};
+
+AntiCombineOptions Window(AntiCombineOptions options, int window) {
+  options.cross_call_window = window;
+  return options;
+}
+
+AntiCombineOptions GlobalChoice(int window) {
+  AntiCombineOptions options = Window(AntiCombineOptions::Unrestricted(),
+                                      window);
+  options.per_partition_choice = false;
+  return options;
+}
+
+class QuerySuggestionGoldenTest
+    : public QuerySuggestionAntiMapperTest,
+      public ::testing::WithParamInterface<EncoderGolden> {};
+
+TEST_P(QuerySuggestionGoldenTest, EmissionsMatchGolden) {
+  const EncoderGolden& golden = GetParam();
+  AntiMapper anti(spec_.mapper_factory, golden.options, /*allow_lazy=*/true);
   HashingCollector out;
   anti.Setup(info_, &out);
   for (const KV& kv : input_) anti.Map(kv.key, kv.value, &out);
   anti.Cleanup(&out);
   EXPECT_EQ(metrics_.map_output_records, 408627u);
-  EXPECT_EQ(metrics_.plain_records, 59346u);
-  EXPECT_EQ(metrics_.eager_records, 5191u);
-  EXPECT_EQ(metrics_.lazy_records, 20474u);
-  EXPECT_EQ(out.records, 85011u);
-  EXPECT_EQ(out.hash, 0xe53720603e32984dULL);
+  EXPECT_EQ(metrics_.plain_records, golden.plain_records);
+  EXPECT_EQ(metrics_.eager_records, golden.eager_records);
+  EXPECT_EQ(metrics_.lazy_records, golden.lazy_records);
+  EXPECT_EQ(out.records, golden.emitted);
+  EXPECT_EQ(out.hash, golden.hash);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Encoders, QuerySuggestionGoldenTest,
+    ::testing::Values(
+        EncoderGolden{"UnrestrictedW1", AntiCombineOptions::Unrestricted(),
+                      59346, 5191, 20474, 85011, 0xe53720603e32984dULL},
+        EncoderGolden{"UnrestrictedW8",
+                      Window(AntiCombineOptions::Unrestricted(), 8), 23501,
+                      4037, 55914, 83452, 0xe90d24ad5f55e13fULL},
+        // A 64-call window holds one key under several values (the
+        // Prefix-5 key "a" under dozens of queries), so this hash pins the
+        // by-value order of EagerSH groups with equal representative keys.
+        EncoderGolden{"UnrestrictedW64",
+                      Window(AntiCombineOptions::Unrestricted(), 64), 1212,
+                      489, 82880, 84581, 0x072262584b617079ULL},
+        EncoderGolden{"LazyOnlyW1", AntiCombineOptions::LazyOnly(), 0, 0,
+                      85011, 85011, 0x0c7f13b220254038ULL},
+        EncoderGolden{"EagerOnlyW1", AntiCombineOptions::EagerOnly(), 59346,
+                      25665, 0, 85011, 0x8663a0668e69bbecULL},
+        EncoderGolden{"GlobalChoiceW1", GlobalChoice(1), 280, 82, 84649, 85011,
+                      0x1416f12aae88f79eULL}),
+    [](const ::testing::TestParamInfo<EncoderGolden>& info) {
+      return std::string(info.param.name);
+    });
+
+// The theta-join's band self-join, pinned the same way: every record is
+// replicated to rows + cols regions, so each Map call fans out to most
+// partitions with one value.
+class ThetaJoinGoldenTest
+    : public ::testing::TestWithParam<EncoderGolden> {};
+
+TEST_P(ThetaJoinGoldenTest, EmissionsMatchGolden) {
+  const EncoderGolden& golden = GetParam();
+  workloads::ThetaJoinConfig tc;
+  tc.num_reduce_tasks = 8;
+  const JobSpec spec = workloads::MakeThetaJoinJob(tc);
+  JobMetrics metrics;
+  TaskInfo info;
+  info.num_reduce_tasks = tc.num_reduce_tasks;
+  info.partitioner = spec.partitioner.get();
+  info.key_cmp = spec.key_cmp;
+  info.grouping_cmp = spec.EffectiveGroupingCmp();
+  info.metrics = &metrics;
+  CloudConfig cc;
+  cc.num_records = 3000;
+  cc.seed = 42;
+  const std::vector<KV> input = CloudGenerator(cc).Generate();
+
+  AntiMapper anti(spec.mapper_factory, golden.options, /*allow_lazy=*/true);
+  HashingCollector out;
+  anti.Setup(info, &out);
+  for (const KV& kv : input) anti.Map(kv.key, kv.value, &out);
+  anti.Cleanup(&out);
+  EXPECT_EQ(metrics.plain_records, golden.plain_records);
+  EXPECT_EQ(metrics.eager_records, golden.eager_records);
+  EXPECT_EQ(metrics.lazy_records, golden.lazy_records);
+  EXPECT_EQ(out.records, golden.emitted);
+  EXPECT_EQ(out.hash, golden.hash);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Encoders, ThetaJoinGoldenTest,
+    ::testing::Values(
+        EncoderGolden{"UnrestrictedW1", AntiCombineOptions::Unrestricted(),
+                      4851, 0, 18841, 23692, 0x512ef6ecf10aa1f5ULL},
+        EncoderGolden{"UnrestrictedW8",
+                      Window(AntiCombineOptions::Unrestricted(), 8), 0, 0,
+                      23692, 23692, 0xfc5e920a978bc842ULL},
+        EncoderGolden{"LazyOnlyW1", AntiCombineOptions::LazyOnly(), 0, 0,
+                      23692, 23692, 0x00ec9eef9a536083ULL},
+        EncoderGolden{"EagerOnlyW1", AntiCombineOptions::EagerOnly(), 35892,
+                      6054, 0, 41946, 0xd85b94c6eae93517ULL}),
+    [](const ::testing::TestParamInfo<EncoderGolden>& info) {
+      return std::string(info.param.name);
+    });
 
 // Once warmed up, a Map call reuses the capture arena and the encoder's
 // plan, group and key scratch: it allocates at most a small constant,

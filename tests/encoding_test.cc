@@ -137,6 +137,20 @@ TEST(Encoding, RejectsTruncatedEagerKeys) {
   EXPECT_TRUE(DecodeEagerPayload(rest, &keys, &value).IsCorruption());
 }
 
+// The key count is untrusted: a few bytes claiming 2^24 keys must be
+// rejected before anything is sized from the count. Every stored key takes
+// at least its one-byte length prefix, so the count cannot exceed the bytes
+// that follow it.
+TEST(Encoding, RejectsKeyCountLargerThanPayload) {
+  std::string rest;
+  PutVarint32(&rest, 1u << 24);
+  rest.append("abc");
+  std::vector<Slice> keys;
+  Slice value;
+  EXPECT_TRUE(DecodeEagerPayload(rest, &keys, &value).IsCorruption());
+  EXPECT_LE(keys.capacity(), rest.size());
+}
+
 TEST(Encoding, ManyKeys) {
   std::vector<std::string> storage;
   std::vector<Slice> keys;

@@ -112,12 +112,16 @@ const std::vector<Workload>& Workloads() {
 
 // Original plus the three Anti-Combining strategies; AdaptiveSH with the
 // paper's runtime threshold, so the adaptive test reads the clock.
+// "adaptive_w8" is AdaptiveSH over a cross-call window of 8 Map calls.
 const char* const kStrategies[] = {"original", "eager", "lazy", "adaptive"};
 
 anticombine::AntiCombineOptions StrategyOptions(const std::string& s) {
   if (s == "eager") return anticombine::AntiCombineOptions::EagerOnly();
   if (s == "lazy") return anticombine::AntiCombineOptions::LazyOnly();
-  return anticombine::AntiCombineOptions::Alpha();
+  anticombine::AntiCombineOptions options =
+      anticombine::AntiCombineOptions::Alpha();
+  if (s == "adaptive_w8") options.cross_call_window = 8;
+  return options;
 }
 
 // Registers each workload as "phase_<name>" with a `strategy` param, so the
@@ -159,7 +163,7 @@ void ExpectPhasesTileEveryTask(const std::vector<TaskMetrics>& tasks,
   EXPECT_EQ(job.cpu.Total(), job.task_wall_nanos);
 }
 
-class PhaseAccountingTest : public ::testing::TestWithParam<size_t> {
+class PhaseClusterTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() { RegisterWorkloads(); }
 
@@ -184,17 +188,13 @@ class PhaseAccountingTest : public ::testing::TestWithParam<size_t> {
     for (auto& worker : workers_) worker->Stop();
   }
 
-  std::unique_ptr<net::Transport> transport_;
-  std::unique_ptr<engine::Coordinator> coord_;
-  std::vector<std::unique_ptr<engine::Worker>> workers_;
-};
-
-TEST_P(PhaseAccountingTest, PhasesPlusOtherEqualTaskWallTime) {
-  const Workload& w = Workloads()[GetParam()];
-  const std::string job = std::string("phase_") + w.name;
-  const std::vector<KV> input = w.input();
-  ASSERT_NO_FATAL_FAILURE(StartCluster());
-  for (const char* strategy : kStrategies) {
+  // Run workload `w` under `strategy` locally and on the started loopback
+  // cluster: every task of both runs tiles its wall time, and both runs
+  // produce the same output.
+  void ExpectPhasesTileLocallyAndOnLoopback(const Workload& w,
+                                            const std::vector<KV>& input,
+                                            const char* strategy) {
+    const std::string job = std::string("phase_") + w.name;
     SCOPED_TRACE(job + " " + strategy);
     const net::JobParams params = {{"strategy", strategy}};
 
@@ -218,6 +218,23 @@ TEST_P(PhaseAccountingTest, PhasesPlusOtherEqualTaskWallTime) {
     ExpectPhasesTileEveryTask(dist.tasks, dist.metrics, kMaps + kReduces);
     EXPECT_EQ(dist.FlatOutput(), local.FlatOutput());
   }
+
+  std::unique_ptr<net::Transport> transport_;
+  std::unique_ptr<engine::Coordinator> coord_;
+  std::vector<std::unique_ptr<engine::Worker>> workers_;
+};
+
+class PhaseAccountingTest : public PhaseClusterTest,
+                            public ::testing::WithParamInterface<size_t> {};
+
+TEST_P(PhaseAccountingTest, PhasesPlusOtherEqualTaskWallTime) {
+  const Workload& w = Workloads()[GetParam()];
+  const std::vector<KV> input = w.input();
+  ASSERT_NO_FATAL_FAILURE(StartCluster());
+  for (const char* strategy : kStrategies) {
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectPhasesTileLocallyAndOnLoopback(w, input, strategy));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -225,6 +242,15 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<size_t>& info) {
       return std::string(Workloads()[info.param].name);
     });
+
+// The cross-call window encodes a batch of Map calls at once: the batch's
+// Partition calls, encode work and the user's Map time still tile each
+// task's wall time exactly.
+TEST_F(PhaseClusterTest, CrossCallWindowPhasesTileWordCountTasks) {
+  const Workload& w = Workloads()[0];
+  ASSERT_NO_FATAL_FAILURE(StartCluster());
+  ExpectPhasesTileLocallyAndOnLoopback(w, w.input(), "adaptive_w8");
+}
 
 // The registry's remap counter sees the map-side AntiCombiner's
 // re-executions as well as the reducers': with C=1 every LazySH record is
