@@ -19,15 +19,6 @@ std::string UniqueSharedPrefix(int task_id) {
          std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
 }
 
-// Captures the original Combiner's output into an arena.
-class CaptureReduceContext : public ReduceContext {
- public:
-  void Emit(const Slice& key, const Slice& value) override {
-    records.Emit(key, value);
-  }
-  CaptureContext records;
-};
-
 // Forwards the encoder's emissions to the combine pass's output.
 class ReduceEmitContext : public MapContext {
  public:
@@ -111,10 +102,9 @@ void AntiReducer::Setup(const TaskInfo& info, ReduceContext* ctx) {
 
   if (o_combiner_factory_ && options_.combine_in_shared) {
     o_combiner_ = o_combiner_factory_();
-    CollectingContext discard_ctx(&discard_);
-    o_combiner_->Setup(info, &discard_ctx);
-    discard_.clear();
-    if (!discard_ctx.status().ok()) ctx->Fail(discard_ctx.status());
+    OutputSink discard;
+    o_combiner_->Setup(info, &discard);
+    if (!discard.status().ok()) ctx->Fail(discard.status());
   }
 
   Shared::Options so;
@@ -260,10 +250,9 @@ void AntiReducer::Cleanup(ReduceContext* ctx) {
   o_reducer_->Cleanup(ctx);
   decoder_.Cleanup();
   if (o_combiner_ != nullptr) {
-    CollectingContext discard_ctx(&discard_);
-    o_combiner_->Cleanup(&discard_ctx);
-    discard_.clear();
-    if (!discard_ctx.status().ok()) ctx->Fail(discard_ctx.status());
+    OutputSink discard;
+    o_combiner_->Cleanup(&discard);
+    if (!discard.status().ok()) ctx->Fail(discard.status());
   }
   shared_.reset();
 }
@@ -278,10 +267,9 @@ AntiCombiner::AntiCombiner(ReducerFactory o_combiner_factory,
 void AntiCombiner::Setup(const TaskInfo& info, ReduceContext* ctx) {
   info_ = info;
   o_combiner_ = o_combiner_factory_();
-  std::vector<KV> discard;
-  CollectingContext discard_ctx(&discard);
-  o_combiner_->Setup(info, &discard_ctx);
-  if (!discard_ctx.status().ok()) ctx->Fail(discard_ctx.status());
+  OutputSink discard;
+  o_combiner_->Setup(info, &discard);
+  if (!discard.status().ok()) ctx->Fail(discard.status());
   decoder_.Setup(info);
   acc_.clear();
   acc_arena_.Clear();
@@ -331,7 +319,11 @@ void AntiCombiner::Cleanup(ReduceContext* ctx) {
   std::sort(keys.begin(), keys.end(), [this](const Slice& a, const Slice& b) {
     return info_.key_cmp(a, b) < 0;
   });
-  CaptureReduceContext combined;
+  CaptureContext captured;
+  OutputSink combined([&captured](const Slice& k, const Slice& v) {
+    captured.Emit(k, v);
+    return Status::OK();
+  });
   for (const Slice& key : keys) {
     SliceVectorIterator it(&acc_[key]);
     o_combiner_->Reduce(key, &it, &combined);
@@ -346,7 +338,7 @@ void AntiCombiner::Cleanup(ReduceContext* ctx) {
   // Re-encode with EagerSH: every record is this combine's partition, so
   // the encoder's one plan groups keys sharing a combined value into one
   // record, and emits the groups in key order.
-  const std::span<const RecordRef> records = combined.records.records();
+  const std::span<const RecordRef> records = captured.records();
   const std::vector<int> partitions(records.size(), info_.shuffle_partition);
   BatchEncoder encoder;
   encoder.Bind(info_.key_cmp);

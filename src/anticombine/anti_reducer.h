@@ -128,7 +128,6 @@ class AntiReducer : public Reducer {
   RecordDecoder decoder_;
   std::unique_ptr<Reducer> o_combiner_;
   std::unique_ptr<Shared> shared_;
-  std::vector<KV> discard_;  // sink for Setup-time emissions of sub-objects
 
   // Scratch reused across Reduce calls to avoid per-group allocations. The
   // local-group fast path interns each plain record once into local_arena_

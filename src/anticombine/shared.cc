@@ -292,8 +292,14 @@ Status Shared::AddInternal(const Slice& key, uint32_t value_id,
 
 Status Shared::CombineKey(uint32_t id) {
   const Slice key = entries_[id].key;  // arena bytes: stable across growth
-  std::vector<KV> combined;
-  CollectingContext ctx(&combined);
+  // The combiner's inputs are views into the value store, so every output
+  // is captured before any input is unreferenced, and stored after.
+  combine_arena_.Clear();
+  combine_out_.clear();
+  OutputSink ctx([this](const Slice& k, const Slice& v) {
+    combine_out_.push_back(combine_arena_.InternRecord(k, v));
+    return Status::OK();
+  });
   {
     ScopedPhase phase(Phase::combine);
     combine_views_.clear();
@@ -306,21 +312,21 @@ Status Shared::CombineKey(uint32_t id) {
   ANTIMR_RETURN_NOT_OK(ctx.status());
   ValueList& list = entries_[id].values;
   if (options_.metrics) {
-    options_.metrics->combine_input_records += list.ids.size();
-    options_.metrics->combine_output_records += combined.size();
+    options_.metrics->shared_combine_input_records += list.ids.size();
+    options_.metrics->shared_combine_output_records += combine_out_.size();
   }
   for (const uint32_t v : list.ids) Unref(v);
   memory_bytes_ -= kReferenceBytes * list.ids.size();
   list.ids.clear();
-  for (const KV& kv : combined) {
-    const uint32_t value_id = StoreValue(kv.value);
-    if (Slice(kv.key) == key) {
+  for (const RecordRef& out : combine_out_) {
+    const uint32_t value_id = StoreValue(out.value);
+    if (out.key == key) {
       AddRef(id, value_id);
     } else {
       // A combiner emitting a different key is unusual but legal; store it
       // without re-combining to guarantee termination.
       ANTIMR_RETURN_NOT_OK(
-          AddInternal(kv.key, value_id, /*allow_combine=*/false));
+          AddInternal(out.key, value_id, /*allow_combine=*/false));
     }
   }
   return Status::OK();

@@ -290,7 +290,10 @@ class Shared {
   std::vector<uint32_t> pop_entries_;
   std::vector<RecordRef> pop_records_;
   std::string pop_merged_;
-  std::vector<Slice> combine_views_;  ///< CombineKey's input
+  /// CombineKey's scratch: its input views and its captured outputs.
+  std::vector<Slice> combine_views_;
+  Arena combine_arena_;
+  std::vector<RecordRef> combine_out_;
 };
 
 }  // namespace anticombine

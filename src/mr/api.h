@@ -160,26 +160,8 @@ class ValueIterator {
   virtual Slice key() const { return Slice(); }
 };
 
-/// \brief ValueIterator over a plain vector of strings (one key's values).
-class StringVectorIterator : public ValueIterator {
- public:
-  explicit StringVectorIterator(const std::vector<std::string>* values)
-      : values_(values) {}
-
-  bool Next(Slice* value) override {
-    if (pos_ >= values_->size()) return false;
-    *value = (*values_)[pos_++];
-    return true;
-  }
-
- private:
-  const std::vector<std::string>* values_;
-  size_t pos_ = 0;
-};
-
 /// \brief ValueIterator over a vector of slices (one key's values, borrowed
-/// from an arena or block frame — the zero-copy analog of
-/// StringVectorIterator).
+/// from an arena or block frame).
 class SliceVectorIterator : public ValueIterator {
  public:
   explicit SliceVectorIterator(const std::vector<Slice>* values)

@@ -27,7 +27,6 @@ InMapperCombiningMapper::InMapperCombiningMapper(
 
 void InMapperCombiningMapper::Setup(const TaskInfo& info, MapContext* ctx) {
   (void)ctx;
-  info_ = info;
   base_ = base_factory_();
   combiner_ = combiner_factory_();
   buffer_ctx_ = std::make_unique<BufferingContext>(this);
@@ -35,12 +34,12 @@ void InMapperCombiningMapper::Setup(const TaskInfo& info, MapContext* ctx) {
 }
 
 void InMapperCombiningMapper::Add(const Slice& key, const Slice& value) {
-  auto it = table_.find(std::string(key.view()));
+  auto it = table_.find(key);
   if (it == table_.end()) {
-    it = table_.emplace(key.ToString(), std::vector<std::string>()).first;
+    it = table_.emplace(arena_.Intern(key), std::vector<Slice>()).first;
     memory_bytes_ += key.size();
   }
-  it->second.emplace_back(value.view());
+  it->second.push_back(arena_.Intern(value));
   memory_bytes_ += value.size();
 }
 
@@ -52,22 +51,20 @@ void InMapperCombiningMapper::Map(const Slice& key, const Slice& value,
 
 void InMapperCombiningMapper::Flush(MapContext* ctx) {
   // Deterministic flush order keeps runs reproducible.
-  std::vector<const std::string*> keys;
+  std::vector<Slice> keys;
   keys.reserve(table_.size());
-  for (const auto& [key, values] : table_) keys.push_back(&key);
-  std::sort(keys.begin(), keys.end(),
-            [](const std::string* a, const std::string* b) {
-              return *a < *b;
-            });
-  std::vector<KV> combined;
-  CollectingContext collect(&combined);
-  for (const std::string* key : keys) {
-    combined.clear();
-    StringVectorIterator it(&table_[*key]);
-    combiner_->Reduce(*key, &it, &collect);
-    for (const KV& kv : combined) ctx->Emit(kv.key, kv.value);
+  for (const auto& [key, values] : table_) keys.push_back(key);
+  std::sort(keys.begin(), keys.end());
+  OutputSink forward([ctx](const Slice& key, const Slice& value) {
+    ctx->Emit(key, value);
+    return Status::OK();
+  });
+  for (const Slice& key : keys) {
+    SliceVectorIterator it(&table_[key]);
+    combiner_->Reduce(key, &it, &forward);
   }
   table_.clear();
+  arena_.Clear();
   memory_bytes_ = 0;
 }
 

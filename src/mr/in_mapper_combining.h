@@ -12,6 +12,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/arena.h"
+#include "common/hash.h"
 #include "mr/api.h"
 #include "mr/job_spec.h"
 
@@ -46,8 +48,8 @@ class InMapperCombiningMapper : public Mapper {
   std::unique_ptr<Mapper> base_;
   std::unique_ptr<Reducer> combiner_;
   std::unique_ptr<BufferingContext> buffer_ctx_;
-  TaskInfo info_;
-  std::unordered_map<std::string, std::vector<std::string>> table_;
+  Arena arena_;  ///< table_'s keys and values
+  std::unordered_map<Slice, std::vector<Slice>, SliceHash> table_;
   size_t memory_bytes_ = 0;
 };
 

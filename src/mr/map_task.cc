@@ -114,7 +114,8 @@ class MapTaskContext : public MapContext {
       {
         ScopedPhase phase(Phase::merge);
         MergingStream merged(std::move(inputs), spec_.key_cmp);
-        ANTIMR_RETURN_NOT_OK(WriteCombined(&merged, p, fname, codec));
+        ANTIMR_RETURN_NOT_OK(
+            WritePossiblyCombined(&merged, p, fname, codec));
       }
       result->segment_files[static_cast<size_t>(p)] = {fname};
       for (const std::string& rf : runs) {
@@ -140,28 +141,31 @@ class MapTaskContext : public MapContext {
   }
 
  private:
+  /// Write `stream` as segment `fname`, through the job's Combiner when it
+  /// has one: the Combiner's output streams into the segment's writer as
+  /// it is emitted.
   Status WritePossiblyCombined(KVStream* stream, int partition,
                                const std::string& fname, const Codec* codec) {
-    if (spec_.combiner_factory != nullptr) {
-      return WriteCombined(stream, partition, fname, codec);
+    if (spec_.combiner_factory == nullptr) {
+      return WriteSegment(env_, fname, stream, codec, nullptr,
+                          spec_.shuffle_block_bytes);
     }
-    return WriteSegment(env_, fname, stream, codec, nullptr,
-                        spec_.shuffle_block_bytes);
-  }
-
-  Status WriteCombined(KVStream* stream, int partition,
-                       const std::string& fname, const Codec* codec) {
     TaskInfo info = info_;
     info.shuffle_partition = partition;
-    std::vector<KV> combined;
     GroupRunStats stats;
-    ANTIMR_RETURN_NOT_OK(
-        ApplyCombiner(spec_, info, stream, &combined, &stats));
+    SegmentWriteResult written;
+    ANTIMR_RETURN_NOT_OK(WriteSegmentWith(
+        env_, fname, codec, spec_.shuffle_block_bytes,
+        [&](BlockRunWriter* writer) {
+          OutputSink sink([writer](const Slice& key, const Slice& value) {
+            return writer->Add(key, value);
+          });
+          return ApplyCombiner(spec_, info, stream, &sink, &stats);
+        },
+        &written));
     metrics_->combine_input_records += stats.records;
-    metrics_->combine_output_records += combined.size();
-    KVVectorStream out(&combined);
-    return WriteSegment(env_, fname, &out, codec, nullptr,
-                        spec_.shuffle_block_bytes);
+    metrics_->combine_output_records += written.records;
+    return Status::OK();
   }
 
   const JobSpec& spec_;

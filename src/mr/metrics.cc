@@ -115,7 +115,8 @@ std::string JobMetrics::ToString() const {
       "map output:      %" PRIu64 " records, %s\n"
       "emitted:         %" PRIu64 " records, %s"
       " (eager=%" PRIu64 " lazy=%" PRIu64 " plain=%" PRIu64 ")\n"
-      "combine:         %" PRIu64 " -> %" PRIu64 " records\n"
+      "combine:         %" PRIu64 " -> %" PRIu64 " records map-side, %" PRIu64
+      " -> %" PRIu64 " in Shared\n"
       "map spills:      %" PRIu64 "\n"
       "shuffle:         %s (%" PRIu64
       " blocks, peak buffered %s, %" PRIu64 " overlapped fetches,"
@@ -129,7 +130,8 @@ std::string JobMetrics::ToString() const {
       input_records, FormatBytes(input_bytes).c_str(), map_output_records,
       FormatBytes(map_output_bytes).c_str(), emitted_records,
       FormatBytes(emitted_bytes).c_str(), eager_records, lazy_records,
-      plain_records, combine_input_records, combine_output_records, map_spills,
+      plain_records, combine_input_records, combine_output_records,
+      shared_combine_input_records, shared_combine_output_records, map_spills,
       FormatBytes(shuffle_bytes).c_str(), shuffle_blocks,
       FormatBytes(shuffle_peak_buffered_bytes).c_str(),
       shuffle_overlapped_fetches,

@@ -30,7 +30,7 @@ namespace antimr {
 //   emitted_records/bytes          records/bytes actually entering the
 //                                  shuffle (encoded form for Anti-Combining
 //                                  jobs; equals map_output_* for originals)
-//   combine_input/output_records   Combiner compression ratio
+//   combine_input/output_records   map-side Combiner compression ratio
 //   map_spills                     map-side spill files written
 //   shuffle_bytes                  bytes fetched by reducers from map output
 //                                  files (post-compression): the paper's
@@ -54,6 +54,7 @@ namespace antimr {
 //   plain_records                  degenerate Eager (empty key set)
 //   shared_insertions/spills/spill_bytes/spill_merges
 //                                  Shared structure traffic
+//   shared_combine_input/output_records  the same, Combiner inside Shared
 //   remap_calls                    Map re-executions during LazySH decode
 // --- environment ---
 //   disk_bytes_read/written        simulated local disk traffic
@@ -63,35 +64,37 @@ namespace antimr {
 //   total_cpu_nanos                task thread CPU time, read by the clock
 //                                  at the same boundaries (plus, locally,
 //                                  the CPU of each reduce's fetch tasks)
-#define ANTIMR_JOB_SUM_FIELDS(X) \
-  X(input_records)               \
-  X(input_bytes)                 \
-  X(map_output_records)          \
-  X(map_output_bytes)            \
-  X(emitted_records)             \
-  X(emitted_bytes)               \
-  X(combine_input_records)       \
-  X(combine_output_records)      \
-  X(map_spills)                  \
-  X(shuffle_bytes)               \
-  X(shuffle_fetch_wait_nanos)    \
-  X(shuffle_blocks)              \
-  X(shuffle_overlapped_fetches)  \
-  X(reduce_input_records)        \
-  X(reduce_groups)               \
-  X(output_records)              \
-  X(output_bytes)                \
-  X(eager_records)               \
-  X(lazy_records)                \
-  X(plain_records)               \
-  X(shared_insertions)           \
-  X(shared_spills)               \
-  X(shared_spill_bytes)          \
-  X(shared_spill_merges)         \
-  X(remap_calls)                 \
-  X(disk_bytes_read)             \
-  X(disk_bytes_written)          \
-  X(task_wall_nanos)             \
+#define ANTIMR_JOB_SUM_FIELDS(X)   \
+  X(input_records)                 \
+  X(input_bytes)                   \
+  X(map_output_records)            \
+  X(map_output_bytes)              \
+  X(emitted_records)               \
+  X(emitted_bytes)                 \
+  X(combine_input_records)         \
+  X(combine_output_records)        \
+  X(map_spills)                    \
+  X(shuffle_bytes)                 \
+  X(shuffle_fetch_wait_nanos)      \
+  X(shuffle_blocks)                \
+  X(shuffle_overlapped_fetches)    \
+  X(reduce_input_records)          \
+  X(reduce_groups)                 \
+  X(output_records)                \
+  X(output_bytes)                  \
+  X(eager_records)                 \
+  X(lazy_records)                  \
+  X(plain_records)                 \
+  X(shared_insertions)             \
+  X(shared_spills)                 \
+  X(shared_spill_bytes)            \
+  X(shared_spill_merges)           \
+  X(shared_combine_input_records)  \
+  X(shared_combine_output_records) \
+  X(remap_calls)                   \
+  X(disk_bytes_read)               \
+  X(disk_bytes_written)            \
+  X(task_wall_nanos)               \
   X(total_cpu_nanos)
 
 // Counters that aggregate by MAX across tasks:

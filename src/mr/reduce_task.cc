@@ -84,20 +84,19 @@ Status RunGroups(KVStream* stream, const KeyComparator& grouping_cmp,
 }
 
 Status ApplyCombiner(const JobSpec& spec, const TaskInfo& info,
-                     KVStream* stream, std::vector<KV>* out,
+                     KVStream* stream, ReduceContext* out,
                      GroupRunStats* stats) {
   std::unique_ptr<Reducer> combiner = spec.combiner_factory();
-  CollectingContext ctx(out);
-  combiner->Setup(info, &ctx);
-  ANTIMR_RETURN_NOT_OK(ctx.status());
+  combiner->Setup(info, out);
+  ANTIMR_RETURN_NOT_OK(out->status());
   ANTIMR_RETURN_NOT_OK(RunGroups(stream, spec.EffectiveGroupingCmp(),
-                                 combiner.get(), Phase::combine, &ctx, stats));
+                                 combiner.get(), Phase::combine, out, stats));
   {
     // AntiCombiner does its combining and re-encoding work in Cleanup.
     ScopedPhase phase(Phase::combine);
-    combiner->Cleanup(&ctx);
+    combiner->Cleanup(out);
   }
-  return ctx.status();
+  return out->status();
 }
 
 Status RunReduceTask(const JobSpec& spec, int partition,
@@ -179,8 +178,13 @@ Status RunReduceTask(const JobSpec& spec, int partition,
   info.spill_block_bytes = spec.shuffle_block_bytes;
 
   std::unique_ptr<Reducer> reducer = spec.reducer_factory();
-  std::vector<KV> sink;
-  CollectingContext ctx(collect_output ? &result->output : &sink);
+  OutputSink ctx;  // a discarded output is only counted
+  if (collect_output) {
+    ctx = OutputSink([result](const Slice& key, const Slice& value) {
+      result->output.emplace_back(key.ToString(), value.ToString());
+      return Status::OK();
+    });
+  }
   {
     ScopedPhase phase(Phase::reduce_fn);
     reducer->Setup(info, &ctx);
@@ -207,10 +211,8 @@ Status RunReduceTask(const JobSpec& spec, int partition,
   }
   m.reduce_groups += stats.groups;
   m.reduce_input_records += stats.records;
-  m.output_records +=
-      collect_output ? result->output.size() : sink.size();
+  m.output_records += ctx.records();
   m.output_bytes += ctx.bytes();
-  if (!collect_output) sink.clear();
 
   // Skew / latency distributions the per-job sums flatten away. One observe
   // per reduce task — cheap enough to stay unconditional.

@@ -4,7 +4,9 @@
 #ifndef ANTIMR_MR_REDUCE_TASK_H_
 #define ANTIMR_MR_REDUCE_TASK_H_
 
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "mr/job_spec.h"
@@ -31,46 +33,40 @@ Status RunGroups(KVStream* stream, const KeyComparator& grouping_cmp,
                  Reducer* reducer, Phase fn_phase, ReduceContext* ctx,
                  GroupRunStats* stats);
 
-/// \brief ReduceContext that appends records to a vector.
-class CollectingContext : public ReduceContext {
+/// \brief The framework's one ReduceContext for output. Counts the records
+/// and bytes emitted and hands each record, as views valid for the call, to
+/// the caller's destination (a segment writer, a capture arena, a collected
+/// output) or to nothing. A destination error latches through Fail; later
+/// records are only counted.
+class OutputSink : public ReduceContext {
  public:
-  explicit CollectingContext(std::vector<KV>* out) : out_(out) {}
+  OutputSink() = default;  ///< count only
+  explicit OutputSink(
+      std::function<Status(const Slice& key, const Slice& value)> destination)
+      : destination_(std::move(destination)) {}
 
   void Emit(const Slice& key, const Slice& value) override {
-    out_->emplace_back(key.ToString(), value.ToString());
+    records_ += 1;
     bytes_ += key.size() + value.size();
+    if (destination_ && status().ok()) {
+      Status st = destination_(key, value);
+      if (!st.ok()) Fail(std::move(st));
+    }
   }
 
+  uint64_t records() const { return records_; }
   uint64_t bytes() const { return bytes_; }
 
  private:
-  std::vector<KV>* out_;
+  std::function<Status(const Slice& key, const Slice& value)> destination_;
+  uint64_t records_ = 0;
   uint64_t bytes_ = 0;
 };
 
-/// \brief KVStream over a borrowed vector of KV records.
-class KVVectorStream : public KVStream {
- public:
-  explicit KVVectorStream(const std::vector<KV>* records)
-      : records_(records) {}
-
-  bool Valid() const override { return pos_ < records_->size(); }
-  Slice key() const override { return (*records_)[pos_].key; }
-  Slice value() const override { return (*records_)[pos_].value; }
-  Status Next() override {
-    ++pos_;
-    return Status::OK();
-  }
-
- private:
-  const std::vector<KV>* records_;
-  size_t pos_ = 0;
-};
-
 /// Run a Combiner (with full Setup/Cleanup lifecycle) over a sorted stream,
-/// collecting its output. Used on map-side spills/merges and inside Shared.
+/// emitting its output into `out`. Used on map-side spills and merges.
 Status ApplyCombiner(const JobSpec& spec, const TaskInfo& info,
-                     KVStream* stream, std::vector<KV>* out,
+                     KVStream* stream, ReduceContext* out,
                      GroupRunStats* stats);
 
 /// Inputs to one reduce task: the segments produced for its partition by

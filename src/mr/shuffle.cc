@@ -6,14 +6,6 @@ namespace antimr {
 
 namespace {
 
-Status DrainIntoRowWriter(KVStream* stream, BlockRunWriter* writer) {
-  while (stream->Valid()) {
-    ANTIMR_RETURN_NOT_OK(writer->Add(stream->key(), stream->value()));
-    ANTIMR_RETURN_NOT_OK(stream->Next());
-  }
-  return Status::OK();
-}
-
 /// Position `reader` at its first record and hand it to the caller.
 Status OpenReader(std::unique_ptr<BlockRunReader> r,
                   std::unique_ptr<BlockRunReader>* reader) {
@@ -36,14 +28,15 @@ std::string RunFileName(const std::string& job_id, int map_task,
          std::to_string(run);
 }
 
-Status WriteSegment(Env* env, const std::string& fname, KVStream* stream,
-                    const Codec* codec, SegmentWriteResult* out,
-                    size_t block_bytes) {
+Status WriteSegmentWith(Env* env, const std::string& fname,
+                        const Codec* codec, size_t block_bytes,
+                        const std::function<Status(BlockRunWriter*)>& fill,
+                        SegmentWriteResult* out) {
   if (codec == nullptr) codec = GetCodec(CodecType::kNone);
   std::unique_ptr<WritableFile> file;
   ANTIMR_RETURN_NOT_OK(env->NewWritableFile(fname, &file));
   BlockRunWriter writer(std::move(file), codec, {block_bytes});
-  ANTIMR_RETURN_NOT_OK(DrainIntoRowWriter(stream, &writer));
+  ANTIMR_RETURN_NOT_OK(fill(&writer));
   ANTIMR_RETURN_NOT_OK(writer.Finish());
   if (out != nullptr) {
     out->raw_bytes = writer.raw_bytes();
@@ -52,6 +45,21 @@ Status WriteSegment(Env* env, const std::string& fname, KVStream* stream,
     out->blocks = writer.block_count();
   }
   return Status::OK();
+}
+
+Status WriteSegment(Env* env, const std::string& fname, KVStream* stream,
+                    const Codec* codec, SegmentWriteResult* out,
+                    size_t block_bytes) {
+  return WriteSegmentWith(
+      env, fname, codec, block_bytes,
+      [stream](BlockRunWriter* writer) {
+        while (stream->Valid()) {
+          ANTIMR_RETURN_NOT_OK(writer->Add(stream->key(), stream->value()));
+          ANTIMR_RETURN_NOT_OK(stream->Next());
+        }
+        return Status::OK();
+      },
+      out);
 }
 
 Status OpenSegmentReader(Env* env, const std::string& fname,

@@ -15,6 +15,7 @@
 #ifndef ANTIMR_MR_SHUFFLE_H_
 #define ANTIMR_MR_SHUFFLE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -46,10 +47,16 @@ struct SegmentWriteResult {
   uint64_t blocks = 0;
 };
 
-/// Serialize `stream` (already key-sorted) into block-framed runs of
-/// ~`block_bytes` raw bytes, each compressed with `codec` (null = kNone),
-/// and write them to `fname`. Streaming: records drain one at a time, so
-/// memory use is O(block). Compression is charged to Phase::compress.
+/// Open `fname` as a segment writer (blocks of ~`block_bytes` raw bytes,
+/// each compressed with `codec`, null = kNone, in Phase::compress), let
+/// `fill` add the key-sorted records one at a time, so memory use is
+/// O(block), and finish it. After a `fill` error the caller deletes `fname`.
+Status WriteSegmentWith(Env* env, const std::string& fname,
+                        const Codec* codec, size_t block_bytes,
+                        const std::function<Status(BlockRunWriter*)>& fill,
+                        SegmentWriteResult* out);
+
+/// WriteSegmentWith, filled by draining `stream` (already key-sorted).
 Status WriteSegment(Env* env, const std::string& fname, KVStream* stream,
                     const Codec* codec, SegmentWriteResult* out,
                     size_t block_bytes = kShuffleBlockBytes);

@@ -7,6 +7,7 @@
 #include "common/hash.h"
 #include "common/random.h"
 #include "mr/metrics.h"
+#include "mr/reduce_task.h"
 
 namespace antimr {
 
@@ -105,22 +106,6 @@ class IdentityMapper : public Mapper {
   }
 };
 
-/// ReduceContext wrapper stripping the salt off emitted hot keys (stage-1
-/// fix-up output must carry the user-visible key).
-class StrippingContext : public ReduceContext {
- public:
-  StrippingContext(ReduceContext* inner, const SkewModel* model)
-      : inner_(inner), model_(model) {}
-
-  void Emit(const Slice& key, const Slice& value) override {
-    inner_->Emit(StripSalt(*model_, key), value);
-  }
-
- private:
-  ReduceContext* inner_;
-  const SkewModel* model_;
-};
-
 class SaltStrippingReducer : public Reducer {
  public:
   SaltStrippingReducer(std::unique_ptr<Reducer> base,
@@ -128,7 +113,12 @@ class SaltStrippingReducer : public Reducer {
       : base_(std::move(base)), model_(std::move(model)) {}
 
   void Setup(const TaskInfo& info, ReduceContext* ctx) override {
-    wrapped_ = std::make_unique<StrippingContext>(ctx, model_.get());
+    // Stage-1 fix-up output carries the user-visible key, salt stripped.
+    wrapped_ = std::make_unique<OutputSink>(
+        [ctx, model = model_.get()](const Slice& key, const Slice& value) {
+          ctx->Emit(StripSalt(*model, key), value);
+          return Status::OK();
+        });
     base_->Setup(info, wrapped_.get());
     ForwardFailure(ctx);
   }
@@ -153,7 +143,7 @@ class SaltStrippingReducer : public Reducer {
 
   std::unique_ptr<Reducer> base_;
   std::shared_ptr<const SkewModel> model_;
-  std::unique_ptr<StrippingContext> wrapped_;
+  std::unique_ptr<OutputSink> wrapped_;
 };
 
 }  // namespace

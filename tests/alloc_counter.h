@@ -40,12 +40,35 @@ inline uint64_t AllocationCount() {
   throw std::bad_alloc();
 }
 
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// left to the runtime, their memory would reach the replaced delete below,
+// an allocator mismatch that AddressSanitizer reports.
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
+  test_alloc::Counter().fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                       const std::nothrow_t&) noexcept {
+  test_alloc::Counter().fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
 [[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
   std::free(p);
 }
 

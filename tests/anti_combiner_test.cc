@@ -103,7 +103,7 @@ class AntiCombinerTest : public ::testing::Test {
     info.grouping_cmp = BytewiseCompare;
     info.metrics = &metrics_;
     std::vector<KV> out;
-    CollectingContext ctx(&out);
+    OutputSink ctx = testing::CollectingSink(&out);
     combiner.Setup(info, &ctx);
     for (const auto& group : groups) {
       KeyedPayloadIterator it(group);
@@ -250,10 +250,11 @@ CombinedSegments CombineEncodedSegments(const JobSpec& original,
                        return spec.key_cmp(a.key, b.key) < 0;
                      });
     info.shuffle_partition = p;
-    KVVectorStream stream(&segments[p]);
+    testing::KVVectorStream stream(&segments[p]);
     std::vector<KV> combined;
+    OutputSink sink = testing::CollectingSink(&combined);
     GroupRunStats stats;
-    const Status st = ApplyCombiner(spec, info, &stream, &combined, &stats);
+    const Status st = ApplyCombiner(spec, info, &stream, &sink, &stats);
     EXPECT_TRUE(st.ok()) << st.ToString();
     result.records += combined.size();
     result.multiset_hash += engine::OutputMultisetHash(combined);
@@ -303,6 +304,61 @@ TEST(AntiCombinerGolden, WordCount) {
   EXPECT_EQ(out.metrics.plain_records, 0u);
   EXPECT_EQ(out.metrics.eager_records, 0u);
 }
+
+// The map segments of an anti-combined job with map-phase combining whose
+// tasks spill three or more times, so the AntiCombiner's EagerSH output is
+// written on every spill and again on the map-side merge. Recorded when a
+// combine's output was still collected and replayed into the segment
+// writer; pinned byte for byte.
+class AntiCombinedSegmentGolden : public ::testing::TestWithParam<bool> {};
+
+TEST_P(AntiCombinedSegmentGolden, MapSegmentsMatchGolden) {
+  const bool query_suggestion = GetParam();
+  JobSpec original;
+  std::vector<KV> input;
+  if (query_suggestion) {
+    workloads::QuerySuggestionConfig qc;
+    qc.scheme = workloads::QuerySuggestionConfig::Scheme::kPrefix5;
+    qc.with_combiner = true;
+    original = workloads::MakeQuerySuggestionJob(qc);
+    QLogConfig lc;
+    lc.num_records = 3000;
+    lc.seed = 42;
+    input = QLogGenerator(lc).Generate();
+  } else {
+    original = workloads::MakeWordCountJob({});
+    RandomTextConfig rc;
+    rc.num_lines = 2000;
+    rc.seed = 42;
+    input = RandomTextGenerator(rc).Generate();
+  }
+  AntiCombineOptions options = AntiCombineOptions::Unrestricted();
+  options.map_phase_combiner = true;
+  JobSpec spec = EnableAntiCombining(original, options);
+  spec.num_reduce_tasks = 4;
+  spec.map_buffer_bytes = 16 * 1024;
+  std::unique_ptr<Env> env = NewMemEnv();
+  RunOptions run;
+  run.env = env.get();
+  run.job_id = "golden";
+  run.cleanup_intermediates = false;
+  JobResult result;
+  const Status st = RunJob(spec, MakeSplits(input, 2), run, &result);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_GE(result.metrics.map_spills, 6u) << "premise: >= 3 spills a task";
+  const testing::SegmentDigest digest = testing::MapSegmentDigest(env.get());
+  EXPECT_EQ(result.metrics.map_spills, query_suggestion ? 32u : 22u);
+  EXPECT_EQ(digest.files, 8u);
+  EXPECT_EQ(digest.hash, query_suggestion ? 0x5dd28ef183d1cb5aULL
+                                          : 0x17c30aca9ac95488ULL);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, AntiCombinedSegmentGolden,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "QuerySuggestionPrefix5"
+                                             : "WordCount";
+                         });
 
 }  // namespace
 }  // namespace anticombine

@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include "anticombine/encoding.h"
+#include "datagen/qlog.h"
 #include "mr/metrics.h"
 #include "mr/reduce_task.h"
 #include "test_util.h"
+#include "workloads/query_suggestion.h"
 
 namespace antimr {
 namespace anticombine {
@@ -110,8 +112,8 @@ class AntiReducerTest : public ::testing::Test {
   JobMetrics metrics_;
   TaskInfo info_;
   std::vector<RecordingReducer::Call> log_;
-  CollectingContext ctx_{&sink_};
   std::vector<KV> sink_;
+  OutputSink ctx_ = testing::CollectingSink(&sink_);
 };
 
 TEST_F(AntiReducerTest, PlainRecordsPassStraightThrough) {
@@ -213,7 +215,8 @@ TEST_F(AntiReducerTest, CombinerCollapsesSharedValues) {
   ASSERT_EQ(log_.size(), 2u);
   EXPECT_EQ(log_[1].key, "1b");
   EXPECT_EQ(log_[1].values, std::vector<std::string>{"3"});
-  EXPECT_GT(metrics_.combine_input_records, 0u);
+  EXPECT_GT(metrics_.shared_combine_input_records, 0u);
+  EXPECT_EQ(metrics_.combine_input_records, 0u);
 }
 
 TEST_F(AntiReducerTest, SharedSpillsDoNotChangeResults) {
@@ -259,6 +262,55 @@ TEST_F(AntiReducerTest, EmptyTaskCleanupIsSafe) {
   auto reducer = MakeReducer();
   reducer->Cleanup(&ctx_);
   EXPECT_TRUE(log_.empty());
+}
+
+// Map-side combines and Shared's reduce-phase combines count in separate
+// pairs. Query-Suggestion Prefix-5 with C = 1, run with and without
+// combining inside Shared: the map-side pair is the same in both runs,
+// Shared's pair is zero only without, and the two pairs add up to the one
+// pair both combines were counted in before they were split (recorded
+// then: 54 934 -> 40 517 with Shared combining, 23 522 -> 17 940 without).
+TEST(CombineCounters, MapSideAndSharedCombinesCountApart) {
+  workloads::QuerySuggestionConfig qc;
+  qc.scheme = workloads::QuerySuggestionConfig::Scheme::kPrefix5;
+  qc.with_combiner = true;
+  QLogConfig lc;
+  lc.num_records = 4000;
+  lc.seed = 42;
+  const std::vector<KV> input = QLogGenerator(lc).Generate();
+  JobMetrics runs[2];
+  for (const bool in_shared : {true, false}) {
+    AntiCombineOptions options = AntiCombineOptions::Unrestricted();
+    options.map_phase_combiner = true;
+    options.combine_in_shared = in_shared;
+    JobSpec spec = EnableAntiCombining(
+        workloads::MakeQuerySuggestionJob(qc), options);
+    spec.num_reduce_tasks = 4;
+    spec.map_buffer_bytes = 32 * 1024;
+    RunOptions run;
+    run.num_workers = 2;
+    JobResult result;
+    const Status st = RunJob(spec, MakeSplits(input, 4), run, &result);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    runs[in_shared ? 0 : 1] = result.metrics;
+  }
+  const JobMetrics& with = runs[0];
+  const JobMetrics& without = runs[1];
+  ASSERT_GT(with.map_spills, 0u) << "premise: the map side combines";
+
+  EXPECT_EQ(with.combine_input_records, without.combine_input_records);
+  EXPECT_EQ(with.combine_output_records, without.combine_output_records);
+  EXPECT_GT(with.shared_combine_input_records, 0u);
+  EXPECT_GT(with.shared_combine_output_records, 0u);
+  EXPECT_EQ(without.shared_combine_input_records, 0u);
+  EXPECT_EQ(without.shared_combine_output_records, 0u);
+
+  EXPECT_EQ(with.combine_input_records + with.shared_combine_input_records,
+            54934u);
+  EXPECT_EQ(with.combine_output_records + with.shared_combine_output_records,
+            40517u);
+  EXPECT_EQ(without.combine_input_records, 23522u);
+  EXPECT_EQ(without.combine_output_records, 17940u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "engine/job_service.h"
 #include "engine/worker.h"
 #include "datagen/random_text.h"
+#include "mr/map_task.h"
 #include "mr/reduce_task.h"
 #include "net/transport.h"
 #include "obs/metrics_registry.h"
@@ -42,7 +43,9 @@ class FaultyEnv : public Env {
         fault_code_(fault_code) {}
 
   /// Sample only `op` calls on files whose name ends with `suffix`; every
-  /// other operation passes through uncounted.
+  /// other operation passes through uncounted. With `op` "Append", each
+  /// Append to a file opened for writing is the sampled operation, so a
+  /// write error can land in the middle of a file.
   void SampleOnly(std::string op, std::string suffix) {
     only_op_ = std::move(op);
     suffix_ = std::move(suffix);
@@ -55,7 +58,12 @@ class FaultyEnv : public Env {
   Status NewWritableFile(const std::string& fname,
                          std::unique_ptr<WritableFile>* file) override {
     ANTIMR_RETURN_NOT_OK(Tick("NewWritableFile", fname));
-    return base_->NewWritableFile(fname, file);
+    ANTIMR_RETURN_NOT_OK(base_->NewWritableFile(fname, file));
+    if (only_op_ == "Append") {
+      *file = std::make_unique<AppendSampledFile>(this, fname,
+                                                  std::move(*file));
+    }
+    return Status::OK();
   }
   Status NewSequentialFile(const std::string& fname,
                            std::unique_ptr<SequentialFile>* file) override {
@@ -87,6 +95,24 @@ class FaultyEnv : public Env {
   int faults_injected() const { return injected_.load(); }
 
  private:
+  /// A writable file whose every Append is a sampled operation.
+  class AppendSampledFile : public WritableFile {
+   public:
+    AppendSampledFile(FaultyEnv* env, std::string fname,
+                      std::unique_ptr<WritableFile> base)
+        : env_(env), fname_(std::move(fname)), base_(std::move(base)) {}
+    Status Append(const Slice& data) override {
+      ANTIMR_RETURN_NOT_OK(env_->Tick("Append", fname_));
+      return base_->Append(data);
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    FaultyEnv* env_;
+    std::string fname_;
+    std::unique_ptr<WritableFile> base_;
+  };
+
   Status Tick(const char* op, const std::string& fname) {
     if ((!only_op_.empty() && only_op_ != op) ||
         fname.size() < suffix_.size() ||
@@ -613,13 +639,13 @@ TEST(AntiCombinedFaults, CorruptEncodedRecordIsCorruption) {
     info.key_cmp = spec.key_cmp;
     info.grouping_cmp = spec.EffectiveGroupingCmp();
     info.env = env.get();
-    KVVectorStream stream(&records);
-    std::vector<KV> combined;
+    testing::KVVectorStream stream(&records);
+    OutputSink discard;
     GroupRunStats stats;
-    const Status combine = ApplyCombiner(spec, info, &stream, &combined, &stats);
+    const Status combine = ApplyCombiner(spec, info, &stream, &discard, &stats);
     EXPECT_TRUE(combine.IsCorruption()) << combine.ToString();
 
-    KVVectorStream segment_records(&records);
+    testing::KVVectorStream segment_records(&records);
     FetchedSegment segment;
     segment.file = "bad_segment";
     ASSERT_TRUE(WriteSegment(env.get(), segment.file, &segment_records,
@@ -634,6 +660,124 @@ TEST(AntiCombinedFaults, CorruptEncodedRecordIsCorruption) {
     const Status reduce = RunReduceTask(spec, /*partition=*/0, inputs,
                                         env.get(), true, &reduced);
     EXPECT_TRUE(reduce.IsCorruption()) << reduce.ToString();
+  }
+}
+
+/// Forwards every value (a legal combiner for DigestReducer), and gives up
+/// through ReduceContext::Fail once one combine pass has emitted more than
+/// two blocks' worth of bytes: by then the segment writer has flushed some
+/// of the pass's blocks to storage.
+class GivingUpCombiner : public Reducer {
+ public:
+  void Reduce(const Slice& key, ValueIterator* values,
+              ReduceContext* ctx) override {
+    Slice v;
+    while (values->Next(&v)) {
+      ctx->Emit(key, v);
+      emitted_ += key.size() + v.size();
+    }
+    if (emitted_ > 2 * kShuffleBlockBytes) {
+      ctx->Fail(Status::InvalidArgument("combiner gave up"));
+    }
+  }
+
+ private:
+  size_t emitted_ = 0;
+};
+
+// A map-side combine streams its output into the segment, so a combine
+// that fails after its first blocks reached storage must still leave the
+// attempt's storage empty: the map task returns the combiner's error and
+// deletes the partial segment, on a spill (one run, no merge) and on the
+// map-side merge of three or more runs (each run's combine stays under
+// the limit; the merge's crosses it).
+TEST(CombineFaults, FailingCombineLeavesNoFileBehind) {
+  for (const bool merge : {false, true}) {
+    SCOPED_TRACE(merge ? "merge" : "spill");
+    JobSpec spec = testing::SyntheticJob({1, 1 << 30, false, false}, 1);
+    spec.combiner_factory = []() {
+      return std::make_unique<GivingUpCombiner>();
+    };
+    spec.map_buffer_bytes = merge ? 64 * 1024 : 64 * 1024 * 1024;
+    std::unique_ptr<Env> env = NewMemEnv();
+    MapTaskResult result;
+    const Status st =
+        RunMapTask(spec, "giving_up", 0, MakeSplit(testing::SyntheticInput(
+                                                       12000, 7)),
+                   env.get(), &result);
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_NE(st.ToString().find("combiner gave up"), std::string::npos);
+    if (merge) {
+      EXPECT_GE(result.metrics.map_spills, 3u) << "premise: a merge";
+    } else {
+      EXPECT_EQ(result.metrics.map_spills, 0u) << "premise: no merge";
+      EXPECT_GT(env->stats().bytes_written, 0u)
+          << "premise: the failing segment reached storage";
+    }
+    std::vector<std::string> files;
+    ASSERT_TRUE(env->ListFiles(&files).ok());
+    EXPECT_TRUE(files.empty()) << files.size() << " files left, first "
+                               << files.front();
+    EXPECT_TRUE(result.segment_files.empty());
+  }
+}
+
+// A write error in the middle of a map segment, where a map-side combine
+// streams its output, fails that map attempt, and the retry reproduces
+// the fault-free output. The failing Append is drawn by a seeded
+// generator from the map segment appends of a clean run.
+TEST(CombineFaults, CombineWriteErrorIsRetriedToIdenticalOutput) {
+  JobSpec spec = testing::SyntheticJob({4, 100000, false, true}, 2);
+  spec.map_buffer_bytes = 256 * 1024;
+  const std::vector<InputSplit> splits =
+      MakeSplits(testing::SyntheticInput(20000, 11), 2);
+  auto sample_map_appends = [](FaultyEnv* env) {
+    env->SampleOnly("Append", "");
+    env->SampleOnlyContaining("/map_");
+  };
+  uint64_t clean_hash = 0;
+  int appends = 0;
+  {
+    FaultyEnv env(NewMemEnv(), FaultyEnv::kForever);
+    sample_map_appends(&env);
+    RunOptions options;
+    options.env = &env;
+    JobResult clean;
+    ASSERT_TRUE(RunJob(spec, splits, options, &clean).ok());
+    ASSERT_GE(clean.metrics.map_spills, 6u)
+        << "premise: every map task combines on its spills and its merge";
+    ASSERT_GT(clean.metrics.combine_input_records, 0u);
+    clean_hash = engine::OutputMultisetHash(clean.FlatOutput());
+    appends = env.operations_seen();
+  }
+  {
+    FaultyEnv files(NewMemEnv(), FaultyEnv::kForever);
+    files.SampleOnly("NewWritableFile", "");
+    files.SampleOnlyContaining("/map_");
+    RunOptions options;
+    options.env = &files;
+    JobResult clean;
+    ASSERT_TRUE(RunJob(spec, splits, options, &clean).ok());
+    ASSERT_GT(appends, files.operations_seen())
+        << "premise: a segment is appended to while its combine runs";
+  }
+  Random rng(2014);
+  for (int draw = 0; draw < 4; ++draw) {
+    const int fail_at =
+        static_cast<int>(rng.Uniform(static_cast<uint64_t>(appends)));
+    FaultyEnv env(NewMemEnv(), fail_at, /*fail_times=*/1);
+    sample_map_appends(&env);
+    RunOptions options;
+    options.env = &env;
+    options.max_task_attempts = 3;
+    options.retry_backoff_nanos = 1000;
+    JobResult result;
+    const Status st = RunJob(spec, splits, options, &result);
+    ASSERT_TRUE(st.ok()) << "fault at append " << fail_at
+                         << " not survived: " << st.ToString();
+    EXPECT_EQ(env.faults_injected(), 1) << "fault at append " << fail_at;
+    EXPECT_EQ(engine::OutputMultisetHash(result.FlatOutput()), clean_hash)
+        << "output diverged after retry, fault at append " << fail_at;
   }
 }
 

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "mr/reduce_task.h"
+#include "test_util.h"
 
 namespace antimr {
 namespace {
+
+using testing::KVVectorStream;
 
 using Records = std::vector<KV>;
 

@@ -18,6 +18,7 @@
 #include "alloc_counter.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -31,9 +32,12 @@
 #include "mr/map_output_buffer.h"
 #include "mr/reduce_task.h"
 #include "mr/shuffle.h"
+#include "test_util.h"
 
 namespace antimr {
 namespace {
+
+using testing::KVVectorStream;
 
 constexpr int kPartitions = 8;
 constexpr double kMinReductionPct = 25.0;
@@ -240,6 +244,83 @@ TEST(RecordPath, ZeroCopyCutsWordCountCopiesAndAllocations) {
 
 TEST(RecordPath, ZeroCopyCutsThetaJoinCopiesAndAllocations) {
   ExpectZeroCopyCutsCosts(ThetaJoinEmits());
+}
+
+// A reduce task whose output is discarded only counts it: RunReduceTask
+// with collect_output = false over one segment of 1 000 and of 10 000
+// records allocates no more per record than the merge's per-block cost,
+// and reports the output a collecting run reports.
+class IdentityReducer : public Reducer {
+ public:
+  void Reduce(const Slice& key, ValueIterator* values,
+              ReduceContext* ctx) override {
+    Slice value;
+    while (values->Next(&value)) ctx->Emit(key, value);
+  }
+};
+
+struct ReduceRun {
+  uint64_t allocs = 0;
+  ReduceTaskResult result;
+};
+
+/// Reduce one fetched segment of `n` distinct records, each key and value
+/// longer than a short-string buffer, counting the task's allocations.
+ReduceRun ReduceOneSegment(int n, bool collect_output) {
+  Records records;
+  char key[32];
+  char value[32];
+  for (int i = 0; i < n; ++i) {
+    std::snprintf(key, sizeof(key), "reduce-key-%012d", i);
+    std::snprintf(value, sizeof(value), "reduce-value-%012d", i);
+    records.emplace_back(key, value);
+  }
+  std::vector<KV> kvs;
+  for (const auto& [k, v] : records) kvs.emplace_back(k, v);
+  std::unique_ptr<Env> env = NewMemEnv();
+  KVVectorStream stream(&kvs);
+  EXPECT_TRUE(WriteSegment(env.get(), "seg", &stream, nullptr, nullptr).ok());
+  FetchedSegment segment;
+  segment.file = "seg";
+  EXPECT_TRUE(ReadFileToString(env.get(), "seg", &segment.frames).ok());
+  segment.fetched_bytes = segment.frames.size();
+
+  JobSpec spec;
+  spec.name = "identity";
+  spec.reducer_factory = []() { return std::make_unique<IdentityReducer>(); };
+  spec.num_reduce_tasks = 1;
+  ReduceTaskInputs inputs;
+  inputs.fetched = {&segment};
+  ReduceRun run;
+  const uint64_t alloc_start = test_alloc::AllocationCount();
+  const Status st = RunReduceTask(spec, 0, inputs, env.get(), collect_output,
+                                  &run.result);
+  run.allocs = test_alloc::AllocationCount() - alloc_start;
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return run;
+}
+
+TEST(RecordPath, DiscardedReduceOutputAllocatesNothingPerRecord) {
+  ReduceOneSegment(1000, false);  // warm the task's process-wide state
+  const ReduceRun small = ReduceOneSegment(1000, false);
+  const ReduceRun large = ReduceOneSegment(10000, false);
+  const JobMetrics& sm = small.result.metrics;
+  const JobMetrics& lm = large.result.metrics;
+  ASSERT_GT(lm.shuffle_blocks, sm.shuffle_blocks) << "premise: more blocks";
+  // The merge may allocate per block it decodes, never per record.
+  constexpr uint64_t kAllocsPerBlock = 4;
+  EXPECT_LE(large.allocs,
+            small.allocs +
+                kAllocsPerBlock * (lm.shuffle_blocks - sm.shuffle_blocks))
+      << "1 000 records: " << small.allocs << " allocations, 10 000: "
+      << large.allocs;
+  EXPECT_TRUE(large.result.output.empty());
+
+  const ReduceRun collected = ReduceOneSegment(10000, true);
+  EXPECT_EQ(collected.result.output.size(), 10000u);
+  EXPECT_EQ(lm.output_records, collected.result.metrics.output_records);
+  EXPECT_EQ(lm.output_bytes, collected.result.metrics.output_bytes);
+  EXPECT_EQ(lm.output_records, 10000u);
 }
 
 }  // namespace

@@ -235,7 +235,8 @@ TEST_P(SharedModelTest, MatchesReferenceModel) {
     EXPECT_GT(metrics.shared_spills, 0u) << "a small budget never spilled";
   }
   if (p.combiner) {
-    EXPECT_GT(metrics.combine_input_records, 0u) << "never combined";
+    EXPECT_GT(metrics.shared_combine_input_records, 0u) << "never combined";
+    EXPECT_EQ(metrics.combine_input_records, 0u);
   }
 }
 

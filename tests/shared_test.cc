@@ -244,7 +244,11 @@ TEST_F(SharedTest, CombinerCollapsesValues) {
   EXPECT_LT(shared.memory_usage(), 64u);
   auto all = DrainAll(&shared);
   EXPECT_EQ(all["k"], std::vector<std::string>{"100"});
-  EXPECT_GT(metrics_.combine_input_records, 0u);
+  // Shared's combines count in their own pair, not the map-side one.
+  EXPECT_GT(metrics_.shared_combine_input_records, 0u);
+  EXPECT_GT(metrics_.shared_combine_output_records, 0u);
+  EXPECT_EQ(metrics_.combine_input_records, 0u);
+  EXPECT_EQ(metrics_.combine_output_records, 0u);
 }
 
 TEST_F(SharedTest, CombinerPreventsSpills) {

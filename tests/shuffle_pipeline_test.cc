@@ -19,6 +19,7 @@ namespace antimr {
 namespace {
 
 using testing::Canonicalize;
+using testing::KVVectorStream;
 
 std::vector<KV> MakeSortedRecords(int n, size_t value_bytes = 32) {
   std::vector<KV> records;

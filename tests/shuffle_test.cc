@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "mr/reduce_task.h"
 #include "net/shuffle_service.h"
 #include "net/transport.h"
+#include "test_util.h"
 
 namespace antimr {
 namespace {
+
+using testing::KVVectorStream;
 
 class ShuffleTest : public ::testing::TestWithParam<CodecType> {
  protected:

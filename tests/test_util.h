@@ -12,6 +12,7 @@
 #include "antimr.h"
 #include "common/hash.h"
 #include "common/random.h"
+#include "mr/reduce_task.h"
 
 namespace antimr {
 namespace testing {
@@ -25,6 +26,33 @@ inline std::vector<KV> Canonicalize(std::vector<KV> records) {
   return records;
 }
 
+/// \brief KVStream over a borrowed vector of KV records.
+class KVVectorStream : public KVStream {
+ public:
+  explicit KVVectorStream(const std::vector<KV>* records)
+      : records_(records) {}
+
+  bool Valid() const override { return pos_ < records_->size(); }
+  Slice key() const override { return (*records_)[pos_].key; }
+  Slice value() const override { return (*records_)[pos_].value; }
+  Status Next() override {
+    ++pos_;
+    return Status::OK();
+  }
+
+ private:
+  const std::vector<KV>* records_;
+  size_t pos_ = 0;
+};
+
+/// An OutputSink that appends every record to *out as an owning KV.
+inline OutputSink CollectingSink(std::vector<KV>* out) {
+  return OutputSink([out](const Slice& key, const Slice& value) {
+    out->emplace_back(key.ToString(), value.ToString());
+    return Status::OK();
+  });
+}
+
 /// Run a job and return its flattened output; fails the test on error.
 inline std::vector<KV> MustRun(const JobSpec& spec,
                                const std::vector<InputSplit>& splits,
@@ -34,6 +62,30 @@ inline std::vector<KV> MustRun(const JobSpec& spec,
   EXPECT_TRUE(st.ok()) << st.ToString();
   if (metrics != nullptr) *metrics = result.metrics;
   return result.FlatOutput();
+}
+
+/// Order-free digest of the map segment files (runs and merged segments)
+/// that `env` holds: each file's name and stored bytes. Pins the bytes a
+/// job's map tasks wrote; run the job with a fixed RunOptions::job_id and
+/// cleanup_intermediates = false so the files stay behind.
+struct SegmentDigest {
+  size_t files = 0;
+  uint64_t hash = 0;
+};
+
+inline SegmentDigest MapSegmentDigest(Env* env) {
+  std::vector<std::string> names;
+  EXPECT_TRUE(env->ListFiles(&names).ok());
+  std::sort(names.begin(), names.end());
+  SegmentDigest digest;
+  for (const std::string& name : names) {
+    if (name.find("/map_") == std::string::npos) continue;
+    std::string bytes;
+    EXPECT_TRUE(ReadFileToString(env, name, &bytes).ok()) << name;
+    digest.hash = Hash64(bytes, HashMix64(digest.hash ^ Hash64(name)));
+    ++digest.files;
+  }
+  return digest;
 }
 
 /// Assert that the Anti-Combining-transformed job produces exactly the same
