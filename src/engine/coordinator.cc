@@ -536,62 +536,38 @@ std::string Coordinator::StatusJson() const {
   std::string out;
   out.append("{\n");
   const uint64_t now = NowNanos();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    int live = 0;
-    int inflight = 0;
-    for (const auto& [id, worker] : workers_) {
-      live += worker->alive ? 1 : 0;
-      inflight += worker->inflight;
-    }
-    out.append("  \"live_workers\": ").append(std::to_string(live));
-    out.append(",\n  \"inflight_tasks\": ").append(std::to_string(inflight));
-    out.append(",\n  \"workers\": [");
-    bool first = true;
-    for (const auto& [id, worker] : workers_) {
-      out.append(first ? "\n" : ",\n");
-      first = false;
-      out.append("    {\"id\": ").append(std::to_string(id));
-      out.append(", \"name\": ");
-      AppendJsonString(&out, worker->name);
-      out.append(", \"alive\": ").append(worker->alive ? "true" : "false");
-      out.append(", \"slots\": ").append(std::to_string(worker->slots));
-      out.append(", \"inflight\": ").append(std::to_string(worker->inflight));
-      const uint64_t idle_nanos = now > worker->last_activity_nanos
-                                      ? now - worker->last_activity_nanos
-                                      : 0;
-      out.append(", \"last_activity_ms\": ")
-          .append(std::to_string(idle_nanos / 1000000));
-      out.append(", \"shuffle_addr\": ");
-      AppendJsonString(&out, worker->shuffle_addr);
-      out.append("}");
-    }
-    out.append(first ? "]" : "\n  ]");
+  std::lock_guard<std::mutex> lock(mu_);
+  int live = 0;
+  int inflight = 0;
+  for (const auto& [id, worker] : workers_) {
+    live += worker->alive ? 1 : 0;
+    inflight += worker->inflight;
   }
-  JobStatusSnapshot job;
-  {
-    std::lock_guard<std::mutex> lock(status_mu_);
-    job = job_status_;
+  out.append("  \"live_workers\": ").append(std::to_string(live));
+  out.append(",\n  \"inflight_tasks\": ").append(std::to_string(inflight));
+  out.append(",\n  \"workers\": [");
+  bool first = true;
+  for (const auto& [id, worker] : workers_) {
+    out.append(first ? "\n" : ",\n");
+    first = false;
+    out.append("    {\"id\": ").append(std::to_string(id));
+    out.append(", \"name\": ");
+    AppendJsonString(&out, worker->name);
+    out.append(", \"alive\": ").append(worker->alive ? "true" : "false");
+    out.append(", \"slots\": ").append(std::to_string(worker->slots));
+    out.append(", \"inflight\": ").append(std::to_string(worker->inflight));
+    const uint64_t idle_nanos = now > worker->last_activity_nanos
+                                    ? now - worker->last_activity_nanos
+                                    : 0;
+    out.append(", \"last_activity_ms\": ")
+        .append(std::to_string(idle_nanos / 1000000));
+    out.append(", \"shuffle_addr\": ");
+    AppendJsonString(&out, worker->shuffle_addr);
+    out.append("}");
   }
-  out.append(",\n  \"job\": {\"job_id\": ");
-  AppendJsonString(&out, job.job_id);
-  out.append(", \"name\": ");
-  AppendJsonString(&out, job.job_name);
-  out.append(", \"state\": ");
-  AppendJsonString(&out, job.state);
-  out.append(", \"maps_total\": ").append(std::to_string(job.maps_total));
-  out.append(", \"maps_done\": ").append(std::to_string(job.maps_done));
-  out.append(", \"reduces_total\": ")
-      .append(std::to_string(job.reduces_total));
-  out.append(", \"reduces_done\": ").append(std::to_string(job.reduces_done));
-  out.append(", \"map_reruns\": ").append(std::to_string(job.map_reruns));
-  out.append("}\n}\n");
+  out.append(first ? "]" : "\n  ]");
+  out.append("\n}\n");
   return out;
-}
-
-void Coordinator::PublishJobStatus(const JobStatusSnapshot& snapshot) {
-  std::lock_guard<std::mutex> lock(status_mu_);
-  job_status_ = snapshot;
 }
 
 std::string Coordinator::ClusterTraceJson() {

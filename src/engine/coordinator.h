@@ -39,19 +39,6 @@
 namespace antimr {
 namespace engine {
 
-/// Point-in-time view of the job a RemoteRunner is running (or last ran),
-/// served verbatim on /status.
-struct JobStatusSnapshot {
-  std::string job_id;
-  std::string job_name;
-  std::string state = "none";  ///< none | running | done | failed
-  uint64_t maps_total = 0;
-  uint64_t maps_done = 0;
-  uint64_t reduces_total = 0;
-  uint64_t reduces_done = 0;
-  uint64_t map_reruns = 0;
-};
-
 struct CoordinatorOptions {
   /// A worker with no heartbeat or result for this long is declared lost.
   uint64_t heartbeat_timeout_nanos = 2ull * 1000 * 1000 * 1000;
@@ -159,13 +146,12 @@ class Coordinator {
   /// heartbeat snapshots, dead workers retained) + this process's own.
   std::string ClusterMetricsText() const;
 
-  /// The /status JSON document (workers, liveness, in-flight, job progress).
+  /// The /status JSON document: the cluster view (workers, liveness, slots,
+  /// in-flight counts). Job progress is the JobService's /jobs table.
   std::string StatusJson() const;
 
   /// Federated metrics state — exposed for tests and embedders.
   obs::ClusterMetrics& cluster_metrics() { return cluster_metrics_; }
-
-  void PublishJobStatus(const JobStatusSnapshot& snapshot);
 
   /// Merge this process's remaining trace buffers with every chunk workers
   /// shipped and render one Chrome-trace JSON document (coordinator = pid 1,
@@ -231,18 +217,17 @@ class Coordinator {
   std::vector<std::pair<std::string, net::HttpServer::Handler>>
       extra_status_handlers_;
   std::unique_ptr<net::HttpServer> http_;
-
-  mutable std::mutex status_mu_;
-  JobStatusSnapshot job_status_;
 };
 
 // --- distributed jobs ----------------------------------------------------
 
-struct DistJobOptions {
+/// A distributed job apart from its input: the registered job, its params
+/// and how its tasks run. DistJobOptions adds the input records, and a
+/// JobService's JobSubmission (engine/job_service.h) adds admission fields
+/// on top of that, so each knob is declared here once.
+struct DistJobKnobs {
   std::string job_name;     ///< registered builder name (engine/job_registry.h)
   net::JobParams params;    ///< builder params, shipped verbatim to workers
-  /// Input records per map task; maps are placed one per TaskAssign.
-  std::vector<std::vector<KV>> splits;
   bool collect_outputs = true;
   /// Retry budget per task (map heal re-runs count against the reduce's
   /// attempts only through its backoff, not this cap).
@@ -267,6 +252,11 @@ struct DistJobOptions {
   /// Test override: when > 0, a backup launches after exactly this elapsed
   /// time regardless of the adaptive baseline (deterministic races).
   uint64_t speculation_force_after_nanos = 0;
+};
+
+struct DistJobOptions : DistJobKnobs {
+  /// Input records per map task; maps are placed one per TaskAssign.
+  std::vector<std::vector<KV>> splits;
 };
 
 struct DistJobResult {

@@ -54,9 +54,7 @@ bool IsTerminalState(const std::string& state) {
 // --- JobService ----------------------------------------------------------
 
 struct JobService::Job {
-  std::string id;
-  std::string pool_name;
-  JobSubmission sub;
+  JobSubmission sub;  ///< job_id assigned and pool resolved by Submit
   std::string state = "queued";
   /// Stride charge: the granted dispatch slots, floored at 1 so auto-sized
   /// jobs still advance their pool's pass.
@@ -69,7 +67,7 @@ struct JobService::Job {
   uint64_t finish_nanos = 0;
   uint64_t dispatch_seq = 0;
   std::atomic<bool> abort_requested{false};
-  JobStatusSnapshot progress;  ///< the runner's latest report
+  JobProgress progress;  ///< counted by the job's runner
   Status final_status;
   uint64_t output_hash = 0;
   uint64_t output_records = 0;
@@ -141,10 +139,10 @@ void JobService::AttachStatusEndpoint() {
 Status JobService::Submit(JobSubmission sub, std::string* job_id) {
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) return Status::Internal("job service is stopping");
-  const std::string pool_name = sub.pool.empty() ? first_pool_ : sub.pool;
-  auto pit = pools_.find(pool_name);
+  if (sub.pool.empty()) sub.pool = first_pool_;
+  auto pit = pools_.find(sub.pool);
   if (pit == pools_.end()) {
-    return Status::NotFound("unknown pool: " + pool_name);
+    return Status::NotFound("unknown pool: " + sub.pool);
   }
   Pool& pool = *pit->second;
   if (sub.job_name.empty()) {
@@ -165,14 +163,14 @@ Status JobService::Submit(JobSubmission sub, std::string* job_id) {
     pool.rejected->Inc();
     return Status::ResourceExhausted(
         "cpu slots " + std::to_string(granted) + " exceed pool \"" +
-        pool_name + "\" quota " + std::to_string(pool.cfg.cpu_slots_quota));
+        sub.pool + "\" quota " + std::to_string(pool.cfg.cpu_slots_quota));
   }
   if (pool.cfg.memory_quota_bytes > 0 &&
       memory > pool.cfg.memory_quota_bytes) {
     pool.rejected->Inc();
     return Status::ResourceExhausted(
         "memory " + std::to_string(memory) + " bytes exceeds pool \"" +
-        pool_name + "\" quota " +
+        sub.pool + "\" quota " +
         std::to_string(pool.cfg.memory_quota_bytes));
   }
   if (options_.max_queued_jobs > 0 &&
@@ -181,7 +179,8 @@ Status JobService::Submit(JobSubmission sub, std::string* job_id) {
     return Status::ResourceExhausted(
         "job queue full (" + std::to_string(queued_jobs_) + " queued)");
   }
-  std::string id = sub.job_id.empty() ? UniqueJobId("dist", sub.job_name) : sub.job_id;
+  if (sub.job_id.empty()) sub.job_id = UniqueJobId("dist", sub.job_name);
+  const std::string id = sub.job_id;
   if (jobs_.count(id) != 0) {
     pool.rejected->Inc();
     return Status::InvalidArgument("duplicate job id: " + id);
@@ -195,8 +194,6 @@ Status JobService::Submit(JobSubmission sub, std::string* job_id) {
     sub.splits.shrink_to_fit();
   }
   auto job = std::make_unique<Job>();
-  job->id = id;
-  job->pool_name = pool_name;
   job->sub = std::move(sub);
   job->granted_slots = granted;
   job->cost = std::max(1, granted);
@@ -283,23 +280,6 @@ void JobService::SchedulerLoop() {
 }
 
 void JobService::RunJob(Pool* pool, Job* job) {
-  DistJobOptions opts;
-  opts.job_name = job->sub.job_name;
-  opts.collect_outputs = job->sub.collect_outputs;
-  opts.max_task_attempts = job->sub.max_task_attempts > 0
-                               ? job->sub.max_task_attempts
-                               : options_.default_max_task_attempts;
-  opts.retry_backoff_nanos = job->sub.retry_backoff_nanos > 0
-                                 ? job->sub.retry_backoff_nanos
-                                 : options_.default_retry_backoff_nanos;
-  opts.network_mb_per_s = job->sub.network_mb_per_s;
-  opts.job_id = job->id;
-  opts.speculative_execution = job->sub.speculation < 0
-                                   ? options_.speculative_execution
-                                   : job->sub.speculation != 0;
-  opts.speculation_slowness_factor = options_.speculation_slowness_factor;
-  opts.speculation_force_after_nanos = job->sub.speculation_force_after_nanos;
-
   {
     std::lock_guard<std::mutex> lock(mu_);
     job->state = "running";
@@ -326,12 +306,8 @@ void JobService::RunJob(Pool* pool, Job* job) {
   if (st.ok()) st = plan.AddInput("in", std::move(splits));
   if (st.ok()) {
     plan.AddStage(std::move(stage));
-    RemoteRunner runner(coord_, opts, job->granted_slots);
+    RemoteRunner runner(coord_, job->sub, job->granted_slots, &job->progress);
     runner.abort = &job->abort_requested;
-    runner.on_status = [this, job](const JobStatusSnapshot& s) {
-      std::lock_guard<std::mutex> lock(mu_);
-      job->progress = s;
-    };
     runner.encoded_inputs["in"] = &job->sub.encoded_splits;
     st = runner.Run(plan, &result);
   }
@@ -402,7 +378,7 @@ Status JobService::Abort(const std::string& job_id) {
                                      ")");
     }
     if (job->state == "queued") {
-      Pool& pool = *pools_[job->pool_name];
+      Pool& pool = *pools_[job->sub.pool];
       for (auto qit = pool.queue.begin(); qit != pool.queue.end(); ++qit) {
         if (*qit == job) {
           pool.queue.erase(qit);
@@ -423,7 +399,7 @@ Status JobService::Abort(const std::string& job_id) {
     // Admitted or running: flip the flag the runner checks at every task
     // boundary, then cancel the in-flight worker attempts cluster-wide.
     job->abort_requested.store(true, std::memory_order_release);
-    cancel_id = job->id;
+    cancel_id = job->sub.job_id;
   }
   coord_->BroadcastJobFrame(net::kCancelJob, cancel_id);
   return Status::OK();
@@ -431,12 +407,12 @@ Status JobService::Abort(const std::string& job_id) {
 
 net::JobStatusWire JobService::RowOfLocked(const Job& job) const {
   net::JobStatusWire row;
-  row.job_id = job.id;
-  row.pool = job.pool_name;
+  row.job_id = job.sub.job_id;
+  row.pool = job.sub.pool;
   row.job_name = job.sub.job_name;
   row.state = job.state;
   if (job.state == "queued") {
-    auto it = pools_.find(job.pool_name);
+    auto it = pools_.find(job.sub.pool);
     if (it != pools_.end()) {
       const auto& queue = it->second->queue;
       for (size_t i = 0; i < queue.size(); ++i) {
@@ -448,11 +424,12 @@ net::JobStatusWire JobService::RowOfLocked(const Job& job) const {
     }
   }
   row.cpu_slots = static_cast<uint32_t>(job.granted_slots);
-  row.maps_total = job.progress.maps_total;
-  row.maps_done = job.progress.maps_done;
-  row.reduces_total = job.progress.reduces_total;
-  row.reduces_done = job.progress.reduces_done;
-  row.map_reruns = job.progress.map_reruns;
+  const JobProgress& progress = job.progress;
+  row.maps_total = progress.maps_total.load(std::memory_order_relaxed);
+  row.maps_done = progress.maps_done.load(std::memory_order_relaxed);
+  row.reduces_total = progress.reduces_total.load(std::memory_order_relaxed);
+  row.reduces_done = progress.reduces_done.load(std::memory_order_relaxed);
+  row.map_reruns = progress.map_reruns();
   if (IsTerminalState(job.state)) {
     row.status_code = static_cast<int32_t>(job.final_status.code());
     row.status_msg = job.final_status.message();
@@ -571,8 +548,11 @@ void JobService::ServeConn(net::Conn* conn) {
           sub.cpu_slots = static_cast<int>(msg.cpu_slots);
           sub.memory_bytes = msg.memory_bytes;
           sub.collect_outputs = msg.collect_output;
-          sub.max_task_attempts = static_cast<int>(msg.max_task_attempts);
+          if (msg.max_task_attempts > 0) {  // 0 keeps the default 3
+            sub.max_task_attempts = static_cast<int>(msg.max_task_attempts);
+          }
           sub.network_mb_per_s = msg.network_mb_per_s;
+          sub.speculative_execution = options_.speculative_execution;
           std::string id;
           st = Submit(std::move(sub), &id);
           ack.job_id = id;
@@ -643,7 +623,7 @@ void JobService::Stop() {
       Job* job = entry.second.get();
       if (job->state == "admitted" || job->state == "running") {
         job->abort_requested.store(true, std::memory_order_release);
-        cancel_ids.push_back(job->id);
+        cancel_ids.push_back(job->sub.job_id);
       }
     }
   }
@@ -749,21 +729,12 @@ Status RunDistributedJob(Coordinator* coord, const DistJobOptions& options,
   sopts.max_queued_jobs = 1;
   sopts.min_workers = 0;  // legacy semantics: dispatch blind, retries cope
   sopts.default_cpu_slots = 0;  // legacy auto dispatch sizing
-  sopts.default_max_task_attempts = options.max_task_attempts;
-  sopts.default_retry_backoff_nanos = options.retry_backoff_nanos;
-  sopts.speculation_slowness_factor = options.speculation_slowness_factor;
   JobService service(coord, sopts);
 
+  // Every knob, but not the raw splits: they are encoded straight from
+  // `options`, never copied.
   JobSubmission sub;
-  sub.job_name = options.job_name;
-  sub.params = options.params;
-  sub.job_id = options.job_id;
-  sub.collect_outputs = options.collect_outputs;
-  sub.max_task_attempts = options.max_task_attempts;
-  sub.retry_backoff_nanos = options.retry_backoff_nanos;
-  sub.network_mb_per_s = options.network_mb_per_s;
-  sub.speculation = options.speculative_execution ? 1 : 0;
-  sub.speculation_force_after_nanos = options.speculation_force_after_nanos;
+  static_cast<DistJobKnobs&>(sub) = options;
   sub.encoded_splits.resize(options.splits.size());
   for (size_t m = 0; m < options.splits.size(); ++m) {
     net::EncodeKVList(options.splits[m], &sub.encoded_splits[m]);

@@ -12,6 +12,12 @@
 // JobPlan on a RemoteRunner (engine/remote_runner.h) whose dispatch width is
 // the job's granted cpu slots.
 //
+// The job table is the one place a job's state and progress are reported
+// (GetJob, ListJobs, the kJobStatusReq plane and /jobs): a row reads its
+// runner's task counters when it is rendered. A JobSubmission is the
+// job's DistJobOptions plus its admission fields, so a job's knobs are
+// declared once and reach the runner as submitted.
+//
 // Isolation model: every job runs under a unique job_id, and all of a job's
 // worker-side footprint (shuffle segments, spills) is namespaced by that id
 // (mr/shuffle.cc SegmentFileName), so concurrent jobs on shared workers
@@ -88,32 +94,21 @@ struct JobServiceOptions {
   int default_cpu_slots = 2;
   /// Charged to submissions that don't declare a memory estimate.
   uint64_t default_memory_bytes = 64ull << 20;
-  /// Job-level defaults applied when a submission leaves them zero.
-  int default_max_task_attempts = 3;
-  uint64_t default_retry_backoff_nanos = 1000 * 1000;
+  /// Speculative execution for wire submissions, whose SubmitJobMsg carries
+  /// no speculation field (`serve --speculation`). An in-process
+  /// JobSubmission sets its own.
   bool speculative_execution = false;
-  double speculation_slowness_factor = 2.0;
 };
 
-/// One job submission. Splits may arrive raw (`splits`, encoded once by
-/// Submit) or pre-encoded (`encoded_splits`, the wire path) — exactly one
-/// should be non-empty. Zero-valued knobs inherit the service defaults.
-struct JobSubmission {
+/// One job submission: the job's DistJobOptions plus its admission fields.
+/// Splits may arrive raw (`splits`, encoded once by Submit) or pre-encoded
+/// (`encoded_splits`, the wire path) — exactly one should be non-empty. A
+/// job_id of "" has the service assign a unique one.
+struct JobSubmission : DistJobOptions {
   std::string pool;  ///< "" = the service's first pool
-  std::string job_name;
-  net::JobParams params;
-  std::vector<std::vector<KV>> splits;
+  int cpu_slots = 0;  ///< 0 = the service's default_cpu_slots
+  uint64_t memory_bytes = 0;  ///< 0 = the service's default_memory_bytes
   std::vector<std::string> encoded_splits;  ///< EncodeKVList per map task
-  std::string job_id;  ///< "" = service assigns a unique id
-  int cpu_slots = 0;
-  uint64_t memory_bytes = 0;
-  bool collect_outputs = true;
-  int max_task_attempts = 0;
-  uint64_t retry_backoff_nanos = 0;
-  double network_mb_per_s = 0;
-  /// Tri-state speculation override: -1 = service default, 0 = off, 1 = on.
-  int speculation = -1;
-  uint64_t speculation_force_after_nanos = 0;  ///< test knob passthrough
 };
 
 /// \brief Persistent job daemon: admission, fair-share queue, lifecycle.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -222,14 +223,15 @@ Status RunWithSpeculation(Coordinator* coord, Speculation* spec,
 
 }  // namespace
 
-RemoteRunner::RemoteRunner(Coordinator* coord, const DistJobOptions& options,
-                           int dispatch_slots)
+RemoteRunner::RemoteRunner(Coordinator* coord, const DistJobKnobs& options,
+                           int dispatch_slots, JobProgress* progress)
     : coord_(coord),
       options_(options),
       job_id_(options.job_id.empty() ? UniqueJobId("dist", options.job_name)
                                      : options.job_id),
       dispatch_slots_(dispatch_slots),
-      spec_(std::make_unique<Speculation>()) {
+      spec_(std::make_unique<Speculation>()),
+      progress_(progress != nullptr ? progress : &own_progress_) {
   spec_->enabled = options.speculative_execution;
   spec_->slowness_factor = options.speculation_slowness_factor;
   spec_->force_after_nanos = options.speculation_force_after_nanos;
@@ -237,26 +239,12 @@ RemoteRunner::RemoteRunner(Coordinator* coord, const DistJobOptions& options,
 
 RemoteRunner::~RemoteRunner() = default;
 
-void RemoteRunner::PublishStatus(const char* state) {
-  JobStatusSnapshot s;
-  s.job_id = job_id_;
-  s.job_name = options_.job_name;
-  s.state = state;
-  s.maps_total = maps_total_;
-  s.maps_done =
-      std::min(maps_done_.load(std::memory_order_relaxed), s.maps_total);
-  s.reduces_total = reduces_total_;
-  s.reduces_done = reduces_done_.load(std::memory_order_relaxed);
-  const uint64_t runs = map_runs_.load(std::memory_order_relaxed);
-  s.map_reruns = runs > s.maps_total ? runs - s.maps_total : 0;
-  coord_->PublishJobStatus(s);
-  if (on_status) on_status(s);
-}
-
 Status RemoteRunner::Run(const JobPlan& plan, DistJobResult* result) {
   *result = DistJobResult();
   const uint64_t wall_start = NowNanos();
   ANTIMR_RETURN_NOT_OK(plan.Validate());
+  uint64_t maps_total = 0;
+  uint64_t reduces_total = 0;
   for (const Stage& stage : plan.stages()) {
     if (stage.builder.empty()) {
       return Status::InvalidArgument("stage " + stage.name +
@@ -268,14 +256,15 @@ Status RemoteRunner::Run(const JobPlan& plan, DistJobResult* result) {
       maps += plan.NumSplits(input);
     }
     placements_.emplace_back(static_cast<size_t>(maps));
-    maps_total_ += static_cast<uint64_t>(maps);
-    reduces_total_ += static_cast<uint64_t>(stage.spec.num_reduce_tasks);
+    maps_total += static_cast<uint64_t>(maps);
+    reduces_total += static_cast<uint64_t>(stage.spec.num_reduce_tasks);
   }
+  progress_->maps_total.store(maps_total, std::memory_order_relaxed);
+  progress_->reduces_total.store(reduces_total, std::memory_order_relaxed);
   plan_ = &plan;
   ANTIMR_TRACE_SPAN_DYN("engine", "dist:" + job_id_);
   // Workers capture and ship trace spans only when this run is tracing.
   trace_enabled_ = obs::kTraceCompiled && obs::TraceEnabled();
-  PublishStatus("running");
 
   // Dispatchers only block on worker RPCs, so by default every task gets a
   // dispatch thread; a job admitted with a cpu-slot grant runs at exactly
@@ -283,7 +272,7 @@ Status RemoteRunner::Run(const JobPlan& plan, DistJobResult* result) {
   TaskPool dispatch(dispatch_slots_ > 0
                         ? dispatch_slots_
                         : static_cast<int>(std::min<uint64_t>(
-                              maps_total_ + reduces_total_, 64)),
+                              maps_total + reduces_total, 64)),
                     "dispatch");
   PlannerContext ctx;
   ctx.plan = &plan;
@@ -295,9 +284,7 @@ Status RemoteRunner::Run(const JobPlan& plan, DistJobResult* result) {
   ctx.collect_outputs = options_.collect_outputs;
   ctx.collect_task_metrics = true;
   PlanResult plan_result;
-  const Status run_status = RunPlan(ctx, &plan_result);
-  PublishStatus(run_status.ok() ? "done" : "failed");
-  if (!run_status.ok()) return run_status;
+  ANTIMR_RETURN_NOT_OK(RunPlan(ctx, &plan_result));
 
   result->metrics = plan_result.metrics;
   for (const StageResult& stage : plan_result.stages) {
@@ -311,8 +298,7 @@ Status RemoteRunner::Run(const JobPlan& plan, DistJobResult* result) {
   }
   auto out = plan_result.outputs.find(plan.stages().back().output);
   if (out != plan_result.outputs.end()) result->outputs = std::move(out->second);
-  const uint64_t runs = map_runs_.load(std::memory_order_relaxed);
-  result->map_reruns = runs > maps_total_ ? runs - maps_total_ : 0;
+  result->map_reruns = progress_->map_reruns();
   result->spec_backups = spec_->backups.load(std::memory_order_relaxed);
   result->spec_backup_wins =
       spec_->backup_wins.load(std::memory_order_relaxed);
@@ -392,7 +378,7 @@ Status RemoteRunner::RunMapOnce(StageExec* st, size_t m) {
       net::DecodeJobMetrics(res.metrics, &st->map_results[m].metrics));
   loc.worker = winner_worker;
   st->map_results[m].segment_files = std::move(res.segment_files);
-  map_runs_.fetch_add(1, std::memory_order_relaxed);
+  progress_->map_runs.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -403,8 +389,7 @@ Status RemoteRunner::Map(StageExec* st, size_t m, int) {
         placements_[static_cast<size_t>(st->stage_index)][m].mu);
     ANTIMR_RETURN_NOT_OK(RunMapOnce(st, m));
   }
-  maps_done_.fetch_add(1, std::memory_order_relaxed);
-  PublishStatus("running");
+  progress_->maps_done.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -457,8 +442,7 @@ Status RemoteRunner::Reduce(StageExec* st, size_t p, int attempt) {
   ReduceTaskResult& out = st->reduce_results[p];
   ANTIMR_RETURN_NOT_OK(net::DecodeKVList(res.output_records, &out.output));
   ANTIMR_RETURN_NOT_OK(net::DecodeJobMetrics(res.metrics, &out.metrics));
-  reduces_done_.fetch_add(1, std::memory_order_relaxed);
-  PublishStatus("running");
+  progress_->reduces_done.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 

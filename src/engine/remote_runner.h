@@ -11,13 +11,14 @@
 // re-execution is deterministic), speculation (a straggler races a backup
 // on another worker; first finisher wins), and an abort check at every task
 // entry. Each stage's cleanup task scrubs the stage's files off every
-// worker (kScrubJob).
+// worker (kScrubJob). The runner counts its tasks in a JobProgress that its
+// caller may own, which is how a JobService row reads a running job's
+// progress; the runner reports nothing anywhere else.
 #ifndef ANTIMR_ENGINE_REMOTE_RUNNER_H_
 #define ANTIMR_ENGINE_REMOTE_RUNNER_H_
 
 #include <atomic>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -32,25 +33,40 @@ namespace engine {
 
 struct Speculation;  // defined in remote_runner.cc
 
+/// A job's task counts over every stage, written by its RemoteRunner and
+/// read from any thread while it runs.
+struct JobProgress {
+  std::atomic<uint64_t> maps_total{0};  ///< set before any task runs
+  std::atomic<uint64_t> reduces_total{0};
+  std::atomic<uint64_t> maps_done{0};
+  std::atomic<uint64_t> reduces_done{0};
+  std::atomic<uint64_t> map_runs{0};  ///< map executions, heals included
+
+  /// Map executions beyond the first of each map (retries and heals).
+  uint64_t map_reruns() const {
+    const uint64_t runs = map_runs.load(std::memory_order_relaxed);
+    const uint64_t total = maps_total.load(std::memory_order_relaxed);
+    return runs > total ? runs - total : 0;
+  }
+};
+
 /// \brief Runs a JobPlan's tasks on a Coordinator's workers; one plan, once.
 class RemoteRunner : public TaskRunner {
  public:
-  /// `coord` and `options` are borrowed. `options` supplies the per-job
-  /// knobs: job_id ("" draws a unique one), retries, speculation, network
-  /// throttle and collect_outputs; its job_name labels the job's status.
-  /// Its params and splits are unused: the plan's stages carry those.
-  /// `dispatch_slots` > 0 runs exactly that many blocking dispatches at a
-  /// time (a JobService grant); 0 gives every task its own dispatch thread,
-  /// capped at 64.
-  RemoteRunner(Coordinator* coord, const DistJobOptions& options,
-               int dispatch_slots = 0);
+  /// `coord`, `options` and `progress` are borrowed. `options` supplies
+  /// the per-job knobs: job_id ("" draws one from job_name), retries,
+  /// speculation, network throttle and collect_outputs. Its params are
+  /// unused: the plan's stages carry those. `dispatch_slots` > 0 runs
+  /// exactly that many blocking dispatches at a time (a JobService grant);
+  /// 0 gives every task its own dispatch thread, capped at 64. `progress`
+  /// (null = the runner's own) receives the task counts as tasks finish.
+  RemoteRunner(Coordinator* coord, const DistJobKnobs& options,
+               int dispatch_slots = 0, JobProgress* progress = nullptr);
   ~RemoteRunner() override;
 
   /// When set and raised, every task body fails permanently, so the graph
   /// stops retrying attempts a kCancelJob broadcast failed transiently.
   const std::atomic<bool>* abort = nullptr;
-  /// Progress mirror, called alongside Coordinator::PublishJobStatus.
-  std::function<void(const JobStatusSnapshot&)> on_status;
   /// Already-encoded splits (net::EncodeKVList) of an external dataset,
   /// shipped as they are instead of encoding the plan's splits. Any other
   /// map input is encoded once, on its task's first attempt.
@@ -81,7 +97,6 @@ class RemoteRunner : public TaskRunner {
   bool aborted() const {
     return abort != nullptr && abort->load(std::memory_order_acquire);
   }
-  void PublishStatus(const char* state);
   /// Run (or re-run) map `m` and record its placement. Caller holds the
   /// placement's mutex.
   Status RunMapOnce(StageExec* st, size_t m);
@@ -90,7 +105,7 @@ class RemoteRunner : public TaskRunner {
                       std::atomic<uint32_t>* worker, net::TaskResultMsg* res);
 
   Coordinator* coord_;
-  const DistJobOptions& options_;
+  const DistJobKnobs& options_;
   std::string job_id_;
   int dispatch_slots_;
   const JobPlan* plan_ = nullptr;
@@ -99,11 +114,8 @@ class RemoteRunner : public TaskRunner {
   std::mutex job_load_mu_;
   std::map<uint32_t, int> job_load_;  ///< this job's in-flight per worker
   std::unique_ptr<Speculation> spec_;
-  uint64_t maps_total_ = 0;  ///< over every stage; set before tasks run
-  uint64_t reduces_total_ = 0;
-  std::atomic<uint64_t> map_runs_{0};
-  std::atomic<uint64_t> maps_done_{0};
-  std::atomic<uint64_t> reduces_done_{0};
+  JobProgress own_progress_;
+  JobProgress* progress_;
 };
 
 }  // namespace engine

@@ -84,6 +84,10 @@ JobSpec ApplyInMapperCombining(const JobSpec& spec, size_t memory_budget) {
   // The pattern replaces spill-time combining; keep the combiner out of the
   // spill path so work is not done twice.
   rewritten.combiner_factory = nullptr;
+  // A Map call that overflows the budget emits the table that earlier
+  // calls filled, so re-executing that call alone (LazySH) would not
+  // reproduce its emissions.
+  rewritten.deterministic = false;
   rewritten.name = spec.name + "+in_mapper_combining";
   return rewritten;
 }

@@ -55,7 +55,9 @@ class InMapperCombiningMapper : public Mapper {
 
 /// Convenience: rewrite `spec` so its mapper applies in-mapper combining
 /// with the job's own Combiner (which is removed from the spill path, as
-/// the pattern prescribes).
+/// the pattern prescribes). The rewritten spec is not `deterministic`: a
+/// Map call's emissions depend on the calls before it, so Anti-Combining
+/// keeps it to EagerSH.
 JobSpec ApplyInMapperCombining(const JobSpec& spec,
                                size_t memory_budget = 4 * 1024 * 1024);
 

@@ -54,7 +54,10 @@ struct JobSpec {
 
   /// Whether Map and Partition are deterministic. LazySH re-executes both on
   /// reducers, so Anti-Combining refuses Lazy encoding when false (paper
-  /// Section 6.2, "Non-determinism").
+  /// Section 6.2, "Non-determinism"). A Map whose emissions depend on
+  /// earlier calls (in-mapper combining flushes a table that earlier calls
+  /// filled) counts as non-deterministic: one call re-executed alone does
+  /// not reproduce what it emitted.
   bool deterministic = true;
 
   /// Set by the Anti-Combining transform: the wrapped mapper records the

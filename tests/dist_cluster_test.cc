@@ -311,6 +311,8 @@ class DistClusterTest : public ::testing::TestWithParam<const char*> {
   std::unique_ptr<net::Transport> transport_;
   std::unique_ptr<Coordinator> coord_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  // Outlives TearDown's coordinator Stop: its /jobs handler points here.
+  std::unique_ptr<engine::JobService> service_;
   // Borrowed by workers and their hooks, so it lives on the fixture: worker
   // threads can still touch it until TearDown stops them.
   std::unique_ptr<Env> shared_env_;
@@ -746,17 +748,22 @@ TEST_P(DistClusterTest, FederatedWireBytesMatchFrameCounters) {
             std::string::npos);
 }
 
+// /status is the cluster view; a job's progress is its row in the
+// attached JobService's /jobs table.
 TEST_P(DistClusterTest, StatusServerServesStatusAndMetrics) {
+  service_ = std::make_unique<engine::JobService>(coord_.get());
+  service_->AttachStatusEndpoint();
   ASSERT_TRUE(coord_->StartStatusServer("").ok());
   ASSERT_FALSE(coord_->status_addr().empty());
   StartWorkers(2);
 
-  DistJobOptions options;
-  options.job_name = "wordcount";
-  options.params = {{"reduces", "2"}};
-  options.splits = Chunk(WordCountInput(), 4);
-  DistJobResult result;
-  ASSERT_TRUE(RunDistributedJob(coord_.get(), options, &result).ok());
+  engine::JobSubmission sub;
+  sub.job_name = "wordcount";
+  sub.params = {{"reduces", "2"}};
+  sub.splits = Chunk(WordCountInput(), 4);
+  std::string job_id;
+  ASSERT_TRUE(service_->Submit(std::move(sub), &job_id).ok());
+  ASSERT_TRUE(service_->Wait(job_id).ok());
 
   std::string body;
   ASSERT_TRUE(net::HttpGet(transport_.get(), coord_->status_addr(), "/status",
@@ -765,10 +772,15 @@ TEST_P(DistClusterTest, StatusServerServesStatusAndMetrics) {
   EXPECT_NE(body.find("\"live_workers\": 2"), std::string::npos);
   EXPECT_NE(body.find("\"name\": \"w0\""), std::string::npos);
   EXPECT_NE(body.find("\"name\": \"w1\""), std::string::npos);
-  EXPECT_NE(body.find("\"state\": \"done\""), std::string::npos);
-  EXPECT_NE(body.find("\"maps_total\": 4"), std::string::npos);
-  EXPECT_NE(body.find("\"maps_done\": 4"), std::string::npos);
-  EXPECT_NE(body.find("\"reduces_done\": 2"), std::string::npos);
+
+  body.clear();
+  ASSERT_TRUE(net::HttpGet(transport_.get(), coord_->status_addr(), "/jobs",
+                           &body)
+                  .ok());
+  EXPECT_NE(body.find("\"state\":\"succeeded\""), std::string::npos);
+  EXPECT_NE(body.find("\"maps_total\":4,"), std::string::npos);
+  EXPECT_NE(body.find("\"maps_done\":4,"), std::string::npos);
+  EXPECT_NE(body.find("\"reduces_done\":2,"), std::string::npos);
 
   body.clear();
   ASSERT_TRUE(net::HttpGet(transport_.get(), coord_->status_addr(), "/metrics",

@@ -63,6 +63,11 @@ TEST(InMapperCombining, FlushesOnMemoryBudget) {
             RunToMap(ApplyInMapperCombining(base), gen.MakeSplits(2)));
 }
 
+// The default 4 MiB budget never flushes inside a Map call. At 512 B the
+// table flushes from whichever Map call overflows it, so that call's
+// emissions depend on earlier calls: a LazySH re-execution of it on a
+// reducer would emit nothing. The rewritten spec is non-deterministic, so
+// the transform must fall back to EagerSH under every strategy.
 TEST(InMapperCombining, ComposesWithAntiCombining) {
   RandomTextConfig rc;
   rc.num_lines = 400;
@@ -70,10 +75,18 @@ TEST(InMapperCombining, ComposesWithAntiCombining) {
   RandomTextGenerator gen(rc);
   workloads::WordCountConfig cfg;
   cfg.with_combiner = true;
-  const JobSpec wrapped =
-      ApplyInMapperCombining(workloads::MakeWordCountJob(cfg));
-  testing::ExpectEquivalent(wrapped, gen.MakeSplits(3),
-                            anticombine::AntiCombineOptions());
+  const JobSpec base = workloads::MakeWordCountJob(cfg);
+  const std::pair<const char*, anticombine::AntiCombineOptions> strategies[] =
+      {{"lazy", anticombine::AntiCombineOptions::LazyOnly()},
+       {"unrestricted", anticombine::AntiCombineOptions::Unrestricted()},
+       {"eager", anticombine::AntiCombineOptions::EagerOnly()}};
+  for (const size_t budget : {size_t{4} << 20, size_t{512}}) {
+    const JobSpec wrapped = ApplyInMapperCombining(base, budget);
+    for (const auto& [name, options] : strategies) {
+      SCOPED_TRACE(std::string(name) + " budget=" + std::to_string(budget));
+      testing::ExpectEquivalent(wrapped, gen.MakeSplits(3), options);
+    }
+  }
 }
 
 TEST(PerTaskMetrics, CollectedOnRequest) {

@@ -1,9 +1,10 @@
 // The multi-tenant job service end to end: admission control (quota and
 // backpressure rejects), weighted fair-share dispatch order with strict
 // FIFO inside a pool, abort of queued and running jobs (the latter scrubbed
-// off workers by the kScrubJob GC), and concurrent jobs on shared workers
-// producing byte-identical output to solo runs — over loopback and TCP,
-// in-process and through the kSubmitJob wire plane.
+// off workers by the kScrubJob GC), concurrent jobs on shared workers
+// producing byte-identical output to solo runs, and a finished job's row,
+// task progress included — over loopback and TCP, in-process and through
+// the kSubmitJob wire plane.
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "datagen/cloud.h"
 #include "datagen/random_text.h"
 #include "io/env.h"
+#include "net/http.h"
 #include "net/transport.h"
 #include "net/wire.h"
 #include "test_util.h"
@@ -426,19 +428,26 @@ TEST_P(JobServiceTest, ConcurrentJobsMatchSoloRuns) {
 
 // The wire plane: submit, poll, list, and abort through kSubmitJob frames
 // over a real dialed connection, with NotFound/InvalidArgument crossing the
-// wire intact.
+// wire intact. The job table is the one place a job's progress is reported:
+// the finished row reads the same from the wire, GetJob, ListJobs and the
+// /jobs page, with one map per split, every reduce, and no map re-run.
 TEST_P(JobServiceTest, WireLifecycle) {
   JobServiceOptions options;
   StartService(options);
+  service_->AttachStatusEndpoint();
+  ASSERT_TRUE(coord_->StartStatusServer("").ok());
   StartWorkers(2);
   ASSERT_TRUE(service_->Serve("").ok());
 
   JobServiceClient client(transport_.get(), service_->serve_addr());
 
+  constexpr uint64_t kMaps = 3;
+  constexpr uint64_t kReduces = 2;
   net::SubmitJobMsg msg;
   msg.job_name = "wordcount";
   msg.params = {{"reduces", "2"}, {"combiner", "1"}};
-  const std::vector<std::vector<KV>> splits = Chunk(TextInput(400, 3), 2);
+  const std::vector<std::vector<KV>> splits = Chunk(TextInput(400, 3), kMaps);
+  ASSERT_EQ(kMaps, splits.size());
   msg.splits.resize(splits.size());
   for (size_t m = 0; m < splits.size(); ++m) {
     net::EncodeKVList(splits[m], &msg.splits[m]);
@@ -461,17 +470,41 @@ TEST_P(JobServiceTest, WireLifecycle) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_EQ("succeeded", row.state);
   const std::vector<KV> solo = SingleProcessOutput(
       "wordcount", {{"reduces", "2"}, {"combiner", "1"}},
-      TextInput(400, 3), 2);
-  EXPECT_EQ(OutputMultisetHash(solo), row.output_hash);
-  EXPECT_EQ(solo.size(), row.output_records);
+      TextInput(400, 3), kMaps);
+  auto expect_finished = [&](const net::JobStatusWire& r) {
+    EXPECT_EQ(id, r.job_id);
+    EXPECT_EQ("succeeded", r.state);
+    EXPECT_EQ(kMaps, r.maps_total);
+    EXPECT_EQ(kMaps, r.maps_done);
+    EXPECT_EQ(kReduces, r.reduces_total);
+    EXPECT_EQ(kReduces, r.reduces_done);
+    EXPECT_EQ(0u, r.map_reruns);
+    EXPECT_EQ(OutputMultisetHash(solo), r.output_hash);
+    EXPECT_EQ(solo.size(), r.output_records);
+  };
+  expect_finished(row);
 
   std::vector<net::JobStatusWire> rows;
   ASSERT_TRUE(client.List(&rows).ok());
   ASSERT_EQ(1u, rows.size());
-  EXPECT_EQ(id, rows[0].job_id);
+  expect_finished(rows[0]);
+  ASSERT_TRUE(service_->GetJob(id, &row).ok());
+  expect_finished(row);
+  rows = service_->ListJobs();
+  ASSERT_EQ(1u, rows.size());
+  expect_finished(rows[0]);
+  std::string body;
+  ASSERT_TRUE(
+      net::HttpGet(transport_.get(), coord_->status_addr(), "/jobs", &body)
+          .ok());
+  EXPECT_NE(body.find("\"state\":\"succeeded\""), std::string::npos) << body;
+  EXPECT_NE(body.find("\"maps_total\":3,\"maps_done\":3,"
+                      "\"reduces_total\":2,\"reduces_done\":2,"
+                      "\"map_reruns\":0,"),
+            std::string::npos)
+      << body;
 
   // Errors cross the wire with their codes intact.
   EXPECT_EQ(Status::Code::kNotFound,

@@ -112,9 +112,11 @@ int Usage() {
       "  --wait-workers-ms=N   registration quorum timeout (default 30000)\n"
       "  --heartbeat-timeout-ms=N  declare a silent worker lost (default "
       "2000)\n"
-      "  --status-listen=HOST:PORT  serve GET /status (JSON) and /metrics\n"
-      "                        (cluster-federated Prometheus text) over HTTP\n"
-      "                        (default off; =127.0.0.1:0 for ephemeral)\n"
+      "  --status-listen=HOST:PORT  serve GET /status (JSON cluster view:\n"
+      "                        workers, liveness, slots, in-flight counts)\n"
+      "                        and /metrics (cluster-federated Prometheus\n"
+      "                        text) over HTTP (default off; =127.0.0.1:0\n"
+      "                        for ephemeral)\n"
       "  --cluster-trace=FILE  capture spans on every node and write one\n"
       "                        merged Chrome/Perfetto trace (a pid lane per\n"
       "                        process, flow arrows for dispatch + shuffle)\n"
@@ -135,7 +137,9 @@ int Usage() {
       "                        (default 127.0.0.1:0)\n"
       "  --job-listen=HOST:PORT  job-submission RPC bind address\n"
       "                        (default 127.0.0.1:0, printed on stdout)\n"
-      "  --status-listen=HOST:PORT  /status, /metrics and /jobs over HTTP\n"
+      "  --status-listen=HOST:PORT  /status (cluster view), /metrics and\n"
+      "                        /jobs (the job table: state and task\n"
+      "                        progress per job) over HTTP\n"
       "  --workers=N           worker quorum before dispatch (default 2)\n"
       "  --local-workers=0|1   spawn the quorum in-process (default 1;\n"
       "                        0 = wait for external `antimr_cli worker`)\n"
@@ -149,8 +153,9 @@ int Usage() {
       "                        doesn't ask (default 2)\n"
       "  --heartbeat-timeout-ms=N  declare a silent worker lost "
       "(default 2000)\n"
-      "  --speculation         default speculative execution for jobs\n"
-      "                        (default off)\n"
+      "  --speculation         speculative execution for submitted jobs\n"
+      "                        (a submission carries no speculation\n"
+      "                        field; default off)\n"
       "  --ready-file=PATH     write the resolved addresses (coord=, jobs=,\n"
       "                        status=) once serving, for scripts\n"
       "submit options (plus the run input flags --records/--maps/...):\n"

@@ -13,7 +13,8 @@
 # WORKLOAD=serve exercises the multi-tenant daemon instead of a one-shot
 # run: `antimr_cli serve` + external worker processes, 8 concurrent jobs
 # submitted across two weighted pools, every job's output hash compared to
-# its single-process run, CLI error paths checked, clean SIGTERM shutdown.
+# its single-process run and every job row's task progress checked, CLI
+# error paths checked, clean SIGTERM shutdown.
 #
 # Exit 0 when the output hashes match, non-zero otherwise.
 set -eu
@@ -218,11 +219,23 @@ if [ "$WORKLOAD" = "serve" ]; then
     i=$((i + 1))
   done
 
-  DONE=$("$CLI" jobs --connect="$JOBS_ADDR" | grep -c "state=succeeded" \
-         || true)
+  "$CLI" jobs --connect="$JOBS_ADDR" > "$WORK_DIR/jobs_final.out"
+  DONE=$(grep -c "state=succeeded" "$WORK_DIR/jobs_final.out" || true)
   if [ "$DONE" -ne 8 ]; then
     echo "run_local_cluster: expected 8 succeeded jobs, table shows $DONE" >&2
-    "$CLI" jobs --connect="$JOBS_ADDR" >&2 || true
+    cat "$WORK_DIR/jobs_final.out" >&2
+    exit 1
+  fi
+  # Each row reports its job's progress, read from the job's runner: every
+  # map (4 splits) and every reduce done.
+  PROGRESS=$(grep -c \
+      -e "name=wordcount state=succeeded maps=4/4 reduces=2/2 " \
+      -e "name=theta_join state=succeeded maps=4/4 reduces=4/4 " \
+      "$WORK_DIR/jobs_final.out" || true)
+  if [ "$PROGRESS" -ne 8 ]; then
+    echo "run_local_cluster: expected 8 rows with every task done," \
+         "table shows $PROGRESS" >&2
+    cat "$WORK_DIR/jobs_final.out" >&2
     exit 1
   fi
 
